@@ -15,7 +15,6 @@ from repro.dataframe.table import DataTable
 from repro.explore.action_space import ActionSpace
 from repro.explore.cache import ExecutionCache
 from repro.explore.environment import ExplorationEnvironment
-from repro.explore.reward import GenericExplorationReward
 from repro.explore.rollouts import VectorEnvironment
 from repro.explore.session import ExplorationSession
 from repro.ldx.ast import LdxQuery
@@ -173,8 +172,10 @@ class LinxCdrlAgent:
         )
         self.episode_length = episode_length
 
-        if shared is not None:
-            self.action_space = shared.action_space(dataset)
+        if shared is not None and isinstance(query, str):
+            # Pooled per (specification, dataset): the snippet library below
+            # extends the space with the specification's vocabulary.
+            self.action_space = shared.action_space(dataset, query)
         else:
             self.action_space = ActionSpace(dataset)
         self.reward_strategy = ComplianceRewardStrategy(
@@ -311,7 +312,10 @@ class LinxCdrlAgent:
                 for sibling in self.vector_environment.environments[1:]:
                     sibling.reward_strategy.generic.reward = scorer
         else:
-            self._generic_reward = GenericExplorationReward()
+            # Score sessions with the step reward's scorer: its interestingness
+            # and view-distance memos already hold every view the episodes
+            # produced, so a session score is memo lookups only.
+            self._generic_reward = self.reward_strategy.generic.reward
         self._best_compliant: Optional[tuple[ExplorationSession, float]] = None
 
     # -- training --------------------------------------------------------------------------

@@ -96,6 +96,7 @@ from .request import (
 )
 from .result import (
     RESULT_SCHEMA_VERSION,
+    RESULT_SEMANTICS_VERSION,
     STAGE_DERIVE,
     STAGE_GENERATE,
     STAGE_INSIGHTS,
@@ -177,6 +178,7 @@ __all__ = [
     "ProgressObserver",
     "REQUEST_SCHEMA_VERSION",
     "RESULT_SCHEMA_VERSION",
+    "RESULT_SEMANTICS_VERSION",
     "RequestCancelledError",
     "RequestScheduler",
     "RequestTimeoutError",

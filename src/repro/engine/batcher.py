@@ -14,8 +14,8 @@ request-private policy *networks*:
     :class:`~repro.rl.network.MultiHeadPolicyNetwork`, so rows are grouped
     by architecture signature and evaluated with the gathered-weight kernel
     :func:`~repro.rl.network.stacked_forward`; everything downstream of the
-    forward (bias folds, entropy/CDF statistics, per-row sampling from each
-    row's own RNG) runs once for the whole wave through
+    forward (the fused bias fold, entropy/log-prob sums, per-row sampling
+    from each row's own RNG) runs once for the whole wave through
     :meth:`~repro.rl.policy.CategoricalPolicy.decisions_from_forward`.
     Every kernel on this path reduces along the contiguous last axis in a
     fixed order, so a row's decision is **bit-identical** to the same row
@@ -23,8 +23,9 @@ request-private policy *networks*:
     latency, never results.
 
 :class:`SharedExplorationContext`
-    Content-keyed pools shared by the batched members: per-dataset action
-    spaces and :class:`~repro.explore.reward.GenericExplorationReward`
+    Content-keyed pools shared by the batched members: per-(specification,
+    dataset) action spaces, per-dataset
+    :class:`~repro.explore.reward.GenericExplorationReward`
     scorers (whose interestingness/diversity memos are keyed purely by
     view content fingerprints), per-specification compliance look-ahead
     caches (keyed by session-tree *shape*), and a per-dataset
@@ -114,9 +115,17 @@ class SharedExplorationContext:
             pool.clear()
         return pool
 
-    def action_space(self, table) -> ActionSpace:
-        """The pooled :class:`ActionSpace` for *table*'s content."""
-        key = table.fingerprint()
+    def action_space(self, table, ldx_text: str) -> ActionSpace:
+        """The pooled :class:`ActionSpace` for one (specification, dataset) pair.
+
+        The specification-aware policy's snippet library appends the
+        specification's operators and group/aggregation attributes to the
+        space it is given, so a space pooled per dataset alone would give a
+        request head sizes that depend on which specifications ran before
+        it.  Keying by the LDX text too — like :meth:`guidance_state` —
+        keeps every request's space what a private one would be.
+        """
+        key = (str(ldx_text), table.fingerprint())
         with self._lock:
             space = self._bounded(self._action_spaces).get(key)
             if space is None:

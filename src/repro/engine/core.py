@@ -81,6 +81,7 @@ from .registry import (
 )
 from .request import ExploreRequest
 from .result import (
+    RESULT_SEMANTICS_VERSION,
     STAGE_DERIVE,
     STAGE_GENERATE,
     STAGE_INSIGHTS,
@@ -326,20 +327,22 @@ class LinxEngine:
         """Digest of this engine's result-shaping configuration.
 
         Covers everything that changes *what identical requests produce*
-        under engine defaults — the CDRL configuration (episode budget,
-        seeds, trainer hyper-parameters) and the ``name`` of every
-        configured stage implementation (which also distinguishes custom
-        stage *objects* from the defaults, as long as they carry distinct
-        names).  The scheduler namespaces result-store keys with it, so a
-        store file shared across servers (or restarts) with different
-        configurations never serves one configuration's results for
-        another's requests.
+        under engine defaults — the code's
+        :data:`~repro.engine.result.RESULT_SEMANTICS_VERSION`, the CDRL
+        configuration (episode budget, seeds, trainer hyper-parameters) and
+        the ``name`` of every configured stage implementation (which also
+        distinguishes custom stage *objects* from the defaults, as long as
+        they carry distinct names).  The scheduler namespaces result-store
+        keys with it, so a store file shared across servers (or restarts)
+        with different configurations or code versions never serves one's
+        results for another's requests.
         """
         import dataclasses
         import hashlib
 
         payload = repr(
             (
+                RESULT_SEMANTICS_VERSION,
                 sorted(dataclasses.asdict(self.cdrl_config).items()),
                 [
                     (kind, getattr(getattr(self, attribute), "name", "custom"))

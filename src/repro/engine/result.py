@@ -32,6 +32,15 @@ from .errors import FieldError, RequestValidationError
 #: stage); 1.0 payloads (which simply lack the field) are still accepted.
 RESULT_SCHEMA_VERSION = "1.1"
 
+#: Version of what identical requests *produce* under identical engine
+#: configuration.  It is part of :meth:`LinxEngine.config_fingerprint`, the
+#: result-store namespace, so bumping it stops every replica from serving
+#: rows computed by older code.  Bump it whenever a kernel change may alter
+#: any bit of a served payload, even when the payload format is unchanged.
+#: 2: fused per-head decision kernel (segment sums change the last bits of
+#: probabilities and gradients); diversity sums in column order.
+RESULT_SEMANTICS_VERSION = 2
+
 #: Result wire-format versions this build can parse.
 SUPPORTED_RESULT_VERSIONS = ("1.0", "1.1")
 

@@ -711,8 +711,16 @@ class RequestScheduler:
             ):
                 with self._lock:
                     self._held_leases.add(ticket.request_hash)
-                self._journal("execute", ticket)
-                return True
+                # The previous holder may have committed — which releases its
+                # lease — between the read above and this claim: re-check,
+                # and serve its row instead of executing a second time.
+                if self.store.get_payload_text(
+                    self._store_namespace, ticket.request_hash
+                ) is None:
+                    self._journal("execute", ticket)
+                    return True
+                self._release_lease(ticket)
+                continue
             # Another replica holds the lease: wait for its result (or its
             # lease to expire) instead of duplicating the execution.
             if first:

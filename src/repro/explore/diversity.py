@@ -43,7 +43,9 @@ def result_distance(a: DataTable, b: DataTable) -> float:
     else:
         size_similarity = min(size_a, size_b) / max(size_a, size_b)
 
-    shared = list(cols_a & cols_b)
+    # Shared columns in ``a``'s column order, not set order: the float sum
+    # below must not depend on the interpreter's string-hash seed.
+    shared = [column for column in a.columns if column in cols_b]
     if shared:
         overlaps = []
         for column in shared:

@@ -15,8 +15,7 @@ that
 * advance in lock-step, stacking the per-environment observation vectors
   into a single ``(K, F)`` float64 matrix so
   :meth:`~repro.rl.policy.CategoricalPolicy.act_batch` runs **one** batched
-  network forward (and one batched validity-mask gather) per step instead
-  of K.
+  network forward and decision kernel per step instead of K.
 
 Determinism is a hard requirement, not an aspiration: episode *i* samples
 from its own RNG stream derived from ``(seed, i)`` (:func:`env_rng`), and
@@ -38,7 +37,7 @@ import numpy as np
 
 from repro.dataframe.table import DataTable
 from repro.rl.buffer import EpisodeBuffer
-from repro.rl.policy import CategoricalPolicy, MASK_LOGIT_BIAS
+from repro.rl.policy import CategoricalPolicy
 
 from .action_space import ActionChoice, ActionSpace, choice_from_index_map
 from .cache import ExecutionCache
@@ -399,74 +398,10 @@ def _policy_bound_to(policy: CategoricalPolicy, environment: ExplorationEnvironm
             policy.environment = saved_env
 
 
-def _mask_only_policy(policy: CategoricalPolicy) -> bool:
-    """True when the policy's biases are exactly its environments' validity masks.
-
-    The plain :class:`CategoricalPolicy` without a ``bias_provider`` and
-    with an environment's ``head_mask`` as its mask provider qualifies; the
-    specification-aware subclass (which overrides ``_collect_biases`` with
-    per-state guidance) and policies with *custom* mask providers do not —
-    they take the general per-environment bias path.
-    """
-    return (
-        type(policy)._collect_biases is CategoricalPolicy._collect_biases
-        and policy.bias_provider is None
-        and _is_env_mask_provider(policy.mask_provider)
-    )
-
-
-def _fold_mask_biases(
-    policy: CategoricalPolicy, masks: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Fold one environment's validity masks into logit biases.
-
-    Mirrors :meth:`CategoricalPolicy._apply_masks` for the mask-only case
-    bit for bit: short masks pad with ``True``, long ones truncate, and
-    all-true / degenerate all-false masks contribute nothing.
-    """
-    biases: dict[str, np.ndarray] = {}
-    for name, size in policy.network.head_sizes.items():
-        mask = masks.get(name)
-        if mask is None:
-            continue
-        if len(mask) < size:
-            mask = np.concatenate([mask, np.ones(size - len(mask), dtype=bool)])
-        elif len(mask) > size:
-            mask = mask[:size]
-        if mask.all() or not mask.any():
-            continue
-        biases[name] = np.where(mask, 0.0, MASK_LOGIT_BIAS)
-    return biases
-
-
-def _batched_mask_biases(
-    policy: CategoricalPolicy, environments: Sequence[ExplorationEnvironment]
-) -> list[dict[str, np.ndarray]]:
-    """The batched validity-mask gather for all K environments of one step.
-
-    :meth:`ActionSpace.valid_mask` memoises mask dictionaries by view
-    fingerprint, so environments sitting on the same view hand back the
-    *same* dict — the fold is computed once per distinct view, not once per
-    environment (all K share one fold on the lock-step reset, for
-    instance).
-    """
-    per_env_masks = [env.action_masks() for env in environments]
-    folds: dict[int, dict[str, np.ndarray]] = {}
-    biases: list[dict[str, np.ndarray]] = []
-    for masks in per_env_masks:
-        fold = folds.get(id(masks))
-        if fold is None:
-            fold = folds[id(masks)] = _fold_mask_biases(policy, masks)
-        biases.append(fold)
-    return biases
-
-
 def _collect_biases(
     policy: CategoricalPolicy, environments: Sequence[ExplorationEnvironment]
 ) -> list[dict[str, np.ndarray]]:
     """Per-environment decision biases for one lock-step decision."""
-    if _mask_only_policy(policy):
-        return _batched_mask_biases(policy, environments)
     biases: list[dict[str, np.ndarray]] = []
     for environment in environments:
         with _policy_bound_to(policy, environment):

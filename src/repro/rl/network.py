@@ -123,6 +123,54 @@ class DenseLayer:
         return [(self.weight, self.grad_weight), (self.bias, self.grad_bias)]
 
 
+class HeadLayout:
+    """Where each softmax head lives in the concatenated ``(K, T)`` head row.
+
+    Head ``h`` owns the columns ``offsets[h] : offsets[h] + sizes[h]`` of a
+    row of ``T = sum(sizes)`` entries, in head order.  Every segment-wise
+    kernel reduces along that contiguous last axis — ``np.maximum.reduceat``
+    / ``np.add.reduceat`` per segment, ``np.cumsum`` inside the padded
+    ``(K, H, width)`` grid — so row ``k`` of every output is computed from
+    row ``k`` of the input alone, whatever the batch size.
+    """
+
+    def __init__(self, head_sizes: Mapping[str, int]):
+        self.names = tuple(head_sizes)
+        self.sizes = np.array([int(size) for size in head_sizes.values()], dtype=np.intp)
+        if len(self.sizes) == 0 or self.sizes.min() < 1:
+            raise ValueError(f"every head needs at least one choice: {dict(head_sizes)}")
+        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)[:-1]]).astype(np.intp)
+        self.total = int(self.sizes.sum())
+        self.width = int(self.sizes.max())
+        #: Head position of every column.
+        self.owner = np.repeat(np.arange(len(self.names)), self.sizes)
+        #: Flat position of every column in the ``(H, width)`` grid.
+        self.cells = self.owner * self.width + (np.arange(self.total) - self.offsets[self.owner])
+        #: ``name -> (head position, start column, stop column)``.
+        self.slots = {
+            name: (position, int(start), int(start + size))
+            for position, (name, start, size) in enumerate(
+                zip(self.names, self.offsets, self.sizes)
+            )
+        }
+
+    def softmax(self, logits: np.ndarray) -> np.ndarray:
+        """Numerically stable softmax of every head segment of a ``(K, T)`` batch."""
+        peak = np.maximum.reduceat(logits, self.offsets, axis=-1)
+        exp = np.exp(logits - peak[:, self.owner])
+        return exp / np.add.reduceat(exp, self.offsets, axis=-1)[:, self.owner]
+
+    def grid(self, rows: np.ndarray, fill: float) -> np.ndarray:
+        """``(K, T)`` rows laid out as a ``(K, H, width)`` grid, padded with *fill*."""
+        grid = np.full((len(rows), len(self.names) * self.width), fill)
+        grid[:, self.cells] = rows
+        return grid.reshape(len(rows), len(self.names), self.width)
+
+    def split(self, row: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-head views of one concatenated row (or of a batch's columns)."""
+        return {name: row[..., start:stop] for name, (_, start, stop) in self.slots.items()}
+
+
 def architecture_signature(network: "MultiHeadPolicyNetwork") -> tuple:
     """A hashable key of everything :func:`stacked_forward` needs to agree on.
 
@@ -146,11 +194,11 @@ def stack_parameters(
 
     Returns the gathered-weight operands of :func:`stacked_forward`: one
     ``(N, fan_in, fan_out)`` weight stack and ``(N, fan_out)`` bias stack
-    per trunk layer, per head, and for the value head.  Stacking copies
-    every member's parameters, which at small wave sizes costs several
-    times the forward einsum itself — callers firing many waves over the
-    same member set should cache the result keyed by each network's
-    ``weights_version`` (the continuous batcher does).
+    per trunk layer, for the concatenated head layer, and for the value
+    head.  Stacking copies every member's parameters, which at small wave
+    sizes costs several times the forward einsum itself — callers firing
+    many waves over the same member set should cache the result keyed by
+    each network's ``weights_version`` (the continuous batcher does).
     """
     if not networks:
         raise ValueError("stacked_forward needs at least one network")
@@ -160,26 +208,20 @@ def stack_parameters(
             "stacked_forward needs architecturally identical networks; "
             f"got {len(signatures)} distinct signatures"
         )
-    reference = networks[0]
+
+    def stack(layers: list[DenseLayer]) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.stack([layer.weight for layer in layers]),
+            np.stack([layer.bias for layer in layers]),
+        )
+
     return {
         "trunk": [
-            (
-                np.stack([network.trunk[i].weight for network in networks]),
-                np.stack([network.trunk[i].bias for network in networks]),
-            )
-            for i in range(len(reference.trunk))
+            stack([network.trunk[i] for network in networks])
+            for i in range(len(networks[0].trunk))
         ],
-        "heads": {
-            name: (
-                np.stack([network.heads[name].weight for network in networks]),
-                np.stack([network.heads[name].bias for network in networks]),
-            )
-            for name in reference.head_sizes
-        },
-        "value": (
-            np.stack([network.value_head.weight for network in networks]),
-            np.stack([network.value_head.bias for network in networks]),
-        ),
+        "heads": stack([network.head_layer for network in networks]),
+        "value": stack([network.value_head for network in networks]),
     }
 
 
@@ -188,7 +230,7 @@ def stacked_forward(
     net_index: np.ndarray,
     observations: np.ndarray,
     stacks: dict[str, object] | None = None,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One forward pass over rows belonging to *different* networks.
 
     ``net_index[r]`` names the network (an index into *networks*) whose
@@ -200,6 +242,9 @@ def stacked_forward(
     evaluating that observation alone (an explicit acceptance test).  This
     is what lets the continuous batcher fuse policy forwards of concurrent
     requests that each train their *own* network.
+
+    Returns the concatenated head probabilities ``(R, T)`` (see
+    :class:`HeadLayout`) and the state values ``(R,)``.
 
     ``stacks`` short-circuits the per-call :func:`stack_parameters` with a
     cached copy; it MUST have been built from *networks* in this order
@@ -224,10 +269,7 @@ def stacked_forward(
 
     for trunk_stack in stacks["trunk"]:
         hidden = np.tanh(gathered_affine(trunk_stack, hidden))
-    probabilities = {
-        name: softmax(gathered_affine(head_stack, hidden))
-        for name, head_stack in stacks["heads"].items()
-    }
+    probabilities = networks[0].layout.softmax(gathered_affine(stacks["heads"], hidden))
     values = gathered_affine(stacks["value"], hidden)[:, 0]
     return probabilities, values
 
@@ -242,9 +284,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 class MultiHeadPolicyNetwork:
     """Shared MLP trunk with one softmax head per action component and a value head.
 
-    ``head_sizes`` maps head name -> number of discrete choices.  The forward
-    pass returns per-head probability vectors plus a scalar state-value
-    estimate used as the policy-gradient baseline.
+    ``head_sizes`` maps head name -> number of discrete choices.  The head
+    layers are stored as ONE concatenated ``(hidden, T)`` weight and ``(T,)``
+    bias (:attr:`head_layer`, segments per :attr:`layout`); each
+    ``heads[name].weight`` / ``.bias`` is a view of its segment, so
+    parameter names, shapes and order are those of independent head layers.
+    The forward pass returns the concatenated per-head probabilities plus a
+    scalar state-value estimate used as the policy-gradient baseline.
     """
 
     def __init__(
@@ -258,15 +304,25 @@ class MultiHeadPolicyNetwork:
         self.observation_size = observation_size
         self.head_sizes = dict(head_sizes)
         self.hidden_sizes = tuple(hidden_sizes)
+        self.layout = HeadLayout(self.head_sizes)
         self.trunk: list[DenseLayer] = []
         fan_in = observation_size
         for size in hidden_sizes:
             self.trunk.append(DenseLayer.create(rng, fan_in, size, activation="tanh"))
             fan_in = size
-        self.heads: dict[str, DenseLayer] = {
-            name: DenseLayer.create(rng, fan_in, size, activation="linear")
-            for name, size in self.head_sizes.items()
-        }
+        self.head_layer = DenseLayer(
+            weight=np.empty((fan_in, self.layout.total)),
+            bias=np.zeros(self.layout.total),
+            activation="linear",
+        )
+        self.heads: dict[str, DenseLayer] = {}
+        for name, (_, start, stop) in self.layout.slots.items():
+            self.head_layer.weight[:, start:stop] = _init_weight(rng, fan_in, stop - start)
+            self.heads[name] = DenseLayer(
+                weight=self.head_layer.weight[:, start:stop],
+                bias=self.head_layer.bias[start:stop],
+                activation="linear",
+            )
         self.value_head = DenseLayer.create(rng, fan_in, 1, activation="linear")
         #: Monotonic counter identifying the current weight values; bumped
         #: whenever the parameter buffers may have been mutated (optimiser
@@ -278,24 +334,20 @@ class MultiHeadPolicyNetwork:
         self.weights_version = 0
 
     # -- forward --------------------------------------------------------------------------
-    def forward_batch(
-        self, observations: np.ndarray
-    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Per-head probabilities ``(K, size)`` and state values ``(K,)`` for a batch.
+    def forward_batch(self, observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated head probabilities ``(K, T)`` and state values ``(K,)``.
 
-        Row ``k`` of every output is bit-identical to
-        :meth:`forward` applied to ``observations[k]`` alone (the affine
-        kernels have batch-shape-independent reduction order), so batched
-        rollouts reproduce sequential ones exactly.
+        Row ``k`` of every output is bit-identical to :meth:`forward`
+        applied to ``observations[k]`` alone (the affine kernels have
+        batch-shape-independent reduction order and the segment softmax is
+        row-local), so batched rollouts reproduce sequential ones exactly.
         """
         hidden = np.asarray(observations, dtype=np.float64)
         if hidden.ndim != 2:
             raise ValueError(f"expected a (K, F) batch, got shape {hidden.shape}")
         for layer in self.trunk:
             hidden = layer.forward(hidden)
-        probabilities = {
-            name: softmax(head.forward(hidden)) for name, head in self.heads.items()
-        }
+        probabilities = self.layout.softmax(self.head_layer.forward(hidden))
         values = self.value_head.forward(hidden)[:, 0]
         return probabilities, values
 
@@ -304,40 +356,35 @@ class MultiHeadPolicyNetwork:
         probabilities, values = self.forward_batch(
             np.asarray(observation, dtype=np.float64)[None, :]
         )
-        return {name: probs[0] for name, probs in probabilities.items()}, float(values[0])
+        return self.layout.split(probabilities[0]), float(values[0])
 
     # -- backward -------------------------------------------------------------------------
-    def backward(
-        self,
-        head_grad_logits: Mapping[str, np.ndarray],
-        value_grad: float | np.ndarray,
-    ) -> None:
-        """Backpropagate per-head logit gradients and the value-head gradient.
+    def backward(self, head_grad_logits: np.ndarray, value_grad: float | np.ndarray) -> None:
+        """Backpropagate concatenated head-logit gradients and the value gradient.
 
-        ``head_grad_logits`` maps head name to a ``(K, size)`` batch of
-        logit-gradient rows (a 1-D vector is a batch of one) and
-        ``value_grad`` is the matching scalar or ``(K,)`` array.  Each row
-        must come from the corresponding row of the most recent forward
-        batch — the layer caches hold that batch.  Backpropagating K rows
-        at once is bit-identical to K sequential single-row calls (the
-        layer kernels reduce over the batch in row order).
+        ``head_grad_logits`` is a ``(K, T)`` batch of logit-gradient rows
+        laid out like the forward's probabilities (a 1-D row is a batch of
+        one) and ``value_grad`` is the matching scalar or ``(K,)`` array.
+        Each row must come from the corresponding row of the most recent
+        forward batch — the layer caches hold that batch.  Backpropagating
+        K rows at once is bit-identical to K sequential single-row calls
+        (the layer kernels reduce over the batch in row order).
 
         The caller is responsible for converting policy-gradient losses into
         gradients with respect to the head logits (see
         :class:`repro.rl.policy.CategoricalPolicy`).
         """
-        grads = {}
-        for name, grad_logits in head_grad_logits.items():
-            matrix = np.asarray(grad_logits)
-            grads[name] = matrix[None, :] if matrix.ndim == 1 else matrix
+        grads = np.asarray(head_grad_logits, dtype=np.float64)
+        if grads.ndim == 1:
+            grads = grads[None, :]
+        head_input = self.head_layer._input
+        grad_hidden = np.zeros_like(head_input)
+        for layer, (_, start, stop) in zip(self.heads.values(), self.layout.slots.values()):
+            layer._input = head_input
+            grad_hidden = grad_hidden + layer.backward(
+                np.ascontiguousarray(grads[:, start:stop])
+            )
         value_column = np.asarray(value_grad, dtype=np.float64).reshape(-1, 1)
-        count = (
-            next(iter(grads.values())).shape[0] if grads else value_column.shape[0]
-        )
-        width = self.trunk[-1].bias.shape[0] if self.trunk else self.observation_size
-        grad_hidden = np.zeros((count, width))
-        for name, grad_logits in grads.items():
-            grad_hidden = grad_hidden + self.heads[name].backward(grad_logits)
         grad_hidden = grad_hidden + self.value_head.backward(value_column)
         for layer in reversed(self.trunk):
             grad_hidden = layer.backward(grad_hidden)

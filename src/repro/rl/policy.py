@@ -21,10 +21,12 @@ the same distribution.
 Acting comes in two shapes: :meth:`CategoricalPolicy.act` for one
 observation, and :meth:`CategoricalPolicy.act_batch` for a ``(K, F)`` stack
 of observations from K environments stepped in lock-step (see
-:mod:`repro.explore.rollouts`).  Both run the exact same per-row arithmetic
-— one shared sampling kernel, one shared bias fold — so a batched decision
-for environment ``k`` is bit-identical to the sequential decision taken with
-the same RNG stream.
+:mod:`repro.explore.rollouts`).  Both run one decision kernel over the
+network's concatenated ``(K, T)`` head rows (see
+:class:`~repro.rl.network.HeadLayout`): the bias fold, entropy and log-prob
+sums and inverse-CDF sampling are single passes whose reductions stay
+inside each row, so a batched decision for environment ``k`` is
+bit-identical to the sequential decision taken with the same RNG stream.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class PolicyDecision:
     """One sampled action with everything needed for the gradient update."""
 
     indices: dict[str, int]
-    probabilities: dict[str, np.ndarray]
     log_prob: float
     value: float
     entropy: float
@@ -131,34 +132,6 @@ class CategoricalPolicy:
         """
         return self._apply_masks(self._collect_biases())
 
-    @staticmethod
-    def _adjust_probabilities(
-        probabilities: dict[str, np.ndarray],
-        biases: Optional[dict[str, np.ndarray]],
-    ) -> dict[str, np.ndarray]:
-        """Re-softmax each biased head's probabilities with the bias added."""
-        if not biases:
-            return probabilities
-        adjusted: dict[str, np.ndarray] = {}
-        for name, probs in probabilities.items():
-            bias = biases.get(name)
-            if bias is None:
-                adjusted[name] = probs
-                continue
-            logits = np.log(np.clip(probs, 1e-12, None)) + bias
-            shifted = logits - logits.max()
-            exp = np.exp(shifted)
-            adjusted[name] = exp / exp.sum()
-        return adjusted
-
-    def _head_probabilities(
-        self,
-        observation: np.ndarray,
-        biases: Optional[dict[str, np.ndarray]] = None,
-    ) -> tuple[dict[str, np.ndarray], float]:
-        probabilities, value = self.network.forward(observation)
-        return self._adjust_probabilities(probabilities, biases), value
-
     def act(
         self,
         observation: np.ndarray,
@@ -214,44 +187,50 @@ class CategoricalPolicy:
             # in row order, exactly as the local loop below would).
             pinned = list(rngs) if rngs is not None else [self.rng] * len(obs)
             return self.act_backend(obs, list(biases_list), pinned, greedy)
-        batch_probs, values = self.network.forward_batch(obs)
+        probabilities, values = self.network.forward_batch(obs)
         return self.decisions_from_forward(
-            obs, batch_probs, values, biases_list, rngs, greedy=greedy
+            obs, probabilities, values, biases_list, rngs, greedy=greedy
         )
 
-    @staticmethod
     def _fold_biases(
-        batch_probs: Mapping[str, np.ndarray],
+        self,
+        probabilities: np.ndarray,
         biases_list: Sequence[dict[str, np.ndarray]],
-    ) -> dict[str, np.ndarray]:
-        """Re-softmax the rows of each head that carry a logit bias.
+    ) -> np.ndarray:
+        """Re-softmax every head segment that carries a logit bias, in one pass.
 
-        The batched counterpart of :meth:`_adjust_probabilities`: row ``k``
-        of every output matrix is bit-identical to the single-row fold on
-        ``biases_list[k]`` alone.  Unbiased rows keep the raw head output
-        untouched (a zero-bias fold is not a bitwise no-op).
+        Segment ``(k, h)`` of the ``(K, T)`` head rows becomes
+        ``softmax(log(clip(p)) + bias)`` over head ``h``'s columns when
+        ``biases_list[k]`` has a bias for that head; other segments keep the
+        raw head output untouched (a zero-bias fold is not a bitwise no-op).
+        A bias whose length differs from its head's raises instead of being
+        written across a neighbouring segment.
         """
-        count = len(biases_list)
-        adjusted: dict[str, np.ndarray] = {}
-        for name, matrix in batch_probs.items():
-            rows = [
-                k for k in range(count) if biases_list[k].get(name) is not None
-            ]
-            if rows:
-                index = np.asarray(rows)
-                bias = np.stack([biases_list[k][name] for k in rows])
-                logits = np.log(np.clip(matrix[index], 1e-12, None)) + bias
-                shifted = logits - logits.max(axis=-1, keepdims=True)
-                exp = np.exp(shifted)
-                matrix = np.array(matrix)
-                matrix[index] = exp / exp.sum(axis=-1, keepdims=True)
-            adjusted[name] = matrix
-        return adjusted
+        layout = self.network.layout
+        bias_rows = np.zeros((len(biases_list), layout.total))
+        folded = np.zeros((len(biases_list), len(layout.names)), dtype=bool)
+        for k, biases in enumerate(biases_list):
+            for name, bias in biases.items():
+                slot = layout.slots.get(name)
+                if slot is None:
+                    raise ValueError(f"logit bias for unknown head {name!r}")
+                position, start, stop = slot
+                if len(bias) != stop - start:
+                    raise ValueError(
+                        f"logit bias for head {name!r} has {len(bias)} entries; "
+                        f"the head has {stop - start} choices"
+                    )
+                bias_rows[k, start:stop] = bias
+                folded[k, position] = True
+        if not folded.any():
+            return probabilities
+        biased = layout.softmax(np.log(np.maximum(probabilities, 1e-12)) + bias_rows)
+        return np.where(folded[:, layout.owner], biased, probabilities)
 
     def decisions_from_forward(
         self,
         obs: np.ndarray,
-        batch_probs: dict[str, np.ndarray],
+        probabilities: np.ndarray,
         values: np.ndarray,
         biases_list: Sequence[dict[str, np.ndarray]],
         rngs: Sequence[np.random.Generator] | None = None,
@@ -259,76 +238,61 @@ class CategoricalPolicy:
     ) -> list[PolicyDecision]:
         """The post-forward half of :meth:`act_batch`.
 
-        Takes the raw head probabilities and values of a ``(K, F)`` forward
-        pass and performs everything downstream of the network — the bias
-        folds, entropy/CDF statistics and per-row sampling.  The continuous
-        batcher (:mod:`repro.engine.batcher`) calls this directly with the
-        outputs of a *stacked multi-network* forward so that rows belonging
-        to different requests still share one vectorised decision kernel.
+        Takes the concatenated ``(K, T)`` head probabilities and values of a
+        forward pass and performs everything downstream of the network — the
+        bias fold, entropy/log-prob sums and per-row sampling.  The
+        continuous batcher (:mod:`repro.engine.batcher`) calls this directly
+        with the outputs of a *stacked multi-network* forward so that rows
+        belonging to different requests still share one decision kernel.
         """
         count = len(obs)
         if len(biases_list) != count:
             raise ValueError("need one bias mapping per observation")
         if rngs is not None and len(rngs) != count:
             raise ValueError("need one RNG per observation")
-        names = list(batch_probs)
-        adjusted = self._fold_biases(batch_probs, biases_list)
+        layout = self.network.layout
+        probs = self._fold_biases(probabilities, biases_list)
+        log_p = np.log(np.maximum(probs, 1e-12))
+        entropies = -np.add.reduceat(probs * log_p, layout.offsets, axis=-1).sum(axis=-1)
 
-        # Per-head decision statistics, batched: entropies accumulate in head
-        # order (matching the scalar accumulation of a single decision) and
-        # sampling CDFs come from one row-wise cumsum per head.
-        entropies = np.zeros(count)
-        cdfs: dict[str, np.ndarray] = {}
-        for name in names:
-            matrix = adjusted[name]
-            logs = np.log(np.clip(matrix, 1e-12, None))
-            entropies += -(matrix * logs).sum(axis=-1)
-            if not greedy:
-                cdfs[name] = np.cumsum(matrix, axis=-1)
-
-        # Index selection, vectorised across rows.  Sampling draws the same
-        # uniforms as the scalar loop it replaced: row k consumes one draw
-        # per head, in head order, from its own stream (``Generator.random``
-        # with a size fills the array from consecutive stream values), and
-        # the inverse-CDF lookup counts ``cdf <= target`` entries — exactly
-        # ``searchsorted(..., side="right")`` on that row's cumsum.
-        chosen: dict[str, np.ndarray] = {}
+        # Index selection in the padded (K, H, width) grid.  Sampling draws
+        # one uniform per head, in head order, from each row's own stream;
+        # the inverse-CDF lookup counts the entries of the head's own cumsum
+        # that are <= the target (padding repeats the head total, so the
+        # clamp to the last real choice covers it).
         if greedy:
-            for name in names:
-                chosen[name] = np.argmax(adjusted[name], axis=-1)
+            chosen = np.argmax(layout.grid(probs, -1.0), axis=-1)
         else:
-            draws = np.empty((count, len(names)))
-            for k in range(count):
-                rng = self.rng if rngs is None else rngs[k]
-                draws[k] = rng.random(len(names))
-            for position, name in enumerate(names):
-                cdf = cdfs[name]
-                targets = draws[:, position] * cdf[:, -1]
-                indices = (cdf <= targets[:, None]).sum(axis=-1)
-                chosen[name] = np.minimum(indices, cdf.shape[-1] - 1)
-
-        # Joint log-probabilities accumulate per head in head order, exactly
-        # like the scalar accumulation of a single decision.
-        row_range = np.arange(count)
-        log_probs = np.zeros(count)
-        for name in names:
-            picked = adjusted[name][row_range, chosen[name]]
-            log_probs += np.log(np.maximum(picked, 1e-12))
-
-        decisions: list[PolicyDecision] = []
-        for k in range(count):
-            decisions.append(
-                PolicyDecision(
-                    indices={name: int(chosen[name][k]) for name in names},
-                    probabilities={name: adjusted[name][k] for name in names},
-                    log_prob=float(log_probs[k]),
-                    value=float(values[k]),
-                    entropy=float(entropies[k]),
-                    observation=np.array(obs[k], copy=True),
-                    biases=biases_list[k],
-                )
+            draws = np.array(
+                [
+                    (self.rng if rngs is None else rngs[k]).random(len(layout.names))
+                    for k in range(count)
+                ]
+            ).reshape(count, len(layout.names))
+            cdf = np.cumsum(layout.grid(probs, 0.0), axis=-1)
+            targets = draws * cdf[:, :, -1]
+            chosen = np.minimum(
+                (cdf <= targets[:, :, None]).sum(axis=-1), layout.sizes - 1
             )
-        return decisions
+        log_probs = log_p[np.arange(count)[:, None], chosen + layout.offsets].sum(axis=-1)
+
+        # Decisions keep views into one private copy of the observations.
+        observations = np.array(obs, dtype=np.float64)
+        picks = chosen.tolist()
+        log_probs = log_probs.tolist()
+        entropies = entropies.tolist()
+        values = np.asarray(values, dtype=np.float64).tolist()
+        return [
+            PolicyDecision(
+                indices=dict(zip(layout.names, picks[k])),
+                log_prob=log_probs[k],
+                value=values[k],
+                entropy=entropies[k],
+                observation=observations[k],
+                biases=biases_list[k],
+            )
+            for k in range(count)
+        ]
 
     # -- learning ------------------------------------------------------------------------
     def accumulate_gradient_batch(
@@ -361,29 +325,25 @@ class CategoricalPolicy:
         observations = np.stack(
             [np.asarray(decision.observation, dtype=np.float64) for decision in decisions]
         )
-        batch_probs, values = self.network.forward_batch(observations)
-        adjusted = self._fold_biases(
-            batch_probs, [decision.biases for decision in decisions]
+        probabilities, values = self.network.forward_batch(observations)
+        probs = self._fold_biases(probabilities, [decision.biases for decision in decisions])
+        layout = self.network.layout
+        chosen = np.array(
+            [[decision.indices[name] for name in layout.names] for decision in decisions]
         )
-        advantage_column = np.asarray(advantages, dtype=np.float64)[:, None]
-        head_grads: dict[str, np.ndarray] = {}
-        for name, probs in adjusted.items():
-            one_hot = np.zeros_like(probs)
-            one_hot[
-                np.arange(len(decisions)),
-                [decision.indices[name] for decision in decisions],
-            ] = 1.0
-            # d(-advantage * log p_chosen)/d logits = advantage * (p - onehot)
-            grad = advantage_column * (probs - one_hot)
-            # Entropy bonus gradient: d(-H)/d logits = p * (log p + H)
-            log_p = np.log(np.clip(probs, 1e-12, None))
-            head_entropies = -(probs * log_p).sum(axis=-1, keepdims=True)
-            grad += entropy_coefficient * probs * (log_p + head_entropies)
-            head_grads[name] = grad
+        one_hot = np.zeros_like(probs)
+        one_hot[np.arange(len(decisions))[:, None], chosen + layout.offsets] = 1.0
+        # d(-advantage * log p_chosen)/d logits = advantage * (p - onehot)
+        grad = np.asarray(advantages, dtype=np.float64)[:, None] * (probs - one_hot)
+        # Entropy bonus gradient: d(-H)/d logits = p * (log p + H), with
+        # ``negative_entropy`` = -H of each head segment.
+        log_p = np.log(np.maximum(probs, 1e-12))
+        negative_entropy = np.add.reduceat(probs * log_p, layout.offsets, axis=-1)
+        grad += entropy_coefficient * probs * (log_p - negative_entropy[:, layout.owner])
         value_grads = value_coefficient * 2.0 * (
             values - np.asarray(value_targets, dtype=np.float64)
         )
-        self.network.backward(head_grads, value_grads)
+        self.network.backward(grad, value_grads)
 
     def accumulate_gradient(
         self,
@@ -411,5 +371,8 @@ class CategoricalPolicy:
     # -- diagnostics ----------------------------------------------------------------------
     def action_distribution(self, observation: np.ndarray) -> Mapping[str, np.ndarray]:
         """Per-head probabilities without sampling (used in tests and the ablation)."""
-        probabilities, _ = self._head_probabilities(observation, self.decision_biases())
-        return probabilities
+        probabilities, _ = self.network.forward_batch(
+            np.asarray(observation, dtype=np.float64)[None, :]
+        )
+        folded = self._fold_biases(probabilities, [self.decision_biases()])
+        return self.network.layout.split(folded[0])

@@ -132,9 +132,7 @@ def serialize_buffer(buffer: EpisodeBuffer) -> list[tuple]:
 
     Only the fields gradient updates consume survive: per-head indices, the
     observation, the logit biases in effect at sampling time, and the scalar
-    log-prob/value/entropy.  Probability vectors are recomputed by the
-    forward pass inside ``accumulate_gradient`` and are deliberately
-    dropped.
+    log-prob/value/entropy.
     """
     rows: list[tuple] = []
     for transition in buffer.transitions:
@@ -158,12 +156,11 @@ def serialize_buffer(buffer: EpisodeBuffer) -> list[tuple]:
 
 
 def deserialize_buffer(rows: list[tuple]) -> EpisodeBuffer:
-    """Invert :func:`serialize_buffer` (probabilities come back empty)."""
+    """Invert :func:`serialize_buffer`."""
     buffer = EpisodeBuffer()
     for indices, observation, biases, log_prob, value, entropy, reward, done in rows:
         decision = PolicyDecision(
             indices={name: int(index) for name, index in indices},
-            probabilities={},
             log_prob=float(log_prob),
             value=float(value),
             entropy=float(entropy),

@@ -73,8 +73,7 @@ class TestStackedForward:
             expected_probs, expected_values = networks[slot].forward_batch(
                 observations[row : row + 1]
             )
-            for name in HEADS:
-                assert np.array_equal(probabilities[name][row], expected_probs[name][0])
+            assert np.array_equal(probabilities[row], expected_probs[0])
             assert values[row] == expected_values[0]
 
     def test_rejects_mixed_architectures(self):
@@ -232,13 +231,22 @@ class TestSharedExplorationContext:
 
         shared = SharedExplorationContext()
         same_content = load_dataset("netflix", num_rows=60)
-        assert shared.action_space(netflix_table) is shared.action_space(same_content)
+        assert shared.action_space(netflix_table, LDX) is shared.action_space(
+            same_content, LDX
+        )
         assert shared.scorer(netflix_table) is shared.scorer(same_content)
         other = load_dataset("netflix", num_rows=80)
-        assert shared.action_space(netflix_table) is not shared.action_space(other)
+        assert shared.action_space(netflix_table, LDX) is not shared.action_space(
+            other, LDX
+        )
         assert shared.lookahead_cache(LDX, 256) is shared.lookahead_cache(LDX, 256)
         assert shared.lookahead_cache(LDX, 256) is not shared.lookahead_cache(LDX, 64)
         assert shared.describe()["action_spaces"] == 2
+        # Specifications extend the space they are given: one pool each.
+        other_ldx = "ROOT CHILDREN <A1>\nA1 LIKE [F,.*]"
+        assert shared.action_space(netflix_table, LDX) is not shared.action_space(
+            netflix_table, other_ldx
+        )
 
 
 class TestCrossRequestBitIdentity:
@@ -338,3 +346,43 @@ class TestCrossRequestBitIdentity:
         engine.close()
         assert result.episodes_trained == 5
         assert occupancy["waves"] == 0  # the ATENA path never submitted
+
+
+class TestPooledActionSpaces:
+    def test_spec_extended_space_does_not_leak_into_later_requests(self):
+        """Playstore meta-goal 2's specification extends the action space.
+
+        A later request on the same dataset in the same batched engine must
+        still see the space a private engine would build, so both payloads
+        equal their unbatched runs.
+        """
+        from repro.bench.generator import generate_benchmark
+
+        benchmark = generate_benchmark()
+        extending = benchmark.by_meta_goal(2)
+        plain = benchmark.by_meta_goal(1)
+        requests = [
+            ExploreRequest(
+                goal=instance.goal,
+                dataset=instance.dataset,
+                num_rows=120,
+                ldx_text=instance.ldx_text,
+                seed=3,
+                episodes=6,
+            )
+            for instance in (
+                next(i for i in extending if i.dataset == "playstore"),
+                next(i for i in plain if i.dataset == "playstore"),
+            )
+        ]
+        config = CdrlConfig(episodes=6)
+        expected = [
+            _result_key(LinxEngine(cdrl_config=config).explore(request))
+            for request in requests
+        ]
+        engine = LinxEngine(cdrl_config=config, inference_batching=True)
+        try:
+            actual = [_result_key(engine.explore(request)) for request in requests]
+        finally:
+            engine.close()
+        assert actual == expected

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
 from repro.dataframe import DataTable
 from repro.explore import (
     ActionChoice,
@@ -159,6 +164,39 @@ class TestInterestingnessAndDiversity:
 
     def test_session_diversity_no_previous(self, small_table):
         assert session_diversity(small_table, []) == 1.0
+
+    def test_session_score_independent_of_hash_seed(self):
+        # Sessions whose shared-column overlaps sum to different last bits
+        # when the columns are visited in string-set order.
+        script = (
+            "from repro.datasets import load_dataset\n"
+            "from repro.explore import FilterOperation as F, GenericExplorationReward, "
+            "session_from_operations\n"
+            "for name, ops in (\n"
+            "    ('flights', [F('month', 'eq', 8), F('airline', 'eq', 'F9')]),\n"
+            "    ('playstore', [F('category', 'eq', 'ART_AND_DESIGN'), F('rating', 'eq', 4.7)]),\n"
+            "):\n"
+            "    session = session_from_operations(load_dataset(name, num_rows=300), ops)\n"
+            "    print(GenericExplorationReward().session_score(session).hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            outputs.add(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    env=env,
+                ).stdout
+            )
+        assert len(outputs) == 1
 
 
 class TestActionSpaceAndEnvironment:

@@ -471,6 +471,10 @@ class TestExactlyOnceAcrossSchedulers:
                     assert time.monotonic() < deadline, "replica a never claimed"
                     time.sleep(0.01)
                 ticket_b = b.submit(request)
+                # Let a finish only once b is waiting on its lease.
+                while b.describe()["leases"]["waits"] < 1:
+                    assert time.monotonic() < deadline, "replica b never waited"
+                    time.sleep(0.01)
                 release.set()
                 assert a.wait(ticket_a.ticket_id, timeout=60)["state"] == TICKET_DONE
                 snapshot_b = b.wait(ticket_b.ticket_id, timeout=60)
@@ -540,7 +544,10 @@ class TestProcessCancellation:
                 # Wait until the worker has streamed its first episode event:
                 # the request is provably mid-stage in the other process.
                 deadline = time.monotonic() + 120
-                while not scheduler.status(ticket.ticket_id)["events_seen"]:
+                while not any(
+                    event.kind == "episode"
+                    for event in scheduler.events_since(ticket.ticket_id)[0]
+                ):
                     assert time.monotonic() < deadline, "worker never started"
                     time.sleep(0.05)
                 assert scheduler.cancel(ticket.ticket_id) is True

@@ -48,7 +48,7 @@ class TestNetwork:
     def test_backward_accumulates_gradients(self, network):
         network.zero_grad()
         network.forward(np.ones(6))
-        network.backward({"a": np.array([0.1, -0.1, 0.0]), "b": np.zeros(4)}, 0.5)
+        network.backward(np.array([0.1, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0]), 0.5)
         grads = [g for _, g in network.parameters()]
         assert any(np.any(g != 0) for g in grads)
 
@@ -85,7 +85,9 @@ class TestPolicy:
     def test_greedy_act_is_argmax(self, network):
         policy = CategoricalPolicy(network, rng=np.random.default_rng(0))
         decision = policy.act(np.ones(6), greedy=True)
-        for head, probs in decision.probabilities.items():
+        distribution = policy.action_distribution(np.ones(6))
+        assert set(distribution) == set(decision.indices)
+        for head, probs in distribution.items():
             assert decision.indices[head] == int(np.argmax(probs))
 
     def test_bias_provider_shifts_distribution(self, network):

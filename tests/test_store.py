@@ -220,6 +220,33 @@ class TestIdempotentServing:
             assert second_gen.calls == 0
         reopened.close()
 
+    def test_semantics_version_bump_never_serves_older_rows(
+        self, store_path, monkeypatch
+    ):
+        """A row written by code with older result semantics is re-executed."""
+        import repro.engine.core as core
+
+        request = ExploreRequest(goal="g", dataset="netflix", num_rows=60, ldx_text=LDX)
+        current = core.RESULT_SEMANTICS_VERSION
+        monkeypatch.setattr(core, "RESULT_SEMANTICS_VERSION", current - 1)
+        old_engine = LinxEngine(session_generator=CountingGenerator())
+        old_namespace = old_engine.config_fingerprint()
+        store = ResultStore(store_path)
+        with RequestScheduler(old_engine, store=store, max_workers=1) as scheduler:
+            scheduler.wait(scheduler.submit(request).ticket_id, timeout=120)
+        assert store.request_hashes(old_namespace) == [request.canonical_hash()]
+        monkeypatch.setattr(core, "RESULT_SEMANTICS_VERSION", current)
+
+        generator = CountingGenerator()
+        engine = LinxEngine(session_generator=generator)
+        assert engine.config_fingerprint() != old_namespace
+        with RequestScheduler(engine, store=store, max_workers=1) as scheduler:
+            snapshot = scheduler.wait(scheduler.submit(request).ticket_id, timeout=120)
+            assert snapshot["served_from_store"] is False
+            assert generator.calls == 1
+        assert len(store) == 2
+        store.close()
+
 
 class TestReplay:
     def test_rebuild_session_from_stored_result_matches_live_trace(
