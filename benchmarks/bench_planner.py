@@ -4,8 +4,8 @@ Two workloads on the flights dataset, mirroring how exploration pipelines
 actually execute:
 
 * **fused vs eager 4-op chains** — a filter→filter→filter→group-by chain
-  executed the status-quo way (one operation at a time, each filter
-  materialising an intermediate view) against
+  executed eagerly (one ``DataTable.filter`` / ``DataTable.groupby_agg``
+  call at a time, each filter materialising an intermediate view) against
   :meth:`~repro.explore.executor.QueryExecutor.execute_plan`, which
   AND-combines the three predicate masks and feeds the combined mask
   straight into the group-by factorisation — zero intermediate views.
@@ -37,9 +37,9 @@ from pathlib import Path
 
 from conftest import print_table, scale
 
+from repro.dataframe.expressions import Predicate
 from repro.datasets import load_dataset
 from repro.explore.cache import ExecutionCache
-from repro.explore.diskcache import TieredExecutionCache
 from repro.explore.executor import QueryExecutor
 from repro.explore.operations import FilterOperation, GroupAggOperation
 from repro.plan import canonicalize, plan_from_operations
@@ -65,10 +65,15 @@ COMMUTED_CHAIN = [CHAIN[2], CHAIN[0], CHAIN[1], CHAIN[3]]
 
 
 def _run_eager(table, operations):
-    executor = QueryExecutor()  # uncached: measure pure execution
+    """One operation at a time through the DataTable kernels: uncached, no plans."""
     view = table
     for operation in operations:
-        view = executor.execute(view, operation)
+        if isinstance(operation, FilterOperation):
+            view = view.filter(Predicate(operation.attr, operation.op, operation.term))
+        else:
+            view = view.groupby_agg(
+                operation.group_attr, operation.agg_func, operation.agg_attr
+            )
     return view
 
 
@@ -127,13 +132,13 @@ def _run_planner_benchmark():
     tier_dir = tempfile.mkdtemp(prefix="repro-planner-bench-")
     try:
         db_path = Path(tier_dir) / "execution_cache.sqlite"
-        cold_tier = TieredExecutionCache(db_path)
+        cold_tier = ExecutionCache(disk=db_path)
         QueryExecutor(cache=cold_tier).execute_plan(
             table, plan_from_operations(CHAIN)
         )
         cold_tier.close()  # flushes the write-behind buffer
         # A fresh process's perspective: empty memory tier, same sqlite file.
-        warm_tier = TieredExecutionCache(db_path)
+        warm_tier = ExecutionCache(disk=db_path)
         warm_result = QueryExecutor(cache=warm_tier).execute_plan(
             table, plan_from_operations(COMMUTED_CHAIN)
         )

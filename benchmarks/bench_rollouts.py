@@ -13,7 +13,7 @@ actually runs episodes:
   seeds (asserted), so the entire ratio is overhead removed, not behaviour
   changed.
 * **cold vs warm disk tier** — the same batched sweep over a
-  :class:`~repro.explore.diskcache.TieredExecutionCache`, run once against
+  :class:`~repro.explore.cache.ExecutionCache` with a disk tier, run once against
   an empty sqlite store and again from a *fresh process's perspective*
   (new memory tier, same file).  Of the warm sweep's lookups that fall
   through the cold memory tier to sqlite, >= 80% must be served from disk
@@ -43,7 +43,7 @@ from conftest import print_table, scale
 from repro.cdrl.spec_network import build_basic_policy
 from repro.datasets import load_dataset
 from repro.explore.action_space import ActionSpace
-from repro.explore.diskcache import TieredExecutionCache
+from repro.explore.cache import ExecutionCache
 from repro.explore.environment import ExplorationEnvironment
 from repro.explore.rollouts import (
     VectorEnvironment,
@@ -157,13 +157,13 @@ def _run_rollout_benchmark():
     tier_dir = tempfile.mkdtemp(prefix="repro-rollout-bench-")
     try:
         db_path = Path(tier_dir) / "execution_cache.sqlite"
-        cold_cache = TieredExecutionCache(db_path)
+        cold_cache = ExecutionCache(disk=db_path)
         cold_sps, cold_trace, _ = _run_batched_sweeps(table, sweeps, cache=cold_cache)
         cold_summary = cold_cache.describe()
         cold_cache.close()
 
         # A fresh process's perspective: empty memory tier, same sqlite file.
-        warm_cache = TieredExecutionCache(db_path)
+        warm_cache = ExecutionCache(disk=db_path)
         warm_sps, warm_trace, _ = _run_batched_sweeps(table, sweeps, cache=warm_cache)
         warm_summary = warm_cache.describe()
         warm_cache.close()

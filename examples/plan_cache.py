@@ -17,7 +17,6 @@ from pathlib import Path
 
 from repro.datasets import load_dataset
 from repro.explore.cache import ExecutionCache
-from repro.explore.diskcache import TieredExecutionCache
 from repro.explore.executor import QueryExecutor
 from repro.explore.operations import FilterOperation, GroupAggOperation
 from repro.explore.session import session_from_operations
@@ -59,18 +58,18 @@ def main() -> None:
     # -- fused whole-plan execution is bit-identical to the step path -------
     fused = QueryExecutor().execute_plan(flights, plan_a)
     assert fused.fingerprint() == session_a.current.view.fingerprint()
-    print("\nfused execute_plan() result (bit-identical to the eager path):")
+    print("\nfused execute_plan() result (bit-identical to the step path):")
     for record in fused.to_records()[:3]:
         print(" ", record)
 
     # -- disk tier: a second process's commuted pipeline warm-starts --------
     with tempfile.TemporaryDirectory(prefix="plan-cache-example-") as tmp:
         db_path = Path(tmp) / "execution_cache.sqlite"
-        first = TieredExecutionCache(db_path)
+        first = ExecutionCache(disk=db_path)
         QueryExecutor(cache=first).execute_plan(flights, plan_from_operations(PIPELINE_A))
         first.close()  # flush the write-behind buffer
 
-        second = TieredExecutionCache(db_path)  # fresh memory tier, same file
+        second = ExecutionCache(disk=db_path)  # fresh memory tier, same file
         QueryExecutor(cache=second).execute_plan(
             flights, plan_from_operations(PIPELINE_B)
         )

@@ -122,15 +122,14 @@ class HumanExpertBaseline:
                     break
                 chosen = candidates[seed_offset % len(candidates)]
                 try:
-                    view = self._executor.execute(session.current.view, chosen)
+                    session.apply(chosen, self._executor)
                 except ExecutionError:
                     chosen = candidates[0]
                     try:
-                        view = self._executor.execute(session.current.view, chosen)
+                        session.apply(chosen, self._executor)
                     except ExecutionError:
                         feasible = False
                         break
-                session.add_operation(chosen, view)
                 operations.append(chosen)
                 if pattern is not None:
                     bindings.update(

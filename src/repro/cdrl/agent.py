@@ -196,7 +196,7 @@ class LinxCdrlAgent:
                     query, self.config.compliance.immediate_max_completions
                 )
         # One execution cache is shared by training rollouts and evaluation,
-        # so repeated (view, operation) pairs across episodes reuse results.
+        # so repeated pipelines across episodes reuse results.
         # An externally supplied cache (e.g. the engine-wide cache of
         # :class:`repro.engine.core.LinxEngine`) extends that sharing across
         # agents and requests.  ``config.cache_execution=False`` always wins,

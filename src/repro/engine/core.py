@@ -38,15 +38,7 @@ from repro.bench.generator import generate_benchmark
 from repro.cdrl.agent import CdrlConfig
 from repro.dataframe.table import DataTable
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.explore.cache import (
-    DEFAULT_MAX_ENTRIES,
-    ExecutionCache,
-    ThreadSafeExecutionCache,
-)
-from repro.explore.diskcache import (
-    ThreadSafeTieredExecutionCache,
-    TieredExecutionCache,
-)
+from repro.explore.cache import DEFAULT_MAX_ENTRIES, ExecutionCache
 from repro.explore.session import ExplorationSession
 from repro.ldx.parser import parse_ldx, try_parse_ldx
 from repro.llm.interface import LLMClient
@@ -142,14 +134,14 @@ class LinxEngine:
         :class:`~repro.engine.stages.AtenaSessionGenerator` to swap the
         baseline in as the generation stage.
     cache:
-        Execution cache shared by every request.  Defaults to a
-        :class:`~repro.explore.cache.ThreadSafeExecutionCache` bounded by
+        Execution cache shared by every request.  Defaults to an
+        :class:`~repro.explore.cache.ExecutionCache` bounded by
         *max_cache_entries* entries and *max_cached_rows* total cached rows
         (default :data:`DEFAULT_ENGINE_MAX_CACHED_ROWS`; pass ``None`` to
         disable the row budget).
     disk_cache_path:
         Optional sqlite file layered *under* the default cache as a
-        persistent tier (:class:`~repro.explore.diskcache.TieredExecutionCache`):
+        persistent tier (:class:`~repro.explore.diskcache.DiskCacheTier`):
         results survive restarts, and warm-start sweeps or process-pool
         workers reuse each other's executions.  Ignored when an explicit
         *cache* is supplied.
@@ -223,16 +215,12 @@ class LinxEngine:
         self.disk_cache_shards = disk_cache_shards
         if cache is not None:
             self.cache = cache
-        elif self.disk_cache_path is not None:
-            self.cache = ThreadSafeTieredExecutionCache(
-                self.disk_cache_path,
+        else:
+            self.cache = ExecutionCache(
                 max_entries=max_cache_entries,
                 max_cached_rows=max_cached_rows,
+                disk=self.disk_cache_path,
                 disk_shards=disk_cache_shards,
-            )
-        else:
-            self.cache = ThreadSafeExecutionCache(
-                max_entries=max_cache_entries, max_cached_rows=max_cached_rows
             )
         self._max_cache_entries = max_cache_entries
         self._max_cached_rows = max_cached_rows
@@ -612,10 +600,9 @@ class LinxEngine:
             query=query,
             insights=list(insights) if insights is not None else [],
         )
-        if isinstance(self.cache, TieredExecutionCache):
-            # Land this request's write-behind buffer so concurrent
-            # processes (and the next engine start) see its results.
-            self.cache.flush()
+        # Land this request's write-behind buffer so concurrent processes
+        # (and the next engine start) see its results.
+        self.cache.flush()
         emit(ProgressEvent(request_id, EVENT_REQUEST_FINISHED))
         return result
 
@@ -727,9 +714,8 @@ class LinxEngine:
         # request cannot strand already-submitted siblings mid-flight.
         for request in batch:
             request.validate()
-        if isinstance(self.cache, TieredExecutionCache):
-            # Everything executed so far becomes visible to the workers.
-            self.cache.flush()
+        # Everything executed so far becomes visible to the workers.
+        self.cache.flush()
         pool_size = max_workers if max_workers is not None else min(
             len(batch), os.cpu_count() or 1
         )

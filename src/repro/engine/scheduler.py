@@ -63,7 +63,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.explore.diskcache import TieredExecutionCache
 from repro.reliability import SITE_HEARTBEAT, fault_point
 
 from .core import LinxEngine, _process_worker, drain_progress_queue
@@ -1084,13 +1083,12 @@ class RequestScheduler:
                 pass
             with self._lock:
                 self._held_leases.clear()
-        if isinstance(getattr(self.engine, "cache", None), TieredExecutionCache):
-            # Flush the write-behind buffer so the next replica (or the
-            # next start of this one) sees everything this one executed.
-            try:
-                self.engine.cache.flush()
-            except Exception:  # noqa: BLE001 — flush degradation is logged downstream
-                pass
+        # Flush the write-behind buffer so the next replica (or the next
+        # start of this one) sees everything this one executed.
+        try:
+            self.engine.cache.flush()
+        except Exception:  # noqa: BLE001 — flush degradation is logged downstream
+            pass
         if self._pool is not None:
             self._pool.shutdown(wait=wait)
         if self._progress_queue is not None:

@@ -1,28 +1,19 @@
-"""A persistent, sqlite-backed tier under the in-memory execution cache.
+"""The persistent, sqlite-backed tier under the in-memory execution cache.
 
-The in-memory :class:`~repro.explore.cache.ExecutionCache` dies with its
-process, so every benchmark sweep, every engine restart and every process-
-pool worker starts cold.  This module adds the durable tier:
-
-* :class:`DiskCacheTier` — a sharded sqlite store of serialized result
-  views keyed by a canonical hash of the PR-3 buffer fingerprint +
-  operation signature.  Keys stripe over ``num_shards`` WAL files by a
-  stable digest prefix (see :mod:`repro.shards`), each with its own write
-  lock and per-thread read connections, so concurrent lookups never queue
-  behind each other or behind a writer and write-behind flushes become one
-  ``executemany`` batch per shard.  A schema-version (or shard-count) row
-  per shard invalidates a stale shard wholesale when the payload, digest
-  format or key→shard routing changes (stale formats are *dropped*, never
-  misread).
-* :class:`TieredExecutionCache` — the drop-in ``ExecutionCache`` subclass
-  that layers the memory LRU over a disk tier: **read-through** (a memory
-  miss falls through to disk and promotes the row back into the LRU) and
-  **batched write-behind** (inserts buffer in memory and land on disk in
-  one transaction per :data:`DEFAULT_WRITE_BATCH` puts, or on
-  :meth:`~TieredExecutionCache.flush`).
-* :class:`ThreadSafeTieredExecutionCache` — the lock-guarded variant the
-  long-lived :class:`~repro.engine.core.LinxEngine` shares across worker
-  threads.
+An in-memory LRU dies with its process, so every benchmark sweep, every
+engine restart and every process-pool worker would start cold.
+:class:`DiskCacheTier` is the durable tier that
+:class:`~repro.explore.cache.ExecutionCache` reads through to on a memory
+miss and writes behind to in batches (``ExecutionCache(disk=...)``): a
+sharded sqlite store of serialized result views keyed by a canonical hash
+of the cache key (base fingerprint + canonical plan fingerprint).  Keys
+stripe over ``num_shards`` WAL files by a stable digest prefix (see
+:mod:`repro.shards`), each with its own write lock and per-thread read
+connections, so concurrent lookups never queue behind each other or behind
+a writer and write-behind flushes become one ``executemany`` batch per
+shard.  A schema-version (or shard-count) row per shard invalidates a stale
+shard wholesale when the payload, digest format or key→shard routing
+changes (stale formats are *dropped*, never misread).
 
 Results are serialized structurally — per-column dtype string, raw data
 buffer and null-mask bytes — not as pickled object graphs, so a
@@ -36,15 +27,13 @@ recompute and not worth a durable row.
 from __future__ import annotations
 
 import hashlib
-import logging
 import pickle
 import sqlite3
 import struct
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 import numpy as np
 
@@ -58,13 +47,8 @@ from repro.reliability import (
 )
 from repro.shards import ShardedSqlite, prepare_shard_meta
 
-from .cache import (
-    DEFAULT_MAX_ENTRIES,
-    DEFAULT_MAX_ERROR_ENTRIES,
-    CacheKey,
-    ExecutionCache,
-    LockGuardedCacheOps,
-)
+if TYPE_CHECKING:
+    from .cache import CacheKey
 
 #: Version of the on-disk layout (sqlite schema + payload encoding + cache
 #: key digest format).  Bump on any incompatible change: a mismatching
@@ -80,8 +64,6 @@ DISK_SCHEMA_VERSION = 2
 #: Default number of buffered inserts per write-behind flush.
 DEFAULT_WRITE_BATCH = 32
 
-logger = logging.getLogger(__name__)
-
 
 # -- canonical key encoding ---------------------------------------------------------------
 
@@ -89,7 +71,7 @@ def _feed(digest, value: Any) -> None:
     """Recursively absorb *value* into *digest* with a type-tagged encoding.
 
     Cache keys are nested tuples of primitives (the table fingerprint and
-    the operation signature).  ``pickle`` output is not canonical across
+    the tagged plan fingerprint).  ``pickle`` output is not canonical across
     processes (its memoisation depends on object identity, e.g. string
     interning), so keys are hashed through this fixed encoding instead.
     """
@@ -404,194 +386,3 @@ class DiskCacheTier:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-# -- the tiered cache ---------------------------------------------------------------------
-
-class TieredExecutionCache(ExecutionCache):
-    """An :class:`ExecutionCache` with a persistent disk tier underneath.
-
-    Reads are **read-through**: a memory miss consults the write-behind
-    buffer and then the disk tier, promoting any hit back into the memory
-    LRU (without re-queuing it for writing).  Writes are **write-behind**:
-    :meth:`put` lands in memory immediately and is buffered for disk; the
-    buffer flushes in one transaction every *write_batch_size* puts, on
-    :meth:`flush`, and on :meth:`close`.  ``stats`` keeps the combined
-    cache outcome (what the executor observes); the disk tier's own
-    hit/miss/write counters are surfaced through :meth:`describe` under
-    ``disk_*`` keys.
-
-    Failure outcomes (:meth:`put_error`) stay in the memory tier only.
-    """
-
-    def __init__(
-        self,
-        disk: DiskCacheTier | str | Path,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        max_cached_rows: int | None = None,
-        max_error_entries: int = DEFAULT_MAX_ERROR_ENTRIES,
-        write_batch_size: int = DEFAULT_WRITE_BATCH,
-        disk_shards: int = 1,
-    ):
-        super().__init__(
-            max_entries=max_entries,
-            max_cached_rows=max_cached_rows,
-            max_error_entries=max_error_entries,
-        )
-        if write_batch_size < 1:
-            raise ValueError("write_batch_size must be positive")
-        self.disk = (
-            disk
-            if isinstance(disk, DiskCacheTier)
-            else DiskCacheTier(disk, num_shards=disk_shards)
-        )
-        self.write_batch_size = write_batch_size
-        self._pending: "OrderedDict[CacheKey, DataTable]" = OrderedDict()
-        #: Flushes abandoned because the disk tier stayed locked through
-        #: every retry: the cache degrades to memory-only for that batch.
-        self.write_failures = 0
-
-    # -- tiered lookups -------------------------------------------------------------
-    def _fetch(self, key: CacheKey) -> Optional[DataTable]:
-        """Read-through lookup: memory LRU, write-behind buffer, then disk.
-
-        Overriding the raw hook (rather than :meth:`get`) means *every* key
-        family — per-operation keys and canonical-plan keys alike — gets
-        tiered reads and promotion; the stat counting stays in the base
-        class's public lookups.
-        """
-        result = self._entries.get(key)
-        if result is not None:
-            self._entries.move_to_end(key)
-            return result
-        # Evicted from memory but not yet flushed: the buffer still has it.
-        pending = self._pending.get(key)
-        if pending is not None:
-            self._store(key, pending)
-            return pending
-        table = self.disk.get(key)
-        if table is not None:
-            self._store(key, table)
-        return table
-
-    def _put_key(self, key: CacheKey, result: DataTable) -> None:
-        self._store(key, result)
-        self._pending[key] = result
-        if len(self._pending) >= self.write_batch_size:
-            self.flush()
-
-    # -- write-behind control --------------------------------------------------------
-    @property
-    def pending_writes(self) -> int:
-        """Results buffered in memory but not yet persisted."""
-        return len(self._pending)
-
-    def flush(self) -> int:
-        """Persist the write-behind buffer in one transaction; returns rows written.
-
-        A disk tier that stays locked through every backoff retry must not
-        fail the request that triggered the flush: the batch is dropped
-        (its entries remain servable from the memory LRU), the degradation
-        is logged, and subsequent flushes try again with fresh batches —
-        a graceful memory-only fallback rather than a hard failure.
-        """
-        if not self._pending:
-            return 0
-        try:
-            written = self.disk.put_many(self._pending.items())
-        except sqlite3.OperationalError as exc:
-            self.write_failures += 1
-            logger.warning(
-                "disk cache flush of %d entries failed (%s); "
-                "degrading to memory-only for this batch",
-                len(self._pending),
-                exc,
-            )
-            self._pending.clear()
-            return 0
-        self._pending.clear()
-        return written
-
-    def close(self) -> None:
-        """Flush outstanding writes and close the disk tier."""
-        self.flush()
-        self.disk.close()
-
-    def __enter__(self) -> "TieredExecutionCache":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- bookkeeping ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Drop the memory tier and the write-behind buffer (disk rows stay).
-
-        Use ``cache.disk.clear()`` to also wipe the persistent tier.
-        """
-        super().clear()
-        self._pending.clear()
-
-    def describe(self) -> dict[str, Any]:
-        """Counters and occupancy for *both* tiers."""
-        summary = super().describe()
-        summary["tiers"] = "memory+disk"
-        summary["pending_writes"] = len(self._pending)
-        summary["write_failures"] = self.write_failures
-        summary["disk_hits"] = self.disk.hits
-        summary["disk_misses"] = self.disk.misses
-        summary["disk_writes"] = self.disk.writes
-        summary["disk_flushes"] = self.disk.flushes
-        summary["disk_entries"] = len(self.disk)
-        summary["disk_stored_rows"] = self.disk.stored_rows()
-        summary["disk_schema_version"] = DISK_SCHEMA_VERSION
-        summary["disk_shards"] = self.disk.num_shards
-        return summary
-
-
-class ThreadSafeTieredExecutionCache(LockGuardedCacheOps, TieredExecutionCache):
-    """A :class:`TieredExecutionCache` guarded by a reentrant lock.
-
-    The engine shares one of these across its worker threads (mirroring
-    :class:`~repro.explore.cache.ThreadSafeExecutionCache` for the memory-
-    only case; the shared wrapper set lives in
-    :class:`~repro.explore.cache.LockGuardedCacheOps`).  The disk tier has
-    its own internal lock, but the memory LRU, the write-behind buffer and
-    the statistics need this outer lock to stay consistent under
-    concurrent requests.  Only the tier-specific operations — ``flush``
-    and ``close`` — are wrapped here.
-    """
-
-    def __init__(
-        self,
-        disk: DiskCacheTier | str | Path,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        max_cached_rows: int | None = None,
-        max_error_entries: int = DEFAULT_MAX_ERROR_ENTRIES,
-        write_batch_size: int = DEFAULT_WRITE_BATCH,
-        disk_shards: int = 1,
-    ):
-        super().__init__(
-            disk,
-            max_entries=max_entries,
-            max_cached_rows=max_cached_rows,
-            max_error_entries=max_error_entries,
-            write_batch_size=write_batch_size,
-            disk_shards=disk_shards,
-        )
-        self._lock = threading.RLock()
-
-    def flush(self) -> int:
-        with self._lock:
-            return super().flush()
-
-    def close(self) -> None:
-        with self._lock:
-            super().close()
-
-
-def iter_cache_keys(
-    cache: ExecutionCache,
-) -> Iterator[CacheKey]:  # pragma: no cover - debugging helper
-    """The memory-tier keys of *cache* (newest last)."""
-    return iter(list(cache._entries))

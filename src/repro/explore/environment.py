@@ -24,7 +24,6 @@ from typing import Any, Optional, Protocol
 import numpy as np
 
 from repro.dataframe.table import DataTable
-from repro.plan.builder import plan_for_node
 
 from .action_space import ActionChoice, ActionSpace
 from .cache import ExecutionCache
@@ -100,18 +99,17 @@ class ExplorationEnvironment:
         An :class:`ExecutionCache` shared with other consumers (e.g. the
         CDRL agent).  When ``None`` and *enable_cache* is true (the
         default), the environment creates a private cache so repeated
-        ``(view, operation)`` pairs across episodes reuse their results.
+        pipelines across episodes reuse their results.
     enable_cache:
         Set to ``False`` to execute every operation from scratch (used by
         benchmarks to measure the uncached baseline).
-    use_plans:
-        When true (the default), query operations execute through the
-        planner path (:meth:`QueryExecutor.execute_step`): each node carries
-        the canonical logical plan of its view and results are cached under
-        ``(base, canonical plan)`` keys, so semantically equivalent
-        pipelines — commuted filters, repeated predicates, undone steps —
-        share one cache entry across episodes and environments.  Set to
-        ``False`` for the eager per-``(view, operation)`` reference path.
+
+    Query operations execute through the planner path
+    (:meth:`ExplorationSession.apply` → :meth:`QueryExecutor.execute_step`):
+    each node carries the canonical logical plan of its view and results
+    are cached under ``(base, canonical plan)`` keys, so semantically
+    equivalent pipelines — commuted filters, repeated predicates, undone
+    steps — share one cache entry across episodes and environments.
     """
 
     def __init__(
@@ -122,7 +120,6 @@ class ExplorationEnvironment:
         action_space: ActionSpace | None = None,
         cache: ExecutionCache | None = None,
         enable_cache: bool = True,
-        use_plans: bool = True,
     ):
         if episode_length < 1:
             raise ValueError("episode_length must be positive")
@@ -135,7 +132,6 @@ class ExplorationEnvironment:
         elif cache is None:
             cache = ExecutionCache()
         self.executor = QueryExecutor(cache=cache)
-        self.use_plans = use_plans
         self.session: ExplorationSession = ExplorationSession(dataset)
         self._step_count = 0
         self._mask_node: Optional[SessionNode] = None
@@ -252,28 +248,12 @@ class ExplorationEnvironment:
             # Cheap static check: no query runs for invalid actions.
             valid = False
             self.session.note_invalid_step()
-        elif self.use_plans:
-            current = self.session.current
-            base_plan = current.plan
-            if base_plan is None:
-                base_plan = plan_for_node(current)
-            try:
-                view, new_plan = self.executor.execute_step(
-                    self.dataset, base_plan, current.view, operation
-                )
-            except ExecutionError:
-                valid = False
-                self.session.note_invalid_step()
-            else:
-                node = self.session.add_operation(operation, view, plan=new_plan)
         else:
             try:
-                view = self.executor.execute(self.session.current.view, operation)
+                node = self.session.apply(operation, self.executor)
             except ExecutionError:
                 valid = False
                 self.session.note_invalid_step()
-            else:
-                node = self.session.add_operation(operation, view)
         reward = self.reward_strategy.on_step(self.session, node, operation, valid)
         done = self._step_count >= self.episode_length
         info: dict[str, Any] = {"operation": operation, "valid": valid}

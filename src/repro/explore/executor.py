@@ -1,21 +1,25 @@
 """Execution of parametric query operations against :class:`DataTable` views.
 
-Two execution styles share this module:
+Every operation executes as a canonical logical plan:
 
-* the **eager** reference path — :meth:`QueryExecutor.execute` runs one
-  operation against one view, memoised per ``(view, operation)``;
-* the **plan** path — :meth:`QueryExecutor.execute_plan` canonicalizes a
-  :class:`~repro.plan.nodes.LogicalPlan` and executes it in *fused
-  segments* (adjacent filters AND-combine their vectorised masks; a filter
-  run feeding a group-by pushes the combined mask straight into the
-  group-by factorisation), memoised per ``(base, canonical plan)`` so
-  commuted or duplicated pipelines share one cache entry.
-  :meth:`QueryExecutor.execute_step` is the incremental variant the
-  exploration environments use: one operation extends a canonical prefix
-  plan and the result lands under the new prefix's semantic key.
+* :meth:`QueryExecutor.execute_step` is the incremental path the
+  exploration environments, session replays, baselines and every served
+  request use: one operation extends the canonical plan of the current
+  view, runs once against that view, and its result is memoised under the
+  new plan's semantic ``(base, canonical plan)`` key, so commuted or
+  duplicated pipelines share one cache entry;
+* :meth:`QueryExecutor.execute_plan` runs a whole
+  :class:`~repro.plan.nodes.LogicalPlan` in *fused segments* (adjacent
+  filters AND-combine their vectorised masks; a filter run feeding a
+  group-by pushes the combined mask straight into the group-by
+  factorisation).  Served traffic never takes this path, so its
+  ``fusion_count`` stays 0 there; fusion serves direct callers such as
+  ``benchmarks/bench_planner.py`` and ``examples/plan_cache.py``.
 
-Both paths produce bit-identical views; the eager path remains the tested
-reference the property suite compares against.
+Both paths are bit-identical to applying ``DataTable.filter`` /
+``DataTable.groupby_agg`` one operation at a time; that per-operation
+replay lives in ``tests/`` as the reference the property suite compares
+against.
 """
 
 from __future__ import annotations
@@ -59,44 +63,16 @@ class QueryExecutor:
     per-head masking see :meth:`repro.explore.action_space.ActionSpace.valid_mask`.
 
     When constructed with an :class:`~repro.explore.cache.ExecutionCache`,
-    successful results are memoised by ``(view fingerprint, operation
-    signature)`` and repeated executions return the cached immutable view.
-    Runtime failures are memoised too (negative caching): an operation that
-    passed the static check but raised :class:`ExecutionError` re-raises
-    from the cache on repeats instead of re-executing from scratch.  The
-    plan path memoises under ``(base fingerprint, canonical plan
-    fingerprint)`` instead, which is order-insensitive.
+    successful results are memoised by ``(base fingerprint, canonical plan
+    fingerprint)``, which is order-insensitive, and repeated executions
+    return the cached immutable view.  Runtime failures are memoised too
+    (negative caching, per ``(view, operation)``): an operation that passed
+    the static check but raised :class:`ExecutionError` re-raises from the
+    cache on repeats instead of re-executing from scratch.
     """
 
     def __init__(self, cache: ExecutionCache | None = None):
         self.cache = cache
-
-    def execute(self, view: DataTable, operation: Operation) -> DataTable:
-        """Execute *operation* on *view*, returning the result view."""
-        if isinstance(operation, RootOperation):
-            return view
-        if isinstance(operation, FilterOperation):
-            run = self._execute_filter
-        elif isinstance(operation, GroupAggOperation):
-            run = self._execute_group
-        else:
-            raise ExecutionError(f"cannot execute operation of kind {operation.kind!r}")
-        if self.cache is not None:
-            failure = self.cache.get_error(view, operation)
-            if failure is not None:
-                raise ExecutionError(failure)
-            cached = self.cache.get(view, operation)
-            if cached is not None:
-                return cached
-        try:
-            result = run(view, operation)
-        except ExecutionError as exc:
-            if self.cache is not None:
-                self.cache.put_error(view, operation, str(exc))
-            raise
-        if self.cache is not None:
-            self.cache.put(view, operation, result)
-        return result
 
     # -- plan execution ------------------------------------------------------------------
     def execute_step(
@@ -113,9 +89,8 @@ class QueryExecutor:
         The lookup is semantic — if any previously executed pipeline
         canonicalizes to the same extended plan (commuted filters, repeated
         predicates, undone steps), its view is returned without executing —
-        and a miss costs exactly one eager operation, so the step path is
-        never slower than :meth:`execute`.  Runtime failures keep the eager
-        per-``(view, operation)`` negative cache.
+        and a miss costs exactly one operation against *view*.  Runtime
+        failures go to the per-``(view, operation)`` negative cache.
         """
         if isinstance(operation, RootOperation):
             return view, plan
@@ -160,7 +135,7 @@ class QueryExecutor:
 
         Each materialised prefix is cached under its canonical-plan key, so
         later pipelines sharing a prefix resume from it.  Results are
-        bit-identical to executing each operation eagerly in sequence.
+        bit-identical to executing each operation in sequence.
         """
         canonical = canonicalize(plan)
         steps = canonical.steps
@@ -188,7 +163,7 @@ class QueryExecutor:
                     view = view.filter_rows(mask)
                 i = j
                 if fused >= 2 and self.cache is not None:
-                    self.cache.stats.fusion_count += 1
+                    self.cache.record_fusion()
             elif isinstance(node, GroupNode):
                 view = self._run_group_node(view, node)
                 i += 1
@@ -232,7 +207,7 @@ class QueryExecutor:
         except DataFrameError as exc:
             raise ExecutionError(str(exc)) from exc
 
-    # -- eager kernels -------------------------------------------------------------------
+    # -- per-operation kernels ------------------------------------------------------------
     def _execute_filter(self, view: DataTable, operation: FilterOperation) -> DataTable:
         if operation.attr not in view:
             raise ExecutionError(
@@ -262,7 +237,7 @@ class QueryExecutor:
             raise ExecutionError(str(exc)) from exc
 
     def can_execute(self, view: DataTable, operation: Operation) -> bool:
-        """True when :meth:`execute` would succeed, decided from the schema only.
+        """True when :meth:`execute_step` would succeed, decided from the schema only.
 
         This never runs the operation: filters need their attribute in the
         view; group-bys need both attributes present and a numeric aggregate

@@ -8,8 +8,8 @@ owns K :class:`~repro.explore.environment.ExplorationEnvironment` instances
 that
 
 * share one :class:`~repro.explore.cache.ExecutionCache` (so any
-  environment's executed ``(view, operation)`` result is a cache hit for all
-  the others),
+  environment's executed pipeline result is a cache hit for all the
+  others),
 * share one view-feature memo (content-addressed observation features cross
   environment boundaries), and
 * advance in lock-step, stacking the per-environment observation vectors
@@ -132,7 +132,6 @@ class VectorEnvironment:
         action_space: ActionSpace | None = None,
         cache: ExecutionCache | None = None,
         enable_cache: bool = True,
-        use_plans: bool = True,
     ) -> "VectorEnvironment":
         """Build *num_envs* environments over one action space and one cache.
 
@@ -144,9 +143,8 @@ class VectorEnvironment:
         other's interestingness and diversity scores just like they reuse
         query results.  With ``enable_cache`` one :class:`ExecutionCache`
         (given or fresh) is shared by all environments — the whole point of
-        batching.  ``use_plans`` is forwarded to every environment; with the
-        shared cache it makes sibling rollouts share canonical-plan entries,
-        not just syntactic ones.
+        batching — and its canonical-plan keys make sibling rollouts share
+        entries for equivalent pipelines, not just syntactic ones.
         """
         if num_envs < 1:
             raise ValueError("num_envs must be positive")
@@ -164,7 +162,6 @@ class VectorEnvironment:
                 action_space=space,
                 cache=cache,
                 enable_cache=enable_cache,
-                use_plans=use_plans,
             )
             for _ in range(num_envs)
         ]

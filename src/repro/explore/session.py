@@ -33,14 +33,12 @@ class SessionNode:
 
     operation: Operation
     view: DataTable
+    #: Canonical logical plan producing this node's view from the base
+    #: dataset (the empty plan at the root).
+    plan: LogicalPlan
     parent: Optional["SessionNode"] = None
     children: list["SessionNode"] = field(default_factory=list)
     step_index: int = 0
-    #: Canonical logical plan producing this node's view from the base
-    #: dataset, set when the node was executed through the plan path.
-    #: ``None`` for eagerly executed nodes; derive one on demand with
-    #: :func:`repro.plan.builder.plan_for_node`.
-    plan: Optional[LogicalPlan] = None
 
     def signature(self) -> tuple[str, ...]:
         """Positional signature used by LDX verification."""
@@ -97,16 +95,30 @@ class ExplorationSession:
         self._operations: list[Operation] = []
 
     # -- growth ----------------------------------------------------------------------
+    def apply(self, operation: Operation, executor) -> SessionNode:
+        """Execute *operation* on the current view and attach the result.
+
+        The one transition routine of the exploration MDP: the current
+        node's canonical plan is extended by *operation* and executed
+        through ``executor.execute_step`` (a
+        :class:`~repro.explore.executor.QueryExecutor`; duck-typed to avoid
+        a module cycle), then the result becomes the new current node.
+        Raises the executor's ``ExecutionError`` without touching the
+        session when the operation cannot run.
+        """
+        current = self.current
+        view, plan = executor.execute_step(
+            self.dataset, current.plan, current.view, operation
+        )
+        return self.add_operation(operation, view, plan)
+
     def add_operation(
-        self,
-        operation: Operation,
-        view: DataTable,
-        plan: LogicalPlan | None = None,
+        self, operation: Operation, view: DataTable, plan: LogicalPlan
     ) -> SessionNode:
         """Attach *operation* (already executed into *view*) under the current node.
 
-        *plan* is the canonical logical plan of the new view when the
-        operation was executed through the plan path; eager callers omit it.
+        *plan* is the canonical logical plan of *view*; :meth:`apply`
+        executes and attaches in one step.
         """
         if not is_query_operation(operation):
             raise ValueError(f"only query operations create nodes, got {operation.kind}")
@@ -201,47 +213,29 @@ def session_from_operations(
     operations: list[Operation],
     executor: "object" = None,
     cache: "object" = None,
-    use_plans: bool = True,
 ) -> ExplorationSession:
     """Replay a flat list of operations (including back ops) into a session.
 
-    The *executor* must provide ``execute(view, operation) -> DataTable``;
-    imported lazily to avoid a circular import with :mod:`repro.explore.executor`.
-    When *cache* (an :class:`~repro.explore.cache.ExecutionCache`) is given
-    and no executor is supplied, the replay reuses memoised results, which
-    makes repeated replays of overlapping operation lists nearly free.
-
-    By default the replay goes through the executor's plan path
-    (``execute_step``) so cache keys are canonical-plan based: replays of
-    *equivalent* operation lists (commuted filters, undone steps) share
-    cache entries, not just syntactically identical ones.  Pass
-    ``use_plans=False`` — or an executor without ``execute_step`` — for the
-    eager per-``(view, operation)`` path.
+    Each query operation goes through :meth:`ExplorationSession.apply`, so
+    cache keys are canonical-plan based: replays of *equivalent* operation
+    lists (commuted filters, undone steps) share cache entries, not just
+    syntactically identical ones.  The *executor* (a
+    :class:`~repro.explore.executor.QueryExecutor`) is imported lazily to
+    avoid a circular import; when *cache* (an
+    :class:`~repro.explore.cache.ExecutionCache`) is given and no executor
+    is supplied, the replay reuses memoised results, which makes repeated
+    replays of overlapping operation lists nearly free.
     """
     if executor is None:
         from .executor import QueryExecutor
 
         executor = QueryExecutor(cache=cache)
-    use_plans = use_plans and hasattr(executor, "execute_step")
     session = ExplorationSession(dataset)
     for operation in operations:
         if isinstance(operation, BackOperation):
             session.go_back(operation.steps)
-            continue
-        current = session.current
-        if use_plans:
-            base_plan = current.plan
-            if base_plan is None:
-                from repro.plan.builder import plan_for_node
-
-                base_plan = plan_for_node(current)
-            view, new_plan = executor.execute_step(
-                dataset, base_plan, current.view, operation
-            )
-            session.add_operation(operation, view, plan=new_plan)
         else:
-            view = executor.execute(current.view, operation)
-            session.add_operation(operation, view)
+            session.apply(operation, executor)
     return session
 
 

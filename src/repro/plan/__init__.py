@@ -15,9 +15,7 @@ from .builder import (
     canonicalize,
     node_from_operation,
     operation_from_node,
-    plan_for_node,
     plan_from_operations,
-    plan_from_session,
 )
 from .nodes import (
     BackNode,
@@ -40,8 +38,6 @@ __all__ = [
     "canonicalize",
     "node_from_operation",
     "operation_from_node",
-    "plan_for_node",
     "plan_from_operations",
-    "plan_from_session",
     "plan_of",
 ]

@@ -78,33 +78,6 @@ def plan_from_operations(operations: Iterable[Operation]) -> LogicalPlan:
     return LogicalPlan(tuple(node_from_operation(operation) for operation in operations))
 
 
-def plan_for_node(node) -> LogicalPlan:
-    """The canonical plan of one session node's root-to-node operation path.
-
-    Accepts any object with ``operation`` / ``parent`` attributes (a
-    :class:`~repro.explore.session.SessionNode` — duck-typed to avoid a
-    module cycle).  The path through a session tree contains no back
-    operations, so canonicalization only sorts and merges filter runs.
-    """
-    operations: list[Operation] = []
-    while node is not None and getattr(node, "parent", None) is not None:
-        operations.append(node.operation)
-        node = node.parent
-    operations.reverse()
-    return canonicalize(plan_from_operations(operations))
-
-
-def plan_from_session(session) -> LogicalPlan:
-    """The canonical plan of a session's *current* view.
-
-    Accepts an :class:`~repro.explore.session.ExplorationSession` (or any
-    object with a ``current`` node).  Back operations never appear on the
-    root-to-current path — the session tree already resolved them — so
-    this is exactly the plan the next operation extends.
-    """
-    return plan_for_node(session.current)
-
-
 def canonicalize(plan: LogicalPlan) -> LogicalPlan:
     """Reduce *plan* to its canonical normal form (see the module docstring)."""
     # 1. Resolve backs by stack replay; drop root no-ops.

@@ -4,7 +4,7 @@ An actor is to training what ``explore_many(workers="process")`` workers are
 to serving: a process that rebuilds its full context (dataset, environments,
 policy) from a primitive spec, keeps it warm across tasks, and optionally
 shares executed query results with its siblings through the
-:class:`~repro.explore.diskcache.TieredExecutionCache` disk tier.
+:class:`~repro.explore.diskcache.DiskCacheTier` under its execution cache.
 
 Each task is one *chunk* of a collection wave: the learner ships the current
 network weights plus a global episode range; the actor loads the weights in
@@ -26,7 +26,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Optional
 
-from repro.explore.diskcache import TieredExecutionCache
+from repro.explore.cache import ExecutionCache
 from repro.explore.rollouts import VectorEnvironment, collect_rollouts
 from repro.ldx.verifier import verify
 
@@ -41,7 +41,7 @@ class ActorContext:
         cache = None
         disk_cache_path = payload.get("disk_cache_path")
         if disk_cache_path:
-            cache = TieredExecutionCache(disk_cache_path)
+            cache = ExecutionCache(disk=disk_cache_path)
         self.agent = spec.build_agent(num_envs=payload["envs"], cache=cache)
         self.vector_environment = self.agent.vector_environment or VectorEnvironment(
             [self.agent.environment]
@@ -103,7 +103,7 @@ def collect_chunk(
                 ),
             }
         )
-    if isinstance(context.agent.cache, TieredExecutionCache):
+    if context.agent.cache is not None:
         # Land the write-behind buffer so sibling actors (and the learner's
         # next wave) can reuse this chunk's executions.
         context.agent.cache.flush()

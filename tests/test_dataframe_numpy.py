@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eager_oracle import run_one
 from repro.dataframe import DataTable, Predicate, read_delimited_text
 from repro.dataframe.aggregates import AGG_FUNCTIONS, apply_aggregation
 from repro.dataframe.column import Column
@@ -30,7 +31,6 @@ from repro.explore import (
     GroupAggOperation,
     QueryExecutor,
 )
-from repro.explore.cache import ThreadSafeExecutionCache
 
 # -- cell strategies: ints, floats (NaN included), strings, None -------------------------
 
@@ -321,11 +321,11 @@ class TestNegativeResultCaching:
     def test_repeated_failure_served_from_cache(self):
         table, cache, executor, operation = self._failing_setup()
         with pytest.raises(ExecutionError) as first:
-            executor.execute(table, operation)
+            run_one(executor, table, operation)
         assert cache.negative_entries == 1
         assert cache.stats.negative_hits == 0
         with pytest.raises(ExecutionError) as second:
-            executor.execute(table, operation)
+            run_one(executor, table, operation)
         assert str(second.value) == str(first.value)
         assert cache.stats.negative_hits == 1
         # Only the first attempt counted a (result-map) miss.
@@ -338,7 +338,7 @@ class TestNegativeResultCaching:
         operation = FilterOperation("nope", "eq", "x")
         for _ in range(3):
             with pytest.raises(ExecutionError):
-                executor.execute(table, operation)
+                run_one(executor, table, operation)
         assert cache.stats.negative_hits == 2
         assert len(cache) == 0  # failures never occupy result entries
 
@@ -348,17 +348,17 @@ class TestNegativeResultCaching:
         executor = QueryExecutor(cache=cache)
         for name in ("x", "y", "z"):
             with pytest.raises(ExecutionError):
-                executor.execute(table, FilterOperation(name, "eq", 1))
+                run_one(executor, table, FilterOperation(name, "eq", 1))
         assert cache.negative_entries == 2
         # The oldest failure (x) was evicted: re-raising re-executes.
         with pytest.raises(ExecutionError):
-            executor.execute(table, FilterOperation("x", "eq", 1))
+            run_one(executor, table, FilterOperation("x", "eq", 1))
         assert cache.stats.negative_hits == 0
 
     def test_describe_and_clear_cover_negative_map(self):
         table, cache, executor, operation = self._failing_setup()
         with pytest.raises(ExecutionError):
-            executor.execute(table, operation)
+            run_one(executor, table, operation)
         summary = cache.describe()
         assert summary["negative_entries"] == 1
         assert summary["negative_hits"] == 0
@@ -369,12 +369,12 @@ class TestNegativeResultCaching:
 
     def test_thread_safe_cache_exposes_negative_api(self):
         table, _, _, operation = self._failing_setup()
-        cache = ThreadSafeExecutionCache(max_error_entries=4)
+        cache = ExecutionCache(max_error_entries=4)
         executor = QueryExecutor(cache=cache)
         with pytest.raises(ExecutionError):
-            executor.execute(table, operation)
+            run_one(executor, table, operation)
         with pytest.raises(ExecutionError):
-            executor.execute(table, operation)
+            run_one(executor, table, operation)
         assert cache.stats.negative_hits == 1
 
     def test_invalid_max_error_entries_rejected(self):

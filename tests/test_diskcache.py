@@ -8,6 +8,7 @@ import sqlite3
 import numpy as np
 import pytest
 
+from eager_oracle import run_one
 from repro.dataframe.column import Column
 from repro.dataframe.table import DataTable
 from repro.datasets import load_dataset
@@ -17,14 +18,13 @@ from repro.explore.cache import ExecutionCache
 from repro.explore.diskcache import (
     DISK_SCHEMA_VERSION,
     DiskCacheTier,
-    ThreadSafeTieredExecutionCache,
-    TieredExecutionCache,
     deserialize_table,
     encode_key,
     serialize_table,
 )
 from repro.explore.executor import ExecutionError, QueryExecutor
 from repro.explore.operations import FilterOperation, GroupAggOperation
+from repro.plan import canonicalize, plan_from_operations
 
 
 @pytest.fixture()
@@ -35,6 +35,11 @@ def flights():
 @pytest.fixture()
 def db_path(tmp_path):
     return tmp_path / "execution_cache.sqlite"
+
+
+def plan_for(operation):
+    """The canonical one-operation plan a step on the base view is keyed by."""
+    return canonicalize(plan_from_operations([operation]))
 
 
 OPS = [
@@ -68,22 +73,22 @@ class TestSerialization:
         assert rebuilt.fingerprint() == empty.fingerprint()
 
     def test_key_encoding_is_stable_and_discriminating(self, flights):
-        key_a = ExecutionCache.key_for(flights, OPS[0])
-        key_b = ExecutionCache.key_for(flights, OPS[1])
+        key_a = ExecutionCache.plan_key_for(flights, plan_for(OPS[0]))
+        key_b = ExecutionCache.plan_key_for(flights, plan_for(OPS[1]))
         assert encode_key(key_a) == encode_key(key_a)
         assert encode_key(key_a) != encode_key(key_b)
 
 
 class TestDiskRoundTrip:
     def test_second_process_reads_first_processs_results(self, flights, db_path):
-        cache = TieredExecutionCache(db_path)
+        cache = ExecutionCache(disk=db_path)
         executor = QueryExecutor(cache=cache)
-        first = [executor.execute(flights, op) for op in OPS]
+        first = [run_one(executor, flights, op) for op in OPS]
         cache.close()  # close() flushes
 
-        warm = TieredExecutionCache(db_path)
+        warm = ExecutionCache(disk=db_path)
         executor2 = QueryExecutor(cache=warm)
-        second = [executor2.execute(flights, op) for op in OPS]
+        second = [run_one(executor2, flights, op) for op in OPS]
         for a, b in zip(first, second):
             assert a == b
             assert a.fingerprint() == b.fingerprint()
@@ -94,35 +99,35 @@ class TestDiskRoundTrip:
         warm.close()
 
     def test_write_behind_batches_and_flushes(self, flights, db_path):
-        cache = TieredExecutionCache(db_path, write_batch_size=3)
+        cache = ExecutionCache(disk=db_path, write_batch_size=3)
         executor = QueryExecutor(cache=cache)
-        executor.execute(flights, OPS[0])
-        executor.execute(flights, OPS[1])
+        run_one(executor, flights, OPS[0])
+        run_one(executor, flights, OPS[1])
         assert cache.pending_writes == 2
         assert len(cache.disk) == 0
-        executor.execute(flights, OPS[2])  # hits the batch size -> auto flush
+        run_one(executor, flights, OPS[2])  # hits the batch size -> auto flush
         assert cache.pending_writes == 0
         assert len(cache.disk) == 3
         assert cache.disk.flushes == 1
         cache.close()
 
     def test_pending_entry_survives_memory_eviction(self, flights, db_path):
-        cache = TieredExecutionCache(db_path, max_entries=1, write_batch_size=100)
+        cache = ExecutionCache(disk=db_path, max_entries=1, write_batch_size=100)
         executor = QueryExecutor(cache=cache)
-        first = executor.execute(flights, OPS[0])
-        executor.execute(flights, OPS[1])  # evicts OPS[0] from the memory LRU
+        first = run_one(executor, flights, OPS[0])
+        run_one(executor, flights, OPS[1])  # evicts OPS[0] from the memory LRU
         assert cache.stats.evictions >= 1
-        again = executor.execute(flights, OPS[0])  # served from the pending buffer
+        again = run_one(executor, flights, OPS[0])  # served from the pending buffer
         assert again is first
         assert cache.disk.hits == 0
         cache.close()
 
     def test_errors_stay_memory_only(self, flights, db_path):
-        cache = TieredExecutionCache(db_path)
+        cache = ExecutionCache(disk=db_path)
         executor = QueryExecutor(cache=cache)
         bad = GroupAggOperation("airline", "mean", "airline")  # mean over strings
         with pytest.raises(ExecutionError):
-            executor.execute(flights, bad)
+            run_one(executor, flights, bad)
         cache.flush()
         assert cache.negative_entries == 1
         assert len(cache.disk) == 0
@@ -131,10 +136,10 @@ class TestDiskRoundTrip:
 
 class TestVersionInvalidation:
     def test_version_mismatch_drops_entries(self, flights, db_path):
-        cache = TieredExecutionCache(db_path)
+        cache = ExecutionCache(disk=db_path)
         executor = QueryExecutor(cache=cache)
         for op in OPS:
-            executor.execute(flights, op)
+            run_one(executor, flights, op)
         cache.close()
 
         with sqlite3.connect(db_path) as conn:
@@ -154,10 +159,10 @@ class TestVersionInvalidation:
         reopened.close()
 
     def test_matching_version_keeps_entries(self, flights, db_path):
-        cache = TieredExecutionCache(db_path)
+        cache = ExecutionCache(disk=db_path)
         executor = QueryExecutor(cache=cache)
         for op in OPS:
-            executor.execute(flights, op)
+            run_one(executor, flights, op)
         cache.close()
         reopened = DiskCacheTier(db_path)
         assert not reopened.invalidated
@@ -167,7 +172,7 @@ class TestVersionInvalidation:
 
 def _writer_process(db_path: str, which: int) -> None:
     table = load_dataset("flights", num_rows=300)
-    cache = TieredExecutionCache(db_path, write_batch_size=2)
+    cache = ExecutionCache(disk=db_path, write_batch_size=2)
     executor = QueryExecutor(cache=cache)
     ops = OPS if which == 0 else [
         FilterOperation("airline", "eq", "DL"),
@@ -176,7 +181,7 @@ def _writer_process(db_path: str, which: int) -> None:
         GroupAggOperation("month", "count", "month"),  # overlaps with OPS
     ]
     for op in ops:
-        executor.execute(table, op)
+        run_one(executor, table, op)
     cache.close()
 
 
@@ -195,18 +200,18 @@ class TestConcurrentWriters:
         # 4 + 4 operations with one overlap -> 7 distinct entries.
         assert len(tier) == 7
         for op in OPS:
-            key = ExecutionCache.key_for(flights, op)
+            key = ExecutionCache.plan_key_for(flights, plan_for(op))
             assert tier.get(key) is not None
         tier.close()
 
 
 class TestDescribe:
     def test_describe_covers_both_tiers(self, flights, db_path):
-        cache = ThreadSafeTieredExecutionCache(db_path, write_batch_size=2)
+        cache = ExecutionCache(disk=db_path, write_batch_size=2)
         executor = QueryExecutor(cache=cache)
         for op in OPS:
-            executor.execute(flights, op)
-            executor.execute(flights, op)  # memory hit
+            run_one(executor, flights, op)
+            run_one(executor, flights, op)  # memory hit
         summary = cache.describe()
         assert summary["tiers"] == "memory+disk"
         assert summary["hits"] == len(OPS)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eager_oracle import eager_apply, run_one
 from repro.dataframe import DataTable
 from repro.dataframe.column import Column
 from repro.dataframe.expressions import FILTER_OPERATORS, Predicate
@@ -30,6 +31,7 @@ from repro.explore import (
     RootOperation,
     session_from_operations,
 )
+from repro.plan import canonicalize, plan_from_operations
 
 
 class TestFingerprint:
@@ -65,8 +67,8 @@ class TestFingerprint:
         cache = ExecutionCache()
         executor = QueryExecutor(cache=cache)
         op = FilterOperation("x", "le", -2)
-        assert len(executor.execute(a, op)) == 0
-        assert len(executor.execute(b, op)) == 1
+        assert len(run_one(executor, a, op)) == 0
+        assert len(run_one(executor, b, op)) == 1
 
 
 class TestExecutionCache:
@@ -74,8 +76,8 @@ class TestExecutionCache:
         cache = ExecutionCache()
         executor = QueryExecutor(cache=cache)
         op = FilterOperation("country", "eq", "India")
-        first = executor.execute(small_table, op)
-        second = executor.execute(small_table, op)
+        first = run_one(executor, small_table, op)
+        second = run_one(executor, small_table, op)
         assert first is second
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
@@ -85,23 +87,22 @@ class TestExecutionCache:
         executor = QueryExecutor(cache=cache)
         op = GroupAggOperation("type", "count", "type")
         twin = DataTable(small_table.to_columns(), name=small_table.name)
-        first = executor.execute(small_table, op)
-        second = executor.execute(twin, op)
+        first = run_one(executor, small_table, op)
+        second = run_one(executor, twin, op)
         assert first is second
         assert cache.stats.hit_rate == 0.5
 
     def test_cached_result_identical_to_uncached(self, small_table):
         cached = QueryExecutor(cache=ExecutionCache())
-        uncached = QueryExecutor()
         for op in (
             FilterOperation("country", "eq", "India"),
             FilterOperation("duration", "gt", 90),
             GroupAggOperation("type", "count", "type"),
             GroupAggOperation("country", "mean", "duration"),
         ):
-            cached.execute(small_table, op)  # prime
-            hit = cached.execute(small_table, op)
-            fresh = uncached.execute(small_table, op)
+            run_one(cached, small_table, op)  # prime
+            hit = run_one(cached, small_table, op)
+            fresh = eager_apply(small_table, op)
             assert hit == fresh
             assert hit.to_records() == fresh.to_records()
 
@@ -112,32 +113,32 @@ class TestExecutionCache:
             FilterOperation("country", "eq", term) for term in ("India", "US", "UK")
         ]
         for op in ops:
-            executor.execute(small_table, op)
+            run_one(executor, small_table, op)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # The oldest entry (India) was evicted; re-executing misses again.
-        executor.execute(small_table, ops[0])
+        run_one(executor, small_table, ops[0])
         assert cache.stats.hits == 0
 
     def test_failures_are_not_cached(self, small_table):
         cache = ExecutionCache()
         executor = QueryExecutor(cache=cache)
         with pytest.raises(ExecutionError):
-            executor.execute(small_table, FilterOperation("nope", "eq", "x"))
+            run_one(executor, small_table, FilterOperation("nope", "eq", "x"))
         assert len(cache) == 0
 
     def test_root_operation_bypasses_cache(self, small_table):
         cache = ExecutionCache()
         executor = QueryExecutor(cache=cache)
-        assert executor.execute(small_table, RootOperation()) is small_table
+        assert run_one(executor, small_table, RootOperation()) is small_table
         assert cache.stats.lookups == 0
 
     def test_clear_resets_entries_and_stats(self, small_table):
         cache = ExecutionCache()
         executor = QueryExecutor(cache=cache)
         op = FilterOperation("country", "eq", "US")
-        executor.execute(small_table, op)
-        executor.execute(small_table, op)
+        run_one(executor, small_table, op)
+        run_one(executor, small_table, op)
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0
@@ -146,13 +147,23 @@ class TestExecutionCache:
         with pytest.raises(ValueError):
             ExecutionCache(max_entries=0)
 
+    def test_flush_and_close_are_noops_without_disk(self, small_table):
+        cache = ExecutionCache()
+        executor = QueryExecutor(cache=cache)
+        first = run_one(executor, small_table, FilterOperation("country", "eq", "US"))
+        assert cache.flush() == 0
+        cache.close()
+        assert "tiers" not in cache.describe()
+        again = run_one(executor, small_table, FilterOperation("country", "eq", "US"))
+        assert again is first  # still serving after close()
+
 
 class TestRowBudgetBounding:
     def test_cached_rows_tracked(self, small_table):
         cache = ExecutionCache()
         executor = QueryExecutor(cache=cache)
-        india = executor.execute(small_table, FilterOperation("country", "eq", "India"))
-        grouped = executor.execute(small_table, GroupAggOperation("type", "count", "type"))
+        india = run_one(executor, small_table, FilterOperation("country", "eq", "India"))
+        grouped = run_one(executor, small_table, GroupAggOperation("type", "count", "type"))
         assert cache.cached_rows == len(india) + len(grouped)
 
     def test_eviction_triggers_on_row_budget(self, small_table):
@@ -166,33 +177,34 @@ class TestRowBudgetBounding:
             FilterOperation("type", "eq", "Movie"),      # 4 rows
         ]
         for op in ops:
-            executor.execute(small_table, op)
+            run_one(executor, small_table, op)
         assert cache.stats.evictions > 0
         assert cache.cached_rows <= 8
         # Oldest (India) was evicted to make room; re-executing misses again.
-        executor.execute(small_table, ops[0])
+        run_one(executor, small_table, ops[0])
         assert cache.stats.hits == 0
 
     def test_single_oversized_entry_is_kept(self, small_table):
         cache = ExecutionCache(max_entries=100, max_cached_rows=2)
         executor = QueryExecutor(cache=cache)
-        big = executor.execute(small_table, FilterOperation("type", "eq", "Movie"))
+        big = run_one(executor, small_table, FilterOperation("type", "eq", "Movie"))
         assert len(big) > 2
         assert len(cache) == 1  # most recent entry survives even over budget
-        assert executor.execute(small_table, FilterOperation("type", "eq", "Movie")) is big
+        assert run_one(executor, small_table, FilterOperation("type", "eq", "Movie")) is big
 
     def test_replacing_an_entry_does_not_double_count(self, small_table):
         cache = ExecutionCache(max_cached_rows=100)
         executor = QueryExecutor(cache=cache)
         op = FilterOperation("country", "eq", "India")
-        result = executor.execute(small_table, op)
-        cache.put(small_table, op, result)  # idempotent re-put
+        result = run_one(executor, small_table, op)
+        plan = canonicalize(plan_from_operations([op]))
+        cache.put_plan(small_table, plan, result)  # idempotent re-put
         assert cache.cached_rows == len(result)
 
     def test_clear_resets_row_accounting(self, small_table):
         cache = ExecutionCache(max_cached_rows=100)
         executor = QueryExecutor(cache=cache)
-        executor.execute(small_table, FilterOperation("country", "eq", "India"))
+        run_one(executor, small_table, FilterOperation("country", "eq", "India"))
         cache.clear()
         assert cache.cached_rows == 0
 
@@ -203,7 +215,7 @@ class TestRowBudgetBounding:
     def test_describe_reports_occupancy(self, small_table):
         cache = ExecutionCache(max_entries=10, max_cached_rows=50)
         executor = QueryExecutor(cache=cache)
-        executor.execute(small_table, FilterOperation("country", "eq", "India"))
+        run_one(executor, small_table, FilterOperation("country", "eq", "India"))
         summary = cache.describe()
         assert summary["entries"] == 1
         assert summary["cached_rows"] == cache.cached_rows
@@ -256,7 +268,7 @@ class TestStaticValidity:
     def test_can_execute_matches_execution_outcome(self, small_table):
         """Schema-only can_execute agrees with actually running the operation."""
         executor = QueryExecutor()
-        grouped = executor.execute(
+        grouped = run_one(executor, 
             small_table, GroupAggOperation("type", "count", "type")
         )
         space = ActionSpace(small_table)
@@ -264,7 +276,7 @@ class TestStaticValidity:
             for op in space.enumerate_operations():
                 static = executor.can_execute(view, op)
                 try:
-                    executor.execute(view, op)
+                    run_one(executor, view, op)
                 except ExecutionError:
                     ran = False
                 else:
@@ -433,15 +445,15 @@ class TestSortByMixedTypes:
 class TestStrictGroupExecution:
     def test_missing_agg_attr_raises(self, small_table):
         executor = QueryExecutor()
-        grouped = executor.execute(
+        grouped = run_one(executor, 
             small_table, GroupAggOperation("type", "count", "type")
         )
         with pytest.raises(ExecutionError, match="aggregate attribute"):
-            executor.execute(grouped, GroupAggOperation("type", "sum", "duration"))
+            run_one(executor, grouped, GroupAggOperation("type", "sum", "duration"))
 
     def test_missing_agg_attr_is_invalid_not_substituted(self, small_table):
         executor = QueryExecutor()
-        grouped = executor.execute(
+        grouped = run_one(executor, 
             small_table, GroupAggOperation("type", "count", "type")
         )
         assert not executor.can_execute(

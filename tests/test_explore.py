@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eager_oracle import run_one
 import repro
 from repro.dataframe import DataTable
 from repro.explore import (
@@ -65,23 +66,23 @@ class TestOperations:
 class TestExecutor:
     def test_filter_execution(self, small_table):
         executor = QueryExecutor()
-        result = executor.execute(small_table, FilterOperation("country", "eq", "India"))
+        result = run_one(executor, small_table, FilterOperation("country", "eq", "India"))
         assert len(result) == 3
 
     def test_group_execution(self, small_table):
         executor = QueryExecutor()
-        result = executor.execute(small_table, GroupAggOperation("type", "count", "type"))
+        result = run_one(executor, small_table, GroupAggOperation("type", "count", "type"))
         assert set(result.columns) == {"type", "count"}
 
     def test_missing_column_raises(self, small_table):
         executor = QueryExecutor()
         with pytest.raises(ExecutionError):
-            executor.execute(small_table, FilterOperation("nope", "eq", "x"))
+            run_one(executor, small_table, FilterOperation("nope", "eq", "x"))
 
     def test_mean_on_string_column_raises(self, small_table):
         executor = QueryExecutor()
         with pytest.raises(ExecutionError):
-            executor.execute(small_table, GroupAggOperation("type", "mean", "country"))
+            run_one(executor, small_table, GroupAggOperation("type", "mean", "country"))
 
     def test_can_execute(self, small_table):
         executor = QueryExecutor()
@@ -100,7 +101,7 @@ class TestSession:
         session = ExplorationSession(small_table)
         executor = QueryExecutor()
         op = FilterOperation("country", "eq", "India")
-        session.add_operation(op, executor.execute(small_table, op))
+        session.apply(op, executor)
         assert session.current.depth() == 1
         session.go_back()
         assert session.current is session.root

@@ -51,8 +51,9 @@ from repro.engine.faults import (
 )
 from repro.explore import session_from_operations
 from repro.explore.cache import ExecutionCache
-from repro.explore.diskcache import DiskCacheTier, TieredExecutionCache
+from repro.explore.diskcache import DiskCacheTier
 from repro.explore.operations import FilterOperation, GroupAggOperation
+from repro.plan import canonicalize, plan_from_operations
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
 
@@ -337,9 +338,10 @@ class TestSqliteBusy:
         result = flights.filter_rows(
             [value == "AA" for value in flights.column("airline").values]
         )
-        cache = TieredExecutionCache(tmp_path / "cache.sqlite")
+        plan = canonicalize(plan_from_operations([operation]))
+        cache = ExecutionCache(disk=tmp_path / "cache.sqlite")
         try:
-            cache.put(flights, operation, result)
+            cache.put_plan(flights, plan, result)
             # Storm longer than every retry attempt: the flush gives up.
             install_plan(FaultPlan.sqlite_busy(site=SITE_CACHE_WRITE, times=100))
             assert cache.flush() == 0
@@ -347,10 +349,10 @@ class TestSqliteBusy:
             assert cache.pending_writes == 0  # dropped, not retried forever
             assert len(cache.disk) == 0
             # The memory tier still serves the result.
-            assert cache.get(flights, operation) == result
+            assert cache.get_plan(flights, plan) == result
             # And once the storm passes, later writes persist again.
             clear_plan()
-            cache.put(flights, operation, result)
+            cache.put_plan(flights, plan, result)
             assert cache.flush() == 1
             assert len(cache.disk) == 1
         finally:

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eager_oracle import eager_replay, first_divergence, same_view
 from repro.dataframe.column import Column
 from repro.dataframe.table import DataTable
 from repro.datasets import load_dataset
 from repro.explore.action_space import ActionChoice
 from repro.explore.cache import PLAN_KEY_TAG, ExecutionCache
-from repro.explore.diskcache import TieredExecutionCache
 from repro.explore.environment import ExplorationEnvironment
 from repro.explore.executor import ExecutionError, QueryExecutor
 from repro.explore.operations import (
@@ -32,9 +32,7 @@ from repro.plan import (
     canonicalize,
     node_from_operation,
     operation_from_node,
-    plan_for_node,
     plan_from_operations,
-    plan_from_session,
     plan_of,
 )
 
@@ -158,7 +156,7 @@ class TestFusedExecution:
     AGGS = ["count", "sum", "mean", "min", "max", "nunique"]
 
     def _eager(self, table, operations):
-        return session_from_operations(table, operations, use_plans=False).current.view
+        return eager_replay(table, operations).view
 
     def test_fused_filter_group_bit_identical_across_aggregates(self, flights):
         executor = QueryExecutor(cache=ExecutionCache())
@@ -232,16 +230,19 @@ OPERATION_VOCAB = [
 
 
 class TestPlanEagerEquivalence:
-    """Property: the fused plan path is value-identical to the eager reference."""
+    """Property: the plan paths are value-identical to the eager reference.
+
+    The reference is ``tests/eager_oracle.py``: each operation applied on its
+    own with the ``DataTable`` kernels.  A mismatch names the first
+    diverging operation index.
+    """
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.sampled_from(OPERATION_VOCAB), min_size=1, max_size=8))
     def test_execute_plan_matches_eager_replay(self, operations):
         table = toy_table()
         try:
-            reference = session_from_operations(
-                table, operations, use_plans=False
-            ).current.view
+            reference = eager_replay(table, operations).view
         except ExecutionError:
             # The eager replay failed mid-chain.  The lazy path only fails
             # when the failing operation survives canonicalization (a later
@@ -253,41 +254,55 @@ class TestPlanEagerEquivalence:
                         table, plan_from_operations(operations)
                     )
             return
-        fused = QueryExecutor(cache=ExecutionCache()).execute_plan(
-            table, plan_from_operations(operations)
-        )
-        assert fused.columns == reference.columns
-        assert fused.to_records() == reference.to_records()
-        assert fused.fingerprint() == reference.fingerprint()
+
+        def fused(prefix):
+            return QueryExecutor(cache=ExecutionCache()).execute_plan(
+                table, plan_from_operations(prefix)
+            )
+
+        if not same_view(reference, fused(operations)):
+            # Locate the first prefix whose fused result leaves the reference.
+            prefixes = [operations[: k + 1] for k in range(len(operations))]
+            message = first_divergence(
+                operations,
+                (
+                    (k, eager_replay(table, prefix).view, fused(prefix))
+                    for k, prefix in enumerate(prefixes)
+                ),
+            )
+            pytest.fail(message or "final views differ")
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(OPERATION_VOCAB), min_size=1, max_size=8))
     def test_incremental_step_path_matches_eager_replay(self, operations):
         table = toy_table()
-
-        def replay(use_plans):
-            try:
-                session = session_from_operations(
-                    table, operations, cache=ExecutionCache(), use_plans=use_plans
-                )
-            except ExecutionError:
-                return None
-            return session
-
-        eager = replay(False)
-        planned = replay(True)
+        try:
+            eager = eager_replay(table, operations)
+        except ExecutionError:
+            eager = None
+        try:
+            planned = session_from_operations(table, operations, cache=ExecutionCache())
+        except ExecutionError:
+            planned = None
         # The step path executes exactly the operations the eager path does
         # (no laziness), so raise-parity holds unconditionally here.
         assert (eager is None) == (planned is None)
         if eager is None:
             return
-        eager_nodes = eager.query_nodes()
         planned_nodes = planned.query_nodes()
-        assert len(eager_nodes) == len(planned_nodes)
-        for a, b in zip(eager_nodes, planned_nodes):
-            assert a.view == b.view
-            assert a.view.fingerprint() == b.view.fingerprint()
-            assert b.plan is not None
+        assert len(eager.steps) == len(planned_nodes)
+        message = first_divergence(
+            operations,
+            (
+                (index, view, node.view)
+                for (index, view), node in zip(eager.steps, planned_nodes)
+            ),
+        )
+        assert message is None, message
+        for node in planned_nodes:
+            assert node.plan == canonicalize(
+                node.parent.plan.extend(node_from_operation(node.operation))
+            )
 
 
 class TestPlanCacheSharing:
@@ -313,18 +328,18 @@ class TestPlanCacheSharing:
         )
         assert key_a == key_b
         assert key_a[1][0] == PLAN_KEY_TAG
-        assert cache.plan_entries == cache.describe()["plan_entries"] > 0
+        assert len(cache) == cache.describe()["plan_entries"] > 0
 
     def test_commuted_filters_share_disk_entry(self, flights, tmp_path):
         db_path = tmp_path / "plan_cache.sqlite"
         forward, reversed_ = self.COMMUTED
-        cold = TieredExecutionCache(db_path)
+        cold = ExecutionCache(disk=db_path)
         first = QueryExecutor(cache=cold).execute_plan(
             flights, plan_from_operations(forward)
         )
         cold.close()  # flushes the write-behind buffer
 
-        warm = TieredExecutionCache(db_path)
+        warm = ExecutionCache(disk=db_path)
         second = QueryExecutor(cache=warm).execute_plan(
             flights, plan_from_operations(reversed_)
         )
@@ -423,15 +438,3 @@ class TestSessionPlanThreading:
         assert session.root.plan == LogicalPlan(())
         leaf = session.current
         assert leaf.plan == canonicalize(plan_from_operations(operations))
-        assert plan_from_session(session) == leaf.plan
-        assert plan_for_node(leaf) == leaf.plan
-
-    def test_eager_sessions_still_work_without_plans(self, flights):
-        operations = [FilterOperation("airline", "eq", "AA")]
-        session = session_from_operations(
-            flights, operations, cache=ExecutionCache(), use_plans=False
-        )
-        assert session.current.plan is None
-        assert plan_for_node(session.current) == canonicalize(
-            plan_from_operations(operations)
-        )
