@@ -7,13 +7,14 @@ submitting CDRL exploration requests (distinct seeds) and blocking on the
 Server-Sent-Events stream until each result lands:
 
 * **unbatched** — every request trains its policy independently: one policy
-  forward per environment step per request, private per-request scorer and
-  guidance state;
+  forward per environment step per request;
 * **batched** — ``inference_batching=True``: all requests attach to the
   engine's :class:`~repro.engine.batcher.InferenceBatcher`, whose wave thread
-  coalesces their observation rows into shared stacked forwards and pools
-  read-only exploration state (scorers, action spaces, guidance memos,
-  look-ahead caches) across requests.
+  coalesces their observation rows into shared stacked forwards.
+
+Both modes pool read-only exploration state (scorers, action spaces,
+decision memos, look-ahead caches) across requests through the engine's
+:class:`~repro.cdrl.context.SharedExplorationContext`.
 
 Batching must not change behaviour: for every client seed, the result payload
 served over HTTP must be **bit-identical** between the two modes (modulo

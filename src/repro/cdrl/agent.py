@@ -4,6 +4,11 @@ Given a dataset and LDX specifications, the agent trains a policy that
 maximises the bi-objective reward (generic exploration reward + compliance
 reward) and returns the best compliant exploration session found.  This is
 Step 2 of the LINX workflow (Section 3).
+
+The agent's content-keyed state — action space, generic-reward scorer,
+compliance look-ahead cache, feature and decision memos — comes from one
+:class:`~repro.cdrl.context.SharedExplorationContext`: the engine's, shared
+by every request, or a private one when the agent is built on its own.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.dataframe.table import DataTable
-from repro.explore.action_space import ActionSpace
 from repro.explore.cache import ExecutionCache
 from repro.explore.environment import ExplorationEnvironment
 from repro.explore.rollouts import VectorEnvironment
@@ -23,6 +27,7 @@ from repro.ldx.verifier import verify, verify_structure
 from repro.rl.trainer import PolicyGradientTrainer, TrainerConfig, TrainingHistory
 
 from .compliance import ComplianceRewardConfig, ComplianceRewardStrategy
+from .context import SharedExplorationContext
 from .spec_network import SpecificationAwarePolicy, build_basic_policy
 
 
@@ -149,52 +154,50 @@ class LinxCdrlAgent:
         query: LdxQuery | str,
         config: CdrlConfig | None = None,
         cache: ExecutionCache | None = None,
+        shared: SharedExplorationContext | None = None,
         batcher=None,
     ):
         self.dataset = dataset
         self.query = parse_ldx(query) if isinstance(query, str) else query
         self.config = config or CdrlConfig()
         self.config.check()
-        # Continuous cross-request batching (opt-in via the engine): when a
-        # :class:`repro.engine.batcher.InferenceBatcher` is supplied, this
-        # agent's acting forwards join the serving tier's shared waves and
-        # its content-keyed exploration state (action space, generic-reward
-        # memos, compliance look-ahead cache, view-feature memo) comes from
-        # the batcher's :class:`SharedExplorationContext` pools.  Every
-        # shared structure memoises pure content-addressed functions, so
-        # results stay bit-identical to an unbatched run at equal seeds.
+        # Content-keyed exploration state — the action space, the
+        # generic-reward scorer, the compliance look-ahead cache, the
+        # view-feature memo and the decision memo — comes from an exploration
+        # context: the engine's, shared by every request, or a private one
+        # for an agent built on its own.  Every pooled structure memoises a
+        # pure function of its key, so results are bit-identical whichever
+        # context supplies it.
+        self.shared = shared if shared is not None else SharedExplorationContext()
+        # Continuous cross-request batching (opt-in via the engine): with a
+        # :class:`repro.engine.batcher.InferenceBatcher`, this agent's acting
+        # forwards join the serving tier's shared waves.
         self.batcher = batcher
-        shared = batcher.shared if batcher is not None else None
         # A compliant session needs every required operation plus the back
         # moves that navigate between branches; allow one extra step of slack.
         episode_length = max(
             self.config.episode_length, self.query.minimal_session_steps() + 1
         )
         self.episode_length = episode_length
-
-        if shared is not None and isinstance(query, str):
-            # Pooled per (specification, dataset): the snippet library below
-            # extends the space with the specification's vocabulary.
-            self.action_space = shared.action_space(dataset, query)
-        else:
-            self.action_space = ActionSpace(dataset)
-        self.reward_strategy = ComplianceRewardStrategy(
-            query=self.query,
-            episode_length=episode_length,
-            config=self.config.compliance,
-            graded_eos=self.config.graded_eos_reward,
-            use_immediate=self.config.immediate_reward,
+        spec_aware = self.config.specification_aware_network
+        # The snippet library of a specification-aware policy extends the
+        # space with the specification's vocabulary, so such spaces are
+        # pooled per (specification, dataset).
+        self.action_space = self.shared.action_space(
+            dataset, self.query if spec_aware else None
         )
-        if shared is not None:
-            # Feasibility look-ahead is a pure function of (specification,
-            # session-tree shape, remaining steps, completion budget); the
-            # textual LDX form keys the pool, so sharing only applies when
-            # the specification arrived as text (the serving path always
-            # does).
-            if isinstance(query, str):
-                self.reward_strategy._lookahead_cache = shared.lookahead_cache(
-                    query, self.config.compliance.immediate_max_completions
-                )
+        # One generic-reward scorer per dataset content: its memos are keyed
+        # by view fingerprints, so every request on the dataset reuses its
+        # interestingness/diversity work.  Sessions are scored with it too,
+        # so a session score is memo lookups only.
+        self._generic_reward = self.shared.scorer(dataset)
+        # Feasibility look-ahead is a pure function of (specification,
+        # session-tree shape, remaining steps, completion budget).
+        self._lookahead_cache = self.shared.lookahead_cache(
+            self.query, self.config.compliance.immediate_max_completions
+        )
+        self._feature_memo = self.shared.view_feature_memo(dataset)
+        self.reward_strategy = self._reward_strategy()
         # One execution cache is shared by training rollouts and evaluation,
         # so repeated pipelines across episodes reuse results.
         # An externally supplied cache (e.g. the engine-wide cache of
@@ -208,53 +211,32 @@ class LinxCdrlAgent:
             self.cache = cache
         else:
             self.cache = ExecutionCache()
-        self.environment = ExplorationEnvironment(
-            dataset=dataset,
-            episode_length=episode_length,
-            reward_strategy=self.reward_strategy,
-            action_space=self.action_space,
-            cache=self.cache,
-            enable_cache=self.cache is not None,
-        )
+        self.environment = self._environment(self.reward_strategy)
         # Batched rollouts: siblings of the primary environment sharing its
-        # action space, execution cache and (via VectorEnvironment) feature
-        # memo.  The compliance strategy keeps a per-episode step counter,
-        # so each environment gets its own instance; the pure look-ahead
-        # feasibility memo is shared across them.
+        # action space, execution cache and feature memo.  The compliance
+        # strategy keeps a per-episode step counter, so each environment gets
+        # its own instance over the shared memos.
         self.vector_environment: Optional[VectorEnvironment] = None
         self.num_envs = _resolve_num_envs(
             self.config.num_envs, self.config.trainer.num_envs
         )
         if self.num_envs > 1:
-            siblings = [self.environment]
-            for _ in range(self.num_envs - 1):
-                strategy = ComplianceRewardStrategy(
-                    query=self.query,
-                    episode_length=episode_length,
-                    config=self.config.compliance,
-                    graded_eos=self.config.graded_eos_reward,
-                    use_immediate=self.config.immediate_reward,
-                )
-                strategy._lookahead_cache = self.reward_strategy._lookahead_cache
-                siblings.append(
-                    ExplorationEnvironment(
-                        dataset=dataset,
-                        episode_length=episode_length,
-                        reward_strategy=strategy,
-                        action_space=self.action_space,
-                        cache=self.cache,
-                        enable_cache=self.cache is not None,
-                    )
-                )
+            siblings = [self.environment] + [
+                self._environment(self._reward_strategy())
+                for _ in range(self.num_envs - 1)
+            ]
             self.vector_environment = VectorEnvironment(siblings)
         observation_size = self.environment.observation_size()
-        if self.config.specification_aware_network:
+        if spec_aware:
             self.policy = SpecificationAwarePolicy(
                 observation_size=observation_size,
                 action_space=self.action_space,
                 query=self.query,
                 hidden_sizes=self.config.hidden_sizes,
                 seed=self.config.seed,
+                decision_memo=self.shared.decision_memo(
+                    self.query, dataset, self.config.mask_invalid_actions
+                ),
             )
             # Give the specification-aware policy access to the ongoing session
             # so its structure guide can shift action probabilities per state.
@@ -289,34 +271,31 @@ class LinxCdrlAgent:
             decision_to_choice=decision_to_choice,
             vector_environment=self.vector_environment,
         )
-        if shared is not None:
-            # Specification guidance (and its folded validity masks) is a
-            # pure function of (dataset, query, session structure); pool the
-            # memos so concurrent requests on the same pair share them.  As
-            # with the look-ahead cache, the textual LDX form keys the pool.
-            if isinstance(query, str) and isinstance(
-                self.policy, SpecificationAwarePolicy
-            ):
-                self.policy.adopt_shared_guidance(
-                    shared.guidance_state(
-                        query, dataset, self.config.mask_invalid_actions
-                    )
-                )
-            # One generic-reward scorer per dataset content: its memos are
-            # keyed by view fingerprints, so concurrent requests on the same
-            # dataset reuse each other's interestingness/diversity work.
-            scorer = shared.scorer(dataset)
-            self._generic_reward = scorer
-            self.reward_strategy.generic.reward = scorer
-            if self.vector_environment is not None:
-                for sibling in self.vector_environment.environments[1:]:
-                    sibling.reward_strategy.generic.reward = scorer
-        else:
-            # Score sessions with the step reward's scorer: its interestingness
-            # and view-distance memos already hold every view the episodes
-            # produced, so a session score is memo lookups only.
-            self._generic_reward = self.reward_strategy.generic.reward
         self._best_compliant: Optional[tuple[ExplorationSession, float]] = None
+
+    def _reward_strategy(self) -> ComplianceRewardStrategy:
+        """A compliance strategy over the pooled look-ahead cache and scorer."""
+        strategy = ComplianceRewardStrategy(
+            query=self.query,
+            episode_length=self.episode_length,
+            config=self.config.compliance,
+            graded_eos=self.config.graded_eos_reward,
+            use_immediate=self.config.immediate_reward,
+            lookahead_cache=self._lookahead_cache,
+        )
+        strategy.generic.reward = self._generic_reward
+        return strategy
+
+    def _environment(self, reward_strategy: ComplianceRewardStrategy) -> ExplorationEnvironment:
+        return ExplorationEnvironment(
+            dataset=self.dataset,
+            episode_length=self.episode_length,
+            reward_strategy=reward_strategy,
+            action_space=self.action_space,
+            cache=self.cache,
+            enable_cache=self.cache is not None,
+            feature_memo=self._feature_memo,
+        )
 
     # -- training --------------------------------------------------------------------------
     def _track_best(self, episode: int, episode_return: float, session: ExplorationSession) -> None:
@@ -358,23 +337,13 @@ class LinxCdrlAgent:
         The agent joins the batcher for the duration of training (so waves
         know to wait for it), installs the policy's ``act_backend`` so every
         acting call — training rollouts, greedy evaluations, the post-hoc
-        ``best_session`` probes — blocks on wave results, and pools its
-        environment's view-feature memo with same-shaped peers.  Learning
+        ``best_session`` probes — blocks on wave results.  Learning
         (gradient accumulation, optimizer steps) never routes through the
         backend: it re-runs forwards on this thread, keeping update order
         identical to the unbatched run.
         """
         assert self.batcher is not None
         member = self.batcher.attach()
-        pool = self.batcher.shared.environment_pool(self.dataset)
-        pooled = False
-        try:
-            pool.attach(self.environment)
-            pooled = True
-        except ValueError:
-            # Same dataset but a different episode length or observation
-            # shape than the pool's members: keep a private feature memo.
-            pooled = False
         policy = self.policy
         batcher = self.batcher
         policy.act_backend = (
@@ -386,11 +355,6 @@ class LinxCdrlAgent:
             return self._run(episodes, per_episode)
         finally:
             policy.act_backend = None
-            if pooled:
-                try:
-                    pool.detach(self.environment)
-                except ValueError:  # pragma: no cover - pool was cleared
-                    pass
             batcher.detach(member)
 
     def _run(self, episodes, per_episode) -> CdrlResult:

@@ -142,6 +142,7 @@ class ComplianceRewardStrategy:
         generic_config: GenericRewardConfig | None = None,
         graded_eos: bool = True,
         use_immediate: bool = True,
+        lookahead_cache: Optional[dict] = None,
     ):
         self.query = query
         self.episode_length = episode_length
@@ -150,8 +151,9 @@ class ComplianceRewardStrategy:
         self.graded_eos = graded_eos
         self.use_immediate = use_immediate
         self._step_index = 0
-        # Shape-keyed cache of look-ahead feasibility; shared across episodes.
-        self._lookahead_cache: dict = {}
+        # Shape-keyed cache of look-ahead feasibility; shared across episodes
+        # (and, when the caller passes a pooled one, across requests).
+        self._lookahead_cache: dict = {} if lookahead_cache is None else lookahead_cache
 
     # -- RewardStrategy protocol -----------------------------------------------------------
     def on_step(

@@ -18,6 +18,13 @@ The network derives part of its structure from the LDX specifications:
   specification, and biases the free-parameter heads toward values that are
   consistent with already-bound continuity variables.
 
+The guidance is a pure function of (specification, dataset, session-tree
+shape), so the complete per-state bias row — guidance plus folded validity
+masks, one read-only :class:`~repro.rl.policy.BiasRow` — is memoised under a
+compact state key.  The memo belongs to the engine's exploration context
+(:mod:`repro.cdrl.context`), not to the policy or the batcher, so every
+request on the same (specification, dataset) shares it, batched or not.
+
 A snippet choice is resolved back into a fully factored
 :class:`~repro.explore.action_space.ActionChoice`, so the environment and the
 trainer stay unchanged.
@@ -35,7 +42,7 @@ from repro.ldx.ast import LdxQuery, NodeSpec
 from repro.ldx.patterns import FIELD_CONTINUITY, OperationPattern
 from repro.ldx.verifier import best_partial_structural_assignment
 from repro.rl.network import MultiHeadPolicyNetwork
-from repro.rl.policy import CategoricalPolicy
+from repro.rl.policy import BiasRow, CategoricalPolicy
 
 from .snippets import FILTER_ROLES, GROUP_ROLES, SnippetLibrary
 
@@ -71,6 +78,7 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         parameter_bias: float = 1.0,
         structure_bias: float = 6.0,
         continuity_bias: float = 5.0,
+        decision_memo: Optional[dict] = None,
     ):
         self.action_space = action_space
         self.query = query
@@ -92,108 +100,81 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         #: inspect the ongoing session when computing the guidance.
         self.environment: Optional[ExplorationEnvironment] = None
         self._preferred = self.library.preferred_indices()
-        #: Guidance memo: the biases are a pure function of the session's
-        #: tree structure (operation signatures) and cursor position, and
-        #: episodes keep revisiting the same states -- every episode starts
-        #: from the root state, and invalid steps repeat the previous one.
-        self._guidance_memo: dict[tuple, dict[str, np.ndarray]] = {}
-        #: Same idea one level up: the complete per-state decision biases
-        #: (guidance plus folded validity masks, i.e. what `decision_biases`
-        #: returns) keyed by the same session-state key.  Both dicts may be
-        #: replaced by pooled ones (`adopt_shared_guidance`) so concurrent
-        #: batched requests on the same (dataset, query) share the work.
-        self._decision_memo: dict[tuple, dict[str, np.ndarray]] = {}
+        #: Decision memo: the complete per-state bias row (guidance plus
+        #: folded validity masks, i.e. what :meth:`decision_biases` returns)
+        #: is a pure function of the session's tree structure and cursor
+        #: position, and episodes keep revisiting the same states -- every
+        #: episode starts from the root state, and invalid steps repeat the
+        #: previous one.  :class:`~repro.cdrl.agent.LinxCdrlAgent` passes
+        #: the memo its exploration context pools per (specification,
+        #: dataset), so every request on the same pair shares the work.
+        self._decision_memo: dict[str, BiasRow] = (
+            {} if decision_memo is None else decision_memo
+        )
         super().__init__(network, rng=np.random.default_rng(seed), bias_provider=None)
-
-    def adopt_shared_guidance(self, state: dict) -> None:
-        """Swap the guidance/decision memos for pooled ones (see the batcher's
-        ``SharedExplorationContext.guidance_state``).  Entries are pure
-        functions of the memo key, so cross-request sharing is bit-identical;
-        dict access is GIL-atomic and values are treated as immutable."""
-        self._guidance_memo = state["guidance"]
-        self._decision_memo = state["decisions"]
-
-    #: Bound on the guidance memo; cleared wholesale when exceeded.
-    _GUIDANCE_MEMO_MAX = 4096
 
     # -- bias computation (once per step) --------------------------------------------------
     @staticmethod
-    def _session_state_key(session) -> tuple:
-        """Hashable (cursor, tree-structure) key identifying a guidance state."""
-        parts: list[tuple[int, tuple[str, ...]]] = []
-        cursor = -1
-        stack: list[tuple] = [(session.root, -1)]
-        while stack:
-            node, parent = stack.pop()
-            position = len(parts)
-            if node is session.current:
-                cursor = position
-            parts.append((parent, node.signature()))
-            for child in reversed(node.children):
-                stack.append((child, position))
-        return (cursor, tuple(parts))
+    def _session_state_key(session) -> str:
+        """Compact key of a guidance state: tree structure plus cursor.
 
-    def decision_biases(self) -> dict[str, np.ndarray]:
+        One string: the pre-order walk of the tree, each node written as its
+        signature ``repr`` followed by its bracketed children, with ``*``
+        after the current node.  Signature reprs are self-delimiting, so the
+        encoding is unambiguous, and each is computed once per node.
+        """
+        current = session.current
+        pieces: list[str] = []
+        stack: list = [session.root]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                pieces.append("]")
+                continue
+            pieces.append(node.signature_text)
+            if node is current:
+                pieces.append("*")
+            pieces.append("[")
+            stack.append(None)
+            stack.extend(reversed(node.children))
+        return "".join(pieces)
+
+    def decision_biases(self) -> BiasRow:
         """Per-state decision biases (guidance + masks), memoised by state.
 
         The validity masks are a pure function of the current view, which —
         for a fixed dataset — is itself determined by the session's tree
-        structure, so the complete result is memoised under the same key as
-        the guidance.  The returned dict and its arrays are shared and must
-        be treated as read-only (every consumer already copies before
-        mutating).
+        structure, so the complete row is memoised under the guidance-state
+        key.  Memoised rows are read-only: they are shared by every request
+        on the same (specification, dataset), and an in-place write raises.
         """
         if self.environment is None:
-            return super().decision_biases()
+            return self._apply_masks(self._guidance_biases())
         key = self._session_state_key(self.environment.session)
         cached = self._decision_memo.get(key)
         if cached is None:
-            cached = super().decision_biases()
-            if len(self._decision_memo) >= self._GUIDANCE_MEMO_MAX:
-                self._decision_memo.clear()
+            cached = self._apply_masks(self._guidance_biases()).freeze()
             self._decision_memo[key] = cached
         return cached
 
-    def _collect_biases(self) -> dict[str, np.ndarray]:
-        """Static specification biases plus the per-state guidance (memoised).
-
-        Returns a fresh dict per call (downstream mask folding rebinds
-        entries) but the bias arrays themselves are shared and treated as
-        read-only by every consumer.
-        """
-        if self.environment is None:
-            return self._compute_biases()
-        key = self._session_state_key(self.environment.session)
-        cached = self._guidance_memo.get(key)
-        if cached is None:
-            cached = self._compute_biases()
-            if len(self._guidance_memo) >= self._GUIDANCE_MEMO_MAX:
-                self._guidance_memo.clear()
-            self._guidance_memo[key] = cached
-        return dict(cached)
-
-    def _compute_biases(self) -> dict[str, np.ndarray]:
-        biases: dict[str, np.ndarray] = {}
-        sizes = self.network.head_sizes
-
-        action_bias = np.zeros(sizes["action_type"])
+    def _guidance_biases(self) -> BiasRow:
+        """Static specification biases plus the per-state guidance."""
+        layout = self.network.layout
+        biases = BiasRow.empty(layout)
+        action_bias = biases.head(layout, "action_type")
         if len(self.library) > 0:
             action_bias[SNIPPET_ACTION_INDEX] = self.snippet_bias
-        biases["action_type"] = action_bias
-
         for head, indices in self._preferred.items():
-            if not indices or head not in sizes:
+            if not indices or head not in layout.slots:
                 continue
-            bias = np.zeros(sizes[head])
+            bias = biases.head(layout, head)
             for index in indices:
                 if index < len(bias):
                     bias[index] = self.parameter_bias
-            biases[head] = bias
-
         self._apply_guidance(biases)
         return biases
 
-    def _apply_guidance(self, biases: dict[str, np.ndarray]) -> None:
+    def _apply_guidance(self, biases: BiasRow) -> None:
         """Shift distributions toward the specification node that should come next."""
         if self.environment is None:
             return
@@ -204,11 +185,10 @@ class SpecificationAwarePolicy(CategoricalPolicy):
             return
         bindings = self._continuity_bindings(assignment, tree)
         pending = self._pending_spec(assignment)
-        sizes = self.network.head_sizes
         if pending is None:
             return
         target = self._target_parent_node(pending.name, assignment, tree, session)
-        action_bias = biases.setdefault("action_type", np.zeros(sizes["action_type"]))
+        action_bias = biases.head(self.network.layout, "action_type")
         if target is None or target is session.current:
             action_bias[SNIPPET_ACTION_INDEX] += self.structure_bias
             action_bias[BACK_ACTION_INDEX] -= self.structure_bias
@@ -267,12 +247,12 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         self,
         spec: NodeSpec,
         bindings: dict[str, str],
-        biases: dict[str, np.ndarray],
+        biases: BiasRow,
     ) -> None:
         """Bias snippet selection and free-parameter heads toward *spec*."""
-        sizes = self.network.head_sizes
-        if len(self.library) > 0 and SNIPPET_HEAD in sizes:
-            snippet_bias = biases.setdefault(SNIPPET_HEAD, np.zeros(sizes[SNIPPET_HEAD]))
+        layout = self.network.layout
+        if len(self.library) > 0 and SNIPPET_HEAD in layout.slots:
+            snippet_bias = biases.head(layout, SNIPPET_HEAD)
             for index, snippet in enumerate(self.library.snippets):
                 if snippet.source_node == spec.name and index < len(snippet_bias):
                     snippet_bias[index] += self.structure_bias
@@ -283,12 +263,12 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         roles = FILTER_ROLES if pattern.kind == "F" else GROUP_ROLES
         for position, role in enumerate(roles):
             head = role_heads[role]
-            if head not in sizes:
+            if head not in layout.slots:
                 continue
             index = self._preferred_index_for_field(pattern, position, role)
             if index is None:
                 continue
-            bias = biases.setdefault(head, np.zeros(sizes[head]))
+            bias = biases.head(layout, head)
             if index < len(bias):
                 bias[index] += self.continuity_bias
 

@@ -35,7 +35,9 @@ Served (see ``examples/serve.py`` and ``python -m repro.engine.server``)::
     scheduler.wait(ticket.ticket_id)
 """
 
-from .batcher import BatchMember, InferenceBatcher, SharedExplorationContext
+from repro.cdrl.context import SharedExplorationContext
+
+from .batcher import BatchMember, InferenceBatcher
 from .core import (
     DEFAULT_ENGINE_MAX_CACHED_ROWS,
     PERMISSIVE_LDX,

@@ -2,8 +2,8 @@
 
 The scheduler executes each request on its own worker thread, so N
 concurrent CDRL requests historically ran N independent episode loops and
-issued N separate policy forwards per step.  The pieces here fuse them —
-the continuous-batching shape of modern inference servers, adapted to
+issued N separate policy forwards per step.  The batcher fuses them — the
+continuous-batching shape of modern inference servers, adapted to
 request-private policy *networks*:
 
 :class:`InferenceBatcher`
@@ -22,17 +22,11 @@ request-private policy *networks*:
     computed alone on its own thread — wave composition can change
     latency, never results.
 
-:class:`SharedExplorationContext`
-    Content-keyed pools shared by the batched members: per-(specification,
-    dataset) action spaces, per-dataset
-    :class:`~repro.explore.reward.GenericExplorationReward`
-    scorers (whose interestingness/diversity memos are keyed purely by
-    view content fingerprints), per-specification compliance look-ahead
-    caches (keyed by session-tree *shape*), and a per-dataset
-    :class:`~repro.explore.rollouts.DynamicVectorEnvironment` pooling the
-    view-feature memo across membership churn.  Every shared structure
-    memoises a pure function of content-addressed keys, so sharing changes
-    how often things are recomputed — never what they evaluate to.
+The content-keyed exploration state the members share (action spaces,
+scorers, look-ahead caches, feature and decision memos) is not the
+batcher's: it belongs to the engine's
+:class:`~repro.cdrl.context.SharedExplorationContext`, which serves batched
+and unbatched requests alike.
 
 Threading contract: a member's network weights are only read by the wave
 thread while that member's request thread is blocked inside
@@ -50,15 +44,12 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.explore.action_space import ActionSpace
-from repro.explore.reward import GenericExplorationReward
-from repro.explore.rollouts import DynamicVectorEnvironment
 from repro.rl.network import (
     architecture_signature,
     stack_parameters,
     stacked_forward,
 )
-from repro.rl.policy import CategoricalPolicy, PolicyDecision
+from repro.rl.policy import BiasRow, CategoricalPolicy, PolicyDecision
 
 
 class BatchMember:
@@ -80,124 +71,12 @@ class _Submission:
     member: Optional[BatchMember]
     policy: CategoricalPolicy
     observations: np.ndarray
-    biases_list: list[dict[str, np.ndarray]]
+    biases_list: list[BiasRow]
     rngs: list[np.random.Generator]
     greedy: bool
     done: threading.Event = field(default_factory=threading.Event)
     result: Optional[list[PolicyDecision]] = None
     error: Optional[BaseException] = None
-
-
-class SharedExplorationContext:
-    """Content-keyed exploration state shared across batched requests.
-
-    Everything pooled here memoises pure functions of content-addressed
-    keys (view fingerprints, session-tree shapes), so concurrent sharing
-    is bit-identity-safe: a hit returns exactly what a private memo would
-    have recomputed.  Pools are bounded by wholesale clearing, mirroring
-    the per-instance memo policy of :class:`GenericExplorationReward`.
-    """
-
-    #: Distinct datasets/specifications pooled before a wholesale clear.
-    MAX_POOLS = 64
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._action_spaces: dict[tuple, ActionSpace] = {}
-        self._scorers: dict[tuple, GenericExplorationReward] = {}
-        self._lookahead_caches: dict[tuple, dict] = {}
-        self._guidance_states: dict[tuple, dict] = {}
-        self._environment_pools: dict[tuple, DynamicVectorEnvironment] = {}
-
-    @staticmethod
-    def _bounded(pool: dict) -> dict:
-        if len(pool) >= SharedExplorationContext.MAX_POOLS:
-            pool.clear()
-        return pool
-
-    def action_space(self, table, ldx_text: str) -> ActionSpace:
-        """The pooled :class:`ActionSpace` for one (specification, dataset) pair.
-
-        The specification-aware policy's snippet library appends the
-        specification's operators and group/aggregation attributes to the
-        space it is given, so a space pooled per dataset alone would give a
-        request head sizes that depend on which specifications ran before
-        it.  Keying by the LDX text too — like :meth:`guidance_state` —
-        keeps every request's space what a private one would be.
-        """
-        key = (str(ldx_text), table.fingerprint())
-        with self._lock:
-            space = self._bounded(self._action_spaces).get(key)
-            if space is None:
-                space = self._action_spaces[key] = ActionSpace(table)
-        return space
-
-    def scorer(self, table) -> GenericExplorationReward:
-        """The pooled generic-reward scorer for *table*'s content.
-
-        Its interestingness and diversity memos are keyed by view content
-        fingerprints, so one scorer instance serves every concurrent
-        request on the same dataset bit-identically.
-        """
-        key = table.fingerprint()
-        with self._lock:
-            scorer = self._bounded(self._scorers).get(key)
-            if scorer is None:
-                scorer = self._scorers[key] = GenericExplorationReward()
-        return scorer
-
-    def lookahead_cache(self, ldx_text: str, max_completions: int) -> dict:
-        """The pooled compliance look-ahead cache for one specification.
-
-        Feasibility is a pure function of (session-tree shape, remaining
-        steps) under a given LDX query and completion budget — both in the
-        pool key — so requests exploring the same specification reuse each
-        other's look-ahead work.
-        """
-        key = (str(ldx_text), int(max_completions))
-        with self._lock:
-            cache = self._bounded(self._lookahead_caches).get(key)
-            if cache is None:
-                cache = self._lookahead_caches[key] = {}
-        return cache
-
-    def guidance_state(self, ldx_text: str, table, mask_invalid: bool) -> dict:
-        """Pooled specification-guidance memos for one (query, dataset) pair.
-
-        The per-state decision biases of the specification-aware policy —
-        structural guidance plus validity-mask folding — are pure functions
-        of the session's tree structure and cursor under a fixed dataset and
-        LDX query, so concurrent requests exploring the same pair reuse each
-        other's guidance work (every episode starts from the same root
-        state).  Returns ``{"guidance": {...}, "decisions": {...}}``, the
-        two memo dicts a :class:`SpecificationAwarePolicy` keeps privately
-        when unpooled.
-        """
-        key = (str(ldx_text), table.fingerprint(), bool(mask_invalid))
-        with self._lock:
-            state = self._bounded(self._guidance_states).get(key)
-            if state is None:
-                state = self._guidance_states[key] = {"guidance": {}, "decisions": {}}
-        return state
-
-    def environment_pool(self, table) -> DynamicVectorEnvironment:
-        """The per-dataset dynamic environment pool (shared feature memo)."""
-        key = table.fingerprint()
-        with self._lock:
-            pool = self._bounded(self._environment_pools).get(key)
-            if pool is None:
-                pool = self._environment_pools[key] = DynamicVectorEnvironment()
-        return pool
-
-    def describe(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "action_spaces": len(self._action_spaces),
-                "scorers": len(self._scorers),
-                "lookahead_caches": len(self._lookahead_caches),
-                "guidance_states": len(self._guidance_states),
-                "environment_pools": len(self._environment_pools),
-            }
 
 
 class InferenceBatcher:
@@ -230,7 +109,6 @@ class InferenceBatcher:
             raise ValueError("linger_ms must be >= 0")
         self.max_batch_size = max_batch_size
         self.linger_seconds = linger_ms / 1000.0
-        self.shared = SharedExplorationContext()
         self._lock = threading.Lock()
         self._condition = threading.Condition(self._lock)
         self._members: dict[int, BatchMember] = {}
@@ -282,7 +160,7 @@ class InferenceBatcher:
         member: Optional[BatchMember],
         policy: CategoricalPolicy,
         observations: np.ndarray,
-        biases_list: Sequence[dict[str, np.ndarray]],
+        biases_list: Sequence[BiasRow],
         rngs: Sequence[np.random.Generator],
         greedy: bool = False,
     ) -> list[PolicyDecision]:
@@ -297,7 +175,7 @@ class InferenceBatcher:
         if obs.ndim != 2:
             raise ValueError(f"expected a (K, F) observation batch, got {obs.shape}")
         if len(biases_list) != len(obs) or len(rngs) != len(obs):
-            raise ValueError("need one bias mapping and one RNG per observation")
+            raise ValueError("need one bias row and one RNG per observation")
         submission = _Submission(
             member=member,
             policy=policy,
@@ -438,7 +316,7 @@ class InferenceBatcher:
             observations,
             stacks=self._group_stacks(networks),
         )
-        biases_list: list[dict[str, np.ndarray]] = []
+        biases_list: list[BiasRow] = []
         rngs: list[np.random.Generator] = []
         for submission in members:
             biases_list.extend(submission.biases_list)
@@ -472,7 +350,6 @@ class InferenceBatcher:
                 "mean_submissions_per_wave": (
                     round(self.submissions_total / waves, 4) if waves else 0.0
                 ),
-                "shared": self.shared.describe(),
             }
 
     def close(self) -> None:

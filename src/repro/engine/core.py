@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from repro.bench.generator import generate_benchmark
 from repro.cdrl.agent import CdrlConfig
+from repro.cdrl.context import SharedExplorationContext
 from repro.dataframe.table import DataTable
 from repro.datasets.registry import dataset_names, load_dataset
 from repro.explore.cache import DEFAULT_MAX_ENTRIES, ExecutionCache
@@ -191,16 +192,20 @@ class LinxEngine:
     ):
         self.llm_client = llm_client or gpt4_client()
         self.cdrl_config = cdrl_config or CdrlConfig(episodes=150)
+        # Content-keyed exploration state (action spaces, generic-reward
+        # scorers, look-ahead caches, feature and decision memos) pooled
+        # across every request, batched or not, under one entry budget.  Pooling is pure,
+        # so results equal a fresh engine's at equal seeds.
+        self.exploration_context = SharedExplorationContext()
         # Continuous cross-request batching (opt-in): concurrent requests'
-        # policy forwards coalesce into shared stacked waves, and their
-        # content-keyed exploration state is pooled.  Results are
+        # policy forwards coalesce into shared stacked waves.  Results are
         # bit-identical to unbatched execution at equal seeds, so this knob
         # deliberately stays OUT of ``config_fingerprint()`` — batched and
         # unbatched servers may share one result store.  Only stages that
-        # declare ``supports_batching`` receive the batcher; everything else
-        # (ATENA baseline, custom stages, process-pool workers, which
-        # rebuild engines from ``worker_spec()``) falls back to the
-        # unbatched path.
+        # declare ``supports_batching`` receive the context and the batcher;
+        # everything else (ATENA baseline, custom stages, process-pool
+        # workers, which rebuild engines from ``worker_spec()``) runs on its
+        # own.
         self.batcher = None
         if inference_batching:
             # Lazy import: repro.engine.batcher imports rl/explore modules.
@@ -542,7 +547,8 @@ class LinxEngine:
         guard()
         generator = stages[KIND_SESSION_GENERATOR]
         generate_kwargs: dict[str, Any] = {}
-        if self.batcher is not None and getattr(generator, "supports_batching", False):
+        if getattr(generator, "supports_batching", False):
+            generate_kwargs["shared"] = self.exploration_context
             generate_kwargs["batcher"] = self.batcher
         outcome = self._run_stage(
             result,

@@ -334,6 +334,9 @@ class LinxHttpServer:
         stats: dict[str, Any] = {
             "scheduler": self.scheduler.describe(),
             "engine_cache": self.scheduler.engine.cache_stats(),
+            "exploration_context": (
+                self.scheduler.engine.exploration_context.describe()
+            ),
         }
         if self.scheduler.store is not None:
             stats["store"] = self.scheduler.store.describe()

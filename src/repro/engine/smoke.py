@@ -7,12 +7,16 @@ one through NL derivation — and asserts that
 
 * both requests complete with a generated session,
 * serialized results parse back losslessly
-  (``from_dict(json.loads(json.dumps(to_dict())))``), and
-* the shared execution cache was actually exercised.
+  (``from_dict(json.loads(json.dumps(to_dict())))``),
+* the shared execution cache was actually exercised, and
+* the first request re-run after the batch, on the same engine and on a
+  fresh one, gives the same result: the engine-wide state (execution
+  cache, exploration context) never leaks between requests.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -31,8 +35,19 @@ B2 LIKE [G,(?<Y>.*),count,.*]
 """
 
 
+def _differing_fields(mine: ExploreResult, theirs: ExploreResult) -> list[str]:
+    """Compared fields of two results that differ (timings and cache deltas
+    are not compared)."""
+    return [
+        item.name
+        for item in dataclasses.fields(ExploreResult)
+        if item.compare and getattr(mine, item.name) != getattr(theirs, item.name)
+    ]
+
+
 def main() -> int:
-    engine = LinxEngine(cdrl_config=CdrlConfig(episodes=12))
+    config = CdrlConfig(episodes=12)
+    engine = LinxEngine(cdrl_config=config)
     requests = [
         ExploreRequest(
             goal="Find a country with different viewing habits than the rest of the world",
@@ -62,6 +77,14 @@ def main() -> int:
         assert restored.to_dict() == result.to_dict(), "round-trip changed the payload"
     stats = engine.cache_stats()
     assert stats["hits"] + stats["misses"] > 0, "shared cache never exercised"
+    # Engine-wide state must never leak between requests: the first request
+    # re-run after the batch, on this engine and on a fresh one, gives the
+    # batch's result.
+    for label, rerun_engine in (("this", engine), ("a fresh", LinxEngine(cdrl_config=config))):
+        differing = _differing_fields(results[0], rerun_engine.explore(requests[0]))
+        assert not differing, (
+            f"{requests[0].request_id}: re-run on {label} engine differs in {differing}"
+        )
     print("engine smoke ok:")
     for result in results:
         print(
@@ -72,6 +95,8 @@ def main() -> int:
             f"cache={result.cache_stats}"
         )
     print(f"  engine cache: {stats}")
+    print(f"  exploration context: {engine.exploration_context.describe()}")
+    print("  re-runs of the first request (same and fresh engine): identical")
     return 0
 
 

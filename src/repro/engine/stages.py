@@ -24,6 +24,7 @@ from typing import Callable, Protocol, runtime_checkable
 from repro.baselines.atena import AtenaAgent, AtenaConfig
 from repro.bench.generator import BenchmarkInstance
 from repro.cdrl.agent import CdrlConfig, LinxCdrlAgent
+from repro.cdrl.context import SharedExplorationContext
 from repro.dataframe.table import DataTable
 from repro.explore.cache import ExecutionCache
 from repro.explore.reward import GenericExplorationReward
@@ -159,9 +160,10 @@ class CdrlSessionGenerator:
     """The LINX CDRL engine as the default session-generation stage."""
 
     name = "cdrl"
-    #: The engine passes its :class:`~repro.engine.batcher.InferenceBatcher`
-    #: only to stages that declare support; stages without the flag (ATENA,
-    #: custom generators) run exactly as before.
+    #: The engine passes its exploration context and (when batching is on)
+    #: its :class:`~repro.engine.batcher.InferenceBatcher` only to stages
+    #: that declare support; stages without the flag (ATENA, custom
+    #: generators) run exactly as before.
     supports_batching = True
 
     def __init__(self, config: CdrlConfig | None = None):
@@ -176,10 +178,13 @@ class CdrlSessionGenerator:
         seed: int | None = None,
         cache: ExecutionCache | None = None,
         on_episode: EpisodeCallback | None = None,
+        shared: SharedExplorationContext | None = None,
         batcher=None,
     ) -> SessionOutcome:
         config = _seeded(self.config, seed)
-        agent = LinxCdrlAgent(table, ldx_text, config=config, cache=cache, batcher=batcher)
+        agent = LinxCdrlAgent(
+            table, ldx_text, config=config, cache=cache, shared=shared, batcher=batcher
+        )
         result = agent.run(episodes=episodes, episode_callback=on_episode)
         return SessionOutcome(
             session=result.session,

@@ -17,9 +17,8 @@ The factored action is a tuple of head indices, decoded by
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,7 +64,7 @@ class ActionChoice:
 class ActionSpace:
     """Vocabulary and decoder of the factored exploration action space."""
 
-    def __init__(self, dataset: DataTable):
+    def __init__(self, dataset: DataTable, memo: Callable[[], dict] = dict):
         self.dataset = dataset
         self.attributes: list[str] = dataset.columns
         self.filter_operators: list[str] = list(AGENT_FILTER_OPERATORS)
@@ -78,8 +77,9 @@ class ActionSpace:
         # Validity masks keyed by view fingerprint: views are immutable and
         # content-addressed (shared through the execution cache), so every
         # environment, episode and lock-step rollout wave that reaches the
-        # same view reuses one schema scan.
-        self._mask_memo: "OrderedDict[tuple, dict[str, np.ndarray]]" = OrderedDict()
+        # same view reuses one schema scan.  ``memo`` builds the dict; the
+        # exploration context passes one that charges its entry budget.
+        self._mask_memo: dict[str, dict[str, np.ndarray]] = memo()
 
     # -- vocabulary derivation ----------------------------------------------------------
     @staticmethod
@@ -136,7 +136,8 @@ class ActionSpace:
         )
         return 1 + filter_count + group_count
 
-    #: Bound on the fingerprint-keyed validity-mask memo.
+    #: Bound on the fingerprint-keyed validity-mask memo (cleared wholesale
+    #: when exceeded).
     MASK_MEMO_MAX = 4096
 
     # -- validity masking ----------------------------------------------------------------
@@ -162,14 +163,12 @@ class ActionSpace:
         key = view.fingerprint()
         memo = self._mask_memo
         cached = memo.get(key)
-        if cached is not None:
-            memo.move_to_end(key)
-            return cached
-        masks = self._compute_valid_mask(view)
-        memo[key] = masks
-        while len(memo) > self.MASK_MEMO_MAX:
-            memo.popitem(last=False)
-        return masks
+        if cached is None:
+            cached = self._compute_valid_mask(view)
+            if len(memo) >= self.MASK_MEMO_MAX:
+                memo.clear()
+            memo[key] = cached
+        return cached
 
     def _compute_valid_mask(self, view: DataTable) -> dict[str, np.ndarray]:
         filter_attr = np.array([attr in view for attr in self.attributes], dtype=bool)

@@ -17,7 +17,6 @@ actions at the distribution level.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional, Protocol
 
@@ -103,6 +102,9 @@ class ExplorationEnvironment:
     enable_cache:
         Set to ``False`` to execute every operation from scratch (used by
         benchmarks to measure the uncached baseline).
+    feature_memo:
+        Optional shared view-feature memo (e.g. the exploration context's,
+        pooled per dataset); by default each environment keeps its own.
 
     Query operations execute through the planner path
     (:meth:`ExplorationSession.apply` → :meth:`QueryExecutor.execute_step`):
@@ -120,6 +122,7 @@ class ExplorationEnvironment:
         action_space: ActionSpace | None = None,
         cache: ExecutionCache | None = None,
         enable_cache: bool = True,
+        feature_memo: dict | None = None,
     ):
         if episode_length < 1:
             raise ValueError("episode_length must be positive")
@@ -138,15 +141,19 @@ class ExplorationEnvironment:
         self._masks: Optional[dict[str, np.ndarray]] = None
         # View-dependent observation features, memoised by view fingerprint.
         # Views are content-addressed (and shared via the execution cache), so
-        # the per-column scan runs once per distinct view across all episodes.
-        self._view_feature_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        # the per-column scan runs once per distinct view across all episodes
+        # — and across requests when the caller passes a pooled memo.
+        self._view_feature_memo: dict[str, np.ndarray] = (
+            {} if feature_memo is None else feature_memo
+        )
 
     # -- observation ---------------------------------------------------------------------
     def observation_size(self) -> int:
         """Length of the observation vector (fixed for a given dataset)."""
         return 4 + 3 * len(self.dataset.columns)
 
-    #: Bound on the per-environment view-feature memo (distinct views seen).
+    #: Bound on the view-feature memo (distinct views seen); cleared
+    #: wholesale when exceeded.
     VIEW_FEATURE_MEMO_MAX = 4096
 
     def _view_features(self, view: DataTable) -> np.ndarray:
@@ -162,7 +169,6 @@ class ExplorationEnvironment:
         memo = self._view_feature_memo
         cached = memo.get(key)
         if cached is not None:
-            memo.move_to_end(key)
             return cached
         total_rows = max(1, len(self.dataset))
         dataset_columns = self.dataset.columns
@@ -178,9 +184,9 @@ class ExplorationEnvironment:
                 features[base + 1] = col.nunique() / rows
                 features[base + 2] = col.null_count() / rows
         features.flags.writeable = False
+        if len(memo) >= self.VIEW_FEATURE_MEMO_MAX:
+            memo.clear()
         memo[key] = features
-        while len(memo) > self.VIEW_FEATURE_MEMO_MAX:
-            memo.popitem(last=False)
         return features
 
     def observe(self) -> np.ndarray:

@@ -20,6 +20,7 @@ score in O(1) per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .diversity import result_distance
 from .interestingness import operation_interestingness
@@ -56,13 +57,19 @@ class GenericExplorationReward:
     term — because training revisits the same (execution-cache-shared)
     views thousands of times.  The scorer itself is stateless apart from
     these pure memos, so one instance can be shared across the sibling
-    environments of a batched rollout wave.
+    environments of a batched rollout wave, or across requests.  ``memo``
+    builds the two memo dicts; the exploration context passes one that
+    charges its engine-wide entry budget.
     """
 
-    def __init__(self, config: GenericRewardConfig | None = None):
+    def __init__(
+        self,
+        config: GenericRewardConfig | None = None,
+        memo: Callable[[], dict] = dict,
+    ):
         self.config = config or GenericRewardConfig()
-        self._interest_memo: dict[tuple, float] = {}
-        self._distance_memo: dict[tuple, float] = {}
+        self._interest_memo: dict[tuple, float] = memo()
+        self._distance_memo: dict[tuple, float] = memo()
 
     def node_interestingness(self, node: SessionNode) -> float:
         """Interestingness of a single executed query node (memoised).

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.dataframe.table import DataTable
 from repro.rl.buffer import EpisodeBuffer
-from repro.rl.policy import CategoricalPolicy
+from repro.rl.policy import BiasRow, CategoricalPolicy
 
 from .action_space import ActionChoice, ActionSpace, choice_from_index_map
 from .cache import ExecutionCache
@@ -238,100 +238,6 @@ class VectorEnvironment:
         return [env.session for env in active]
 
 
-class DynamicVectorEnvironment(VectorEnvironment):
-    """A :class:`VectorEnvironment` whose membership changes between steps.
-
-    The serving tier's continuous-batching layer needs the vectorised
-    plumbing without the fixed roster: requests arrive and finish at
-    arbitrary times, each bringing environments that join the shared pool
-    for the duration of the request and leave afterwards.  Members may be
-    attached and detached at any step boundary; each keeps its own episode
-    state and per-episode RNG stream (streams are derived from
-    ``(seed, episode_index)`` by the collectors, so membership churn never
-    perturbs sampling), while the *pooled* state persists across churn:
-
-    * the first member's view-feature memo becomes the pool's and every
-      later member adopts it — content-addressed observation features
-      computed for one request keep serving requests that join after it
-      has left, and
-    * members are expected to arrive sharing an :class:`ExecutionCache`
-      (e.g. the engine-wide cache), which this class never replaces.
-
-    The lock-step aggregate methods (:meth:`reset`, :meth:`observe`,
-    :meth:`step`, ...) operate on the members attached at call time.
-    """
-
-    def __init__(self, environments: Sequence[ExplorationEnvironment] = ()):
-        self.environments = []
-        self._episode_length: Optional[int] = None
-        self._observation_size: Optional[int] = None
-        self._pooled_view_feature_memo = None
-        for environment in environments:
-            self.attach(environment)
-
-    # -- membership -----------------------------------------------------------------------
-    def attach(self, environment: ExplorationEnvironment) -> int:
-        """Add *environment* to the pool; returns its current member index.
-
-        The first member defines the pool's episode length and observation
-        size and seeds the pooled view-feature memo; later members must
-        match both and adopt the pooled memo (exactly the sharing a static
-        :class:`VectorEnvironment` performs at construction).
-        """
-        if any(member is environment for member in self.environments):
-            raise ValueError("environment is already attached")
-        if self._episode_length is None:
-            self._episode_length = environment.episode_length
-            self._observation_size = environment.observation_size()
-            self._pooled_view_feature_memo = environment._view_feature_memo
-        else:
-            if environment.episode_length != self._episode_length:
-                raise ValueError(
-                    f"lock-step members need episode_length={self._episode_length}, "
-                    f"got {environment.episode_length}"
-                )
-            if environment.observation_size() != self._observation_size:
-                raise ValueError(
-                    f"members need observation size {self._observation_size}, "
-                    f"got {environment.observation_size()}"
-                )
-            environment._view_feature_memo = self._pooled_view_feature_memo
-        self.environments.append(environment)
-        return len(self.environments) - 1
-
-    def detach(self, environment: ExplorationEnvironment) -> None:
-        """Remove *environment* from the pool (ValueError when not a member).
-
-        The departing environment keeps its reference to the pooled memo
-        (sharing content-addressed features is never unsafe), and the pool
-        keeps the memo for future members even when it empties out.
-        """
-        for index, member in enumerate(self.environments):
-            if member is environment:
-                del self.environments[index]
-                return
-        raise ValueError("environment is not attached")
-
-    # -- aggregate views (empty-safe) -----------------------------------------------------
-    @property
-    def episode_length(self) -> int:
-        if self._episode_length is None:
-            raise ValueError("no environment has ever been attached")
-        return self._episode_length
-
-    def observation_size(self) -> int:
-        if self._observation_size is None:
-            raise ValueError("no environment has ever been attached")
-        return self._observation_size
-
-    @property
-    def cache(self) -> Optional[ExecutionCache]:
-        return self.environments[0].cache if self.environments else None
-
-    def cache_stats(self) -> Optional[dict[str, Any]]:
-        return self.environments[0].cache_stats() if self.environments else None
-
-
 @dataclass
 class RolloutBatch:
     """The outcome of collecting one episode per (active) environment."""
@@ -397,9 +303,9 @@ def _policy_bound_to(policy: CategoricalPolicy, environment: ExplorationEnvironm
 
 def _collect_biases(
     policy: CategoricalPolicy, environments: Sequence[ExplorationEnvironment]
-) -> list[dict[str, np.ndarray]]:
-    """Per-environment decision biases for one lock-step decision."""
-    biases: list[dict[str, np.ndarray]] = []
+) -> list[BiasRow]:
+    """Per-environment decision bias rows for one lock-step decision."""
+    biases: list[BiasRow] = []
     for environment in environments:
         with _policy_bound_to(policy, environment):
             biases.append(policy.decision_biases())

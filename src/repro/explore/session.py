@@ -11,6 +11,7 @@ re-execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from repro.dataframe.table import DataTable
@@ -43,6 +44,11 @@ class SessionNode:
     def signature(self) -> tuple[str, ...]:
         """Positional signature used by LDX verification."""
         return self.operation.signature()
+
+    @cached_property
+    def signature_text(self) -> str:
+        """``repr`` of :meth:`signature`, computed once per node."""
+        return repr(self.signature())
 
     @property
     def is_root(self) -> bool:

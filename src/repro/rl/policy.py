@@ -8,15 +8,20 @@ network's backward pass.
 
 The policy also supports an optional *bias provider*: a callable that, given
 the head name, returns an additive logit bias.  The specification-aware
-network (Section 5.3) uses this hook to shift probability mass toward
-snippet-compatible parameter values.
+network (Section 5.3) shifts probability mass toward snippet-compatible
+parameter values the same way, by overriding :meth:`decision_biases`.
 
 A second hook, the *mask provider*, returns per-head boolean validity masks
 (e.g. :meth:`ExplorationEnvironment.head_mask`, backed by the schema-only
 :meth:`ActionSpace.valid_mask`).  Masked-out choices receive a large negative
-logit bias, driving their probability to exactly zero; the mask in effect at
-sampling time is recorded on the decision so the gradient update re-applies
-the same distribution.
+logit bias, driving their probability to exactly zero.
+
+Both fold into one :class:`BiasRow` per decision: a ``(T,)`` logit-bias row
+in the network's concatenated head layout plus one flag per head that
+carries a bias.  It is the only bias representation — the decision kernel
+stacks the rows of a batch directly, and the row in effect at sampling time
+is recorded on the decision so the gradient update re-applies the same
+distribution.
 
 Acting comes in two shapes: :meth:`CategoricalPolicy.act` for one
 observation, and :meth:`CategoricalPolicy.act_batch` for a ``(K, F)`` stack
@@ -32,11 +37,11 @@ bit-identical to the sequential decision taken with the same RNG stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .network import MultiHeadPolicyNetwork
+from .network import HeadLayout, MultiHeadPolicyNetwork
 
 BiasProvider = Callable[[str], Optional[np.ndarray]]
 MaskProvider = Callable[[str], Optional[np.ndarray]]
@@ -44,6 +49,43 @@ MaskProvider = Callable[[str], Optional[np.ndarray]]
 #: Additive logit applied to masked-out choices; large enough that the
 #: post-softmax probability underflows to exactly 0.0.
 MASK_LOGIT_BIAS = -1e9
+
+
+class BiasRow(NamedTuple):
+    """The logit biases of one decision, in the concatenated head layout.
+
+    ``row`` holds a ``(T,)`` bias for every column of the head rows (see
+    :class:`~repro.rl.network.HeadLayout`); ``folded`` marks, per head,
+    whether the head carries a bias at all.  Unflagged heads keep the raw
+    network output — a zero-bias fold is not a bitwise no-op — and their
+    columns of ``row`` are ignored.
+    """
+
+    row: np.ndarray
+    folded: np.ndarray
+
+    @classmethod
+    def empty(cls, layout: HeadLayout) -> "BiasRow":
+        """A writable all-zero row with no head flagged."""
+        return cls(np.zeros(layout.total), np.zeros(len(layout.names), dtype=bool))
+
+    def head(self, layout: HeadLayout, name: str) -> np.ndarray:
+        """The writable columns of head *name*, flagging the head as biased."""
+        position, start, stop = layout.slots[name]
+        self.folded[position] = True
+        return self.row[start:stop]
+
+    def freeze(self) -> "BiasRow":
+        """This row made read-only, for sharing through a memo; memoised rows
+        share one interned read-only flags array per pattern."""
+        self.row.flags.writeable = False
+        self.folded.flags.writeable = False
+        pattern = self.folded.tobytes()
+        return BiasRow(self.row, _FOLDED_PATTERNS.setdefault(pattern, self.folded))
+
+
+#: Interned folded-flag arrays by content (at most ``2**H`` per head count).
+_FOLDED_PATTERNS: dict[bytes, np.ndarray] = {}
 
 
 @dataclass
@@ -57,7 +99,7 @@ class PolicyDecision:
     observation: np.ndarray = field(repr=False, default=None)
     #: Logit biases that were in effect when the action was sampled; reused at
     #: update time so the gradient matches the sampling distribution.
-    biases: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    biases: BiasRow = field(repr=False, default=None)
 
 
 class CategoricalPolicy:
@@ -85,27 +127,32 @@ class CategoricalPolicy:
         self.act_backend = None
 
     # -- acting --------------------------------------------------------------------------
-    def _collect_biases(self) -> dict[str, np.ndarray]:
-        """Ask the bias provider for the current per-head logit biases."""
-        if self.bias_provider is None:
-            return {}
-        biases: dict[str, np.ndarray] = {}
-        for name in self.network.head_sizes:
-            bias = self.bias_provider(name)
-            if bias is not None:
-                biases[name] = np.asarray(bias, dtype=np.float64)
-        return biases
+    def decision_biases(self) -> BiasRow:
+        """The logit biases in effect right now (provider + masks), as one row.
 
-    def _apply_masks(self, biases: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Fold the mask provider's validity masks into the logit biases.
-
-        Masks shorter than a head (e.g. the base action-type mask against the
-        specification-aware head with its extra snippet entry) are padded
-        with ``True``; all-true and degenerate all-false masks are ignored.
+        This is the per-step, per-environment part of acting; the batched
+        rollout collector calls it once per environment (with the policy's
+        hooks bound to that environment) and hands the results to
+        :meth:`act_batch`.  Masks shorter than a head (e.g. the base
+        action-type mask against the specification-aware head with its
+        extra snippet entry) are padded with ``True``; all-true and
+        degenerate all-false masks are ignored.
         """
+        layout = self.network.layout
+        biases = BiasRow.empty(layout)
+        if self.bias_provider is not None:
+            for name in layout.names:
+                bias = self.bias_provider(name)
+                if bias is not None:
+                    biases.head(layout, name)[:] = bias
+        return self._apply_masks(biases)
+
+    def _apply_masks(self, biases: BiasRow) -> BiasRow:
+        """Fold the mask provider's validity masks into *biases* (in place)."""
         if self.mask_provider is None:
             return biases
-        for name, size in self.network.head_sizes.items():
+        layout = self.network.layout
+        for name, size in zip(layout.names, layout.sizes):
             mask = self.mask_provider(name)
             if mask is None:
                 continue
@@ -116,21 +163,8 @@ class CategoricalPolicy:
                 mask = mask[:size]
             if mask.all() or not mask.any():
                 continue
-            bias = biases.get(name)
-            bias = np.zeros(size) if bias is None else np.array(bias, dtype=np.float64)
-            bias[~mask] += MASK_LOGIT_BIAS
-            biases[name] = bias
+            biases.head(layout, name)[~mask] += MASK_LOGIT_BIAS
         return biases
-
-    def decision_biases(self) -> dict[str, np.ndarray]:
-        """The per-head logit biases in effect right now (provider + masks).
-
-        This is the per-step, per-environment part of acting; the batched
-        rollout collector calls it once per environment (with the policy's
-        hooks bound to that environment) and hands the results to
-        :meth:`act_batch`.
-        """
-        return self._apply_masks(self._collect_biases())
 
     def act(
         self,
@@ -157,13 +191,13 @@ class CategoricalPolicy:
     def act_batch(
         self,
         observations: np.ndarray,
-        biases_list: Sequence[dict[str, np.ndarray]],
+        biases_list: Sequence[BiasRow],
         rngs: Sequence[np.random.Generator] | None = None,
         greedy: bool = False,
     ) -> list[PolicyDecision]:
         """Decide for a ``(K, F)`` batch of observations in one network pass.
 
-        ``biases_list[k]`` holds environment *k*'s per-head logit biases
+        ``biases_list[k]`` holds environment *k*'s bias row
         (:meth:`decision_biases` computed with the policy bound to that
         environment) and ``rngs[k]`` its sampling stream.  Everything that
         does not consume randomness is vectorised across the batch — the
@@ -178,7 +212,7 @@ class CategoricalPolicy:
             raise ValueError(f"expected a (K, F) observation batch, got {obs.shape}")
         if self.act_backend is not None:
             if len(biases_list) != len(obs):
-                raise ValueError("need one bias mapping per observation")
+                raise ValueError("need one bias row per observation")
             if rngs is not None and len(rngs) != len(obs):
                 raise ValueError("need one RNG per observation")
             # Pin each row to an explicit RNG before handing off: the wave
@@ -195,35 +229,28 @@ class CategoricalPolicy:
     def _fold_biases(
         self,
         probabilities: np.ndarray,
-        biases_list: Sequence[dict[str, np.ndarray]],
+        biases_list: Sequence[BiasRow],
     ) -> np.ndarray:
         """Re-softmax every head segment that carries a logit bias, in one pass.
 
         Segment ``(k, h)`` of the ``(K, T)`` head rows becomes
         ``softmax(log(clip(p)) + bias)`` over head ``h``'s columns when
-        ``biases_list[k]`` has a bias for that head; other segments keep the
-        raw head output untouched (a zero-bias fold is not a bitwise no-op).
-        A bias whose length differs from its head's raises instead of being
-        written across a neighbouring segment.
+        ``biases_list[k]`` flags head ``h``; other segments keep the raw head
+        output untouched.  A row sized for another head layout (e.g. biases
+        computed against a differently extended action space) raises instead
+        of being folded across the wrong columns.
         """
         layout = self.network.layout
-        bias_rows = np.zeros((len(biases_list), layout.total))
-        folded = np.zeros((len(biases_list), len(layout.names)), dtype=bool)
-        for k, biases in enumerate(biases_list):
-            for name, bias in biases.items():
-                slot = layout.slots.get(name)
-                if slot is None:
-                    raise ValueError(f"logit bias for unknown head {name!r}")
-                position, start, stop = slot
-                if len(bias) != stop - start:
-                    raise ValueError(
-                        f"logit bias for head {name!r} has {len(bias)} entries; "
-                        f"the head has {stop - start} choices"
-                    )
-                bias_rows[k, start:stop] = bias
-                folded[k, position] = True
+        for biases in biases_list:
+            if len(biases.row) != layout.total or len(biases.folded) != len(layout.names):
+                raise ValueError(
+                    f"bias row has {len(biases.row)} entries over {len(biases.folded)} "
+                    f"heads; the policy has {layout.total} over {len(layout.names)}"
+                )
+        folded = np.array([biases.folded for biases in biases_list])
         if not folded.any():
             return probabilities
+        bias_rows = np.array([biases.row for biases in biases_list])
         biased = layout.softmax(np.log(np.maximum(probabilities, 1e-12)) + bias_rows)
         return np.where(folded[:, layout.owner], biased, probabilities)
 
@@ -232,7 +259,7 @@ class CategoricalPolicy:
         obs: np.ndarray,
         probabilities: np.ndarray,
         values: np.ndarray,
-        biases_list: Sequence[dict[str, np.ndarray]],
+        biases_list: Sequence[BiasRow],
         rngs: Sequence[np.random.Generator] | None = None,
         greedy: bool = False,
     ) -> list[PolicyDecision]:
@@ -247,7 +274,7 @@ class CategoricalPolicy:
         """
         count = len(obs)
         if len(biases_list) != count:
-            raise ValueError("need one bias mapping per observation")
+            raise ValueError("need one bias row per observation")
         if rngs is not None and len(rngs) != count:
             raise ValueError("need one RNG per observation")
         layout = self.network.layout

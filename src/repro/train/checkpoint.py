@@ -37,10 +37,10 @@ from repro.cdrl.compliance import ComplianceRewardConfig
 from repro.dataframe.table import DataTable
 from repro.datasets.registry import load_dataset
 from repro.rl.buffer import EpisodeBuffer
-from repro.rl.policy import PolicyDecision
+from repro.rl.policy import BiasRow, PolicyDecision
 from repro.rl.trainer import PolicyGradientTrainer, TrainerConfig, TrainingHistory
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Serialized array: (dtype string, shape, raw bytes).
 ArrayPayload = tuple[str, tuple[int, ...], bytes]
@@ -131,8 +131,8 @@ def serialize_buffer(buffer: EpisodeBuffer) -> list[tuple]:
     """An :class:`EpisodeBuffer` as rows of primitives.
 
     Only the fields gradient updates consume survive: per-head indices, the
-    observation, the logit biases in effect at sampling time, and the scalar
-    log-prob/value/entropy.
+    observation, the bias row in effect at sampling time (its ``(T,)`` row
+    and per-head folded flags), and the scalar log-prob/value/entropy.
     """
     rows: list[tuple] = []
     for transition in buffer.transitions:
@@ -141,9 +141,9 @@ def serialize_buffer(buffer: EpisodeBuffer) -> list[tuple]:
             (
                 tuple((name, int(index)) for name, index in decision.indices.items()),
                 _pack_array(np.asarray(decision.observation, dtype=np.float64)),
-                tuple(
-                    (name, _pack_array(np.asarray(bias, dtype=np.float64)))
-                    for name, bias in decision.biases.items()
+                (
+                    _pack_array(np.asarray(decision.biases.row, dtype=np.float64)),
+                    _pack_array(np.asarray(decision.biases.folded, dtype=bool)),
                 ),
                 float(decision.log_prob),
                 float(decision.value),
@@ -165,7 +165,7 @@ def deserialize_buffer(rows: list[tuple]) -> EpisodeBuffer:
             value=float(value),
             entropy=float(entropy),
             observation=_unpack_array(observation),
-            biases={name: _unpack_array(payload) for name, payload in biases},
+            biases=BiasRow(*(_unpack_array(payload) for payload in biases)),
         )
         buffer.add(decision, float(reward), bool(done))
     return buffer

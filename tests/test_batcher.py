@@ -17,19 +17,20 @@ from hypothesis import strategies as st
 
 from repro.cdrl import CdrlConfig
 from repro.engine import ExploreRequest, InferenceBatcher, LinxEngine
-from repro.engine.batcher import SharedExplorationContext
-from repro.explore.environment import ExplorationEnvironment
-from repro.explore.rollouts import DynamicVectorEnvironment
+from repro.cdrl.context import SharedExplorationContext
+from repro.ldx.parser import parse_ldx
 from repro.rl.network import (
+    HeadLayout,
     MultiHeadPolicyNetwork,
     architecture_signature,
     stacked_forward,
 )
-from repro.rl.policy import CategoricalPolicy
+from repro.rl.policy import BiasRow, CategoricalPolicy
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
 
 HEADS = {"action": 3, "column": 4}
+UNBIASED = BiasRow.empty(HeadLayout(HEADS))
 
 
 def _network(seed: int) -> MultiHeadPolicyNetwork:
@@ -103,7 +104,7 @@ class TestInferenceBatcherWaves:
         expected = {}
         for seed, obs in observations.items():
             policy = CategoricalPolicy(_network(seed), rng=np.random.default_rng(seed))
-            expected[seed] = policy.act_batch(obs, [{}, {}])
+            expected[seed] = policy.act_batch(obs, [UNBIASED, UNBIASED])
         actual = {}
         with InferenceBatcher(linger_ms=20.0) as batcher:
             def worker(seed):
@@ -117,7 +118,7 @@ class TestInferenceBatcherWaves:
                     )
                 )
                 try:
-                    actual[seed] = policy.act_batch(observations[seed], [{}, {}])
+                    actual[seed] = policy.act_batch(observations[seed], [UNBIASED, UNBIASED])
                 finally:
                     batcher.detach(member)
 
@@ -145,9 +146,9 @@ class TestInferenceBatcherWaves:
             member = batcher.attach()
             try:
                 with pytest.raises(ValueError):
-                    # One bias mapping short: rejected before a wave forms.
+                    # One bias row short: rejected before a wave forms.
                     batcher.submit(
-                        member, policy, np.zeros((2, 5)), [{}], [policy.rng], False
+                        member, policy, np.zeros((2, 5)), [UNBIASED], [policy.rng], False
                     )
                 with pytest.raises(Exception):
                     # A malformed bias blows up *inside* the wave; the error
@@ -156,13 +157,13 @@ class TestInferenceBatcherWaves:
                         member,
                         policy,
                         np.zeros((1, 5)),
-                        [{"action": np.zeros(99)}],
+                        [BiasRow(np.zeros(99), np.ones(2, dtype=bool))],
                         [policy.rng],
                         False,
                     )
                 # ... and the batcher still serves afterwards.
                 decisions = batcher.submit(
-                    member, policy, np.zeros((1, 5)), [{}], [policy.rng], False
+                    member, policy, np.zeros((1, 5)), [UNBIASED], [policy.rng], False
                 )
                 assert len(decisions) == 1
             finally:
@@ -173,50 +174,7 @@ class TestInferenceBatcherWaves:
         batcher.close()
         policy = CategoricalPolicy(_network(0))
         with pytest.raises(RuntimeError, match="shut down"):
-            batcher.submit(None, policy, np.zeros((1, 5)), [{}], [policy.rng], False)
-
-
-class TestDynamicVectorEnvironment:
-    def _environment(self, netflix_table):
-        return ExplorationEnvironment(dataset=netflix_table, episode_length=4)
-
-    @pytest.fixture
-    def netflix_table(self):
-        from repro.datasets import load_dataset
-
-        return load_dataset("netflix", num_rows=60)
-
-    def test_attach_detach_membership(self, netflix_table):
-        pool = DynamicVectorEnvironment()
-        with pytest.raises(ValueError):
-            pool.episode_length
-        first = self._environment(netflix_table)
-        second = self._environment(netflix_table)
-        assert pool.attach(first) == 0
-        assert pool.attach(second) == 1
-        assert pool.episode_length == 4
-        assert first._view_feature_memo is second._view_feature_memo
-        pool.detach(first)
-        assert pool.environments == [second]
-        with pytest.raises(ValueError):
-            pool.detach(first)
-
-    def test_memo_pool_survives_emptiness(self, netflix_table):
-        pool = DynamicVectorEnvironment()
-        first = self._environment(netflix_table)
-        pool.attach(first)
-        memo = first._view_feature_memo
-        pool.detach(first)
-        later = self._environment(netflix_table)
-        pool.attach(later)
-        assert later._view_feature_memo is memo
-
-    def test_mismatched_members_rejected(self, netflix_table):
-        pool = DynamicVectorEnvironment()
-        pool.attach(self._environment(netflix_table))
-        longer = ExplorationEnvironment(dataset=netflix_table, episode_length=9)
-        with pytest.raises(ValueError):
-            pool.attach(longer)
+            batcher.submit(None, policy, np.zeros((1, 5)), [UNBIASED], [policy.rng], False)
 
 
 class TestSharedExplorationContext:
@@ -230,22 +188,23 @@ class TestSharedExplorationContext:
         from repro.datasets import load_dataset
 
         shared = SharedExplorationContext()
+        query = parse_ldx(LDX)
         same_content = load_dataset("netflix", num_rows=60)
-        assert shared.action_space(netflix_table, LDX) is shared.action_space(
-            same_content, LDX
+        assert shared.action_space(netflix_table, query) is shared.action_space(
+            same_content, parse_ldx(LDX)
         )
         assert shared.scorer(netflix_table) is shared.scorer(same_content)
         other = load_dataset("netflix", num_rows=80)
-        assert shared.action_space(netflix_table, LDX) is not shared.action_space(
-            other, LDX
+        assert shared.action_space(netflix_table, query) is not shared.action_space(
+            other, query
         )
-        assert shared.lookahead_cache(LDX, 256) is shared.lookahead_cache(LDX, 256)
-        assert shared.lookahead_cache(LDX, 256) is not shared.lookahead_cache(LDX, 64)
+        assert shared.lookahead_cache(query, 256) is shared.lookahead_cache(query, 256)
+        assert shared.lookahead_cache(query, 256) is not shared.lookahead_cache(query, 64)
         assert shared.describe()["action_spaces"] == 2
         # Specifications extend the space they are given: one pool each.
-        other_ldx = "ROOT CHILDREN <A1>\nA1 LIKE [F,.*]"
-        assert shared.action_space(netflix_table, LDX) is not shared.action_space(
-            netflix_table, other_ldx
+        other_query = parse_ldx("ROOT CHILDREN <A1>\nA1 LIKE [F,.*]")
+        assert shared.action_space(netflix_table, query) is not shared.action_space(
+            netflix_table, other_query
         )
 
 

@@ -2,10 +2,12 @@
 
 The kernel runs every per-head step of a decision — softmax, bias fold,
 entropy and log-prob sums, inverse-CDF sampling — as one pass over the
-network's concatenated ``(K, T)`` head rows.  The oracle below works head
-by head: one softmax, fold and sampling loop per head.  Segment sums may
-differ from the per-head sums in the last bits, so values are compared
-within 1e-12 and indices exactly.
+network's concatenated ``(K, T)`` head rows, with each decision's biases
+stored as one fused :class:`BiasRow`.  The oracle below works head by head
+from per-head bias dicts: one softmax, fold and sampling loop per head.
+Segment sums may differ from the per-head sums in the last bits, so values
+are compared within 1e-12, and indices exactly except where the oracle's
+own numbers tie within that tolerance.
 """
 
 from __future__ import annotations
@@ -16,9 +18,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rl.network import MultiHeadPolicyNetwork, stacked_forward
-from repro.rl.policy import MASK_LOGIT_BIAS, CategoricalPolicy
+from repro.rl.policy import MASK_LOGIT_BIAS, BiasRow, CategoricalPolicy
 
 SIZES = {"action": 4, "column": 7, "op": 3, "term": 9, "single": 1}
+
+
+# -- per-head bias dicts -------------------------------------------------------------
+def _to_row(layout, biases: dict) -> BiasRow:
+    """Scatter per-head bias arrays into one fused row."""
+    row = BiasRow.empty(layout)
+    for name, bias in biases.items():
+        row.head(layout, name)[:] = bias
+    return row
+
+
+def _per_head_fold(layout, probabilities, biases_list):
+    """The fold over per-head bias dicts, scattered into (K, T) per call."""
+    bias_rows = np.zeros((len(biases_list), layout.total))
+    folded = np.zeros((len(biases_list), len(layout.names)), dtype=bool)
+    for k, biases in enumerate(biases_list):
+        for name, bias in biases.items():
+            position, start, stop = layout.slots[name]
+            bias_rows[k, start:stop] = bias
+            folded[k, position] = True
+    if not folded.any():
+        return probabilities
+    biased = layout.softmax(np.log(np.maximum(probabilities, 1e-12)) + bias_rows)
+    return np.where(folded[:, layout.owner], biased, probabilities)
 
 
 # -- the per-head oracle -------------------------------------------------------------
@@ -56,6 +82,7 @@ def _oracle_decide(batch_probs, biases_list, rngs, greedy):
         entropies += -(matrix * np.log(np.clip(matrix, 1e-12, None))).sum(axis=-1)
         cdfs[name] = np.cumsum(matrix, axis=-1)
     chosen = {}
+    targets = {}
     if greedy:
         for name in names:
             chosen[name] = np.argmax(adjusted[name], axis=-1)
@@ -63,15 +90,36 @@ def _oracle_decide(batch_probs, biases_list, rngs, greedy):
         draws = np.array([rng.random(len(names)) for rng in rngs])
         for position, name in enumerate(names):
             cdf = cdfs[name]
-            targets = draws[:, position] * cdf[:, -1]
-            indices = (cdf <= targets[:, None]).sum(axis=-1)
+            targets[name] = draws[:, position] * cdf[:, -1]
+            indices = (cdf <= targets[name][:, None]).sum(axis=-1)
             chosen[name] = np.minimum(indices, cdf.shape[-1] - 1)
-    log_probs = np.zeros(count)
-    for name in names:
-        picked = adjusted[name][np.arange(count), chosen[name]]
-        log_probs += np.log(np.maximum(picked, 1e-12))
     indices = [{name: int(chosen[name][k]) for name in names} for k in range(count)]
-    return indices, log_probs, entropies, adjusted
+    return indices, entropies, adjusted, cdfs, targets
+
+
+def _oracle_log_prob(adjusted, k, indices):
+    """The oracle's log-probability of the choices *indices* in row *k*."""
+    return sum(
+        float(np.log(np.maximum(adjusted[name][k, index], 1e-12)))
+        for name, index in indices.items()
+    )
+
+
+def _assert_same_pick(name, k, mine, oracle, adjusted, cdfs, targets):
+    """Indices agree, unless the oracle itself ties within 1e-12.
+
+    Logits and biases on a quarter grid can tie exactly (2.75 against
+    2.5 + 0.25); which side of such a tie each kernel lands on depends on
+    last-bit rounding of its segment sums, so there either pick is right.
+    """
+    if mine == oracle:
+        return
+    if name in targets:
+        boundary = cdfs[name][k, min(mine, oracle)]
+        assert abs(boundary - targets[name][k]) <= 1e-12, (name, k, mine, oracle)
+    else:
+        gap = adjusted[name][k, mine] - adjusted[name][k, oracle]
+        assert abs(gap) <= 1e-12, (name, k, mine, oracle)
 
 
 # -- strategies ----------------------------------------------------------------------
@@ -80,7 +128,7 @@ def decision_cases(draw):
     """Random head sizes, logits, biases and validity masks.
 
     Logits and biases sit on a quarter grid, so distinct entries stay
-    distinct after the softmax and argmax ties are exact in both kernels.
+    distinct after the softmax.
     """
     sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
     count = draw(st.integers(1, 4))
@@ -121,43 +169,56 @@ class TestKernelMatchesPerHeadOracle:
         network = MultiHeadPolicyNetwork(
             observation_size=2, head_sizes=dict(zip(names, sizes)), hidden_sizes=(2,)
         )
+        layout = network.layout
         policy = CategoricalPolicy(network)
         rows = np.stack([np.concatenate([row[name] for name in names]) for row in logits])
-        probabilities = network.layout.softmax(rows)
+        probabilities = layout.softmax(rows)
+        bias_rows = [_to_row(layout, biases) for biases in biases_list]
         decisions = policy.decisions_from_forward(
             np.zeros((count, 2)),
             probabilities,
             np.zeros(count),
-            biases_list,
+            bias_rows,
             [np.random.default_rng([seed, k]) for k in range(count)],
             greedy=greedy,
         )
         batch_probs = {
             name: _oracle_softmax(np.stack([row[name] for row in logits])) for name in names
         }
-        indices, log_probs, entropies, adjusted = _oracle_decide(
+        indices, entropies, adjusted, cdfs, targets = _oracle_decide(
             batch_probs,
             biases_list,
             [np.random.default_rng([seed, k]) for k in range(count)],
             greedy,
         )
-        folded = network.layout.split(policy._fold_biases(probabilities, biases_list))
+        fused = policy._fold_biases(probabilities, bias_rows)
+        # The fused-row fold is bit-identical to the fold over per-head dicts.
+        assert np.array_equal(fused, _per_head_fold(layout, probabilities, biases_list))
+        folded = layout.split(fused)
         for name in names:
             np.testing.assert_allclose(folded[name], adjusted[name], rtol=0, atol=1e-12)
         for k, decision in enumerate(decisions):
-            assert decision.indices == indices[k]
-            assert decision.log_prob == pytest.approx(log_probs[k], rel=1e-12, abs=1e-12)
+            assert list(decision.indices) == names
+            for name in names:
+                _assert_same_pick(
+                    name, k, decision.indices[name], indices[k][name], adjusted, cdfs, targets
+                )
+            expected_log_prob = _oracle_log_prob(adjusted, k, decision.indices)
+            assert decision.log_prob == pytest.approx(expected_log_prob, rel=1e-12, abs=1e-12)
             assert decision.entropy == pytest.approx(entropies[k], rel=1e-12, abs=1e-12)
+            assert decision.biases is bias_rows[k]
             for name, bias in biases_list[k].items():
                 assert bias[decision.indices[name]] > MASK_LOGIT_BIAS / 2, "masked choice"
 
     def test_stale_sized_bias_raises(self):
         network = MultiHeadPolicyNetwork(4, SIZES, (8,), seed=0)
         policy = CategoricalPolicy(network)
-        with pytest.raises(ValueError, match="'column' has 8 entries"):
-            policy.act_batch(np.zeros((1, 4)), [{"column": np.zeros(8)}])
-        with pytest.raises(ValueError, match="unknown head"):
-            policy.act_batch(np.zeros((1, 4)), [{"missing": np.zeros(2)}])
+        stale = MultiHeadPolicyNetwork(4, {**SIZES, "column": 8}, (8,), seed=0)
+        with pytest.raises(ValueError, match="bias row has 25 entries over 5 heads"):
+            policy.act_batch(np.zeros((1, 4)), [BiasRow.empty(stale.layout)])
+        fewer_heads = BiasRow(np.zeros(network.layout.total), np.zeros(4, dtype=bool))
+        with pytest.raises(ValueError, match="the policy has 24 over 5"):
+            policy.act_batch(np.zeros((1, 4)), [fewer_heads])
 
 
 # -- row bit-identity ----------------------------------------------------------------
@@ -172,6 +233,10 @@ def _row_biases(count: int) -> list[dict[str, np.ndarray]]:
             biases["term"] = mask
         biases_list.append(biases)
     return biases_list
+
+
+def _rows(network, biases_list: list[dict[str, np.ndarray]]) -> list[BiasRow]:
+    return [_to_row(network.layout, biases) for biases in biases_list]
 
 
 def _act_alone(network, observation, biases, rng, greedy=False):
@@ -196,7 +261,7 @@ class TestRowBitIdentity:
         biases_list = _row_biases(len(observations))
         batched = CategoricalPolicy(network).act_batch(
             observations,
-            biases_list,
+            _rows(network, biases_list),
             [np.random.default_rng(100 + k) for k in range(len(observations))],
             greedy=greedy,
         )
@@ -216,7 +281,7 @@ class TestRowBitIdentity:
             observations,
             probabilities,
             values,
-            biases_list,
+            _rows(networks[0], biases_list),
             [np.random.default_rng(50 + r) for r in range(len(net_index))],
         )
         for r, decision in enumerate(decisions):
@@ -239,7 +304,7 @@ class TestRowBitIdentity:
             policy = CategoricalPolicy(network)
             decisions = policy.act_batch(
                 observations,
-                biases_list,
+                _rows(network, biases_list),
                 [np.random.default_rng(k) for k in range(len(observations))],
             )
             policy.zero_grad()

@@ -102,7 +102,7 @@ class TestVectorEnvironment:
         policy = build_basic_policy(
             observation_size=vec.observation_size(), action_space=space, seed=0
         )
-        decisions = policy.act_batch(observations, [{}, {}, {}])
+        decisions = policy.act_batch(observations, [policy.decision_biases()] * 3)
         outcome = vec.step(
             [choice_from_index_map(d.indices) for d in decisions]
         )

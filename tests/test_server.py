@@ -119,7 +119,7 @@ class TestRoutes:
         port, _ = served
         status, body = _call(port, "GET", "/stats")
         assert status == 200
-        assert {"scheduler", "engine_cache", "store"} <= set(body)
+        assert {"scheduler", "engine_cache", "exploration_context", "store"} <= set(body)
         # The store reports per-shard occupancy and counters, one entry
         # per shard file (the default layout is a single shard 0).
         shards = body["store"]["shards"]
