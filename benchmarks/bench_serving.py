@@ -13,7 +13,7 @@ Server-Sent-Events stream until each result lands:
   coalesces their observation rows into shared stacked forwards.
 
 Both modes pool read-only exploration state (scorers, action spaces,
-decision memos, look-ahead caches) across requests through the engine's
+decision memos, LDX matchers) across requests through the engine's
 :class:`~repro.cdrl.context.SharedExplorationContext`.
 
 Batching must not change behaviour: for every client seed, the result payload

@@ -5,8 +5,8 @@ maximises the bi-objective reward (generic exploration reward + compliance
 reward) and returns the best compliant exploration session found.  This is
 Step 2 of the LINX workflow (Section 3).
 
-The agent's content-keyed state — action space, generic-reward scorer,
-compliance look-ahead cache, feature and decision memos — comes from one
+The agent's content-keyed state — action space, generic-reward scorer, LDX
+matcher, feature and decision memos — comes from one
 :class:`~repro.cdrl.context.SharedExplorationContext`: the engine's, shared
 by every request, or a private one when the agent is built on its own.
 """
@@ -23,7 +23,7 @@ from repro.explore.rollouts import VectorEnvironment
 from repro.explore.session import ExplorationSession
 from repro.ldx.ast import LdxQuery
 from repro.ldx.parser import parse_ldx
-from repro.ldx.verifier import verify, verify_structure
+from repro.ldx.verifier import verify
 from repro.rl.trainer import PolicyGradientTrainer, TrainerConfig, TrainingHistory
 
 from .compliance import ComplianceRewardConfig, ComplianceRewardStrategy
@@ -162,10 +162,10 @@ class LinxCdrlAgent:
         self.config = config or CdrlConfig()
         self.config.check()
         # Content-keyed exploration state — the action space, the
-        # generic-reward scorer, the compliance look-ahead cache, the
-        # view-feature memo and the decision memo — comes from an exploration
-        # context: the engine's, shared by every request, or a private one
-        # for an agent built on its own.  Every pooled structure memoises a
+        # generic-reward scorer, the LDX matcher, the view-feature memo and
+        # the decision memo — comes from an exploration context: the
+        # engine's, shared by every request, or a private one for an agent
+        # built on its own.  Every pooled structure memoises a
         # pure function of its key, so results are bit-identical whichever
         # context supplies it.
         self.shared = shared if shared is not None else SharedExplorationContext()
@@ -191,11 +191,10 @@ class LinxCdrlAgent:
         # interestingness/diversity work.  Sessions are scored with it too,
         # so a session score is memo lookups only.
         self._generic_reward = self.shared.scorer(dataset)
-        # Feasibility look-ahead is a pure function of (specification,
-        # session-tree shape, remaining steps, completion budget).
-        self._lookahead_cache = self.shared.lookahead_cache(
-            self.query, self.config.compliance.immediate_max_completions
-        )
+        # Verification, the compliance reward and the guidance share one
+        # matcher: its structural answers are pure functions of
+        # (specification, session-tree shape).
+        self.matcher = self.shared.matcher(self.query)
         self._feature_memo = self.shared.view_feature_memo(dataset)
         self.reward_strategy = self._reward_strategy()
         # One execution cache is shared by training rollouts and evaluation,
@@ -237,6 +236,7 @@ class LinxCdrlAgent:
                 decision_memo=self.shared.decision_memo(
                     self.query, dataset, self.config.mask_invalid_actions
                 ),
+                matcher=self.matcher,
             )
             # Give the specification-aware policy access to the ongoing session
             # so its structure guide can shift action probabilities per state.
@@ -274,14 +274,14 @@ class LinxCdrlAgent:
         self._best_compliant: Optional[tuple[ExplorationSession, float]] = None
 
     def _reward_strategy(self) -> ComplianceRewardStrategy:
-        """A compliance strategy over the pooled look-ahead cache and scorer."""
+        """A compliance strategy over the pooled matcher and scorer."""
         strategy = ComplianceRewardStrategy(
             query=self.query,
             episode_length=self.episode_length,
             config=self.config.compliance,
             graded_eos=self.config.graded_eos_reward,
             use_immediate=self.config.immediate_reward,
-            lookahead_cache=self._lookahead_cache,
+            matcher=self.matcher,
         )
         strategy.generic.reward = self._generic_reward
         return strategy
@@ -299,8 +299,7 @@ class LinxCdrlAgent:
 
     # -- training --------------------------------------------------------------------------
     def _track_best(self, episode: int, episode_return: float, session: ExplorationSession) -> None:
-        tree = session.to_tree()
-        if not verify(tree, self.query):
+        if not verify(session.root, self.query, matcher=self.matcher):
             return
         utility = self._generic_reward.session_score(session)
         if self._best_compliant is None or utility > self._best_compliant[1]:
@@ -364,11 +363,11 @@ class LinxCdrlAgent:
         else:
             session, _ = self.trainer.best_session(attempts=5)
             utility = self._generic_reward.session_score(session)
-        tree = session.to_tree()
+        tree = session.root
         return CdrlResult(
             session=session,
-            fully_compliant=verify(tree, self.query),
-            structurally_compliant=verify_structure(tree, self.query),
+            fully_compliant=verify(tree, self.query, matcher=self.matcher),
+            structurally_compliant=self.matcher.verify_structure(tree),
             utility_score=utility,
             history=history,
             episodes_trained=len(history.episode_returns),

@@ -25,14 +25,7 @@ from repro.explore.operations import Operation, is_query_operation
 from repro.explore.reward import GenericRewardConfig
 from repro.explore.session import ExplorationSession, SessionNode
 from repro.ldx.ast import LdxQuery
-from repro.ldx.partial import can_still_comply
-from repro.ldx.verifier import (
-    operational_match_ratio,
-    partial_structural_ratio,
-    structural_assignments,
-    verify,
-    verify_structure,
-)
+from repro.ldx.verifier import LdxMatcher
 
 
 @dataclass(frozen=True)
@@ -63,6 +56,7 @@ def end_of_session_reward(
     query: LdxQuery,
     config: ComplianceRewardConfig,
     graded: bool = True,
+    matcher: Optional[LdxMatcher] = None,
 ) -> float:
     """Algorithm 2: the conditional end-of-session compliance reward.
 
@@ -71,30 +65,20 @@ def end_of_session_reward(
     mode the structural-violation penalty is softened proportionally to the
     fraction of the required structure that is already realised, which keeps
     the "structure first" learning signal dense on small training budgets.
+    *matcher* is a matcher for *query* to reuse; a private one is built
+    when omitted.
     """
-    tree = session.to_tree()
-    if verify(tree, query):
+    matcher = matcher or LdxMatcher(query)
+    tree = session.root
+    if matcher.verify(tree):
         return config.full_compliance_reward if graded else config.binary_positive
     if not graded:
         return config.binary_negative
-    if not structural_assignments(tree, query, first_only=True):
-        progress = partial_structural_ratio(tree, query)
+    if not matcher.verify_structure(tree):
+        progress = matcher.partial_structural_ratio(tree)
         return config.structural_violation_penalty * (1.0 - progress)
-    ratio = operational_match_ratio(tree, query)
+    ratio = matcher.operational_match_ratio(tree)
     return config.operational_reward_scale * ratio
-
-
-def _tree_shape(session: ExplorationSession) -> tuple:
-    """A hashable key describing only the *shape* of the session tree.
-
-    The structural specifications ignore operation labels, so look-ahead
-    compliance results can be cached per shape across steps and episodes.
-    """
-
-    def shape(node) -> tuple:
-        return tuple(shape(child) for child in node.children)
-
-    return shape(session.root)
 
 
 def immediate_reward(
@@ -103,24 +87,19 @@ def immediate_reward(
     step_index: int,
     episode_length: int,
     config: ComplianceRewardConfig,
-    cache: Optional[dict] = None,
+    matcher: Optional[LdxMatcher] = None,
 ) -> float:
-    """Immediate per-operation reward: penalise steps that doom structural compliance."""
+    """Immediate per-operation reward: penalise steps that doom structural compliance.
+
+    Feasibility is memoised by *matcher* per (tree shape, remaining steps,
+    completion budget), across steps and episodes.
+    """
     if step_index < config.immediate_min_step:
         return 0.0
     remaining = max(0, episode_length - step_index)
-    key = None
-    if cache is not None:
-        key = (_tree_shape(session), remaining)
-        if key in cache:
-            feasible = cache[key]
-            return 0.0 if feasible else config.immediate_violation_penalty
-    tree = session.to_tree()
-    feasible = can_still_comply(
-        tree, query, remaining, max_completions=config.immediate_max_completions
+    feasible = (matcher or LdxMatcher(query)).can_still_comply(
+        session.root, remaining, config.immediate_max_completions
     )
-    if cache is not None and key is not None:
-        cache[key] = feasible
     return 0.0 if feasible else config.immediate_violation_penalty
 
 
@@ -142,7 +121,7 @@ class ComplianceRewardStrategy:
         generic_config: GenericRewardConfig | None = None,
         graded_eos: bool = True,
         use_immediate: bool = True,
-        lookahead_cache: Optional[dict] = None,
+        matcher: Optional[LdxMatcher] = None,
     ):
         self.query = query
         self.episode_length = episode_length
@@ -151,9 +130,9 @@ class ComplianceRewardStrategy:
         self.graded_eos = graded_eos
         self.use_immediate = use_immediate
         self._step_index = 0
-        # Shape-keyed cache of look-ahead feasibility; shared across episodes
-        # (and, when the caller passes a pooled one, across requests).
-        self._lookahead_cache: dict = {} if lookahead_cache is None else lookahead_cache
+        # The matcher memoises structural answers per tree shape across
+        # episodes (and, when the caller passes a pooled one, across requests).
+        self.matcher = matcher if matcher is not None else LdxMatcher(query)
 
     # -- RewardStrategy protocol -----------------------------------------------------------
     def on_step(
@@ -176,20 +155,12 @@ class ComplianceRewardStrategy:
                 self._step_index,
                 self.episode_length,
                 self.config,
-                cache=self._lookahead_cache,
+                matcher=self.matcher,
             )
         return self.config.alpha * generic + self.config.beta * compliance
 
     def on_episode_end(self, session: ExplorationSession) -> float:
-        eos = end_of_session_reward(session, self.query, self.config, graded=self.graded_eos)
+        eos = end_of_session_reward(
+            session, self.query, self.config, graded=self.graded_eos, matcher=self.matcher
+        )
         return self.config.beta * self.config.gamma * eos
-
-    # -- reporting helpers -------------------------------------------------------------------
-    def compliance_summary(self, session: ExplorationSession) -> dict[str, object]:
-        """Structure/full compliance flags and the operational match ratio."""
-        tree = session.to_tree()
-        return {
-            "full": verify(tree, self.query),
-            "structural": verify_structure(tree, self.query),
-            "operational_ratio": operational_match_ratio(tree, self.query),
-        }

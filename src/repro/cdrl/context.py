@@ -1,11 +1,11 @@
 """The exploration context: content-keyed CDRL state pooled across requests.
 
 Training a CDRL agent recomputes the same pure functions over and over — the
-guidance of a session state, the look-ahead feasibility of a tree shape, the
+guidance of a session state, the structural LDX answers for a tree shape, the
 interestingness of a view — and identical inputs recur across requests on
 the same (specification, dataset).  A :class:`SharedExplorationContext`
 pools that work: action spaces with their validity-mask memos, generic-reward
-scorers, compliance look-ahead caches, view-feature memos, and the
+scorers, LDX matchers with their per-shape memos, view-feature memos, and the
 specification-aware policy's decision memos (one read-only bias row per
 session state).  Pools are keyed by content (rendered specification, table
 fingerprint), and every pooled structure memoises a pure function of its
@@ -29,6 +29,7 @@ from repro.dataframe.table import DataTable
 from repro.explore.action_space import ActionSpace
 from repro.explore.reward import GenericExplorationReward
 from repro.ldx.ast import LdxQuery
+from repro.ldx.verifier import LdxMatcher
 
 #: Entries (memo keys plus pools) one context holds before it clears every
 #: memo and pool.  The largest entries (bias rows, validity masks) are about
@@ -128,14 +129,15 @@ class SharedExplorationContext:
             lambda: GenericExplorationReward(memo=self._memo),
         )
 
-    def lookahead_cache(self, query: LdxQuery, max_completions: int) -> dict:
-        """The pooled compliance look-ahead cache for one specification.
+    def matcher(self, query: LdxQuery) -> LdxMatcher:
+        """The pooled LDX matcher for one specification.
 
-        Feasibility is a pure function of (tree shape, remaining steps)
-        under a given LDX query and completion budget, both in the key.
+        Its answers are pure functions of (specification, tree shape), and
+        every new shape entry of its memo is charged to the entry budget.
+        It serves verification, the compliance reward and the guidance.
         """
         return self._pooled(
-            ("lookahead_caches", query.render(), int(max_completions)), self._memo
+            ("matchers", query.render()), lambda: LdxMatcher(query, memo=self._memo())
         )
 
     def decision_memo(self, query: LdxQuery, table: DataTable, mask_invalid: bool) -> dict:
@@ -165,7 +167,7 @@ class SharedExplorationContext:
                 (
                     "action_spaces",
                     "scorers",
-                    "lookahead_caches",
+                    "matchers",
                     "decision_memos",
                     "view_feature_memos",
                 ),

@@ -40,7 +40,7 @@ from repro.explore.action_space import ActionChoice, ActionSpace, HEAD_ORDER
 from repro.explore.environment import ExplorationEnvironment
 from repro.ldx.ast import LdxQuery, NodeSpec
 from repro.ldx.patterns import FIELD_CONTINUITY, OperationPattern
-from repro.ldx.verifier import best_partial_structural_assignment
+from repro.ldx.verifier import LdxMatcher
 from repro.rl.network import MultiHeadPolicyNetwork
 from repro.rl.policy import BiasRow, CategoricalPolicy
 
@@ -79,9 +79,12 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         structure_bias: float = 6.0,
         continuity_bias: float = 5.0,
         decision_memo: Optional[dict] = None,
+        matcher: Optional[LdxMatcher] = None,
     ):
         self.action_space = action_space
         self.query = query
+        #: The LDX matcher behind the guidance (the agent passes its pooled one).
+        self.matcher = matcher if matcher is not None else LdxMatcher(query)
         self.library = SnippetLibrary(query, action_space)
         head_sizes = dict(action_space.head_sizes())
         head_sizes["action_type"] = head_sizes["action_type"] + 1  # + snippet action
@@ -100,6 +103,7 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         #: inspect the ongoing session when computing the guidance.
         self.environment: Optional[ExplorationEnvironment] = None
         self._preferred = self.library.preferred_indices()
+        self._named_order = query.preorder_named_nodes()
         #: Decision memo: the complete per-state bias row (guidance plus
         #: folded validity masks, i.e. what :meth:`decision_biases` returns)
         #: is a pure function of the session's tree structure and cursor
@@ -179,15 +183,16 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         if self.environment is None:
             return
         session = self.environment.session
-        tree = session.to_tree()
-        assignment, assigned, named = best_partial_structural_assignment(tree, self.query)
+        assignment, assigned, named = self.matcher.best_partial_structural_assignment(
+            session.root
+        )
         if named == 0:
             return
-        bindings = self._continuity_bindings(assignment, tree)
+        bindings = self._continuity_bindings(assignment)
         pending = self._pending_spec(assignment)
         if pending is None:
             return
-        target = self._target_parent_node(pending.name, assignment, tree, session)
+        target = self._target_parent_node(pending.name, assignment)
         action_bias = biases.head(self.network.layout, "action_type")
         if target is None or target is session.current:
             action_bias[SNIPPET_ACTION_INDEX] += self.structure_bias
@@ -200,7 +205,7 @@ class SpecificationAwarePolicy(CategoricalPolicy):
     # -- guidance helpers -------------------------------------------------------------------
     def _pending_spec(self, assignment) -> Optional[NodeSpec]:
         """The next unrealised named node, following the specification pre-order."""
-        for name in self.query.preorder_named_nodes():
+        for name in self._named_order:
             if name not in assignment.nodes:
                 spec = self.query.spec_for(name)
                 if spec is not None:
@@ -215,22 +220,14 @@ class SpecificationAwarePolicy(CategoricalPolicy):
                     return spec.name
         return None
 
-    def _target_parent_node(self, pending_name: str, assignment, tree, session):
+    def _target_parent_node(self, pending_name: str, assignment):
         """The session node under which the pending specification node belongs."""
         parent_name = self._declared_parent(pending_name)
         while parent_name is not None and parent_name not in assignment.nodes:
             parent_name = self._declared_parent(parent_name)
-        target_tree_node = assignment.nodes.get(parent_name or self.query.root_name())
-        if target_tree_node is None:
-            return None
-        tree_nodes = list(tree.preorder())
-        session_nodes = list(session.root.preorder())
-        for position, node in enumerate(tree_nodes):
-            if node is target_tree_node and position < len(session_nodes):
-                return session_nodes[position]
-        return None
+        return assignment.nodes.get(parent_name or self.query.root_name())
 
-    def _continuity_bindings(self, assignment, tree) -> dict[str, str]:
+    def _continuity_bindings(self, assignment) -> dict[str, str]:
         """Continuity values already pinned down by realised specification nodes."""
         bindings: dict[str, str] = {}
         for spec in self.query.operational_specs():
@@ -238,9 +235,10 @@ class SpecificationAwarePolicy(CategoricalPolicy):
             if node is None or spec.operation is None:
                 continue
             signature = _node_signature(node)
-            pattern = spec.operation.substitute(bindings)
-            if pattern.matches(signature, bindings):
-                bindings.update(pattern.capture(signature, bindings))
+            # Bound variables are checked against *bindings* itself, which is
+            # what substituting them into the pattern would do.
+            if spec.operation.matches(signature, bindings):
+                bindings.update(spec.operation.capture(signature, bindings))
         return bindings
 
     def _bias_toward_spec(

@@ -23,7 +23,7 @@ request-private policy *networks*:
     latency, never results.
 
 The content-keyed exploration state the members share (action spaces,
-scorers, look-ahead caches, feature and decision memos) is not the
+scorers, LDX matchers, feature and decision memos) is not the
 batcher's: it belongs to the engine's
 :class:`~repro.cdrl.context.SharedExplorationContext`, which serves batched
 and unbatched requests alike.

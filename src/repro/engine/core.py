@@ -193,7 +193,7 @@ class LinxEngine:
         self.llm_client = llm_client or gpt4_client()
         self.cdrl_config = cdrl_config or CdrlConfig(episodes=150)
         # Content-keyed exploration state (action spaces, generic-reward
-        # scorers, look-ahead caches, feature and decision memos) pooled
+        # scorers, LDX matchers, feature and decision memos) pooled
         # across every request, batched or not, under one entry budget.  Pooling is pure,
         # so results equal a fresh engine's at equal seeds.
         self.exploration_context = SharedExplorationContext()

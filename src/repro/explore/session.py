@@ -45,6 +45,15 @@ class SessionNode:
         """Positional signature used by LDX verification."""
         return self.operation.signature()
 
+    @property
+    def label(self) -> Operation:
+        """The node's label as a tree node (see :class:`~repro.tregex.tree.TreeNode`).
+
+        Sessions are ordered labelled trees, so the LDX matcher reads them
+        directly, without :meth:`ExplorationSession.to_tree`.
+        """
+        return self.operation
+
     @cached_property
     def signature_text(self) -> str:
         """``repr`` of :meth:`signature`, computed once per node."""

@@ -9,7 +9,7 @@ Public API::
         A LIKE [G,(?<X>.*),.*]
         B LIKE [F,(?<X>.*),.*]
     ''')
-    verify(session.tree, query)
+    verify(session.root, query)
 """
 
 from .ast import (
@@ -32,7 +32,7 @@ from .partial import (
 from .patterns import FieldPattern, OperationPattern
 from .verifier import (
     Assignment,
-    count_assignments,
+    LdxMatcher,
     find_assignment,
     operational_match_ratio,
     partial_structural_ratio,
@@ -45,6 +45,7 @@ __all__ = [
     "Assignment",
     "FieldPattern",
     "LdxError",
+    "LdxMatcher",
     "LdxQuery",
     "LdxSemanticError",
     "LdxSyntaxError",
@@ -57,7 +58,6 @@ __all__ = [
     "StructureClause",
     "can_still_comply",
     "catalan_number",
-    "count_assignments",
     "count_completions",
     "enumerate_completions",
     "find_assignment",

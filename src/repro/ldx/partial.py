@@ -17,7 +17,7 @@ from typing import Iterator
 from repro.tregex.tree import TreeNode
 
 from .ast import LdxQuery
-from .verifier import verify_structure
+from .verifier import LdxMatcher
 
 #: Label used for the appended placeholder nodes; the structural verifier
 #: treats any label as acceptable, and the operational verifier skips them.
@@ -95,14 +95,6 @@ def can_still_comply(
     *remaining_steps* is ``N - i``; *max_completions* optionally caps the
     number of completions examined (a practical safeguard for very early
     steps, mirroring the paper's choice to only apply the immediate reward
-    from step 3 onward).
+    from step 3 onward).  See :meth:`LdxMatcher.can_still_comply`.
     """
-    examined = 0
-    for completed in enumerate_completions(root, remaining_steps):
-        examined += 1
-        if verify_structure(completed, query):
-            return True
-        if max_completions is not None and examined >= max_completions:
-            # Undecided within budget: be permissive and do not penalise.
-            return True
-    return False
+    return LdxMatcher(query).can_still_comply(root, remaining_steps, max_completions)

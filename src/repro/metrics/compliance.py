@@ -6,12 +6,7 @@ from dataclasses import dataclass
 
 from repro.explore.session import ExplorationSession
 from repro.ldx.ast import LdxQuery
-from repro.ldx.verifier import (
-    operational_match_ratio,
-    partial_structural_ratio,
-    verify,
-    verify_structure,
-)
+from repro.ldx.verifier import LdxMatcher
 
 
 @dataclass(frozen=True)
@@ -39,12 +34,12 @@ class ComplianceReport:
 
 def compliance_report(session: ExplorationSession, query: LdxQuery) -> ComplianceReport:
     """Evaluate *session* against *query* and return a :class:`ComplianceReport`."""
-    tree = session.to_tree()
-    full = verify(tree, query)
-    structural = verify_structure(tree, query)
+    matcher = LdxMatcher(query)
+    tree = session.root
+    structural = matcher.verify_structure(tree)
     return ComplianceReport(
-        fully_compliant=full,
+        fully_compliant=matcher.verify(tree),
         structurally_compliant=structural,
-        operational_ratio=operational_match_ratio(tree, query) if structural else 0.0,
-        structural_ratio=partial_structural_ratio(tree, query),
+        operational_ratio=matcher.operational_match_ratio(tree) if structural else 0.0,
+        structural_ratio=matcher.partial_structural_ratio(tree),
     )

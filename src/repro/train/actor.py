@@ -28,7 +28,6 @@ from typing import Any, Optional
 
 from repro.explore.cache import ExecutionCache
 from repro.explore.rollouts import VectorEnvironment, collect_rollouts
-from repro.ldx.verifier import verify
 
 from .checkpoint import TrainSpec, serialize_buffer
 
@@ -89,7 +88,7 @@ def collect_chunk(
     )
     records: list[dict[str, Any]] = []
     for buffer, session in zip(rollout.buffers, rollout.sessions):
-        compliant = bool(verify(session.to_tree(), context.agent.query))
+        compliant = context.agent.matcher.verify(session.root)
         records.append(
             {
                 "buffer": serialize_buffer(buffer),

@@ -1,15 +1,5 @@
-"""Tregex-like substrate: ordered labelled trees and structural pattern matching."""
+"""Tregex-like substrate: ordered labelled trees and their structural relations."""
 
-from .matcher import (
-    ArityConstraint,
-    NodePattern,
-    StructuralConstraint,
-    TreePattern,
-    all_assignments,
-    find_assignments,
-    has_assignment,
-    node_candidates,
-)
 from .relations import (
     ANCESTOR,
     CHILD,
@@ -25,23 +15,15 @@ from .tree import TreeNode, build_tree, parent_child_pairs
 
 __all__ = [
     "ANCESTOR",
-    "ArityConstraint",
     "CHILD",
     "DESCENDANT",
     "FOLLOWING_SIBLING",
-    "NodePattern",
     "PARENT",
     "RELATIONS",
     "Relation",
     "SIBLING",
-    "StructuralConstraint",
     "TreeNode",
-    "TreePattern",
-    "all_assignments",
     "build_tree",
-    "find_assignments",
     "get_relation",
-    "has_assignment",
-    "node_candidates",
     "parent_child_pairs",
 ]

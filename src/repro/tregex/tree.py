@@ -1,7 +1,7 @@
 """Ordered, labelled trees.
 
-This is the tree model shared by the Tregex-style matcher
-(:mod:`repro.tregex.matcher`) and the exploration sessions
+This is the tree model shared by the LDX matcher
+(:mod:`repro.ldx.verifier`) and the exploration sessions
 (:mod:`repro.explore.session`).  Nodes carry an opaque *label* (for
 exploration trees this is a query operation) and keep their children in
 insertion order, which encodes the execution order of the session via

@@ -198,8 +198,10 @@ class TestSharedExplorationContext:
         assert shared.action_space(netflix_table, query) is not shared.action_space(
             other, query
         )
-        assert shared.lookahead_cache(query, 256) is shared.lookahead_cache(query, 256)
-        assert shared.lookahead_cache(query, 256) is not shared.lookahead_cache(query, 64)
+        assert shared.matcher(query) is shared.matcher(parse_ldx(LDX))
+        assert shared.matcher(query) is not shared.matcher(
+            parse_ldx("ROOT CHILDREN <A1>\nA1 LIKE [F,.*]")
+        )
         assert shared.describe()["action_spaces"] == 2
         # Specifications extend the space they are given: one pool each.
         other_query = parse_ldx("ROOT CHILDREN <A1>\nA1 LIKE [F,.*]")

@@ -73,10 +73,10 @@ class TestEndOfSessionReward:
 class TestComplianceStrategy:
     def test_strategy_summary(self, small_table, comparison_query, compliant_session):
         strategy = ComplianceRewardStrategy(comparison_query, episode_length=6)
-        summary = strategy.compliance_summary(compliant_session)
-        assert summary["full"] is True
-        assert summary["structural"] is True
-        assert summary["operational_ratio"] == 1.0
+        tree = compliant_session.to_tree()
+        assert strategy.matcher.verify(tree) is True
+        assert strategy.matcher.verify_structure(tree) is True
+        assert strategy.matcher.operational_match_ratio(tree) == 1.0
 
     def test_episode_end_reward_sign(self, comparison_query, compliant_session, noncompliant_session):
         strategy = ComplianceRewardStrategy(comparison_query, episode_length=6)

@@ -1,7 +1,7 @@
 """Tests for the engine-wide exploration context.
 
 Every request of a :class:`LinxEngine` draws its action space, generic-reward
-scorer, look-ahead cache and decision memo from one
+scorer, LDX matcher and decision memo from one
 :class:`SharedExplorationContext`.  The load-bearing property: pooling is
 pure, so whatever ran before — other specifications, other datasets, a
 wholesale clear at the entry budget — a request's result equals a fresh
@@ -20,6 +20,7 @@ from repro.cdrl.context import SharedExplorationContext
 from repro.datasets import load_dataset
 from repro.engine import ExploreRequest, LinxEngine
 from repro.ldx.parser import parse_ldx
+from repro.tregex import build_tree
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
 
@@ -89,11 +90,11 @@ class TestOneContextPerEngine:
         from_query = LinxCdrlAgent(table, parse_ldx(LDX), config=config, shared=shared)
         assert from_text.action_space is from_query.action_space
         assert from_text._generic_reward is from_query._generic_reward
-        assert from_text._lookahead_cache is from_query._lookahead_cache
+        assert from_text.matcher is from_query.matcher
         assert from_text.policy._decision_memo is from_query.policy._decision_memo
         counts = shared.describe()
         assert counts["action_spaces"] == counts["decision_memos"] == 1
-        assert counts["lookahead_caches"] == counts["scorers"] == 1
+        assert counts["matchers"] == counts["scorers"] == 1
 
     def test_environments_share_the_pooled_feature_memo(self):
         """Every environment of every agent on one dataset, batched rollout
@@ -169,21 +170,49 @@ class TestEntryBudget:
         shared = SharedExplorationContext()
         query = parse_ldx(LDX)
         table = load_dataset("netflix", num_rows=60)
-        held = shared.lookahead_cache(query, 8)
-        held["a"] = True
-        held["b"] = False
-        assert shared.describe()["entries"] == 3  # the pool and two keys
+        held = shared.matcher(query)
+        assert held.verify_structure(build_tree(("ROOT", [("G", "a", "count", "b")])))
+        assert not held.verify_structure(build_tree(("ROOT", [])))
+        assert shared.describe()["entries"] == 3  # the pool and two tree shapes
         other = shared.decision_memo(query, table, True)
         assert shared.describe()["entries"] == 4
         # The budget is full: the next new key clears everything first.
         other["c"] = np.zeros(1)
-        assert held == {} and list(other) == ["c"]
+        assert held._shapes == {} and list(other) == ["c"]
         described = shared.describe()
         assert described["clears"] == 1
         assert described["entries"] == 1
-        assert described["lookahead_caches"] == described["decision_memos"] == 0
+        assert described["matchers"] == described["decision_memos"] == 0
         # A fresh pool after the clear is a new object; the old one stays
         # usable for the request still holding it.
-        assert shared.lookahead_cache(query, 8) is not held
-        held["a"] = True
+        assert shared.matcher(query) is not held
+        assert held.verify(build_tree(("ROOT", [("G", "a", "count", "b")])))
         assert _live_entries(shared) <= shared.describe()["entries"]
+
+    def test_matcher_shapes_are_charged_and_a_mid_run_clear_stays_pure(self, monkeypatch):
+        """The pooled matcher's shape entries count against the budget, and a
+        request during which the budget clears equals a fresh engine's."""
+        config = CdrlConfig(episodes=6)
+        first = _playstore_requests([1], seed=3)[0]
+        second = _playstore_requests([1], seed=4)[0]
+        expected = _fresh_result(second, config)
+        engine = LinxEngine(cdrl_config=config)
+        shared = engine.exploration_context
+        try:
+            engine.explore(first)
+            query = parse_ldx(first.ldx_text)
+            matcher = shared.matcher(query)
+            assert matcher._shapes
+            assert any(memo is matcher._shapes for memo in shared._memos.values())
+            entries = shared.describe()["entries"]
+            # A tree shape no session of the request built: one more entry.
+            matcher.verify(build_tree(("ROOT", [("F",)] * 9)))
+            assert shared.describe()["entries"] == entries + 1
+            # The budget is now full: the second request clears it mid-run.
+            monkeypatch.setattr(context_module, "MAX_POOLED_ENTRIES", entries + 1)
+            served = engine.explore(second)
+        finally:
+            engine.close()
+        assert shared.describe()["clears"] >= 1
+        assert shared.matcher(query) is not matcher
+        assert served == expected

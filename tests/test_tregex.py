@@ -1,4 +1,4 @@
-"""Tests for the tree substrate and the Tregex-style matcher."""
+"""Tests for the tree substrate, its relations and structural matching on it."""
 
 from __future__ import annotations
 
@@ -6,17 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.tregex import (
-    TreeNode,
-    TreePattern,
-    all_assignments,
-    build_tree,
-    find_assignments,
-    get_relation,
-    has_assignment,
-    node_candidates,
-    parent_child_pairs,
-)
+from repro.ldx import LdxMatcher, parse_ldx
+from repro.tregex import TreeNode, build_tree, get_relation, parent_child_pairs
 
 
 @pytest.fixture
@@ -92,63 +83,47 @@ class TestRelations:
 
 
 class TestMatcher:
+    """Structural LDX matching on plain labelled trees (labels are ignored,
+    except that a ROOT-kind label, here the root's ``"root"``, binds only
+    the root specification)."""
+
+    @staticmethod
+    def _bound(tree, ldx, name):
+        assignments = LdxMatcher(parse_ldx(ldx)).structural_assignments(tree)
+        return [assignment.nodes[name].label for assignment in assignments]
+
     def test_simple_child_pattern(self, sample_tree):
-        pattern = TreePattern()
-        pattern.add_node("R", lambda label: label == "root")
-        pattern.add_node("X", lambda label: label == "a")
-        pattern.add_constraint("R", "children", "X")
-        assert has_assignment(sample_tree, pattern)
+        assert self._bound(sample_tree, "ROOT CHILDREN {X}\nX CHILDREN {+}", "X") == [
+            "a",
+            "b",
+        ]
 
     def test_descendant_pattern(self, sample_tree):
-        pattern = TreePattern()
-        pattern.add_node("R", lambda label: label == "root")
-        pattern.add_node("X", lambda label: label == "e")
-        pattern.add_constraint("R", "descendants", "X")
-        assert has_assignment(sample_tree, pattern)
+        assert "e" in self._bound(sample_tree, "ROOT DESCENDANTS {X}\nX", "X")
 
     def test_unsatisfiable_pattern(self, sample_tree):
-        pattern = TreePattern()
-        pattern.add_node("X", lambda label: label == "zzz")
-        assert not has_assignment(sample_tree, pattern)
+        matcher = LdxMatcher(parse_ldx("ROOT CHILDREN {X,Y,Z}\nX\nY\nZ"))
+        assert not matcher.verify_structure(sample_tree)
 
     def test_all_assignments_count(self, sample_tree):
-        pattern = TreePattern()
-        pattern.add_node("R", lambda label: label == "root")
-        pattern.add_node("X")  # any node except those already used
-        pattern.add_constraint("R", "children", "X")
-        assignments = all_assignments(sample_tree, pattern, initial={"R": sample_tree})
-        assert len(assignments) == 2  # a and b
+        assert len(self._bound(sample_tree, "ROOT CHILDREN {X}\nX", "X")) == 2  # a and b
 
     def test_distinct_nodes_constraint(self, sample_tree):
-        pattern = TreePattern()
-        pattern.add_node("X", lambda label: label == "a")
-        pattern.add_node("Y", lambda label: label == "a")
-        assert not has_assignment(sample_tree, pattern)
+        # Only ``a`` has two children, and X, Y must bind distinct nodes.
+        ldx = "ROOT DESCENDANTS {X,Y}\nX CHILDREN {+,+}\nY CHILDREN {+,+}"
+        assert not LdxMatcher(parse_ldx(ldx)).verify_structure(sample_tree)
 
     def test_arity_constraint(self, sample_tree):
-        pattern = TreePattern()
-        pattern.add_node("X")
-        pattern.add_arity("X", 2)
-        candidates = node_candidates(sample_tree, pattern, "X", {})
-        assert {node.label for node in candidates} == {"root", "a"}
+        assert self._bound(sample_tree, "ROOT DESCENDANTS {X}\nX CHILDREN {+,+}", "X") == ["a"]
 
     def test_initial_assignment_respected(self, sample_tree):
-        pattern = TreePattern()
-        pattern.add_node("R")
-        pattern.add_node("X")
-        pattern.add_constraint("R", "children", "X")
+        # Matching from ``b`` binds the root specification to ``b``.
         b = sample_tree.children[1]
-        assignments = list(find_assignments(sample_tree, pattern, initial={"R": b}))
-        assert len(assignments) == 1
-        assert assignments[0]["X"].label == "e"
+        assert self._bound(b, "ROOT CHILDREN {X}\nX", "X") == ["e"]
 
     def test_inconsistent_initial_assignment(self, sample_tree):
-        pattern = TreePattern()
-        pattern.add_node("R")
-        pattern.add_node("X")
-        pattern.add_constraint("R", "children", "X")
         c = sample_tree.children[0].children[0]
-        assert not has_assignment(sample_tree, pattern, initial={"R": c, "X": sample_tree})
+        assert not LdxMatcher(parse_ldx("ROOT CHILDREN {X}\nX")).verify_structure(c)
 
 
 @given(st.integers(min_value=1, max_value=8))
