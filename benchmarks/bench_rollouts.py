@@ -34,22 +34,23 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 from conftest import print_table, scale
 
+# The one-at-a-time collector is the tests' oracle, not a library path.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from rollout_oracle import collect_sequential_rollouts  # noqa: E402
+
 from repro.cdrl.spec_network import build_basic_policy
 from repro.datasets import load_dataset
 from repro.explore.action_space import ActionSpace
 from repro.explore.cache import ExecutionCache
 from repro.explore.environment import ExplorationEnvironment
-from repro.explore.rollouts import (
-    VectorEnvironment,
-    collect_rollouts,
-    collect_sequential_rollouts,
-)
+from repro.explore.rollouts import VectorEnvironment, collect_rollouts
 
 #: Minimum batched/sequential steps-per-second ratio (acceptance criterion).
 #: Wall-clock ratios are load-sensitive, so noisy shared runners may lower

@@ -1,17 +1,15 @@
-"""Training-fleet walkthrough: train → checkpoint → publish → serve by name.
+"""Training walkthrough: train → checkpoint → publish → serve by name.
 
-The distributed training tier splits the CDRL loop into a *learner* (owns
-the policy, optimizer and gradient batching) and a fleet of *actor*
-processes (rebuild the environment from a primitive spec and collect
-rollout waves).  Because wave episodes draw from per-episode RNG streams
-and always use the wave-start weights, a W-actor fleet trains
-bit-identically to the single-process trainer with `num_envs=W*K` — the
-fleet changes wall-clock, never results.
+A `TrainingRun` trains a CDRL policy in one process, collecting episodes
+in lock-step waves of `num_envs` and checkpointing at every wave boundary.
+Wave episodes draw from per-episode RNG streams and use the wave-start
+weights, so a run stopped at a checkpoint and resumed ends with exactly
+the weights of an uninterrupted one.
 
 This script:
 
-1. trains a policy on the Flights dataset with a 2-actor process fleet,
-   checkpointing every wave (kill it mid-run and re-run: it resumes),
+1. trains a policy on the Flights dataset in waves of 2, stops half-way
+   (as if killed) and resumes from the checkpoint file,
 2. publishes the trained policy into a sqlite `PolicyRegistry`,
 3. boots the HTTP serving tier pointed at that registry and submits an
    `ExploreRequest` that names the policy as its session generator —
@@ -19,7 +17,7 @@ This script:
 
 Run with::
 
-    python examples/train_fleet.py
+    PYTHONPATH=src python examples/train_and_serve.py
 """
 
 import http.client
@@ -31,7 +29,7 @@ from pathlib import Path
 from repro.cdrl import CdrlConfig
 from repro.engine import ExploreRequest, LinxEngine, RequestScheduler
 from repro.engine.server import ServerThread
-from repro.train import FleetLearner, PolicyRegistry, TrainSpec
+from repro.train import PolicyRegistry, TrainingRun, TrainSpec
 
 WEATHER_DELAY_LDX = """
 ROOT CHILDREN <A1,A2>
@@ -58,48 +56,41 @@ def call(port: int, method: str, path: str, body: dict | None = None) -> tuple[i
 
 
 def main() -> None:
-    with tempfile.TemporaryDirectory(prefix="linx-train-fleet-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="linx-train-") as tmp:
         checkpoint_path = Path(tmp) / "weather.ckpt"
         registry_path = Path(tmp) / "policies.sqlite"
 
-        # -- 1. train with an actor fleet -----------------------------------
+        # -- 1. train, stop half-way, resume from the checkpoint -------------
         spec = TrainSpec(
             dataset="flights",
             ldx_text=WEATHER_DELAY_LDX,
             num_rows=300,
-            config=CdrlConfig(episodes=24, episode_length=5, seed=0),
+            config=CdrlConfig(episodes=24, episode_length=5, seed=0, num_envs=2),
         )
-        print("training with a 2-actor process fleet ...")
         started = time.perf_counter()
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="process",
-            checkpoint_path=checkpoint_path,
-        ) as learner:
-            result = learner.train(
-                callback=lambda episode, episode_return, _s: print(
-                    f"  episode {episode + 1:>2}: return {episode_return:7.3f}"
-                )
-                if (episode + 1) % 8 == 0
-                else None
+        stopped = TrainingRun(spec, checkpoint_path=checkpoint_path).collect_until(12)
+        print(f"stopped at episode {stopped}; resuming from {checkpoint_path.name} ...")
+        run = TrainingRun.from_checkpoint(checkpoint_path)
+        result = run.train(
+            callback=lambda episode, episode_return, _s: print(
+                f"  episode {episode + 1:>2}: return {episode_return:7.3f}"
             )
-            print(
-                f"trained {result.episodes_trained} episodes in "
-                f"{time.perf_counter() - started:.1f}s; best session "
-                f"compliant={result.fully_compliant}, "
-                f"utility={result.utility_score:.4f}"
-            )
+            if (episode + 1) % 8 == 0
+            else None
+        )
+        print(
+            f"trained {result.episodes_trained} episodes in "
+            f"{time.perf_counter() - started:.1f}s; best session "
+            f"compliant={result.fully_compliant}, "
+            f"utility={result.utility_score:.4f}"
+        )
 
-            # -- 2. publish the artifact ------------------------------------
-            with PolicyRegistry(registry_path) as registry:
-                version = learner.publish(
-                    registry,
-                    "weather-delays",
-                    metrics={"utility": result.utility_score},
-                )
-            print(f"published cdrl:weather-delays-v{version} -> {registry_path.name}")
+        # -- 2. publish the artifact ----------------------------------------
+        with PolicyRegistry(registry_path) as registry:
+            version = run.publish(
+                registry, "weather-delays", metrics={"utility": result.utility_score}
+            )
+        print(f"published cdrl:weather-delays-v{version} -> {registry_path.name}")
 
         # -- 3. serve the registered policy over HTTP -----------------------
         engine = LinxEngine(policy_registry_path=registry_path)

@@ -53,14 +53,11 @@ class CdrlConfig:
     mask_invalid_actions: bool = True
     #: Memoise query execution across episodes via a shared ExecutionCache.
     cache_execution: bool = True
-    #: Environments rolled out in lock-step per training wave.  Values > 1
-    #: batch the policy forward and share one execution cache across the
-    #: wave, with per-episode RNG streams derived from
-    #: ``(seed, episode_index)``.  Training is deterministic for a given
-    #: ``(seed, num_envs)`` pair, but changing ``num_envs`` changes how
-    #: sampling interleaves with gradient updates, so results differ from
-    #: the single-environment run (which samples from the policy's own
-    #: stream, as before this knob existed).
+    #: Episodes rolled out in lock-step per training wave, over one shared
+    #: execution cache, each sampling from ``env_rng(seed, episode_index)``.
+    #: Changing it changes how sampling interleaves with gradient updates,
+    #: so results depend on ``(seed, num_envs)``; ``run()`` at 1 samples
+    #: sequentially from the policy's own stream.
     num_envs: int = 1
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     compliance: ComplianceRewardConfig = field(default_factory=ComplianceRewardConfig)
@@ -312,23 +309,29 @@ class LinxCdrlAgent:
             Callable[[int, float, ExplorationSession], None]
         ] = None,
     ) -> CdrlResult:
-        """Train the agent and return the best session found.
+        """Train the agent and return the best session found (see :meth:`result`).
 
-        Preference order: the highest-utility fully compliant session seen
-        during training; otherwise the best session produced after training.
         ``episode_callback`` (episode index, episode return, session) is
         invoked after every training episode — the engine uses it to stream
         per-episode progress events to observers.
         """
+        per_episode = self.episode_hook(episode_callback)
+        if self.batcher is not None:
+            return self._run_batched(episodes, per_episode)
+        return self._run(episodes, per_episode)
+
+    def episode_hook(
+        self, episode_callback: Optional[Callable[[int, float, ExplorationSession], None]]
+    ) -> Callable[[int, float, ExplorationSession], None]:
+        """The per-episode trainer callback: best-compliant tracking, then
+        *episode_callback*."""
 
         def per_episode(episode: int, episode_return: float, session: ExplorationSession) -> None:
             self._track_best(episode, episode_return, session)
             if episode_callback is not None:
                 episode_callback(episode, episode_return, session)
 
-        if self.batcher is not None:
-            return self._run_batched(episodes, per_episode)
-        return self._run(episodes, per_episode)
+        return per_episode
 
     def _run_batched(self, episodes, per_episode) -> CdrlResult:
         """Run with acting forwards routed through the shared wave thread.
@@ -357,7 +360,14 @@ class LinxCdrlAgent:
             batcher.detach(member)
 
     def _run(self, episodes, per_episode) -> CdrlResult:
-        history = self.trainer.train(episodes=episodes, callback=per_episode)
+        return self.result(self.trainer.train(episodes=episodes, callback=per_episode))
+
+    def result(self, history: TrainingHistory) -> CdrlResult:
+        """The run's outcome once training has finished with *history*.
+
+        Preference order: the highest-utility fully compliant session seen
+        during training; otherwise the best session produced after training.
+        """
         if self._best_compliant is not None:
             session, utility = self._best_compliant
         else:

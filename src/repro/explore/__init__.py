@@ -42,7 +42,6 @@ from .rollouts import (
     VectorEnvironment,
     VectorStepResult,
     collect_rollouts,
-    collect_sequential_rollouts,
     env_rng,
 )
 from .session import ExplorationSession, SessionNode, session_from_operations
@@ -79,7 +78,6 @@ __all__ = [
     "choice_from_index_map",
     "choice_from_indices",
     "collect_rollouts",
-    "collect_sequential_rollouts",
     "conciseness",
     "env_rng",
     "filter_interestingness",

@@ -20,11 +20,15 @@ that
 Determinism is a hard requirement, not an aspiration: episode *i* samples
 from its own RNG stream derived from ``(seed, i)`` (:func:`env_rng`), and
 the policy's batched kernels are row-bit-identical to the single-observation
-ones, so :func:`collect_rollouts` over K environments reproduces
-:func:`collect_sequential_rollouts` — the one-at-a-time reference — bit for
-bit at equal seeds.  Sharing caches never changes results (only how often
-queries re-execute), so the equivalence holds with any cache layering,
-including the disk tier of :mod:`repro.explore.diskcache`.
+ones, so :func:`collect_rollouts` over K environments reproduces K
+one-at-a-time episodes bit for bit at equal seeds (the sequential oracle
+lives in ``tests/rollout_oracle.py``).  Sharing caches never changes results
+(only how often queries re-execute), so the equivalence holds with any
+cache layering, including the disk tier of :mod:`repro.explore.diskcache`.
+
+:func:`collect_rollouts` is the one collector in the library: the trainer's
+wave loop (:meth:`repro.rl.trainer.PolicyGradientTrainer.collect_waves`)
+and the policy registry's evaluation sweep (waves of one) both call it.
 """
 
 from __future__ import annotations
@@ -172,15 +176,6 @@ class VectorEnvironment:
     def num_envs(self) -> int:
         return len(self.environments)
 
-    @property
-    def episode_length(self) -> int:
-        return self.environments[0].episode_length
-
-    @property
-    def cache(self) -> Optional[ExecutionCache]:
-        """The execution cache shared by the environments (if any)."""
-        return self.environments[0].cache
-
     def cache_stats(self) -> Optional[dict[str, Any]]:
         return self.environments[0].cache_stats()
 
@@ -195,10 +190,6 @@ class VectorEnvironment:
         """
         active = self.environments[: count if count is not None else self.num_envs]
         return np.stack([env.reset() for env in active])
-
-    def observe(self, count: int | None = None) -> np.ndarray:
-        active = self.environments[: count if count is not None else self.num_envs]
-        return np.stack([env.observe() for env in active])
 
     def head_masks(self, count: int | None = None) -> dict[str, np.ndarray]:
         """Per-head validity masks stacked across environments: ``(K, size)``.
@@ -245,23 +236,8 @@ class RolloutBatch:
     buffers: list[EpisodeBuffer] = field(default_factory=list)
     sessions: list = field(default_factory=list)
 
-    def total_rewards(self) -> list[float]:
-        return [buffer.total_reward() for buffer in self.buffers]
-
     def total_steps(self) -> int:
         return sum(len(buffer) for buffer in self.buffers)
-
-    def operation_signatures(self) -> list[list[tuple]]:
-        """Per-episode operation signatures, in episode order.
-
-        Signatures are primitive tuples (the same declarative form
-        ``ExploreResult`` persists), so actor processes can ship what each
-        episode *did* back to the learner without pickling session objects.
-        """
-        return [
-            [operation.signature() for operation in session.operations]
-            for session in self.sessions
-        ]
 
 
 _SENTINEL = object()
@@ -328,8 +304,8 @@ def collect_rollouts(
     Episode ``episode_base + k`` (environment *k*) samples from
     :func:`env_rng(seed, episode_base + k) <env_rng>`; every step runs one
     batched policy forward over the stacked ``(K, F)`` observations.  The
-    result is bit-identical to :func:`collect_sequential_rollouts` with the
-    same arguments.
+    result is bit-identical to running the same episodes one at a time
+    with the same streams.
 
     ``num_episodes`` (≤ ``vector_env.num_envs``) restricts collection to the
     first *n* environments — the trainer uses it for a final partial wave.
@@ -357,41 +333,3 @@ def collect_rollouts(
         observations = outcome.observations
         done = bool(outcome.dones.all())
     return RolloutBatch(buffers=buffers, sessions=vector_env.sessions(count))
-
-
-def collect_sequential_rollouts(
-    environments: Sequence[ExplorationEnvironment],
-    policy: CategoricalPolicy,
-    *,
-    seed: int = 0,
-    episode_base: int = 0,
-    greedy: bool = False,
-    decision_to_choice: DecisionToChoice | None = None,
-    reward_scale: float = 1.0,
-) -> RolloutBatch:
-    """One-environment-at-a-time rollouts under the batched seeding scheme.
-
-    This is the sequential reference (and benchmark baseline) for
-    :func:`collect_rollouts`: environment *k* runs a full episode with the
-    stream ``env_rng(seed, episode_base + k)`` before environment *k+1*
-    starts.  With equal seeds the batched collector reproduces these
-    buffers bit for bit.
-    """
-    to_choice = decision_to_choice or choice_from_index_map
-    buffers: list[EpisodeBuffer] = []
-    sessions = []
-    for k, environment in enumerate(environments):
-        rng = env_rng(seed, episode_base + k)
-        buffer = EpisodeBuffer()
-        with _policy_bound_to(policy, environment):
-            observation = environment.reset()
-            done = False
-            while not done:
-                decision = policy.act(observation, greedy=greedy, rng=rng)
-                result = environment.step(to_choice(decision.indices))
-                buffer.add(decision, result.reward * reward_scale, result.done)
-                observation = result.observation
-                done = result.done
-        buffers.append(buffer)
-        sessions.append(environment.session)
-    return RolloutBatch(buffers=buffers, sessions=sessions)

@@ -6,19 +6,20 @@ training loop both the goal-agnostic ATENA baseline and the LINX CDRL agent
 use; LINX differs only in its environment reward and its specification-aware
 policy (snippet head + logit biasing).
 
-Rollout collection has two modes.  The default steps one environment per
-episode (the historical path).  When the trainer is given a
-:class:`~repro.explore.rollouts.VectorEnvironment` (and ``num_envs > 1`` in
-the config), episodes are collected in lock-step *waves* of K environments
-sharing one execution cache — one batched policy forward per step instead of
-K — via :func:`repro.explore.rollouts.collect_rollouts`.  Wave episodes
-sample from per-episode RNG streams derived from ``(seed, episode_index)``,
-so a training run is reproducible for a given ``(seed, num_envs)``
-configuration.  Different ``num_envs`` values are *not* interchangeable:
-every episode of a wave is collected with the wave's starting weights, so
-changing K changes how sampling interleaves with gradient updates (the
-rollout-level bit-identity guarantee belongs to ``collect_rollouts`` vs
-``collect_sequential_rollouts``, not to the trainer's two modes).
+Rollout collection has two modes.  At ``num_envs=1`` :meth:`train` steps
+one environment per episode, sampling from the policy's own stream (the
+served path).  Otherwise episodes are collected in lock-step *waves* by
+:meth:`PolicyGradientTrainer.collect_waves` — the only wave loop — via
+:func:`repro.explore.rollouts.collect_rollouts`: K environments share one
+execution cache and one batched policy forward per step.  Wave episodes
+sample from per-episode streams derived from ``(seed, episode_index)``, so
+a wave run is reproducible for a given ``(seed, num_envs)`` and can stop at
+any wave boundary and continue later to the same weights;
+:class:`repro.train.run.TrainingRun` checkpoints there, collecting waves of
+one at ``num_envs=1``.  Different ``num_envs`` values are *not*
+interchangeable: every episode of a wave is collected with the wave's
+starting weights, so changing K changes how sampling interleaves with
+gradient updates.
 """
 
 from __future__ import annotations
@@ -216,10 +217,9 @@ class PolicyGradientTrainer:
         self.history = TrainingHistory()
         self._elite: list[EpisodeBuffer] = []
         #: Episodes collected since the last gradient update.  Held on the
-        #: trainer (not local to :meth:`train`) so external drivers — the
-        #: actor/learner fleet — can feed episodes through
-        #: :meth:`record_episode` and checkpoints can persist a mid-batch
-        #: position exactly.
+        #: trainer (not local to :meth:`train`) so a run can stop between
+        #: :meth:`collect_waves` calls and checkpoints can persist a
+        #: mid-batch position exactly.
         self._batch: list[EpisodeBuffer] = []
 
     # -- rollout -------------------------------------------------------------------------
@@ -245,51 +245,68 @@ class PolicyGradientTrainer:
     ) -> TrainingHistory:
         """Train for *episodes* (default from the config) and return the history.
 
-        With ``config.num_envs > 1`` (and a vector environment) episodes are
-        collected in lock-step waves of up to ``num_envs`` environments over
-        one shared execution cache; per-episode bookkeeping — history,
-        gradient batches, elite tracking, callbacks, periodic greedy
-        evaluations — is identical in both modes.
+        With ``config.num_envs > 1`` episodes are collected by
+        :meth:`collect_waves`; per-episode bookkeeping — history, gradient
+        batches, elite tracking, callbacks, periodic greedy evaluations — is
+        :meth:`record_episode` in both modes.
         """
         total_episodes = episodes if episodes is not None else self.config.episodes
-        num_envs = self.config.num_envs
-        if num_envs > 1 and self.vector_environment is not None:
-            from repro.explore.rollouts import collect_rollouts
-
-            episode = 0
-            while episode < total_episodes:
-                wave = min(num_envs, total_episodes - episode)
-                rollout = collect_rollouts(
-                    self.vector_environment,
-                    self.policy,
-                    seed=self.config.seed,
-                    episode_base=episode,
-                    num_episodes=wave,
-                    decision_to_choice=self.decision_to_choice,
-                    reward_scale=self.config.reward_scale,
-                )
-                for buffer, session in zip(rollout.buffers, rollout.sessions):
-                    self.record_episode(episode, buffer, session, callback=callback)
-                    episode += 1
+        if self.config.num_envs > 1:
+            self.collect_waves(0, total_episodes, total_episodes, callback=callback)
         else:
             for episode in range(total_episodes):
                 buffer, session = self.run_episode(greedy=False)
                 self.record_episode(episode, buffer, session, callback=callback)
         return self.finish_training()
 
+    def collect_waves(
+        self,
+        start: int,
+        stop: int,
+        total: int,
+        callback: Optional[Callable[[int, float, ExplorationSession], None]] = None,
+    ) -> int:
+        """Collect and record waves from episode *start* to the first wave
+        boundary at or past *stop*; returns the episode reached.
+
+        Wave sizes follow the schedule of an uninterrupted *total*-episode
+        run (``min(num_envs, total - episode)``), so stopping at a wave
+        boundary and continuing later collects exactly the same waves.
+        Without a vector environment (``num_envs=1``) each wave is one
+        episode over the primary environment.
+        """
+        from repro.explore.rollouts import VectorEnvironment, collect_rollouts
+
+        vector_environment = self.vector_environment or VectorEnvironment(
+            [self.environment]
+        )
+        episode = start
+        while episode < min(stop, total):
+            rollout = collect_rollouts(
+                vector_environment,
+                self.policy,
+                seed=self.config.seed,
+                episode_base=episode,
+                num_episodes=min(self.config.num_envs, total - episode),
+                decision_to_choice=self.decision_to_choice,
+                reward_scale=self.config.reward_scale,
+            )
+            for buffer, session in zip(rollout.buffers, rollout.sessions):
+                self.record_episode(episode, buffer, session, callback=callback)
+                episode += 1
+        return episode
+
     def record_episode(
         self,
         episode: int,
         buffer: EpisodeBuffer,
-        session: Optional[ExplorationSession],
+        session: ExplorationSession,
         callback: Optional[Callable[[int, float, ExplorationSession], None]] = None,
     ) -> None:
         """Account one collected episode: history, batching, elites, greedy evals.
 
-        This is the per-episode half of :meth:`train`, exposed so external
-        collectors (the actor/learner fleet in :mod:`repro.train`) can drive
-        the exact same bookkeeping with episodes they gathered elsewhere.
-        Gradient updates fire whenever the pending batch reaches
+        Both collection modes feed every episode through here.  Gradient
+        updates fire whenever the pending batch reaches
         ``config.batch_episodes``.
         """
         self.history.episode_returns.append(buffer.total_reward())

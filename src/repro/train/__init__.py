@@ -1,18 +1,16 @@
-"""Distributed training tier: actor/learner fleet, checkpoints, policy registry.
+"""Training tier: checkpointed runs, exact resume, policy registry.
 
-The training loop of :mod:`repro.cdrl` runs one process.  This package turns
-it into an operable fleet:
+The training loop of :mod:`repro.cdrl` runs in one process.  This package
+makes it operable:
 
+* :mod:`repro.train.run` — :class:`TrainingRun`, which collects episodes
+  with the trainer's wave loop in waves of ``config.num_envs`` and
+  checkpoints at wave boundaries, so a killed run resumes to the weights
+  of an uninterrupted one; and the ``assert_same_training`` gate that
+  names the first divergent episode or parameter.
 * :mod:`repro.train.checkpoint` — schema-versioned, bit-identical training
   checkpoints (network weights, optimizer moments, pending gradient batch,
-  elite replay set and history), so resume-at-episode-k equals an
-  uninterrupted run exactly.
-* :mod:`repro.train.actor` — actor processes that collect rollout waves over
-  the shared disk execution cache, rebuilt declaratively from a primitive
-  spec like ``explore_many(workers="process")`` workers are.
-* :mod:`repro.train.learner` — the synchronous learner that aggregates actor
-  waves into the trainer's gradient batches, keeping W actors × K envs
-  bit-identical to single-process ``num_envs=W*K`` training.
+  elite replay set and history).
 * :mod:`repro.train.registry` — a sqlite-backed :class:`PolicyRegistry` of
   named, versioned policy artifacts that self-registers session-generator
   factories (``cdrl:<name>-v<N>``) into the serving tier's stage registry.
@@ -26,14 +24,15 @@ from .checkpoint import (
     TrainingCheckpoint,
     TrainSpec,
 )
-from .learner import FleetLearner
 from .registry import PolicyRegistry, RegisteredPolicySessionGenerator
+from .run import TrainingRun, assert_same_training
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
-    "FleetLearner",
     "PolicyRegistry",
     "RegisteredPolicySessionGenerator",
     "TrainSpec",
     "TrainingCheckpoint",
+    "TrainingRun",
+    "assert_same_training",
 ]

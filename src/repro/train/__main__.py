@@ -1,15 +1,15 @@
-"""Command-line front-end for the distributed training tier.
+"""Command-line front-end for the training tier.
 
 Four subcommands cover the train → resume → publish → serve lifecycle::
 
-    # Train a policy with a 2-actor fleet and publish it as "flights-delay".
+    # Train a policy in waves of 4 episodes and publish it as "flights-delay".
     python -m repro.train train --dataset flights --rows 300 \
-        --ldx-file spec.ldx --episodes 60 --actors 2 --envs-per-actor 2 \
+        --ldx-file spec.ldx --episodes 60 --envs 4 \
         --checkpoint /tmp/linx/run.ckpt \
         --registry /tmp/linx/policies.sqlite --name flights-delay
 
-    # Continue an interrupted run (any fleet shape resumes any checkpoint).
-    python -m repro.train resume /tmp/linx/run.ckpt --actors 4
+    # Continue an interrupted run (the wave size comes from the checkpoint).
+    python -m repro.train resume /tmp/linx/run.ckpt
 
     # Inspect and manage the registry.
     python -m repro.train list --registry /tmp/linx/policies.sqlite
@@ -31,32 +31,11 @@ from typing import Optional
 from repro.cdrl.agent import CdrlConfig
 
 from .checkpoint import TrainSpec, TrainingCheckpoint
-from .learner import FleetLearner
 from .registry import PolicyRegistry
+from .run import TrainingRun
 
 
-def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--actors", type=int, default=2, help="actor worker count W (default 2)"
-    )
-    parser.add_argument(
-        "--envs-per-actor",
-        type=int,
-        default=1,
-        help="lock-step environments per actor K; the wave size is W*K",
-    )
-    parser.add_argument(
-        "--workers",
-        choices=("process", "inline"),
-        default="process",
-        help="'process' runs actors in worker processes; 'inline' runs "
-             "them sequentially in this process (same numbers, no parallelism)",
-    )
-    parser.add_argument(
-        "--disk-cache",
-        default=None,
-        help="sqlite execution-cache path shared by all actors",
-    )
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint-every",
         type=int,
@@ -83,9 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    train = commands.add_parser(
-        "train", help="train a new policy with an actor fleet"
-    )
+    train = commands.add_parser("train", help="train a new policy")
     train.add_argument("--dataset", default="flights", help="registered dataset name")
     train.add_argument("--rows", type=int, default=None, help="sample N rows")
     train.add_argument(
@@ -100,15 +77,21 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--episode-length", type=int, default=6)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument(
+        "--envs",
+        type=int,
+        default=1,
+        help="episodes collected per wave, in lock-step (CdrlConfig.num_envs)",
+    )
+    train.add_argument(
         "--checkpoint", default=None, help="checkpoint file path (enables resume)"
     )
-    _add_fleet_arguments(train)
+    _add_run_arguments(train)
 
     resume = commands.add_parser(
         "resume", help="continue training from a checkpoint file"
     )
     resume.add_argument("checkpoint", help="checkpoint file written by 'train'")
-    _add_fleet_arguments(resume)
+    _add_run_arguments(resume)
 
     listing = commands.add_parser("list", help="list registry policies")
     listing.add_argument("--registry", required=True)
@@ -146,41 +129,37 @@ def _ticker(quiet: bool):
     return callback
 
 
-def _run_learner(learner: FleetLearner, args: argparse.Namespace) -> int:
+def _train(run: TrainingRun, args: argparse.Namespace) -> int:
     if args.name is not None and args.registry is None:
         print("error: --name requires --registry", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    with learner:
-        result = learner.train(callback=_ticker(args.quiet))
-        elapsed = time.perf_counter() - started
-        print(
-            f"trained {result.episodes_trained} episodes in {elapsed:.1f}s "
-            f"({learner.fleet.num_actors} actors x "
-            f"{learner.fleet.envs_per_actor} envs, {learner.fleet.workers})"
-        )
-        print(
-            f"  best session: compliant={result.fully_compliant}, "
-            f"utility={result.utility_score:.4f}, "
-            f"{len(result.session.operations)} operations"
-        )
-        if learner.checkpoint_path:
-            print(f"  checkpoint: {learner.checkpoint_path}")
-        if args.name is not None:
-            with PolicyRegistry(args.registry) as registry:
-                version = learner.publish(
-                    registry,
-                    args.name,
-                    metrics={
-                        "episodes": result.episodes_trained,
-                        "utility": result.utility_score,
-                        "fully_compliant": result.fully_compliant,
-                        "train_seconds": round(elapsed, 3),
-                    },
-                )
-            print(
-                f"  published cdrl:{args.name}-v{version} to {args.registry}"
+    result = run.train(callback=_ticker(args.quiet))
+    elapsed = time.perf_counter() - started
+    print(
+        f"trained {result.episodes_trained} episodes in {elapsed:.1f}s "
+        f"(waves of {run.trainer.config.num_envs})"
+    )
+    print(
+        f"  best session: compliant={result.fully_compliant}, "
+        f"utility={result.utility_score:.4f}, "
+        f"{len(result.session.operations)} operations"
+    )
+    if run.checkpoint_path:
+        print(f"  checkpoint: {run.checkpoint_path}")
+    if args.name is not None:
+        with PolicyRegistry(args.registry) as registry:
+            version = run.publish(
+                registry,
+                args.name,
+                metrics={
+                    "episodes": result.episodes_trained,
+                    "utility": result.utility_score,
+                    "fully_compliant": result.fully_compliant,
+                    "train_seconds": round(elapsed, 3),
+                },
             )
+        print(f"  published cdrl:{args.name}-v{version} to {args.registry}")
     return 0
 
 
@@ -189,6 +168,7 @@ def _command_train(args: argparse.Namespace) -> int:
         episodes=args.episodes,
         episode_length=args.episode_length,
         seed=args.seed,
+        num_envs=args.envs,
     )
     spec = TrainSpec(
         dataset=args.dataset,
@@ -197,16 +177,12 @@ def _command_train(args: argparse.Namespace) -> int:
         dataset_seed=args.dataset_seed,
         config=config,
     )
-    learner = FleetLearner(
+    run = TrainingRun(
         spec,
-        num_actors=args.actors,
-        envs_per_actor=args.envs_per_actor,
-        workers=args.workers,
-        disk_cache_path=args.disk_cache,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
     )
-    return _run_learner(learner, args)
+    return _train(run, args)
 
 
 def _command_resume(args: argparse.Namespace) -> int:
@@ -216,15 +192,10 @@ def _command_resume(args: argparse.Namespace) -> int:
         f"/{checkpoint.total_episodes} "
         f"(dataset {checkpoint.spec['dataset']!r})"
     )
-    learner = FleetLearner.from_checkpoint(
-        args.checkpoint,
-        num_actors=args.actors,
-        envs_per_actor=args.envs_per_actor,
-        workers=args.workers,
-        disk_cache_path=args.disk_cache,
-        checkpoint_every=args.checkpoint_every,
+    run = TrainingRun.from_checkpoint(
+        args.checkpoint, checkpoint_every=args.checkpoint_every
     )
-    return _run_learner(learner, args)
+    return _train(run, args)
 
 
 def _command_list(args: argparse.Namespace) -> int:

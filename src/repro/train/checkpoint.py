@@ -77,9 +77,9 @@ class TrainSpec:
     """What to train on, declaratively: a named dataset plus LDX and config.
 
     Everything is a primitive (or reduces to primitives via
-    :meth:`to_payload`), so the same spec can rebuild identical training
-    contexts in the learner, in every actor process, and on resume — the
-    pattern ``LinxEngine.worker_spec()`` established for ``explore_many``.
+    :meth:`to_payload`), so a checkpoint or registry artifact can rebuild
+    the identical training context on resume or when served — the pattern
+    ``LinxEngine.worker_spec()`` established for ``explore_many``.
     """
 
     dataset: str
@@ -110,20 +110,9 @@ class TrainSpec:
     def load_table(self) -> DataTable:
         return load_dataset(self.dataset, num_rows=self.num_rows, seed=self.dataset_seed)
 
-    def build_agent(self, *, num_envs: Optional[int] = None, cache=None) -> LinxCdrlAgent:
-        """Construct the CDRL agent this spec describes.
-
-        ``num_envs`` overrides both the agent-level and trainer-level knobs
-        (the learner trains with 1 driving env; actors with their own K).
-        """
-        config = self.config
-        if num_envs is not None:
-            config = dataclasses.replace(
-                config,
-                num_envs=num_envs,
-                trainer=dataclasses.replace(config.trainer, num_envs=num_envs),
-            )
-        return LinxCdrlAgent(self.load_table(), self.ldx_text, config=config, cache=cache)
+    def build_agent(self) -> LinxCdrlAgent:
+        """Construct the CDRL agent this spec describes."""
+        return LinxCdrlAgent(self.load_table(), self.ldx_text, config=self.config)
 
 
 # -- episode-buffer serialization ----------------------------------------------------
@@ -196,19 +185,8 @@ class TrainingCheckpoint:
 
     # -- serialization ---------------------------------------------------------------
     def to_blob(self) -> bytes:
-        payload = {
-            "schema_version": self.schema_version,
-            "spec": self.spec,
-            "episodes_completed": self.episodes_completed,
-            "total_episodes": self.total_episodes,
-            "network_state": self.network_state,
-            "optimizer_state": self.optimizer_state,
-            "history": self.history,
-            "pending_batch": self.pending_batch,
-            "elite": self.elite,
-            "best_compliant": self.best_compliant,
-            "created_at": self.created_at,
-        }
+        payload = {"schema_version": self.schema_version}
+        payload.update((f.name, getattr(self, f.name)) for f in dataclasses.fields(self))
         return pickle.dumps(payload, protocol=4)
 
     @classmethod
@@ -220,32 +198,37 @@ class TrainingCheckpoint:
                 f"checkpoint schema version {version} is not supported "
                 f"(expected {CHECKPOINT_SCHEMA_VERSION})"
             )
-        return cls(
-            spec=payload["spec"],
-            episodes_completed=payload["episodes_completed"],
-            total_episodes=payload["total_episodes"],
-            network_state=payload["network_state"],
-            optimizer_state=payload["optimizer_state"],
-            history=payload["history"],
-            pending_batch=payload["pending_batch"],
-            elite=payload["elite"],
-            best_compliant=payload["best_compliant"],
-            created_at=payload["created_at"],
-            schema_version=version,
-        )
+        return cls(**payload)
 
     def save(self, path: str | os.PathLike) -> None:
-        """Write atomically (tmp + rename) so a crash never leaves a torn file."""
+        """Write atomically and durably: fsync a temp file, then rename it.
+
+        A crash leaves the previous checkpoint in place; a write that raises
+        also removes its temp file.
+        """
         path = os.fspath(path)
+        blob = self.to_blob()
         tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as handle:
-            handle.write(self.to_blob())
-        os.replace(tmp_path, path)
+        try:
+            with open(tmp_path, "wb") as handle:
+                handle.write(blob)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.remove(tmp_path)
+            raise
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "TrainingCheckpoint":
+        """Read a checkpoint; a truncated or corrupt file raises ``ValueError``."""
         with open(path, "rb") as handle:
-            return cls.from_blob(handle.read())
+            blob = handle.read()
+        try:
+            return cls.from_blob(blob)
+        except (pickle.UnpicklingError, EOFError, ValueError) as exc:
+            raise ValueError(f"cannot load checkpoint {os.fspath(path)}: {exc}") from exc
 
 
 def capture(

@@ -343,10 +343,9 @@ class PolicyRegistry:
 class RegisteredPolicySessionGenerator:
     """Serves a trained, registered policy as an engine session generator.
 
-    ``generate`` never trains: it rebuilds the agent from the artifact's
-    stored training spec (the policy's head structure depends on the
-    *training* LDX and dataset schema), loads the checkpointed weights, and
-    runs a small greedy-plus-sampled evaluation sweep, returning the best
+    ``generate`` never trains: it rebuilds the agent with the checkpointed
+    weights (:meth:`load_agent`) and runs a small greedy-plus-sampled
+    evaluation sweep, returning the best
     session ranked by (compliance with the *request's* LDX, utility) — the
     verification pattern :class:`~repro.engine.stages.AtenaSessionGenerator`
     established for generators whose training objective is not the request.
@@ -372,24 +371,15 @@ class RegisteredPolicySessionGenerator:
             self._record = self.registry.get(self.policy_name, self.version)
         return self._record
 
-    def generate(
-        self,
-        table,
-        ldx_text: str,
-        *,
-        episodes: Optional[int] = None,
-        seed: Optional[int] = None,
-        cache=None,
-        on_episode=None,
-    ):
-        from repro.engine.stages import SessionOutcome
-        from repro.explore.rollouts import collect_sequential_rollouts
-        from repro.ldx.parser import try_parse_ldx
-        from repro.ldx.verifier import verify, verify_structure
+    def load_agent(self, table, cache=None) -> LinxCdrlAgent:
+        """A one-environment agent over *table* holding the artifact's weights.
 
+        The agent is rebuilt from the stored training spec, because the
+        policy's head structure depends on the *training* LDX and dataset
+        schema.
+        """
         record = self._load_record()
-        checkpoint: TrainingCheckpoint = record["checkpoint"]
-        spec = TrainSpec.from_payload(checkpoint.spec)
+        spec = TrainSpec.from_payload(record["checkpoint"].spec)
         agent = LinxCdrlAgent(
             table,
             spec.ldx_text,
@@ -401,29 +391,50 @@ class RegisteredPolicySessionGenerator:
             cache=cache,
         )
         try:
-            agent.policy.network.load_state(checkpoint.network_state)
+            agent.policy.network.load_state(record["checkpoint"].network_state)
         except ValueError as exc:
             raise ValueError(
                 f"policy {self.name!r} was trained on dataset "
                 f"{record['dataset']!r} and does not fit table {table.name!r}: "
                 f"{exc}"
             ) from exc
+        return agent
 
+    def generate(
+        self,
+        table,
+        ldx_text: str,
+        *,
+        episodes: Optional[int] = None,
+        seed: Optional[int] = None,
+        cache=None,
+        on_episode=None,
+    ):
+        from repro.engine.stages import SessionOutcome
+        from repro.explore.rollouts import VectorEnvironment, collect_rollouts
+        from repro.ldx.parser import try_parse_ldx
+        from repro.ldx.verifier import verify, verify_structure
+
+        agent = self.load_agent(table, cache=cache)
+        checkpoint: TrainingCheckpoint = self._load_record()["checkpoint"]
         request_query = try_parse_ldx(ldx_text)
         scorer = agent._generic_reward
-        eval_seed = seed if seed is not None else spec.config.seed
+        eval_seed = seed if seed is not None else agent.config.seed
         # The request's episode budget bounds the evaluation sweep, not
         # training (there is none): a handful of attempts is plenty.
         attempts = (
             max(1, min(int(episodes), 16)) if episodes is not None else self.attempts
         )
+        # Attempt k is a wave of one sampling from env_rng(eval_seed, k).
+        environment = VectorEnvironment([agent.environment])
         best: Optional[tuple[Any, bool, float]] = None
         for attempt in range(attempts):
-            rollout = collect_sequential_rollouts(
-                [agent.environment],
+            rollout = collect_rollouts(
+                environment,
                 agent.policy,
                 seed=eval_seed,
                 episode_base=attempt,
+                num_episodes=1,
                 greedy=(attempt == 0),
                 decision_to_choice=agent.trainer.decision_to_choice,
             )
@@ -439,7 +450,6 @@ class RegisteredPolicySessionGenerator:
         assert best is not None
         session, compliant, utility = best
         tree = session.to_tree()
-        stored_history = checkpoint.history
         return SessionOutcome(
             session=session,
             fully_compliant=compliant,
@@ -447,5 +457,5 @@ class RegisteredPolicySessionGenerator:
                 request_query and verify_structure(tree, request_query)
             ),
             utility_score=utility,
-            episodes_trained=len(stored_history.get("episode_returns", [])),
+            episodes_trained=len(checkpoint.history.get("episode_returns", [])),
         )

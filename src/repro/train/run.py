@@ -1,0 +1,200 @@
+"""A checkpointed, resumable, publishable CDRL training run.
+
+:class:`TrainingRun` drives the agent a :class:`~repro.train.checkpoint.TrainSpec`
+builds through the trainer's own wave loop
+(:meth:`~repro.rl.trainer.PolicyGradientTrainer.collect_waves`), in waves of
+``spec.config.num_envs`` (waves of one at ``num_envs=1``), and checkpoints
+at wave boundaries.  Wave episodes sample from ``env_rng(seed, episode)``
+and use the wave-start weights, so resuming from any wave boundary
+reproduces the uninterrupted run weight for weight.  Best-compliant
+tracking and the result are the agent's own, so at ``num_envs > 1`` a run
+equals ``spec.build_agent().run()``.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import Callable, Optional
+
+import numpy as np
+
+from repro.cdrl.agent import CdrlResult
+from repro.explore.operations import operation_from_signature
+from repro.explore.session import session_from_operations
+from repro.rl.trainer import PolicyGradientTrainer
+
+from .checkpoint import TrainingCheckpoint, TrainSpec, capture, restore_into
+
+EpisodeCallback = Callable[[int, float, object], None]
+
+
+class TrainingRun:
+    """Trains a CDRL policy, checkpointing to *checkpoint_path* (if given)
+    every *checkpoint_every* waves; :meth:`from_checkpoint` resumes exactly."""
+
+    def __init__(
+        self,
+        spec: TrainSpec,
+        *,
+        checkpoint_path: str | os.PathLike | None = None,
+        checkpoint_every: int = 1,
+    ):
+        if checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        self.spec = spec
+        self.agent = spec.build_agent()
+        self.trainer = self.agent.trainer
+        self.total_episodes = spec.config.episodes
+        self.episodes_completed = 0
+        self.checkpoint_path = os.fspath(checkpoint_path) if checkpoint_path else None
+        self.checkpoint_every = checkpoint_every
+
+    @classmethod
+    def from_checkpoint(
+        cls,
+        path: str | os.PathLike,
+        *,
+        checkpoint_path: str | os.PathLike | None = None,
+        checkpoint_every: int = 1,
+    ) -> "TrainingRun":
+        """Rebuild a run from a checkpoint, positioned to continue exactly.
+
+        The wave size comes from the stored spec, and later checkpoints go
+        to *path* unless *checkpoint_path* says otherwise.
+        """
+        checkpoint = TrainingCheckpoint.load(path)
+        run = cls(
+            TrainSpec.from_payload(checkpoint.spec),
+            checkpoint_path=checkpoint_path if checkpoint_path is not None else path,
+            checkpoint_every=checkpoint_every,
+        )
+        restore_into(checkpoint, run.trainer)
+        run.episodes_completed = checkpoint.episodes_completed
+        run.total_episodes = checkpoint.total_episodes
+        if checkpoint.best_compliant is not None:
+            signatures, utility = checkpoint.best_compliant
+            session = session_from_operations(
+                run.agent.dataset,
+                [operation_from_signature(signature) for signature in signatures],
+                cache=run.agent.cache,
+            )
+            run.agent._best_compliant = (session, float(utility))
+        return run
+
+    # -- checkpointing ---------------------------------------------------------------
+    def checkpoint(self) -> TrainingCheckpoint:
+        """Snapshot the current training position (call at wave boundaries)."""
+        best = self.agent._best_compliant
+        if best is not None:
+            best = ([list(op.signature()) for op in best[0].operations], float(best[1]))
+        return capture(
+            self.spec.to_payload(),
+            self.trainer,
+            episodes_completed=self.episodes_completed,
+            total_episodes=self.total_episodes,
+            best_compliant=best,
+        )
+
+    def save_checkpoint(self) -> None:
+        if self.checkpoint_path:
+            self.checkpoint().save(self.checkpoint_path)
+
+    # -- training --------------------------------------------------------------------
+    def collect_until(
+        self, episode_target: int, callback: Optional[EpisodeCallback] = None
+    ) -> int:
+        """Train up to the first wave boundary at or past *episode_target*.
+
+        Returns the episodes completed so far and saves a checkpoint there
+        — the "kill" half of kill-and-resume.
+        """
+        per_episode = self.agent.episode_hook(callback)
+        stop = min(episode_target, self.total_episodes)
+        # Each trainer call ends at a checkpoint: every checkpoint_every
+        # waves, or once at the end when there is no checkpoint file.
+        stride = (
+            self.checkpoint_every * self.trainer.config.num_envs
+            if self.checkpoint_path
+            else stop
+        )
+        while self.episodes_completed < stop:
+            self.episodes_completed = self.trainer.collect_waves(
+                self.episodes_completed,
+                min(stop, self.episodes_completed + stride),
+                self.total_episodes,
+                callback=per_episode,
+            )
+            self.save_checkpoint()
+        return self.episodes_completed
+
+    def train(self, callback: Optional[EpisodeCallback] = None) -> CdrlResult:
+        """Run (or continue) training to completion and return the result."""
+        self.collect_until(self.total_episodes, callback)
+        history = self.trainer.finish_training()
+        # The completion checkpoint: its pending batch is empty (just
+        # flushed), so resuming from it and calling train() again applies
+        # nothing twice.
+        self.save_checkpoint()
+        return self.agent.result(history)
+
+    # -- publishing ------------------------------------------------------------------
+    def publish(self, registry, name: str, *, metrics: dict | None = None) -> int:
+        """Publish the current weights to *registry* as a new version of *name*.
+
+        Call after :meth:`train`: the checkpoint captured here includes the
+        final partial-batch update that ``finish_training`` applies.
+        """
+        return registry.publish(name, self.checkpoint(), metrics=metrics or {})
+
+
+# -- the equality gate ---------------------------------------------------------------
+def _at(values: list, index: int) -> object:
+    return values[index] if index < len(values) else "<missing>"
+
+
+def training_divergence(
+    expected: PolicyGradientTrainer, actual: PolicyGradientTrainer
+) -> Optional[str]:
+    """The first difference between two trainers' outcomes, or ``None``.
+
+    Compares the history episode by episode (returns and steps, then the
+    greedy evaluations), then the weights and Adam state parameter by
+    parameter, bit for bit.  ``cache_stats`` are left out: a resumed run
+    starts with a cold cache.
+    """
+    histories = (expected.history, actual.history)
+    for episode in range(max(len(h.episode_returns) for h in histories)):
+        for name in ("episode_returns", "episode_steps"):
+            left, right = (_at(getattr(h, name), episode) for h in histories)
+            if left != right:
+                return f"history: episode {episode} {name} {left!r} != {right!r}"
+    for index in range(max(len(h.greedy_returns) for h in histories)):
+        left, right = (_at(h.greedy_returns, index) for h in histories)
+        if left != right:
+            return f"history: greedy evaluation {index} (episode, return) {left!r} != {right!r}"
+    parameters = zip(
+        expected.policy.network.named_parameters(), actual.policy.network.named_parameters()
+    )
+    for index, ((name, left), (_, right)) in enumerate(parameters):
+        if left.tobytes() != right.tobytes():
+            flat = int(np.argmax(left.ravel() != right.ravel()))
+            return (
+                f"weights: parameter {index} ({name}) first differs at flat index "
+                f"{flat}: {left.ravel()[flat].item()!r} != {right.ravel()[flat].item()!r}"
+            )
+    states = [t.optimizer.export_state(t.policy.parameters()) for t in (expected, actual)]
+    if states[0]["step"] != states[1]["step"]:
+        return f"optimizer: step {states[0]['step']} != {states[1]['step']}"
+    for index, (left, right) in enumerate(zip(states[0]["moments"], states[1]["moments"])):
+        if left != right:
+            return f"optimizer: moments of parameter {index} differ"
+    return None
+
+
+def assert_same_training(
+    expected: PolicyGradientTrainer, actual: PolicyGradientTrainer, what: str = "run"
+) -> None:
+    """Raise ``AssertionError`` naming the first divergence of *actual*."""
+    divergence = training_divergence(expected, actual)
+    if divergence is not None:
+        raise AssertionError(f"{what} diverged from the expected run: {divergence}")

@@ -1,14 +1,13 @@
-"""Training-tier smoke check: fleet bit-identity, resume, publish, serve.
+"""Training-tier smoke check: kill-and-resume, publish, serve by name.
 
-Run by CI (``python -m repro.train.smoke``) to gate the distributed
-training tier's load-bearing guarantees end to end:
+``python -m repro.train.smoke`` gates the training tier's load-bearing
+guarantees end to end:
 
-* a 2-actor fleet (inline) trains **bit-identical** to the single-process
-  trainer with ``num_envs=2`` — same final weights, same history;
-* a *process* fleet killed at a wave boundary and resumed from its
-  checkpoint (with a different fleet shape) finishes with the same final
-  weights — kill-and-resume is exact, and the fleet shape is operational,
-  not semantic;
+* a :class:`~repro.train.run.TrainingRun` killed at a wave boundary and
+  resumed from its checkpoint finishes **bit-identical** to the
+  uninterrupted ``agent.run()`` at ``num_envs=2`` — same final weights,
+  optimizer moments and history (a mismatch names the first divergent
+  episode or parameter);
 * the trained policy publishes to a :class:`~repro.train.registry.PolicyRegistry`
   and is served over HTTP: an ``ExploreRequest`` naming
   ``stages={"session_generator": "cdrl:smoke-v1"}`` returns a session from
@@ -29,8 +28,8 @@ from typing import Any
 from repro.cdrl.agent import CdrlConfig
 
 from .checkpoint import TrainSpec
-from .learner import FleetLearner
 from .registry import PolicyRegistry
+from .run import TrainingRun, assert_same_training
 
 SMOKE_LDX = """
 ROOT CHILDREN <A1,A2>
@@ -60,85 +59,53 @@ def _call(
         connection.close()
 
 
-def _history_fields(history_dict: dict) -> dict:
-    """History minus cache_stats (actors and trainer cache independently)."""
-    return {
-        key: history_dict[key]
-        for key in ("episode_returns", "episode_steps", "greedy_returns")
-    }
-
-
-def _smoke_spec() -> TrainSpec:
-    return TrainSpec(
-        dataset="flights",
-        ldx_text=SMOKE_LDX,
-        num_rows=NUM_ROWS,
-        config=CdrlConfig(episodes=EPISODES, episode_length=4, seed=SEED),
+def _outcome(result) -> tuple:
+    return (
+        [operation.signature() for operation in result.session.operations],
+        float(result.utility_score),
+        result.fully_compliant,
+        result.structurally_compliant,
     )
 
 
 def main() -> int:
-    spec = _smoke_spec()
-
-    # -- single-process baseline: num_envs = fleet's W*K ------------------------
-    baseline = spec.build_agent(num_envs=2)
-    baseline_history = baseline.trainer.train()
-    baseline_weights = baseline.trainer.policy.network.export_state()
-
-    # -- inline fleet W=2 x K=1 is bit-identical --------------------------------
-    with FleetLearner(spec, num_actors=2, envs_per_actor=1, workers="inline") as learner:
-        fleet_result = learner.train()
-        fleet_weights = learner.trainer.policy.network.export_state()
-        assert fleet_weights == baseline_weights, (
-            "fleet(W=2, inline) weights diverged from single-process num_envs=2"
-        )
-        assert _history_fields(fleet_result.history.to_dict()) == _history_fields(
-            baseline_history.to_dict()
-        ), "fleet history diverged from single-process history"
-    print(
-        f"fleet bit-identity ok: {EPISODES} episodes, "
-        f"utility={fleet_result.utility_score:.4f}, "
-        f"compliant={fleet_result.fully_compliant}"
+    spec = TrainSpec(
+        dataset="flights",
+        ldx_text=SMOKE_LDX,
+        num_rows=NUM_ROWS,
+        config=CdrlConfig(episodes=EPISODES, episode_length=4, seed=SEED, num_envs=2),
     )
+    baseline = spec.build_agent()
+    baseline_result = baseline.run()
 
     with tempfile.TemporaryDirectory(prefix="linx-train-smoke-") as tmp:
         checkpoint_path = Path(tmp) / "run.ckpt"
         registry_path = Path(tmp) / "policies.sqlite"
 
-        # -- kill at a wave boundary, resume with a different fleet shape -------
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="process",
-            checkpoint_path=checkpoint_path,
-        ) as partial:
-            stopped_at = partial.collect_until(EPISODES // 2)
-        assert stopped_at == EPISODES // 2, f"stopped at {stopped_at}"
-        resumed = FleetLearner.from_checkpoint(
-            checkpoint_path, num_actors=1, envs_per_actor=2, workers="inline"
+        # -- kill at a wave boundary, resume from the checkpoint ----------------
+        stopped_at = TrainingRun(spec, checkpoint_path=checkpoint_path).collect_until(
+            EPISODES // 2
         )
-        with resumed:
-            resumed_result = resumed.train()
-            resumed_weights = resumed.trainer.policy.network.export_state()
-            assert resumed_weights == baseline_weights, (
-                "kill-and-resume weights diverged from the uninterrupted run"
-            )
-            assert _history_fields(resumed_result.history.to_dict()) == (
-                _history_fields(baseline_history.to_dict())
-            ), "kill-and-resume history diverged"
-            print(
-                f"kill-and-resume ok: stopped at {stopped_at}, resumed with a "
-                "different fleet shape, weights bit-identical"
-            )
+        assert stopped_at == EPISODES // 2, f"stopped at {stopped_at}"
+        resumed = TrainingRun.from_checkpoint(checkpoint_path)
+        resumed_result = resumed.train()
+        assert_same_training(baseline.trainer, resumed.trainer, "kill-and-resume")
+        assert _outcome(resumed_result) == _outcome(baseline_result), (
+            f"kill-and-resume result {_outcome(resumed_result)} != "
+            f"uninterrupted {_outcome(baseline_result)}"
+        )
+        print(
+            f"kill-and-resume ok: stopped at {stopped_at}/{EPISODES}, weights, "
+            f"optimizer and history bit-identical to the uninterrupted run "
+            f"(utility={resumed_result.utility_score:.4f}, "
+            f"compliant={resumed_result.fully_compliant})"
+        )
 
-            # -- publish the trained policy -------------------------------------
-            with PolicyRegistry(registry_path) as registry:
-                version = resumed.publish(
-                    registry,
-                    "smoke",
-                    metrics={"utility": resumed_result.utility_score},
-                )
+        # -- publish the trained policy -----------------------------------------
+        with PolicyRegistry(registry_path) as registry:
+            version = resumed.publish(
+                registry, "smoke", metrics={"utility": resumed_result.utility_score}
+            )
         assert version == 1, f"expected version 1, got {version}"
 
         # -- serve it by name over HTTP -----------------------------------------

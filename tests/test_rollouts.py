@@ -20,13 +20,9 @@ from repro.datasets import load_dataset
 from repro.explore.cache import ExecutionCache
 from repro.explore.environment import ExplorationEnvironment
 from repro.explore.action_space import ActionSpace, choice_from_index_map
-from repro.explore.rollouts import (
-    VectorEnvironment,
-    collect_rollouts,
-    collect_sequential_rollouts,
-    env_rng,
-)
+from repro.explore.rollouts import VectorEnvironment, collect_rollouts, env_rng
 from repro.rl.trainer import PolicyGradientTrainer, TrainerConfig
+from rollout_oracle import collect_sequential_rollouts
 
 LDX = "ROOT CHILDREN <A1,A2>\nA1 LIKE [F,.*]\nA2 LIKE [G,.*]"
 

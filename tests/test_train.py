@@ -1,7 +1,8 @@
-"""Tests for the distributed training tier (checkpoints, fleet, registry)."""
+"""Tests for the training tier (checkpointed runs, resume, registry)."""
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -15,7 +16,9 @@ from repro.engine import (
     RequestValidationError,
 )
 from repro.engine.registry import KIND_SESSION_GENERATOR, StageRegistry
+from repro.explore.rollouts import VectorEnvironment, collect_rollouts
 from repro.rl.trainer import TrainerConfig, TrainingHistory
+from repro.train import __main__ as cli
 from repro.train.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     TrainingCheckpoint,
@@ -23,12 +26,13 @@ from repro.train.checkpoint import (
     deserialize_buffer,
     serialize_buffer,
 )
-from repro.train.learner import FleetLearner
 from repro.train.registry import (
     PolicyRegistry,
     RegisteredPolicySessionGenerator,
     config_fingerprint,
 )
+from repro.train.run import TrainingRun, assert_same_training, training_divergence
+from rollout_oracle import collect_sequential_rollouts
 
 LDX = """
 ROOT CHILDREN <A1,A2>
@@ -46,13 +50,14 @@ def _spec(episodes: int = 6, seed: int = 3, **config_overrides) -> TrainSpec:
     return TrainSpec(dataset="flights", ldx_text=LDX, num_rows=120, config=config)
 
 
-def _history_fields(history: TrainingHistory) -> dict:
-    """History minus cache_stats (fleet and single-process cache differently)."""
-    payload = history.to_dict()
-    return {
-        key: payload[key]
-        for key in ("episode_returns", "episode_steps", "greedy_returns")
-    }
+def _outcome(result) -> tuple:
+    """What a run returns: operations, utility and both compliance flags."""
+    return (
+        [operation.signature() for operation in result.session.operations],
+        float(result.utility_score),
+        result.fully_compliant,
+        result.structurally_compliant,
+    )
 
 
 # -- satellite: history round-trip ---------------------------------------------------
@@ -126,20 +131,15 @@ class TestConfigValidation:
 # -- checkpoint serialization --------------------------------------------------------
 class TestCheckpointSerialization:
     def test_buffer_round_trip(self):
-        spec = _spec(episodes=2)
-        learner = FleetLearner(spec, num_actors=1, envs_per_actor=1, workers="inline")
-        with learner:
-            learner.train()
-        # Re-collect one episode to get a real buffer through the actor path.
-        from repro.train.actor import collect_chunk
-
-        records = collect_chunk(
-            learner.fleet.payload,
-            learner.trainer.policy.network.export_state(),
-            0,
-            1,
+        run = TrainingRun(_spec(episodes=2))
+        run.train()
+        rollout = collect_rollouts(
+            VectorEnvironment([run.agent.environment]),
+            run.agent.policy,
+            num_episodes=1,
+            decision_to_choice=run.trainer.decision_to_choice,
         )
-        rows = records[0]["buffer"]
+        rows = serialize_buffer(rollout.buffers[0])
         buffer = deserialize_buffer(rows)
         assert serialize_buffer(buffer) == rows
         assert len(buffer.transitions) == len(rows)
@@ -148,185 +148,203 @@ class TestCheckpointSerialization:
         assert decision.observation.flags.writeable
 
     def test_blob_round_trip(self):
-        spec = _spec(episodes=4)
-        with FleetLearner(
-            spec, num_actors=1, envs_per_actor=1, workers="inline"
-        ) as learner:
-            learner.collect_until(2)
-            checkpoint = learner.checkpoint()
+        run = TrainingRun(_spec(episodes=4))
+        run.collect_until(2)
+        checkpoint = run.checkpoint()
         restored = TrainingCheckpoint.from_blob(checkpoint.to_blob())
         assert restored == checkpoint
 
     def test_unknown_schema_version_rejected(self):
-        spec = _spec(episodes=2)
-        with FleetLearner(
-            spec, num_actors=1, envs_per_actor=1, workers="inline"
-        ) as learner:
-            blob = learner.checkpoint().to_blob()
+        blob = TrainingRun(_spec(episodes=2)).checkpoint().to_blob()
         payload = pickle.loads(blob)
         payload["schema_version"] = CHECKPOINT_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="schema version"):
             TrainingCheckpoint.from_blob(pickle.dumps(payload, protocol=4))
 
     def test_save_and_load_file(self, tmp_path):
-        spec = _spec(episodes=2)
         path = tmp_path / "run.ckpt"
-        with FleetLearner(
-            spec,
-            num_actors=1,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as learner:
-            learner.collect_until(2)
+        TrainingRun(_spec(episodes=2), checkpoint_path=path).collect_until(2)
         assert TrainingCheckpoint.load(path).episodes_completed == 2
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.ckpt"
+        run = TrainingRun(_spec(episodes=4), checkpoint_path=path)
+        run.collect_until(1)
+        previous = path.read_bytes()
+
+        def disk_full(_fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            run.collect_until(2)  # the checkpoint at episode 2 fails
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+        assert path.read_bytes() == previous
+        assert TrainingCheckpoint.load(path).episodes_completed == 1
+
+    def test_truncated_file_raises_value_error_naming_the_path(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        TrainingRun(_spec(episodes=2), checkpoint_path=path).collect_until(2)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(ValueError, match="run.ckpt"):
+            TrainingCheckpoint.load(path)
 
     def test_spec_payload_round_trip(self):
         spec = _spec(episodes=7, seed=11)
         assert TrainSpec.from_payload(spec.to_payload()) == spec
 
 
-# -- tentpole: fleet bit-identity ----------------------------------------------------
-class TestFleetBitIdentity:
-    def test_two_actors_match_single_process_two_envs(self):
-        spec = _spec()
-        baseline = spec.build_agent(num_envs=2)
-        baseline_history = baseline.trainer.train()
-        with FleetLearner(
-            spec, num_actors=2, envs_per_actor=1, workers="inline"
-        ) as learner:
-            result = learner.train()
-            assert learner.trainer.policy.network.export_state() == (
-                baseline.trainer.policy.network.export_state()
-            )
-            assert learner.trainer.optimizer.export_state(
-                learner.trainer.policy.parameters()
-            ) == baseline.trainer.optimizer.export_state(
-                baseline.trainer.policy.parameters()
-            )
-        assert _history_fields(result.history) == _history_fields(baseline_history)
+# -- one training path: TrainingRun == agent.run() ----------------------------------
+class TestTrainingRunEqualsAgentRun:
+    @pytest.mark.parametrize("num_envs", [2, 4])
+    def test_run_equals_agent_run(self, num_envs):
+        spec = _spec(num_envs=num_envs)
+        agent = spec.build_agent()
+        expected = agent.run()
+        run = TrainingRun(spec)
+        result = run.train()
+        assert_same_training(agent.trainer, run.trainer)
+        assert result.history == expected.history  # cache_stats included
+        assert _outcome(result) == _outcome(expected)
 
-    def test_actor_and_env_split_is_operational_only(self):
-        spec = _spec(episodes=4)
-        states = []
-        for num_actors, envs_per_actor in ((1, 4), (2, 2), (4, 1)):
-            with FleetLearner(
-                spec,
-                num_actors=num_actors,
-                envs_per_actor=envs_per_actor,
-                workers="inline",
-            ) as learner:
-                learner.train()
-                states.append(learner.trainer.policy.network.export_state())
-        assert states[0] == states[1] == states[2]
-
-    def test_wave_size_validation(self):
-        spec = _spec(episodes=2)
-        with FleetLearner(
-            spec, num_actors=1, envs_per_actor=1, workers="inline"
-        ) as learner:
-            with pytest.raises(ValueError, match="exceeds"):
-                learner.fleet.collect_wave(
-                    learner.trainer.policy.network.export_state(), 0, 2
-                )
+    def test_checkpoint_stretches_do_not_change_the_run(self, tmp_path):
+        spec = _spec(episodes=7, num_envs=2)
+        plain = TrainingRun(spec)
+        plain_result = plain.train()
+        checkpointed = TrainingRun(
+            spec, checkpoint_path=tmp_path / "run.ckpt", checkpoint_every=2
+        )
+        assert _outcome(checkpointed.train()) == _outcome(plain_result)
+        assert_same_training(plain.trainer, checkpointed.trainer)
 
 
-# -- tentpole: kill-and-resume -------------------------------------------------------
+class TestDivergenceGate:
+    def test_identical_runs_have_no_divergence(self):
+        first, second = TrainingRun(_spec(episodes=2)), TrainingRun(_spec(episodes=2))
+        first.train()
+        second.train()
+        assert training_divergence(first.trainer, second.trainer) is None
+
+    def test_names_the_first_divergent_episode_and_field(self):
+        first, second = TrainingRun(_spec(episodes=4)), TrainingRun(_spec(episodes=4))
+        first.train()
+        second.train()
+        second.trainer.history.episode_steps[3] += 1
+        second.trainer.history.episode_returns[2] += 1.0
+        with pytest.raises(AssertionError, match="episode 2 episode_returns"):
+            assert_same_training(first.trainer, second.trainer)
+        second.trainer.history.episode_returns.pop()
+        second.trainer.history.episode_returns[2] -= 1.0
+        assert "episode 3 episode_returns" in training_divergence(
+            first.trainer, second.trainer
+        )
+
+    def test_names_the_first_differing_parameter(self):
+        first, second = TrainingRun(_spec(episodes=2)), TrainingRun(_spec(episodes=2))
+        first.train()
+        second.train()
+        name, weight = second.trainer.policy.network.named_parameters()[1]
+        weight.ravel()[5] += 1.0
+        divergence = training_divergence(first.trainer, second.trainer)
+        assert divergence.startswith(f"weights: parameter 1 ({name})")
+        assert "flat index 5" in divergence
+
+
+# -- kill-and-resume -----------------------------------------------------------------
 class TestKillAndResume:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        spec = _spec()
-        baseline = spec.build_agent(num_envs=2)
-        baseline_history = baseline.trainer.train()
+        spec = _spec(num_envs=2)
+        baseline = spec.build_agent()
+        expected = baseline.run()
 
         path = tmp_path / "run.ckpt"
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as partial:
-            stopped = partial.collect_until(3)
-        assert 0 < stopped < spec.config.episodes
-
-        resumed = FleetLearner.from_checkpoint(path, workers="inline")
-        with resumed:
-            result = resumed.train()
-            assert resumed.trainer.policy.network.export_state() == (
-                baseline.trainer.policy.network.export_state()
-            )
-            assert resumed.trainer.optimizer.export_state(
-                resumed.trainer.policy.parameters()
-            ) == baseline.trainer.optimizer.export_state(
-                baseline.trainer.policy.parameters()
-            )
-        assert _history_fields(result.history) == _history_fields(baseline_history)
+        stopped = TrainingRun(spec, checkpoint_path=path).collect_until(3)
+        assert stopped == 4  # the first wave boundary at or past 3
+        resumed = TrainingRun.from_checkpoint(path)
+        result = resumed.train()
+        assert_same_training(baseline.trainer, resumed.trainer, "kill-and-resume")
+        assert _outcome(result) == _outcome(expected)
 
     def test_resume_from_completion_checkpoint_is_a_no_op(self, tmp_path):
-        spec = _spec(episodes=4)
+        spec = _spec(episodes=4, num_envs=2)
         path = tmp_path / "run.ckpt"
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as learner:
-            learner.train()
-            final = learner.trainer.policy.network.export_state()
-        resumed = FleetLearner.from_checkpoint(path, workers="inline")
-        with resumed:
-            resumed.train()
-            assert resumed.trainer.policy.network.export_state() == final
+        finished = TrainingRun(spec, checkpoint_path=path)
+        finished.train()
+        resumed = TrainingRun.from_checkpoint(path)
+        resumed.train()
+        assert_same_training(finished.trainer, resumed.trainer, "completed resume")
 
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=4),
-           stop_after=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=4),
+        stop_after=st.integers(min_value=1, max_value=5),
+        num_envs=st.sampled_from([1, 2, 4]),
+        batch_episodes=st.sampled_from([2, 3, 8]),
+    )
     def test_resume_property_over_seeds_and_stop_points(
-        self, tmp_path_factory, seed, stop_after
+        self, tmp_path_factory, seed, stop_after, num_envs, batch_episodes
     ):
-        """Stopping at any wave boundary of any seed resumes bit-identically."""
-        spec = _spec(seed=seed)
-        path = tmp_path_factory.mktemp("ckpt") / "run.ckpt"
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as uninterrupted:
-            uninterrupted.train()
-            expected = uninterrupted.trainer.policy.network.export_state()
+        """Stopping at any wave boundary of any seed resumes bit-identically,
+        including mid-batch, with elite replay and greedy evaluations."""
+        trainer = TrainerConfig(batch_episodes=batch_episodes, greedy_eval_every=2)
+        spec = _spec(seed=seed, num_envs=num_envs, trainer=trainer)
+        uninterrupted = TrainingRun(spec)
+        expected = uninterrupted.train()
 
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as partial:
-            partial.collect_until(stop_after)
-        resumed = FleetLearner.from_checkpoint(path, workers="inline")
-        with resumed:
-            resumed.train()
-            assert resumed.trainer.policy.network.export_state() == expected
+        path = tmp_path_factory.mktemp("ckpt") / "run.ckpt"
+        TrainingRun(spec, checkpoint_path=path).collect_until(stop_after)
+        resumed = TrainingRun.from_checkpoint(path)
+        result = resumed.train()
+        assert_same_training(uninterrupted.trainer, resumed.trainer, "kill-and-resume")
+        assert _outcome(result) == _outcome(expected)
+
+    def test_cli_train_kill_and_resume(self, tmp_path, monkeypatch):
+        """``train --envs 2`` killed half-way, then ``resume``, ends where an
+        uninterrupted run does."""
+        spec = _spec(episodes=8, num_envs=2)
+        baseline = spec.build_agent()
+        baseline.run()
+
+        class Killed(Exception):
+            pass
+
+        half = spec.config.episodes // 2
+
+        def kill_at_half(episode, *_):
+            if episode == half:  # the first episode after the wave boundary
+                raise Killed
+
+        path = tmp_path / "run.ckpt"
+        monkeypatch.setattr(cli, "_ticker", lambda quiet: kill_at_half)
+        with pytest.raises(Killed):
+            cli.main(
+                [
+                    "train", "--dataset", "flights", "--rows", "120", "--ldx", LDX,
+                    "--episodes", "8", "--episode-length", "3", "--seed", "3",
+                    "--envs", "2", "--checkpoint", str(path),
+                ]
+            )
+        assert TrainingCheckpoint.load(path).episodes_completed == half
+        monkeypatch.undo()
+        assert cli.main(["resume", str(path), "--quiet"]) == 0
+        finished = TrainingRun.from_checkpoint(path)
+        assert finished.episodes_completed == spec.config.episodes
+        assert_same_training(baseline.trainer, finished.trainer, "CLI kill-and-resume")
 
 
 # -- the policy registry -------------------------------------------------------------
 class TestPolicyRegistry:
-    def _trained_learner(self, episodes: int = 4) -> FleetLearner:
-        learner = FleetLearner(
-            _spec(episodes=episodes), num_actors=1, envs_per_actor=2, workers="inline"
-        )
-        with learner:
-            learner.train()
-        return learner
+    def _trained_run(self, episodes: int = 4) -> TrainingRun:
+        run = TrainingRun(_spec(episodes=episodes, num_envs=2))
+        run.train()
+        return run
 
     def test_publish_versions_and_get(self, tmp_path):
-        learner = self._trained_learner()
+        run = self._trained_run()
         with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
-            assert learner.publish(registry, "alpha", metrics={"utility": 1.0}) == 1
-            assert learner.publish(registry, "alpha") == 2
+            assert run.publish(registry, "alpha", metrics={"utility": 1.0}) == 1
+            assert run.publish(registry, "alpha") == 2
             assert registry.versions("alpha") == [1, 2]
             assert len(registry) == 2
             record = registry.get("alpha", 1)
@@ -335,14 +353,14 @@ class TestPolicyRegistry:
             assert record["promoted"] is True  # version 1 auto-promoted
             assert isinstance(record["checkpoint"], TrainingCheckpoint)
             assert record["config_fingerprint"] == config_fingerprint(
-                learner.spec.config
+                run.spec.config
             )
 
     def test_promotion_moves_the_default(self, tmp_path):
-        learner = self._trained_learner()
+        run = self._trained_run()
         with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
-            learner.publish(registry, "alpha")
-            learner.publish(registry, "alpha")
+            run.publish(registry, "alpha")
+            run.publish(registry, "alpha")
             assert registry.get("alpha")["version"] == 1
             registry.promote("alpha", 2)
             assert registry.get("alpha")["version"] == 2
@@ -358,37 +376,37 @@ class TestPolicyRegistry:
 
     @pytest.mark.parametrize("name", ["", "has space", "cdrl:x", "-lead", "a/b"])
     def test_invalid_names_rejected(self, tmp_path, name):
-        learner = self._trained_learner(episodes=2)
+        run = self._trained_run(episodes=2)
         with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
             with pytest.raises(ValueError, match="invalid policy name"):
-                learner.publish(registry, name)
+                run.publish(registry, name)
 
     def test_names_are_case_folded(self, tmp_path):
-        learner = self._trained_learner(episodes=2)
+        run = self._trained_run(episodes=2)
         with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
-            assert learner.publish(registry, "Alpha") == 1
+            assert run.publish(registry, "Alpha") == 1
             assert registry.versions("ALPHA") == [1]
             assert registry.get("alpha")["name"] == "alpha"
 
     def test_attach_registers_versioned_and_alias_stages(self, tmp_path):
-        learner = self._trained_learner()
+        run = self._trained_run()
         stage_registry = StageRegistry()
         with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
-            learner.publish(registry, "alpha")
+            run.publish(registry, "alpha")
             names = registry.attach(stage_registry)
             assert set(names) == {"cdrl:alpha-v1", "cdrl:alpha"}
             listed = stage_registry.describe()[KIND_SESSION_GENERATOR]
             assert "cdrl:alpha-v1" in listed and "cdrl:alpha" in listed
             # Publishing after attach self-registers the new version.
-            learner.publish(registry, "alpha")
+            run.publish(registry, "alpha")
             listed = stage_registry.describe()[KIND_SESSION_GENERATOR]
             assert "cdrl:alpha-v2" in listed
 
     def test_schema_version_mismatch_drops_store(self, tmp_path):
         path = tmp_path / "pol.sqlite"
-        learner = self._trained_learner(episodes=2)
+        run = self._trained_run(episodes=2)
         with PolicyRegistry(path) as registry:
-            learner.publish(registry, "alpha")
+            run.publish(registry, "alpha")
         import sqlite3
 
         with sqlite3.connect(path) as conn:
@@ -402,14 +420,11 @@ class TestPolicyRegistry:
 
 class TestServingRegisteredPolicies:
     def test_engine_serves_registered_policy_by_name(self, tmp_path):
-        learner = FleetLearner(
-            _spec(), num_actors=2, envs_per_actor=1, workers="inline"
-        )
-        with learner:
-            learner.train()
-            registry_path = tmp_path / "pol.sqlite"
-            with PolicyRegistry(registry_path) as registry:
-                learner.publish(registry, "served")
+        run = TrainingRun(_spec(num_envs=2))
+        run.train()
+        registry_path = tmp_path / "pol.sqlite"
+        with PolicyRegistry(registry_path) as registry:
+            run.publish(registry, "served")
         engine = LinxEngine(policy_registry_path=registry_path)
         try:
             result = engine.explore(
@@ -425,41 +440,71 @@ class TestServingRegisteredPolicies:
             )
             assert result.stage_names["session_generator"] == "cdrl:served-v1"
             assert result.operations
-            assert result.episodes_trained == learner.total_episodes
+            assert result.episodes_trained == run.total_episodes
         finally:
             engine.policy_registry.close()
 
     def test_generator_rejects_mismatched_table(self, tmp_path):
-        learner = FleetLearner(
-            _spec(episodes=2), num_actors=1, envs_per_actor=1, workers="inline"
-        )
-        with learner:
-            learner.train()
-            with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
-                learner.publish(registry, "flightsonly")
-                generator = RegisteredPolicySessionGenerator(registry, "flightsonly")
-                from repro.datasets.registry import load_dataset
+        run = TrainingRun(_spec(episodes=2))
+        run.train()
+        with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
+            run.publish(registry, "flightsonly")
+            generator = RegisteredPolicySessionGenerator(registry, "flightsonly")
+            from repro.datasets.registry import load_dataset
 
-                other = load_dataset("netflix", num_rows=60)
-                with pytest.raises(ValueError, match="does not fit table"):
-                    generator.generate(other, LDX)
+            other = load_dataset("netflix", num_rows=60)
+            with pytest.raises(ValueError, match="does not fit table"):
+                generator.generate(other, LDX)
 
     def test_generator_honours_request_episode_budget(self, tmp_path):
-        learner = FleetLearner(
-            _spec(episodes=2), num_actors=1, envs_per_actor=1, workers="inline"
-        )
-        with learner:
-            learner.train()
-            with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
-                learner.publish(registry, "budgeted")
-                generator = RegisteredPolicySessionGenerator(registry, "budgeted")
-                table = learner.spec.load_table()
-                attempts = []
-                outcome = generator.generate(
-                    table,
-                    LDX,
-                    episodes=2,
-                    on_episode=lambda episode, *_: attempts.append(episode),
-                )
-                assert attempts == [0, 1]
-                assert outcome.episodes_trained == 2  # trained episodes, from history
+        run = TrainingRun(_spec(episodes=2))
+        run.train()
+        with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
+            run.publish(registry, "budgeted")
+            generator = RegisteredPolicySessionGenerator(registry, "budgeted")
+            table = run.spec.load_table()
+            attempts = []
+            outcome = generator.generate(
+                table,
+                LDX,
+                episodes=2,
+                on_episode=lambda episode, *_: attempts.append(episode),
+            )
+            assert attempts == [0, 1]
+            assert outcome.episodes_trained == 2  # trained episodes, from history
+
+    def test_evaluation_sweep_matches_the_sequential_oracle(self, tmp_path):
+        """The served sweep (waves of one) replays one-at-a-time rollouts."""
+        run = TrainingRun(_spec(episodes=4, num_envs=2))
+        run.train()
+        with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
+            run.publish(registry, "swept")
+            generator = RegisteredPolicySessionGenerator(registry, "swept")
+            table = run.spec.load_table()
+            served = []
+            generator.generate(
+                table,
+                LDX,
+                episodes=5,
+                seed=7,
+                on_episode=lambda attempt, reward, session: served.append(
+                    (reward, [op.signature() for op in session.operations])
+                ),
+            )
+            agent = generator.load_agent(table)
+        assert len(served) == 5
+        for attempt, (reward, operations) in enumerate(served):
+            oracle = collect_sequential_rollouts(
+                [agent.environment],
+                agent.policy,
+                seed=7,
+                episode_base=attempt,
+                greedy=(attempt == 0),
+                decision_to_choice=agent.trainer.decision_to_choice,
+            )
+            assert [op.signature() for op in oracle.sessions[0].operations] == (
+                operations
+            ), f"attempt {attempt}: operations differ"
+            assert oracle.buffers[0].total_reward() == reward, (
+                f"attempt {attempt}: reward differs"
+            )
