@@ -1,21 +1,19 @@
-"""Benchmark — sharded, connection-pooled persistence tier vs the legacy store.
+"""Benchmark — the connection-pooled result store vs the legacy store.
 
 Replays the serving tier's store traffic — result lookups by canonical
 request hash, plus the claim-lease/commit-result write path — against two
 implementations:
 
-* **legacy** — the pre-sharding :class:`ResultStore` reproduced op for op
+* **legacy** — the original :class:`ResultStore` reproduced op for op
   in-file (``LegacySingleFileStore``): ONE sqlite file, ONE connection,
   ONE global lock around every operation, TEXT payloads parsed with
   ``json.loads`` on every read, and a write path of three separate
   transactions (claim lease → insert result → release lease);
-* **sharded** — the current :class:`~repro.engine.store.ResultStore` at
-  ``num_shards`` ∈ {1, 4, 8}: keys striped over per-shard WAL files by
-  ``int(hash[:8], 16) % num_shards``, lock-free lookups on per-thread
-  read connections (``get_payload_text`` returns the raw stored text, no
-  JSON parse), BLOB payloads, and an atomic ``claim`` →
-  ``commit_result`` write path (insert + lease release in one
-  transaction).
+* **store** — the current :class:`~repro.engine.store.ResultStore`: one
+  WAL file, lock-free lookups on per-thread read connections
+  (``get_payload_text`` returns the raw stored text, no JSON parse), BLOB
+  payloads, and an atomic ``claim`` → ``commit_result`` write path
+  (insert + lease release in one transaction).
 
 The harness is fixed-work: every thread executes a pre-generated op list
 (seeded RNG, identical across arms) from a barrier start, so arms differ
@@ -26,18 +24,18 @@ only in the store under test, never in the workload.  Three workloads:
 * **mixed (80/20)** — a write-heavier mix, reported for context;
 * **p95 under writer pressure** — reader threads record per-lookup
   latency while a writer thread commits continuously; the p95 compares
-  the legacy global-lock path against the 4-shard pooled-read path.
+  the legacy global-lock path against the store's pooled-read path.
 
 Results land in ``BENCH_store.json`` in the repository root.
 
 Acceptance gates (enforced as assertions, run in CI):
 
-* the best sharded arm reaches ``REPRO_BENCH_MIN_STORE_SPEEDUP`` x the
+* the store arm reaches ``REPRO_BENCH_MIN_STORE_SPEEDUP`` x the
   legacy aggregate ops/sec on the read-heavy mix (default 2.0; the win is
   per-op CPU — no parse, no lock, pooled connections — so it holds even
   on a single-core runner, but CI may relax the gate via the environment
   on noisy boxes),
-* the 4-shard p95 lookup latency under writer pressure stays within
+* the store's p95 lookup latency under writer pressure stays within
   ``REPRO_BENCH_MAX_STORE_P95_RATIO`` x the legacy p95 (default 1.0 —
   strictly no worse),
 * every lookup in every arm returns the exact committed payload text
@@ -64,10 +62,10 @@ from repro.reliability import open_sqlite_verified, retry_sqlite
 
 T = TypeVar("T")
 
-#: Minimum sharded/legacy aggregate-throughput ratio on the read-heavy mix.
+#: Minimum store/legacy aggregate-throughput ratio on the read-heavy mix.
 MIN_STORE_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_STORE_SPEEDUP", "2.0"))
 
-#: Maximum sharded/legacy p95 lookup-latency ratio under writer pressure.
+#: Maximum store/legacy p95 lookup-latency ratio under writer pressure.
 MAX_STORE_P95_RATIO = float(os.environ.get("REPRO_BENCH_MAX_STORE_P95_RATIO", "1.0"))
 
 #: Where the machine-readable result lands (repository root).
@@ -75,7 +73,6 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
 THREADS = 8
 NAMESPACE = "bench-store"
-SHARD_COUNTS = (1, 4, 8)
 
 
 # ---------------------------------------------------------------------------------
@@ -83,12 +80,12 @@ SHARD_COUNTS = (1, 4, 8)
 # global lock, TEXT payloads, three-transaction write path).
 # ---------------------------------------------------------------------------------
 class LegacySingleFileStore:
-    """The pre-sharding ``ResultStore``'s hot paths, byte for byte.
+    """The original ``ResultStore``'s hot paths, byte for byte.
 
     Every operation — reads included — serialises on one in-process lock
     over one connection; payloads are TEXT and every lookup pays a full
     ``json.loads``; a result write is claim + insert + release, three
-    separate transactions.  This is the baseline the sharded tier replaced.
+    separate transactions.  This is the baseline the pooled store replaced.
     """
 
     def __init__(self, path: Path, timeout: float = 30.0):
@@ -212,7 +209,7 @@ def _result_payload_text() -> str:
 
 
 def _keys(count: int) -> list[str]:
-    # Knuth-hashed prefixes: shaped like canonical hashes, spread over shards.
+    # Knuth-hashed prefixes: shaped like canonical request hashes.
     return [f"{(i * 2654435761) % 2**32:08x}{i:032x}" for i in range(count)]
 
 
@@ -267,43 +264,55 @@ def _run_arm(
     return {"wall_s": wall, "ops": total, "ops_per_s": total / wall}
 
 
+def _legacy_ops(store: LegacySingleFileStore, payload_text: str, keys: list[str]):
+    """Fill *store* with every key; return its ``(read_one, write_one)`` pair."""
+    for key in keys:
+        store.put(key, payload_text)
+
+    # The legacy read path hands back a parsed dict; serving it means
+    # re-serialising, so the arm pays json.dumps too — exactly what the
+    # old server did per duplicate submission.
+    def read_one(key: str) -> Optional[str]:
+        payload = store.get_payload(key)
+        return None if payload is None else json.dumps(payload)
+
+    def write_one(key: str, thread: int) -> None:
+        replica = f"replica-{thread}"
+        store.claim(key, replica, ttl=30.0)
+        store.put(key, payload_text)
+        store.release(key, replica)
+
+    return read_one, write_one
+
+
 def _legacy_arm(root: Path, plans, payload_text: str, keys: list[str]):
     store = LegacySingleFileStore(root / "legacy.sqlite")
     try:
-        for key in keys:
-            store.put(key, payload_text)
-
-        def read_one(key: str) -> Optional[str]:
-            payload = store.get_payload(key)
-            return None if payload is None else json.dumps(payload)
-
-        def write_one(key: str, thread: int) -> None:
-            replica = f"replica-{thread}"
-            store.claim(key, replica, ttl=30.0)
-            store.put(key, payload_text)
-            store.release(key, replica)
-
-        # The legacy read path hands back a parsed dict; serving it means
-        # re-serialising, so the arm pays json.dumps too — exactly what the
-        # old server did per duplicate submission.
+        read_one, write_one = _legacy_ops(store, payload_text, keys)
         return _run_arm(read_one, write_one, plans, payload_text)
     finally:
         store.close()
 
 
-def _sharded_arm(root: Path, num_shards: int, plans, payload_text: str, keys: list[str]):
-    with ResultStore(root / f"sharded-{num_shards}.sqlite", num_shards=num_shards) as store:
-        for key in keys:
-            store.commit_result(NAMESPACE, key, payload_text)
+def _store_ops(store: ResultStore, payload_text: str, keys: list[str]):
+    """Fill *store* with every key; return its ``(read_one, write_one)`` pair."""
+    for key in keys:
+        store.commit_result(NAMESPACE, key, payload_text)
 
-        def read_one(key: str) -> Optional[str]:
-            return store.get_payload_text(NAMESPACE, key)
+    def read_one(key: str) -> Optional[str]:
+        return store.get_payload_text(NAMESPACE, key)
 
-        def write_one(key: str, thread: int) -> None:
-            replica = f"replica-{thread}"
-            store.claim(NAMESPACE, key, replica, ttl=30.0)
-            store.commit_result(NAMESPACE, key, payload_text, replica_id=replica)
+    def write_one(key: str, thread: int) -> None:
+        replica = f"replica-{thread}"
+        store.claim(NAMESPACE, key, replica, ttl=30.0)
+        store.commit_result(NAMESPACE, key, payload_text, replica_id=replica)
 
+    return read_one, write_one
+
+
+def _store_arm(root: Path, plans, payload_text: str, keys: list[str]):
+    with ResultStore(root / "store.sqlite") as store:
+        read_one, write_one = _store_ops(store, payload_text, keys)
         return _run_arm(read_one, write_one, plans, payload_text)
 
 
@@ -383,14 +392,7 @@ def _run_store_benchmark():
         ):
             plans = _plan_ops(keys, per_thread, write_ratio)
             legacy = _legacy_arm(root / label.split()[0], plans, payload_text, keys)
-            arms = {"legacy_single_file": legacy}
-            for num_shards in SHARD_COUNTS:
-                arms[f"sharded_{num_shards}"] = _sharded_arm(
-                    root / label.split()[0], num_shards, plans, payload_text, keys
-                )
-            best = max(
-                arms[f"sharded_{n}"]["ops_per_s"] for n in SHARD_COUNTS
-            )
+            store = _store_arm(root / label.split()[0], plans, payload_text, keys)
             rows.append({
                 "workload": f"store: {label}, {THREADS} threads x {per_thread} ops",
                 "kind": "throughput",
@@ -400,50 +402,25 @@ def _run_store_benchmark():
                 "write_ratio": write_ratio,
                 "payload_bytes": len(payload_text.encode("utf-8")),
                 "legacy_ops_per_s": round(legacy["ops_per_s"], 1),
-                **{
-                    f"sharded_{n}_ops_per_s": round(arms[f"sharded_{n}"]["ops_per_s"], 1)
-                    for n in SHARD_COUNTS
-                },
-                "speedup": round(best / legacy["ops_per_s"], 2),
+                "store_ops_per_s": round(store["ops_per_s"], 1),
+                "speedup": round(store["ops_per_s"] / legacy["ops_per_s"], 2),
             })
 
-        # p95 lookup latency under writer pressure: legacy vs 4 shards.
+        # p95 lookup latency under writer pressure: legacy vs the store.
         reads_per_thread = scale(2000, 8000)
         pressure_root = root / "pressure"
         legacy_store = LegacySingleFileStore(pressure_root / "legacy.sqlite")
         try:
-            for key in keys:
-                legacy_store.put(key, payload_text)
-
-            def legacy_read(key: str) -> Optional[str]:
-                payload = legacy_store.get_payload(key)
-                return None if payload is None else json.dumps(payload)
-
-            def legacy_write(key: str, thread: int) -> None:
-                replica = f"replica-{thread}"
-                legacy_store.claim(key, replica, ttl=30.0)
-                legacy_store.put(key, payload_text)
-                legacy_store.release(key, replica)
-
+            read_one, write_one = _legacy_ops(legacy_store, payload_text, keys)
             legacy_p95 = _p95_under_writer_pressure(
-                legacy_read, legacy_write, keys, reads_per_thread
+                read_one, write_one, keys, reads_per_thread
             )
         finally:
             legacy_store.close()
-        with ResultStore(pressure_root / "sharded.sqlite", num_shards=4) as store:
-            for key in keys:
-                store.commit_result(NAMESPACE, key, payload_text)
-
-            def sharded_read(key: str) -> Optional[str]:
-                return store.get_payload_text(NAMESPACE, key)
-
-            def sharded_write(key: str, thread: int) -> None:
-                replica = f"replica-{thread}"
-                store.claim(NAMESPACE, key, replica, ttl=30.0)
-                store.commit_result(NAMESPACE, key, payload_text, replica_id=replica)
-
-            sharded_p95 = _p95_under_writer_pressure(
-                sharded_read, sharded_write, keys, reads_per_thread
+        with ResultStore(pressure_root / "store.sqlite") as store:
+            read_one, write_one = _store_ops(store, payload_text, keys)
+            store_p95 = _p95_under_writer_pressure(
+                read_one, write_one, keys, reads_per_thread
             )
         rows.append({
             "workload": f"store: p95 lookup under writer pressure, "
@@ -454,18 +431,17 @@ def _run_store_benchmark():
             "reads_per_thread": reads_per_thread,
             "legacy_p50_us": legacy_p95["p50_us"],
             "legacy_p95_us": legacy_p95["p95_us"],
-            "sharded_4_p50_us": sharded_p95["p50_us"],
-            "sharded_4_p95_us": sharded_p95["p95_us"],
-            "p95_ratio": round(sharded_p95["p95_us"] / legacy_p95["p95_us"], 3),
+            "store_p50_us": store_p95["p50_us"],
+            "store_p95_us": store_p95["p95_us"],
+            "p95_ratio": round(store_p95["p95_us"] / legacy_p95["p95_us"], 3),
         })
     return rows
 
 
 def _emit_json(rows: list[dict]) -> None:
     payload = {
-        "benchmark": "store_sharded_persistence",
+        "benchmark": "store_pooled_persistence",
         "threads": THREADS,
-        "shard_counts": list(SHARD_COUNTS),
         "gates": {
             "min_store_speedup": MIN_STORE_SPEEDUP,
             "max_store_p95_ratio": MAX_STORE_P95_RATIO,

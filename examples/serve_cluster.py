@@ -19,7 +19,7 @@ This script makes the failure visible:
 4. prints the execution journal: one ``execute`` and one ``commit`` line
    per canonical hash, cluster-wide.
 
-The deterministic fault harness (`repro.engine.faults`) drives step 2 —
+The deterministic fault harness (`repro.reliability`) drives step 2 —
 the same `FaultPlan` mechanism the CI fault matrix uses.  Run with::
 
     python examples/serve_cluster.py
@@ -39,7 +39,7 @@ from repro.engine.serve_cluster import (
     _replica_main,
     _request_payload,
 )
-from repro.engine.faults import FaultPlan
+from repro.reliability import FaultPlan
 
 
 def main() -> None:

@@ -36,6 +36,16 @@ Served (see ``examples/serve.py`` and ``python -m repro.engine.server``)::
 """
 
 from repro.cdrl.context import SharedExplorationContext
+from repro.reliability import (
+    FaultPlan,
+    FaultSpec,
+    FileCancelEvent,
+    InjectedFaultError,
+    clear_plan,
+    fault_point,
+    install_plan,
+    retry_sqlite,
+)
 
 from .batcher import BatchMember, InferenceBatcher
 from .core import (
@@ -53,16 +63,6 @@ from .errors import (
     SchedulerDrainingError,
     SchedulerFullError,
     StageFailedError,
-)
-from .faults import (
-    FaultPlan,
-    FaultSpec,
-    FileCancelEvent,
-    InjectedFaultError,
-    clear_plan,
-    fault_point,
-    install_plan,
-    retry_sqlite,
 )
 from .events import (
     EVENT_EPISODE,

@@ -145,13 +145,8 @@ class LinxEngine:
         persistent tier (:class:`~repro.explore.diskcache.DiskCacheTier`):
         results survive restarts, and warm-start sweeps or process-pool
         workers reuse each other's executions.  Ignored when an explicit
-        *cache* is supplied.
-    disk_cache_shards:
-        Sqlite shard count for the disk cache tier (keys stripe over this
-        many WAL files so concurrent workers never queue on one write
-        lock; see :mod:`repro.shards`).  ``1`` keeps the legacy
-        single-file layout.  Declarative, so process-pool workers rebuild
-        their tier with the same routing.
+        *cache* is supplied.  One WAL file shared by every worker thread
+        and process-pool worker.
     policy_registry_path:
         Optional sqlite file of a :class:`~repro.train.registry.PolicyRegistry`.
         Every trained artifact in it self-registers as a session-generator
@@ -184,7 +179,6 @@ class LinxEngine:
         max_cache_entries: int = DEFAULT_MAX_ENTRIES,
         max_cached_rows: int | None = DEFAULT_ENGINE_MAX_CACHED_ROWS,
         disk_cache_path: str | os.PathLike | None = None,
-        disk_cache_shards: int = 1,
         policy_registry_path: str | os.PathLike | None = None,
         inference_batching: bool = False,
         batch_linger_ms: float = 2.0,
@@ -217,7 +211,6 @@ class LinxEngine:
         self.disk_cache_path = (
             str(disk_cache_path) if disk_cache_path is not None else None
         )
-        self.disk_cache_shards = disk_cache_shards
         if cache is not None:
             self.cache = cache
         else:
@@ -225,7 +218,6 @@ class LinxEngine:
                 max_entries=max_cache_entries,
                 max_cached_rows=max_cached_rows,
                 disk=self.disk_cache_path,
-                disk_shards=disk_cache_shards,
             )
         self._max_cache_entries = max_cache_entries
         self._max_cached_rows = max_cached_rows
@@ -806,7 +798,6 @@ class LinxEngine:
         return {
             "cdrl_config": self.cdrl_config,
             "disk_cache_path": self.disk_cache_path,
-            "disk_cache_shards": self.disk_cache_shards,
             "max_cache_entries": self._max_cache_entries,
             "max_cached_rows": self._max_cached_rows,
             "stages": dict(self.stage_selection),
@@ -935,7 +926,6 @@ def worker_engine(spec: dict[str, Any]) -> LinxEngine:
             max_cache_entries=spec["max_cache_entries"],
             max_cached_rows=spec["max_cached_rows"],
             disk_cache_path=spec["disk_cache_path"],
-            disk_cache_shards=spec.get("disk_cache_shards", 1),
             stages=spec.get("stages") or None,
             policy_registry_path=spec.get("policy_registry_path"),
         )

@@ -1000,9 +1000,8 @@ class RequestScheduler:
                     held = list(self._held_leases)
                 if not held:
                     continue
-                # One batched UPDATE per store shard instead of a write
-                # transaction per lease: a replica holding many leases
-                # renews them all in at most num_shards statements.
+                # One batched UPDATE instead of a write transaction per
+                # lease: a replica holding many leases renews them at once.
                 renewed = self.store.renew_many(
                     self._store_namespace, held, self.replica_id, self.lease_ttl
                 )
@@ -1030,9 +1029,9 @@ class RequestScheduler:
     def health(self) -> dict[str, Any]:
         """The liveness + readiness payload behind the server's ``/healthz``.
 
-        With a store, includes one row per store shard (entries, live
-        leases, write retries) so per-file contention is visible from the
-        health probe, not just from ``/stats``.
+        With a store, includes its ``store_entries`` and
+        ``store_write_retries`` so write contention on the shared file is
+        visible from the health probe, not just from ``/stats``.
         """
         with self._lock:
             payload = {
@@ -1042,7 +1041,8 @@ class RequestScheduler:
                 "queue_depth": len(self._queue),
             }
         if self.store is not None:
-            payload["store_shards"] = self.store.shard_stats()
+            payload["store_entries"] = len(self.store)
+            payload["store_write_retries"] = self.store.write_retries
         return payload
 
     # -- lifecycle ---------------------------------------------------------------------

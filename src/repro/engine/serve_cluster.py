@@ -4,7 +4,7 @@ Boots **three** HTTP server replicas — separate processes, separate
 schedulers — over ONE shared store/cache directory, drives ≥ 20 requests
 with heavily duplicated canonical hashes through a round-robin client,
 and kills one replica mid-request with a scripted
-:class:`~repro.engine.faults.FaultPlan` (a hard ``os._exit`` the instant
+:class:`~repro.reliability.FaultPlan` (a hard ``os._exit`` the instant
 its first execution lease commits — the worst case: the lease is held by
 a corpse).  It then asserts the fault-tolerance contract of the serving
 tier end to end:
@@ -24,11 +24,6 @@ tier end to end:
 Run exactly as CI does::
 
     PYTHONPATH=src python -m repro.engine.serve_cluster
-    PYTHONPATH=src python -m repro.engine.serve_cluster --num-shards 4
-
-``--num-shards`` runs the whole cluster (store and disk cache) over the
-sharded persistence layout: the same exactly-once and bit-identity
-contract must hold when keys stripe over several WAL files.
 """
 
 from __future__ import annotations
@@ -43,9 +38,9 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.cdrl.agent import CdrlConfig
+from repro.reliability import FaultPlan, install_plan
 
 from .core import LinxEngine
-from .faults import FaultPlan, install_plan
 from .request import ExploreRequest
 from .scheduler import RequestScheduler
 from .serve_smoke import _call
@@ -90,7 +85,6 @@ def _replica_main(
     root: str,
     port_queue: "multiprocessing.Queue",
     fault_json: Optional[str],
-    num_shards: int = 1,
 ) -> None:
     """One server replica over the shared store/cache directory."""
     if fault_json:
@@ -99,9 +93,8 @@ def _replica_main(
     engine = LinxEngine(
         cdrl_config=CdrlConfig(episodes=EPISODES),
         disk_cache_path=base / "cache.sqlite",
-        disk_cache_shards=num_shards,
     )
-    store = ResultStore(base / "results.sqlite", num_shards=num_shards)
+    store = ResultStore(base / "results.sqlite")
     scheduler = RequestScheduler(
         engine,
         store=store,
@@ -162,19 +155,10 @@ def _normalise(payload: dict[str, Any]) -> dict[str, Any]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    argparse.ArgumentParser(
         prog="python -m repro.engine.serve_cluster",
         description="Multi-replica exactly-once/crash-takeover smoke check.",
-    )
-    parser.add_argument(
-        "--num-shards",
-        type=int,
-        default=1,
-        help="sqlite shard count for the shared store and disk cache "
-             "(the fault-tolerance contract must hold at any count)",
-    )
-    args = parser.parse_args(argv)
-    num_shards = args.num_shards
+    ).parse_args(argv)
 
     started = time.time()
     context = multiprocessing.get_context("spawn")
@@ -185,13 +169,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         procs = [
             context.Process(
                 target=_replica_main,
-                args=(
-                    index,
-                    root,
-                    port_queue,
-                    crash_plan if index == 0 else None,
-                    num_shards,
-                ),
+                args=(index, root, port_queue, crash_plan if index == 0 else None),
                 daemon=True,
             )
             for index in range(REPLICAS)
@@ -200,8 +178,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             proc.start()
         ports_by_index = dict(port_queue.get(timeout=300) for _ in range(REPLICAS))
         ports = [ports_by_index[index] for index in range(REPLICAS)]
-        print(f"[cluster] {REPLICAS} replicas up on ports {ports}, "
-              f"store/cache shards={num_shards} "
+        print(f"[cluster] {REPLICAS} replicas up on ports {ports} "
               f"(replica 0 scripted to crash on its first lease claim)")
 
         try:
@@ -248,21 +225,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             assert not duplicated, f"duplicate executions: {duplicated}"
             duplicated = {h: n for h, n in commits.items() if n != 1}
             assert not duplicated, f"duplicate commits: {duplicated}"
-            # The audit open MUST use the replicas' shard count: a
-            # mismatching count is (by design) a wholesale drop.
-            with ResultStore(
-                Path(root) / "results.sqlite", num_shards=num_shards
-            ) as audit:
-                assert len(audit) == UNIQUE_REQUESTS, (
-                    f"store holds {len(audit)} rows, expected {UNIQUE_REQUESTS}"
-                )
-                occupancy = {
-                    shard["shard"]: shard["entries"]
-                    for shard in audit.shard_stats()
-                }
+            with ResultStore(Path(root) / "results.sqlite") as audit:
+                rows = len(audit)
+            assert rows == UNIQUE_REQUESTS, (
+                f"store holds {rows} rows, expected {UNIQUE_REQUESTS}"
+            )
             print(f"[cluster] exactly-once verified: {len(commits)} hashes, "
-                  f"one execute + one commit each; store rows = {UNIQUE_REQUESTS} "
-                  f"(per-shard occupancy {occupancy})")
+                  f"one execute + one commit each; store rows = {rows}")
 
             # ---- lease takeover of the corpse's claim --------------------------
             takeovers = 0

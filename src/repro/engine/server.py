@@ -461,13 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--disk-cache", default=None, help="sqlite execution-cache tier path"
     )
     parser.add_argument(
-        "--num-shards",
-        type=int,
-        default=1,
-        help="sqlite shard count for the result store and disk cache "
-             "(keys stripe over this many WAL files; 1 = legacy single file)",
-    )
-    parser.add_argument(
         "--policy-registry",
         default=None,
         help="sqlite policy registry path; serves its policies as "
@@ -523,15 +516,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     engine = LinxEngine(
         cdrl_config=CdrlConfig(episodes=args.episodes),
         disk_cache_path=args.disk_cache,
-        disk_cache_shards=args.num_shards,
         policy_registry_path=args.policy_registry,
         inference_batching=args.batching,
         batch_linger_ms=args.batch_linger_ms,
         max_batch_size=args.max_batch_size,
     )
-    store = (
-        ResultStore(args.store, num_shards=args.num_shards) if args.store else None
-    )
+    store = ResultStore(args.store) if args.store else None
     scheduler = RequestScheduler(
         engine,
         store=store,
@@ -565,7 +555,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"  workers={args.workers} x{args.max_workers}, queue={args.queue_size}")
         print(f"  replica: {scheduler.replica_id} (lease ttl {args.lease_ttl:g}s)")
         if store is not None:
-            print(f"  result store: {store.path} ({store.num_shards} shard(s))")
+            print(f"  result store: {store.path}")
         if engine.policy_registry is not None:
             print(f"  policy registry: {args.policy_registry} "
                   f"({len(engine.policy_registry)} artifacts)")

@@ -1,4 +1,4 @@
-"""A persistent, sharded sqlite store of explore results keyed by request hash.
+"""A persistent sqlite store of explore results keyed by request hash.
 
 The scheduler executes a request at most once: results land here under
 ``(namespace, canonical_hash)``, so an identical resubmission — same goal,
@@ -18,24 +18,15 @@ sharing one store never execute the same canonical hash concurrently — and
 a lease whose holder stops renewing (a crashed replica) expires and is
 *taken over* by the next replica to ask.
 
-**Sharding and pooling** (see :mod:`repro.shards`): every
-``(namespace, request_hash)`` routes to one of ``num_shards`` sqlite files
-by a stable prefix of the request hash, so each shard has its own WAL
-file and its own write lock — writers to different shards never collide —
-and every reader thread gets its own pooled connection, so concurrent
-lookups run beside each other and beside writers instead of queueing on a
-global lock.  Results and leases shard *together* (same routing function),
-so claim/renew/release and the exactly-once guarantee are per-key
-unchanged.  Shard 0 lives at the original path; a ``num_shards=1`` store
-is file-layout-compatible with the legacy single file.
-
-Durability follows :class:`~repro.explore.diskcache.DiskCacheTier`: WAL
-journaling per shard, one transaction per commit (a crashed request never
-leaves a half-written row), and per-shard schema/shard-count metadata that
-drops a stale shard *wholesale* on mismatch — old formats (and old
-key→shard routings) are discarded, never misread.  A corrupt/truncated
-shard file is quarantine-renamed and rebuilt on open, and every write
-rides :func:`~repro.reliability.retry_sqlite` so transient ``database is
+The store is one WAL sqlite file (see :mod:`repro.sqlite_file`): writes
+serialize on one write connection, and every reader thread gets its own
+pooled connection, so concurrent lookups run beside each other and beside
+the writer instead of queueing on a lock.  One transaction per commit (a
+crashed request never leaves a half-written row), and a ``meta`` row that
+drops a stale store *wholesale* on a version mismatch — old formats are
+discarded, never misread.  A corrupt file is quarantine-renamed and
+rebuilt on open, and every write rides
+:func:`~repro.reliability.retry_sqlite` so transient ``database is
 locked`` contention between replicas degrades to a retry.  Payloads are
 the canonical JSON wire format (:meth:`ExploreResult.to_dict`) stored as
 UTF-8 blobs; :meth:`get_payload_text` hands the serving tier the raw JSON
@@ -46,173 +37,110 @@ scheduler's terminal-ticket GC.
 
 from __future__ import annotations
 
-import json
-import sqlite3
+import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, TypeVar
-
-import threading
+from typing import Any, Iterable, Optional
 
 from repro.reliability import (
     SITE_CLAIM_ACQUIRED,
     SITE_STORE_COMMIT,
     SITE_STORE_WRITE,
     fault_point,
-    retry_sqlite,
 )
-from repro.shards import ShardedSqlite, SqliteShard, prepare_shard_meta
-
-from .result import ExploreResult
-
-T = TypeVar("T")
+from repro.sqlite_file import SqliteFile
 
 #: Version of the on-disk layout (sqlite schema + result payload format).
 #: Bump on any incompatible change: a mismatching store is dropped and
 #: recreated on open, mirroring ``DiskCacheTier`` semantics.
 #: v2: namespace split into its own column; composite primary key
 #: ``(namespace, request_hash)``; ``created_at`` index for :meth:`prune`.
-#: v3: sharded layout — payloads stored as UTF-8 BLOBs (the raw-text read
-#: path never re-encodes), and per-shard ``num_shards`` / ``shard_index``
-#: meta rows guard the key→shard routing: a legacy single-file store (or
-#: a store written at a different shard count) is version-dropped
-#: wholesale, never migrated row-by-row into the wrong shard.
+#: v3: payloads stored as UTF-8 BLOBs (the raw-text read path never
+#: re-encodes).  Shard 0 of a store once written over several files (a
+#: recorded shard count other than 1) is dropped wholesale too.
 STORE_SCHEMA_VERSION = 3
 
-#: Per-shard counter names surfaced in :meth:`ResultStore.describe`.
-_SHARD_COUNTERS = ("hits", "misses", "writes", "write_retries")
+_SCHEMA = (
+    # The composite primary key IS the covering index for the hot
+    # ``(namespace, request_hash)`` lookup; created_at gets its own index
+    # so prune() is a range scan, not a table scan.
+    "CREATE TABLE IF NOT EXISTS results ("
+    " namespace TEXT NOT NULL,"
+    " request_hash TEXT NOT NULL,"
+    " request_id TEXT NOT NULL,"
+    " dataset TEXT NOT NULL,"
+    " payload BLOB NOT NULL,"
+    " created_at REAL NOT NULL,"
+    " PRIMARY KEY (namespace, request_hash))",
+    "CREATE INDEX IF NOT EXISTS idx_results_created_at ON results (created_at)",
+    # The coordination table: at most one replica holds the lease for a
+    # (namespace, hash) at a time; expiry makes crashed holders recoverable.
+    "CREATE TABLE IF NOT EXISTS leases ("
+    " namespace TEXT NOT NULL,"
+    " request_hash TEXT NOT NULL,"
+    " replica_id TEXT NOT NULL,"
+    " expires_at REAL NOT NULL,"
+    " claimed_at REAL NOT NULL,"
+    " PRIMARY KEY (namespace, request_hash))",
+)
 
 
 class ResultStore:
     """Persistent mapping of ``(namespace, request hash)`` → serialized result.
 
     Lookups run on per-thread pooled read connections (no lock at all);
-    writes serialize per *shard* on that shard's write lock, so one store
+    writes serialize on the file's one write connection, so one store
     instance is shared across the scheduler's worker threads while WAL
-    journaling handles concurrent *processes* on the same files — sqlite's
-    per-file write lock makes :meth:`claim` a genuine cross-process
+    journaling handles concurrent *processes* on the same file — sqlite's
+    file write lock makes :meth:`claim` a genuine cross-process
     compare-and-claim.
 
     Parameters
     ----------
     path:
-        The sqlite file of shard 0 (parent directories are created).
-        Conventionally ``<dir>/results.sqlite``; shards 1..N-1 live at
-        ``results.sqlite.shard<k>`` alongside it.  A corrupt shard file is
-        renamed to ``<name>.corrupt-<stamp>`` and rebuilt in place
-        (``quarantined_path`` records the first rename).
+        The sqlite file (parent directories are created), conventionally
+        ``<dir>/results.sqlite``.  A corrupt file is renamed to
+        ``<name>.corrupt-<stamp>`` and rebuilt in place
+        (``quarantined_path`` records the rename).
     timeout:
         Seconds a writer waits on a locked database before giving up.
-    num_shards:
-        How many sqlite files the key space is striped over.  ``1``
-        (default) keeps the legacy single-file layout; a store opened at a
-        different count than it was written with is dropped wholesale
-        (per-shard meta guards the routing).
     """
 
-    def __init__(self, path: str | Path, timeout: float = 30.0, num_shards: int = 1):
+    def __init__(self, path: str | Path, timeout: float = 30.0):
         self.path = Path(path)
-        self.num_shards = num_shards
         self._lock = threading.Lock()  # guards counters only, never I/O
         #: Lookups served / fallen through / results written / rows pruned.
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.pruned = 0
-        #: Transient ``database is locked`` write failures absorbed by the
-        #: shared backoff helper (telemetry for multi-replica contention).
-        self.write_retries = 0
         #: Lease telemetry: successful claims, takeovers of expired leases,
         #: renewals, releases.
         self.lease_claims = 0
         self.lease_takeovers = 0
         self.lease_renewals = 0
         self.lease_releases = 0
-        #: True when a version/shard-count mismatch dropped existing rows.
-        self.invalidated = False
-        self._shard_counters = [
-            {name: 0 for name in _SHARD_COUNTERS} for _ in range(num_shards)
-        ]
-        self._pool = ShardedSqlite(self.path, num_shards, timeout, self._initialize)
-        #: Where a corrupt pre-existing shard file was renamed on open, if
-        #: any (the first one; ``describe()`` lists all of them).
-        quarantined = self._pool.quarantined_paths()
-        self.quarantined_path: Optional[str] = quarantined[0] if quarantined else None
+        self._file = SqliteFile(
+            self.path,
+            timeout=timeout,
+            schema_version=STORE_SCHEMA_VERSION,
+            tables=("results", "leases"),
+            schema=_SCHEMA,
+            write_site=SITE_STORE_WRITE,
+        )
+        #: True when a version mismatch dropped existing rows on open.
+        self.invalidated = self._file.invalidated
+        #: Where a corrupt pre-existing file was renamed on open, if any.
+        self.quarantined_path = self._file.quarantined_path
 
-    # -- schema -----------------------------------------------------------------------
     @property
-    def _conn(self) -> sqlite3.Connection:
-        """Shard 0's write connection (compatibility handle for tests/tools)."""
-        return self._pool.shards[0].conn
+    def write_retries(self) -> int:
+        """Transient ``database is locked`` write failures absorbed by retries."""
+        return self._file.write_retries
 
-    def _initialize(self, conn: sqlite3.Connection, shard_index: int) -> None:
-        """Pragmas + schema on a fresh shard connection (quarantine-retried)."""
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        with conn:
-            if prepare_shard_meta(
-                conn,
-                schema_version=STORE_SCHEMA_VERSION,
-                num_shards=self.num_shards,
-                shard_index=shard_index,
-            ):
-                # A stale layout (e.g. v2's TEXT payloads) or a different
-                # key→shard routing: drop everything, never attempt to
-                # reinterpret — or mis-route — old rows.
-                conn.execute("DROP TABLE IF EXISTS results")
-                conn.execute("DROP TABLE IF EXISTS leases")
-                self.invalidated = True
-            # The composite primary key IS the covering index for the hot
-            # ``(namespace, request_hash)`` lookup; created_at gets its own
-            # index so prune() is a range scan, not a table scan.
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS results ("
-                " namespace TEXT NOT NULL,"
-                " request_hash TEXT NOT NULL,"
-                " request_id TEXT NOT NULL,"
-                " dataset TEXT NOT NULL,"
-                " payload BLOB NOT NULL,"
-                " created_at REAL NOT NULL,"
-                " PRIMARY KEY (namespace, request_hash))"
-            )
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS idx_results_created_at"
-                " ON results (created_at)"
-            )
-            # The coordination table: at most one replica holds the lease
-            # for a (namespace, hash) at a time; expiry makes crashed
-            # holders recoverable.  Leases shard with their results.
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS leases ("
-                " namespace TEXT NOT NULL,"
-                " request_hash TEXT NOT NULL,"
-                " replica_id TEXT NOT NULL,"
-                " expires_at REAL NOT NULL,"
-                " claimed_at REAL NOT NULL,"
-                " PRIMARY KEY (namespace, request_hash))"
-            )
-
-    def _shard(self, request_hash: str) -> SqliteShard:
-        return self._pool.shard_for_hex(request_hash)
-
-    def _count(self, shard: Optional[SqliteShard], name: str, amount: int = 1) -> None:
+    def _count(self, name: str, amount: int = 1) -> None:
         with self._lock:
             setattr(self, name, getattr(self, name) + amount)
-            if shard is not None and name in _SHARD_COUNTERS:
-                self._shard_counters[shard.index][name] += amount
-
-    def _write(self, shard: SqliteShard, operation: Callable[[], T]) -> T:
-        """Run a write transaction through the shared backoff helper.
-
-        Transient ``database is locked`` errors from sibling replicas on
-        the same shard file degrade to bounded retries (counted in
-        ``write_retries``, per shard); anything else propagates unchanged.
-        """
-
-        def count_retry(attempt: int, exc: BaseException, delay: float) -> None:
-            self._count(shard, "write_retries")
-
-        return retry_sqlite(operation, on_retry=count_retry)
 
     # -- lookups ----------------------------------------------------------------------
     def get_payload_text(self, namespace: str, request_hash: str) -> Optional[str]:
@@ -222,89 +150,31 @@ class ResultStore:
         parse, no re-encode — the serving layer splices the text straight
         into its response.  A payload that is not valid UTF-8 or not a
         JSON object at the byte level behaves like a miss and is removed
-        so it cannot keep failing (full JSON validation happens only in
-        :meth:`get_payload`, off the hot path).
+        so it cannot keep failing (when the write lock cannot be taken,
+        the row stays for the next lookup to remove).
         """
-        shard = self._shard(request_hash)
-        row = shard.read_conn().execute(
+        row = self._file.read().execute(
             "SELECT payload FROM results WHERE namespace = ? AND request_hash = ?",
             (namespace, request_hash),
         ).fetchone()
         if row is None:
-            self._count(shard, "misses")
+            self._count("misses")
             return None
         raw = row[0]
         try:
             text = raw.decode("utf-8") if isinstance(raw, bytes) else str(raw)
         except UnicodeDecodeError:
-            self._remove_corrupt(shard, namespace, request_hash)
-            return None
+            text = ""  # unreadable: repaired below like any non-object payload
         stripped = text.strip()
         if not (stripped.startswith("{") and stripped.endswith("}")):
-            self._remove_corrupt(shard, namespace, request_hash)
+            self._file.repair(
+                "DELETE FROM results WHERE namespace = ? AND request_hash = ?",
+                (namespace, request_hash),
+            )
+            self._count("misses")
             return None
-        self._count(shard, "hits")
+        self._count("hits")
         return text
-
-    def get_payload(
-        self, namespace: str, request_hash: str
-    ) -> Optional[dict[str, Any]]:
-        """The stored result dict under ``(namespace, request_hash)``, or ``None``.
-
-        The parsed wire-format payload.  An unreadable payload behaves
-        like a miss and is removed so it cannot keep failing.
-        """
-        text = self.get_payload_text(namespace, request_hash)
-        if text is None:
-            return None
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("result payload must be a JSON object")
-        except Exception:
-            shard = self._shard(request_hash)
-            self._count(shard, "hits", -1)  # undo the raw-text hit
-            self._remove_corrupt(shard, namespace, request_hash)
-            return None
-        return payload
-
-    def _remove_corrupt(
-        self, shard: SqliteShard, namespace: str, request_hash: str
-    ) -> None:
-        """Delete an unreadable row and count the lookup as a miss."""
-
-        def remove() -> None:
-            with shard.write_lock, shard.conn:
-                shard.conn.execute(
-                    "DELETE FROM results WHERE namespace = ? AND request_hash = ?",
-                    (namespace, request_hash),
-                )
-
-        self._write(shard, remove)
-        self._count(shard, "misses")
-
-    def get(self, namespace: str, request_hash: str) -> Optional[ExploreResult]:
-        """The stored :class:`ExploreResult`, or ``None``."""
-        payload = self.get_payload(namespace, request_hash)
-        if payload is None:
-            return None
-        try:
-            return ExploreResult.from_dict(payload)
-        except Exception:
-            # Parseable JSON that no longer matches the result schema (e.g.
-            # written by a newer minor version): treat as a miss.
-            shard = self._shard(request_hash)
-            self._count(shard, "hits", -1)
-            self._count(shard, "misses")
-            return None
-
-    def contains(self, namespace: str, request_hash: str) -> bool:
-        """Whether a result is stored under the key (no counter bump)."""
-        row = self._shard(request_hash).read_conn().execute(
-            "SELECT 1 FROM results WHERE namespace = ? AND request_hash = ?",
-            (namespace, request_hash),
-        ).fetchone()
-        return row is not None
 
     # -- writes -----------------------------------------------------------------------
     def commit_result(
@@ -319,12 +189,12 @@ class ResultStore:
     ) -> bool:
         """Persist pre-serialized *payload_text* — and release the lease — atomically.
 
-        One transaction on the key's shard: ``INSERT OR REPLACE`` the
-        result row and, with *replica_id*, delete that replica's lease on
-        the same key.  Merging the two closes the window where a result is
-        durable but its lease still held (a crash there previously left
-        siblings waiting out the TTL), and saves a write transaction per
-        execution.  Returns True when a lease row was released.
+        One transaction: ``INSERT OR REPLACE`` the result row and, with
+        *replica_id*, delete that replica's lease on the same key.  Merging
+        the two closes the window where a result is durable but its lease
+        still held (a crash there previously left siblings waiting out the
+        TTL), and saves a write transaction per execution.  Returns True
+        when a lease row was released.
 
         ``INSERT OR REPLACE`` keeps the store idempotent under concurrent
         executions of the same request (last writer wins; both wrote
@@ -332,55 +202,37 @@ class ResultStore:
         """
         payload = payload_text.encode("utf-8")
         fault_point(SITE_STORE_COMMIT)
-        shard = self._shard(request_hash)
 
-        def insert() -> int:
-            with shard.write_lock, shard.conn:
-                fault_point(SITE_STORE_WRITE)
-                shard.conn.execute(
-                    "INSERT OR REPLACE INTO results"
-                    " (namespace, request_hash, request_id, dataset, payload, created_at)"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
-                    (namespace, request_hash, request_id, dataset, payload, time.time()),
-                )
-                if replica_id is None:
-                    return 0
-                cursor = shard.conn.execute(
-                    "DELETE FROM leases WHERE namespace = ? AND request_hash = ?"
-                    " AND replica_id = ?",
-                    (namespace, request_hash, replica_id),
-                )
-                return cursor.rowcount
+        def insert(conn) -> int:
+            conn.execute(
+                "INSERT OR REPLACE INTO results"
+                " (namespace, request_hash, request_id, dataset, payload, created_at)"
+                " VALUES (?, ?, ?, ?, ?, ?)",
+                (namespace, request_hash, request_id, dataset, payload, time.time()),
+            )
+            if replica_id is None:
+                return 0
+            return conn.execute(
+                "DELETE FROM leases WHERE namespace = ? AND request_hash = ?"
+                " AND replica_id = ?",
+                (namespace, request_hash, replica_id),
+            ).rowcount
 
-        released = self._write(shard, insert)
-        self._count(shard, "writes")
+        released = self._file.write(insert)
+        self._count("writes")
         if released:
-            self._count(None, "lease_releases", released)
+            self._count("lease_releases", released)
         return bool(released)
-
-    def put(self, namespace: str, request_hash: str, result: ExploreResult) -> None:
-        """Persist *result* under ``(namespace, request_hash)`` in one transaction."""
-        self.commit_result(
-            namespace,
-            request_hash,
-            json.dumps(result.to_dict()),
-            request_id=str(result.request.get("request_id", "")),
-            dataset=result.dataset_name,
-        )
 
     def delete(self, namespace: str, request_hash: str) -> bool:
         """Remove the row under the key; True when one existed."""
-        shard = self._shard(request_hash)
-
-        def remove() -> bool:
-            with shard.write_lock, shard.conn:
-                cursor = shard.conn.execute(
-                    "DELETE FROM results WHERE namespace = ? AND request_hash = ?",
-                    (namespace, request_hash),
-                )
-                return cursor.rowcount > 0
-
-        return self._write(shard, remove)
+        return self._file.write(
+            lambda conn: conn.execute(
+                "DELETE FROM results WHERE namespace = ? AND request_hash = ?",
+                (namespace, request_hash),
+            ).rowcount
+            > 0
+        )
 
     # -- leases (cross-replica exactly-once coordination) -----------------------------
     def claim(
@@ -388,44 +240,40 @@ class ResultStore:
     ) -> bool:
         """Compare-and-claim the execution lease for ``(namespace, request_hash)``.
 
-        One atomic upsert on the key's shard: the claim succeeds when no
-        lease row exists, the existing lease has **expired** (its holder
-        stopped renewing — a takeover, counted in ``lease_takeovers``), or
-        *replica_id* already holds it (re-entrant).  A live lease held by
-        another replica leaves the row untouched and returns ``False``.
-        Sqlite's per-file write lock makes this safe across processes
-        sharing the shard.
+        One atomic upsert: the claim succeeds when no lease row exists, the
+        existing lease has **expired** (its holder stopped renewing — a
+        takeover, counted in ``lease_takeovers``), or *replica_id* already
+        holds it (re-entrant).  A live lease held by another replica leaves
+        the row untouched and returns ``False``.  Sqlite's file write lock
+        makes this safe across processes sharing the store.
         """
         if ttl <= 0:
             raise ValueError(f"lease ttl must be positive, got {ttl}")
-        shard = self._shard(request_hash)
 
-        def upsert() -> tuple[bool, bool]:
-            with shard.write_lock, shard.conn:
-                fault_point(SITE_STORE_WRITE)
-                now = time.time()
-                row = shard.conn.execute(
-                    "SELECT replica_id, expires_at FROM leases"
-                    " WHERE namespace = ? AND request_hash = ?",
-                    (namespace, request_hash),
-                ).fetchone()
-                cursor = shard.conn.execute(
-                    "INSERT INTO leases"
-                    " (namespace, request_hash, replica_id, expires_at, claimed_at)"
-                    " VALUES (?, ?, ?, ?, ?)"
-                    " ON CONFLICT(namespace, request_hash) DO UPDATE SET"
-                    "  replica_id = excluded.replica_id,"
-                    "  expires_at = excluded.expires_at,"
-                    "  claimed_at = excluded.claimed_at"
-                    "  WHERE leases.expires_at <= ?"
-                    "     OR leases.replica_id = excluded.replica_id",
-                    (namespace, request_hash, replica_id, now + ttl, now, now),
-                )
-                claimed = cursor.rowcount > 0
-                takeover = claimed and row is not None and row[0] != replica_id
-                return claimed, takeover
+        def upsert(conn) -> tuple[bool, bool]:
+            now = time.time()
+            row = conn.execute(
+                "SELECT replica_id, expires_at FROM leases"
+                " WHERE namespace = ? AND request_hash = ?",
+                (namespace, request_hash),
+            ).fetchone()
+            cursor = conn.execute(
+                "INSERT INTO leases"
+                " (namespace, request_hash, replica_id, expires_at, claimed_at)"
+                " VALUES (?, ?, ?, ?, ?)"
+                " ON CONFLICT(namespace, request_hash) DO UPDATE SET"
+                "  replica_id = excluded.replica_id,"
+                "  expires_at = excluded.expires_at,"
+                "  claimed_at = excluded.claimed_at"
+                "  WHERE leases.expires_at <= ?"
+                "     OR leases.replica_id = excluded.replica_id",
+                (namespace, request_hash, replica_id, now + ttl, now, now),
+            )
+            claimed = cursor.rowcount > 0
+            takeover = claimed and row is not None and row[0] != replica_id
+            return claimed, takeover
 
-        claimed, takeover = self._write(shard, upsert)
+        claimed, takeover = self._file.write(upsert)
         if claimed:
             with self._lock:
                 self.lease_claims += 1
@@ -441,26 +289,7 @@ class ResultStore:
         self, namespace: str, request_hash: str, replica_id: str, ttl: float
     ) -> bool:
         """Extend a lease *replica_id* still holds; False when it was lost."""
-        if ttl <= 0:
-            raise ValueError(f"lease ttl must be positive, got {ttl}")
-        shard = self._shard(request_hash)
-
-        def extend() -> bool:
-            with shard.write_lock, shard.conn:
-                fault_point(SITE_STORE_WRITE)
-                now = time.time()
-                cursor = shard.conn.execute(
-                    "UPDATE leases SET expires_at = ?"
-                    " WHERE namespace = ? AND request_hash = ?"
-                    "  AND replica_id = ? AND expires_at > ?",
-                    (now + ttl, namespace, request_hash, replica_id, now),
-                )
-                return cursor.rowcount > 0
-
-        renewed = self._write(shard, extend)
-        if renewed:
-            self._count(None, "lease_renewals")
-        return renewed
+        return self.renew_many(namespace, [request_hash], replica_id, ttl) > 0
 
     def renew_many(
         self,
@@ -472,76 +301,56 @@ class ResultStore:
         """Extend every listed lease *replica_id* still holds; returns the count.
 
         The heartbeat path: one ``UPDATE ... WHERE request_hash IN (...)``
-        statement per shard instead of a transaction per lease, so a
-        replica holding many leases renews them in at most ``num_shards``
-        writes per beat.
+        statement instead of a transaction per lease.
         """
         if ttl <= 0:
             raise ValueError(f"lease ttl must be positive, got {ttl}")
         hashes = list(dict.fromkeys(request_hashes))
         if not hashes:
             return 0
-        groups = self._pool.group_by_shard(hashes, self._shard)
-        renewed = 0
-        for shard, members in groups.items():
 
-            def extend(shard: SqliteShard = shard, members: list[str] = members) -> int:
-                with shard.write_lock, shard.conn:
-                    fault_point(SITE_STORE_WRITE)
-                    now = time.time()
-                    placeholders = ",".join("?" for _ in members)
-                    cursor = shard.conn.execute(
-                        "UPDATE leases SET expires_at = ?"
-                        f" WHERE namespace = ? AND request_hash IN ({placeholders})"
-                        "  AND replica_id = ? AND expires_at > ?",
-                        [now + ttl, namespace, *members, replica_id, now],
-                    )
-                    return cursor.rowcount
+        def extend(conn) -> int:
+            now = time.time()
+            placeholders = ",".join("?" for _ in hashes)
+            return conn.execute(
+                "UPDATE leases SET expires_at = ?"
+                f" WHERE namespace = ? AND request_hash IN ({placeholders})"
+                "  AND replica_id = ? AND expires_at > ?",
+                [now + ttl, namespace, *hashes, replica_id, now],
+            ).rowcount
 
-            renewed += self._write(shard, extend)
+        renewed = self._file.write(extend)
         if renewed:
-            self._count(None, "lease_renewals", renewed)
+            self._count("lease_renewals", renewed)
         return renewed
 
     def release(self, namespace: str, request_hash: str, replica_id: str) -> bool:
         """Drop the lease iff *replica_id* holds it; True when a row was removed."""
-        shard = self._shard(request_hash)
-
-        def drop() -> bool:
-            with shard.write_lock, shard.conn:
-                fault_point(SITE_STORE_WRITE)
-                cursor = shard.conn.execute(
-                    "DELETE FROM leases WHERE namespace = ? AND request_hash = ?"
-                    " AND replica_id = ?",
-                    (namespace, request_hash, replica_id),
-                )
-                return cursor.rowcount > 0
-
-        released = self._write(shard, drop)
+        released = self._file.write(
+            lambda conn: conn.execute(
+                "DELETE FROM leases WHERE namespace = ? AND request_hash = ?"
+                " AND replica_id = ?",
+                (namespace, request_hash, replica_id),
+            ).rowcount
+        )
         if released:
-            self._count(None, "lease_releases")
-        return released
+            self._count("lease_releases", released)
+        return released > 0
 
     def release_all(self, replica_id: str) -> int:
-        """Drop every lease held by *replica_id*, shard by shard (drain cleanup)."""
-        released = 0
-        for shard in self._pool.shards:
-
-            def drop(shard: SqliteShard = shard) -> int:
-                with shard.write_lock, shard.conn:
-                    cursor = shard.conn.execute(
-                        "DELETE FROM leases WHERE replica_id = ?", (replica_id,)
-                    )
-                    return cursor.rowcount
-
-            released += self._write(shard, drop)
+        """Drop every lease held by *replica_id* (drain cleanup)."""
+        released = self._file.write(
+            lambda conn: conn.execute(
+                "DELETE FROM leases WHERE replica_id = ?", (replica_id,)
+            ).rowcount
+        )
         if released:
-            self._count(None, "lease_releases", released)
+            self._count("lease_releases", released)
         return released
 
     def lease(self, namespace: str, request_hash: str) -> Optional[dict[str, Any]]:
         """The **live** lease on the key, or ``None`` (expired rows don't count)."""
-        row = self._shard(request_hash).read_conn().execute(
+        row = self._file.read().execute(
             "SELECT replica_id, expires_at, claimed_at FROM leases"
             " WHERE namespace = ? AND request_hash = ? AND expires_at > ?",
             (namespace, request_hash, time.time()),
@@ -552,151 +361,87 @@ class ResultStore:
 
     def leases_held(self, replica_id: str) -> list[str]:
         """Request hashes whose live lease *replica_id* holds (oldest claim first)."""
-        now = time.time()
-        rows: list[tuple[float, str]] = []
-        for shard in self._pool.shards:
-            rows.extend(
-                (claimed_at, request_hash)
-                for request_hash, claimed_at in shard.read_conn().execute(
-                    "SELECT request_hash, claimed_at FROM leases"
-                    " WHERE replica_id = ? AND expires_at > ?",
-                    (replica_id, now),
-                ).fetchall()
-            )
-        rows.sort()
-        return [request_hash for _, request_hash in rows]
+        rows = self._file.read().execute(
+            "SELECT request_hash FROM leases"
+            " WHERE replica_id = ? AND expires_at > ?"
+            " ORDER BY claimed_at, request_hash",
+            (replica_id, time.time()),
+        ).fetchall()
+        return [request_hash for (request_hash,) in rows]
 
     def expire_leases(self) -> int:
-        """Delete expired lease rows: one ``DELETE`` statement per shard.
+        """Delete expired lease rows in one ``DELETE``; returns the count.
 
         Housekeeping only — claims handle expired rows in place (and count
-        takeovers); this sweep just keeps the lease tables from
+        takeovers); this sweep just keeps the lease table from
         accumulating corpses.
         """
-        expired = 0
-        for shard in self._pool.shards:
-
-            def sweep(shard: SqliteShard = shard) -> int:
-                with shard.write_lock, shard.conn:
-                    cursor = shard.conn.execute(
-                        "DELETE FROM leases WHERE expires_at <= ?", (time.time(),)
-                    )
-                    return cursor.rowcount
-
-            expired += self._write(shard, sweep)
-        return expired
+        return self._file.write(
+            lambda conn: conn.execute(
+                "DELETE FROM leases WHERE expires_at <= ?", (time.time(),)
+            ).rowcount
+        )
 
     # -- maintenance ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(
-            int(
-                shard.read_conn()
-                .execute("SELECT COUNT(*) FROM results")
-                .fetchone()[0]
-            )
-            for shard in self._pool.shards
-        )
+        return self._file.read().execute("SELECT COUNT(*) FROM results").fetchone()[0]
 
     def request_hashes(self, namespace: Optional[str] = None) -> list[str]:
-        """Stored hashes, oldest first across all shards (the replay/audit index).
+        """Stored hashes, oldest first (the replay/audit index).
 
         With *namespace*, only that configuration's hashes; without, every
         stored hash across namespaces.
         """
-        rows: list[tuple[float, str]] = []
-        for shard in self._pool.shards:
-            if namespace is None:
-                fetched = shard.read_conn().execute(
-                    "SELECT created_at, request_hash FROM results"
-                ).fetchall()
-            else:
-                fetched = shard.read_conn().execute(
-                    "SELECT created_at, request_hash FROM results WHERE namespace = ?",
-                    (namespace,),
-                ).fetchall()
-            rows.extend(fetched)
-        rows.sort(key=lambda row: row[0])
-        return [request_hash for _, request_hash in rows]
+        if namespace is None:
+            rows = self._file.read().execute(
+                "SELECT request_hash FROM results ORDER BY created_at, request_hash"
+            ).fetchall()
+        else:
+            rows = self._file.read().execute(
+                "SELECT request_hash FROM results WHERE namespace = ?"
+                " ORDER BY created_at, request_hash",
+                (namespace,),
+            ).fetchall()
+        return [request_hash for (request_hash,) in rows]
 
     def prune(self, older_than: float) -> int:
-        """Delete results written more than *older_than* seconds ago, per shard.
+        """Delete results written more than *older_than* seconds ago.
 
         The disk analogue of the scheduler's terminal-ticket GC: a
         long-running server calls this periodically so the store stays
         bounded while recent results remain servable.  Expired lease rows
-        ride along in the same per-shard transactions.  Returns the number
-        of result rows removed.
+        ride along in the same transaction.  Returns the number of result
+        rows removed.
         """
         if older_than < 0:
             raise ValueError(f"older_than must be >= 0, got {older_than}")
         cutoff = time.time() - older_than
-        removed = 0
-        for shard in self._pool.shards:
 
-            def sweep(shard: SqliteShard = shard) -> int:
-                with shard.write_lock, shard.conn:
-                    cursor = shard.conn.execute(
-                        "DELETE FROM results WHERE created_at < ?", (cutoff,)
-                    )
-                    shard.conn.execute(
-                        "DELETE FROM leases WHERE expires_at <= ?", (time.time(),)
-                    )
-                    return cursor.rowcount
+        def sweep(conn) -> int:
+            removed = conn.execute(
+                "DELETE FROM results WHERE created_at < ?", (cutoff,)
+            ).rowcount
+            conn.execute("DELETE FROM leases WHERE expires_at <= ?", (time.time(),))
+            return removed
 
-            removed += self._write(shard, sweep)
-        self._count(None, "pruned", removed)
+        removed = self._file.write(sweep)
+        self._count("pruned", removed)
         return removed
 
     def clear(self) -> None:
-        """Drop every stored result and lease (the schema version rows stay)."""
-        for shard in self._pool.shards:
+        """Drop every stored result and lease (the schema version row stays)."""
 
-            def wipe(shard: SqliteShard = shard) -> None:
-                with shard.write_lock, shard.conn:
-                    shard.conn.execute("DELETE FROM results")
-                    shard.conn.execute("DELETE FROM leases")
+        def wipe(conn) -> None:
+            conn.execute("DELETE FROM results")
+            conn.execute("DELETE FROM leases")
 
-            self._write(shard, wipe)
-
-    def shard_stats(self) -> list[dict[str, Any]]:
-        """Per-shard telemetry: the ``/stats`` / ``/healthz`` contention view.
-
-        One row per shard file — entries, live leases held, and that
-        shard's slice of the hit/miss/write/retry counters — so hot shards
-        and lock contention are observable per file, not just in
-        aggregate.
-        """
-        now = time.time()
-        rows: list[dict[str, Any]] = []
-        with self._lock:
-            counters = [dict(shard) for shard in self._shard_counters]
-        for shard in self._pool.shards:
-            entries = int(
-                shard.read_conn().execute("SELECT COUNT(*) FROM results").fetchone()[0]
-            )
-            leases_held = int(
-                shard.read_conn().execute(
-                    "SELECT COUNT(*) FROM leases WHERE expires_at > ?", (now,)
-                ).fetchone()[0]
-            )
-            rows.append(
-                {
-                    "shard": shard.index,
-                    "path": str(shard.path),
-                    "entries": entries,
-                    "leases_held": leases_held,
-                    **counters[shard.index],
-                }
-            )
-        return rows
+        self._file.write(wipe)
 
     def describe(self) -> dict[str, Any]:
-        shards = self.shard_stats()
         return {
             "path": str(self.path),
             "schema_version": STORE_SCHEMA_VERSION,
-            "num_shards": self.num_shards,
-            "entries": sum(shard["entries"] for shard in shards),
+            "entries": len(self),
             "hits": self.hits,
             "misses": self.misses,
             "writes": self.writes,
@@ -704,18 +449,16 @@ class ResultStore:
             "write_retries": self.write_retries,
             "invalidated": self.invalidated,
             "quarantined_path": self.quarantined_path,
-            "quarantined_paths": self._pool.quarantined_paths(),
             "leases": {
                 "claims": self.lease_claims,
                 "takeovers": self.lease_takeovers,
                 "renewals": self.lease_renewals,
                 "releases": self.lease_releases,
             },
-            "shards": shards,
         }
 
     def close(self) -> None:
-        self._pool.close()
+        self._file.close()
 
     def __enter__(self) -> "ResultStore":
         return self

@@ -161,8 +161,6 @@ class ExecutionCache:
         appear in :meth:`describe` under ``disk_*`` keys.
     write_batch_size:
         Buffered inserts per write-behind flush (disk tier only).
-    disk_shards:
-        Sqlite shard count when *disk* is a path (see :mod:`repro.shards`).
     """
 
     def __init__(
@@ -172,7 +170,6 @@ class ExecutionCache:
         max_error_entries: int = DEFAULT_MAX_ERROR_ENTRIES,
         disk: DiskCacheTier | str | Path | None = None,
         write_batch_size: int = DEFAULT_WRITE_BATCH,
-        disk_shards: int = 1,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
@@ -193,7 +190,7 @@ class ExecutionCache:
         self._cached_rows = 0
         self._errors: "OrderedDict[CacheKey, str]" = OrderedDict()
         if disk is not None and not isinstance(disk, DiskCacheTier):
-            disk = DiskCacheTier(disk, num_shards=disk_shards)
+            disk = DiskCacheTier(disk)
         self.disk: Optional[DiskCacheTier] = disk
         self._pending: "OrderedDict[CacheKey, DataTable]" = OrderedDict()
         #: Flushes abandoned because the disk tier stayed locked through
@@ -394,7 +391,6 @@ class ExecutionCache:
                 summary["disk_entries"] = len(self.disk)
                 summary["disk_stored_rows"] = self.disk.stored_rows()
                 summary["disk_schema_version"] = DISK_SCHEMA_VERSION
-                summary["disk_shards"] = self.disk.num_shards
             return summary
 
     def snapshot_counters(self) -> tuple[int, int, int, int, int]:

@@ -4,15 +4,13 @@ An in-memory LRU dies with its process, so every benchmark sweep, every
 engine restart and every process-pool worker would start cold.
 :class:`DiskCacheTier` is the durable tier that
 :class:`~repro.explore.cache.ExecutionCache` reads through to on a memory
-miss and writes behind to in batches (``ExecutionCache(disk=...)``): a
-sharded sqlite store of serialized result views keyed by a canonical hash
-of the cache key (base fingerprint + canonical plan fingerprint).  Keys
-stripe over ``num_shards`` WAL files by a stable digest prefix (see
-:mod:`repro.shards`), each with its own write lock and per-thread read
-connections, so concurrent lookups never queue behind each other or behind
-a writer and write-behind flushes become one ``executemany`` batch per
-shard.  A schema-version (or shard-count) row per shard invalidates a stale
-shard wholesale when the payload, digest format or key→shard routing
+miss and writes behind to in batches (``ExecutionCache(disk=...)``): one
+WAL sqlite file of serialized result views keyed by a canonical hash of
+the cache key (base fingerprint + canonical plan fingerprint).  Lookups
+run on per-thread read connections (see :mod:`repro.sqlite_file`), so they
+never queue behind each other or behind the writer, and a write-behind
+flush is one ``executemany`` transaction.  A schema-version row
+invalidates a stale file wholesale when the payload or digest format
 changes (stale formats are *dropped*, never misread).
 
 Results are serialized structurally — per-column dtype string, raw data
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import sqlite3
 import struct
 import threading
 import time
@@ -39,13 +36,8 @@ import numpy as np
 
 from repro.dataframe.column import Column
 from repro.dataframe.table import DataTable
-from repro.reliability import (
-    SITE_CACHE_PAYLOAD,
-    SITE_CACHE_WRITE,
-    fault_point,
-    retry_sqlite,
-)
-from repro.shards import ShardedSqlite, prepare_shard_meta
+from repro.reliability import SITE_CACHE_PAYLOAD, SITE_CACHE_WRITE, fault_point
+from repro.sqlite_file import SqliteFile
 
 if TYPE_CHECKING:
     from .cache import CacheKey
@@ -163,116 +155,91 @@ def deserialize_table(payload: bytes) -> DataTable:
 # -- the disk tier ------------------------------------------------------------------------
 
 class DiskCacheTier:
-    """Persistent, sharded sqlite store of serialized execution results.
+    """Persistent sqlite store of serialized execution results.
 
-    Keys stripe over ``num_shards`` WAL files by a stable digest prefix,
-    so writers to different shards never collide and each shard's WAL
-    journaling still allows concurrent readers alongside its one writer;
-    ``busy_timeout`` serialises competing write transactions on the same
-    shard instead of failing them.  Lookups run on per-thread pooled read
-    connections with no lock at all; writes serialize per shard on that
-    shard's write lock, so one tier instance is shared across threads.
+    One WAL sqlite file (see :mod:`repro.sqlite_file`): lookups run on
+    per-thread pooled read connections with no lock at all, and writes
+    serialize on the file's one write connection, so one tier instance is
+    shared across threads; ``busy_timeout`` serialises competing write
+    transactions from other processes instead of failing them.
 
     Parameters
     ----------
     path:
-        The sqlite file of shard 0 (parent directories are created).
-        Conventionally ``<dir>/execution_cache.sqlite``; shards 1..N-1
-        live at ``execution_cache.sqlite.shard<k>`` alongside it.
+        The sqlite file (parent directories are created), conventionally
+        ``<dir>/execution_cache.sqlite``.
     timeout:
         Seconds a writer waits on a locked database before giving up.
-    num_shards:
-        How many sqlite files the key space is striped over.  ``1``
-        (default) keeps the legacy single-file layout; a cache opened at a
-        different count than it was written with is dropped wholesale
-        (per-shard meta guards the routing — a dropped cache repopulates,
-        it never mis-routes).
     """
 
-    def __init__(self, path: str | Path, timeout: float = 30.0, num_shards: int = 1):
+    def __init__(self, path: str | Path, timeout: float = 30.0):
         self.path = Path(path)
-        self.num_shards = num_shards
         self._lock = threading.Lock()  # guards counters only, never I/O
         #: Lookups served from disk / fallen through / rows written.
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.flushes = 0
-        #: Transient ``database is locked`` failures absorbed by the shared
-        #: backoff helper (telemetry for multi-replica write contention).
-        self.write_retries = 0
-        #: True when a version/shard-count mismatch dropped existing rows.
-        self.invalidated = False
-        # A corrupt/truncated shard file is quarantine-renamed and rebuilt
-        # fresh, mirroring the wholesale schema-version drop — cache
-        # corruption must never fail engine construction.
-        self._pool = ShardedSqlite(self.path, num_shards, timeout, self._initialize)
-        #: Where a corrupt pre-existing shard file was renamed on open, if any.
-        quarantined = self._pool.quarantined_paths()
-        self.quarantined_path: Optional[str] = quarantined[0] if quarantined else None
-
-    # -- schema -------------------------------------------------------------------
-    @property
-    def _conn(self) -> sqlite3.Connection:
-        """Shard 0's write connection (compatibility handle for tests/tools)."""
-        return self._pool.shards[0].conn
-
-    def _initialize(self, conn: sqlite3.Connection, shard_index: int) -> None:
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        with conn:
-            if prepare_shard_meta(
-                conn,
-                schema_version=DISK_SCHEMA_VERSION,
-                num_shards=self.num_shards,
-                shard_index=shard_index,
-            ):
-                # A stale digest/payload format or key→shard routing: drop
-                # everything, never attempt to reinterpret old rows.
-                conn.execute("DROP TABLE IF EXISTS entries")
-                self.invalidated = True
-            conn.execute(
+        # A corrupt/truncated file is quarantine-renamed and rebuilt fresh,
+        # mirroring the wholesale schema-version drop — cache corruption
+        # must never fail engine construction.
+        self._file = SqliteFile(
+            self.path,
+            timeout=timeout,
+            schema_version=DISK_SCHEMA_VERSION,
+            tables=("entries",),
+            schema=(
                 "CREATE TABLE IF NOT EXISTS entries ("
                 " key BLOB PRIMARY KEY,"
                 " payload BLOB NOT NULL,"
                 " rows INTEGER NOT NULL,"
-                " created_at REAL NOT NULL)"
-            )
+                " created_at REAL NOT NULL)",
+            ),
+            write_site=SITE_CACHE_WRITE,
+        )
+        #: True when a version mismatch dropped existing rows on open.
+        self.invalidated = self._file.invalidated
+        #: Where a corrupt pre-existing file was renamed on open, if any.
+        self.quarantined_path = self._file.quarantined_path
+
+    @property
+    def write_retries(self) -> int:
+        """Transient ``database is locked`` write failures absorbed by retries."""
+        return self._file.write_retries
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        with self._lock:
+            setattr(self, name, getattr(self, name) + amount)
 
     # -- lookups ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[DataTable]:
-        """The stored result view under *key*, or ``None``."""
+        """The stored result view under *key*, or ``None``.
+
+        An unreadable payload behaves like a miss and is removed so it
+        cannot keep failing (when the write lock cannot be taken, the row
+        stays for the next lookup to remove).
+        """
         encoded = encode_key(key)
-        shard = self._pool.shard_for_digest(encoded)
-        row = shard.read_conn().execute(
+        row = self._file.read().execute(
             "SELECT payload FROM entries WHERE key = ?", (encoded,)
         ).fetchone()
         if row is None:
-            with self._lock:
-                self.misses += 1
+            self._count("misses")
             return None
         try:
             table = deserialize_table(row[0])
         except Exception:
-            # An unreadable payload behaves like a miss (and is removed so
-            # it cannot keep failing).
-            with shard.write_lock, shard.conn:
-                shard.conn.execute("DELETE FROM entries WHERE key = ?", (encoded,))
-            with self._lock:
-                self.misses += 1
+            self._file.repair("DELETE FROM entries WHERE key = ?", (encoded,))
+            self._count("misses")
             return None
-        with self._lock:
-            self.hits += 1
+        self._count("hits")
         return table
 
     def put_many(self, items: Iterable[tuple[CacheKey, DataTable]]) -> int:
-        """Insert (or replace) a batch of results, one transaction per shard.
+        """Insert (or replace) a batch of results in one transaction.
 
-        The batch is partitioned by owning shard and lands as one
-        ``executemany`` per shard file, so a flush touches each shard's
-        write lock at most once.  Transient lock contention from sibling
-        replicas retries with backoff (``write_retries`` counts the
-        absorbed failures); the
+        Transient lock contention from sibling replicas retries with
+        backoff (``write_retries`` counts the absorbed failures); the
         :data:`~repro.reliability.SITE_CACHE_PAYLOAD` seam lets the fault
         harness tear a payload mid-write, which :meth:`get` must then
         repair as a miss.
@@ -289,29 +256,15 @@ class DiskCacheTier:
             rows.append((encode_key(key), payload, len(table), now))
         if not rows:
             return 0
-
-        def count_retry(attempt: int, exc: BaseException, delay: float) -> None:
-            with self._lock:
-                self.write_retries += 1
-
-        groups = self._pool.group_by_shard(
-            rows, lambda row: self._pool.shard_for_digest(row[0])
+        self._file.write(
+            lambda conn: conn.executemany(
+                "INSERT OR REPLACE INTO entries (key, payload, rows, created_at)"
+                " VALUES (?, ?, ?, ?)",
+                rows,
+            )
         )
-        for shard, batch in groups.items():
-
-            def insert(shard=shard, batch=batch) -> None:
-                with shard.write_lock, shard.conn:
-                    fault_point(SITE_CACHE_WRITE)
-                    shard.conn.executemany(
-                        "INSERT OR REPLACE INTO entries (key, payload, rows, created_at)"
-                        " VALUES (?, ?, ?, ?)",
-                        batch,
-                    )
-                with self._lock:
-                    self.writes += len(batch)
-
-            retry_sqlite(insert, on_retry=count_retry)
         with self._lock:
+            self.writes += len(rows)
             self.flushes += 1
         return len(rows)
 
@@ -320,52 +273,22 @@ class DiskCacheTier:
 
     # -- maintenance ---------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(
-            int(
-                shard.read_conn()
-                .execute("SELECT COUNT(*) FROM entries")
-                .fetchone()[0]
-            )
-            for shard in self._pool.shards
-        )
+        return self._file.read().execute("SELECT COUNT(*) FROM entries").fetchone()[0]
 
     def stored_rows(self) -> int:
         """Total result rows persisted (the disk analogue of ``cached_rows``)."""
-        return sum(
-            int(
-                shard.read_conn()
-                .execute("SELECT COALESCE(SUM(rows), 0) FROM entries")
-                .fetchone()[0]
-            )
-            for shard in self._pool.shards
-        )
+        return self._file.read().execute(
+            "SELECT COALESCE(SUM(rows), 0) FROM entries"
+        ).fetchone()[0]
 
     def clear(self) -> None:
-        """Drop every persisted entry (the schema version rows stay)."""
-        for shard in self._pool.shards:
-            with shard.write_lock, shard.conn:
-                shard.conn.execute("DELETE FROM entries")
-
-    def shard_stats(self) -> list[dict[str, Any]]:
-        """Per-shard occupancy (one row per shard file, for telemetry)."""
-        return [
-            {
-                "shard": shard.index,
-                "path": str(shard.path),
-                "entries": int(
-                    shard.read_conn()
-                    .execute("SELECT COUNT(*) FROM entries")
-                    .fetchone()[0]
-                ),
-            }
-            for shard in self._pool.shards
-        ]
+        """Drop every persisted entry (the schema version row stays)."""
+        self._file.write(lambda conn: conn.execute("DELETE FROM entries"))
 
     def describe(self) -> dict[str, Any]:
         return {
             "path": str(self.path),
             "schema_version": DISK_SCHEMA_VERSION,
-            "num_shards": self.num_shards,
             "entries": len(self),
             "stored_rows": self.stored_rows(),
             "hits": self.hits,
@@ -375,11 +298,10 @@ class DiskCacheTier:
             "write_retries": self.write_retries,
             "invalidated": self.invalidated,
             "quarantined_path": self.quarantined_path,
-            "shards": self.shard_stats(),
         }
 
     def close(self) -> None:
-        self._pool.close()
+        self._file.close()
 
     def __enter__(self) -> "DiskCacheTier":
         return self

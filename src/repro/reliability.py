@@ -32,8 +32,10 @@ seams every other layer threads through.
 
 This module is deliberately stdlib-only and imports nothing from
 ``repro``, so both :mod:`repro.engine` and :mod:`repro.explore` can
-depend on it without import cycles.  The engine-facing harness module is
-:mod:`repro.engine.faults`, which re-exports everything here.
+depend on it without import cycles.  Tests and the ``serve_cluster``
+smoke import the harness from here::
+
+    from repro.reliability import FaultPlan, install_plan, clear_plan
 """
 
 from __future__ import annotations

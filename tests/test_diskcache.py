@@ -169,6 +169,45 @@ class TestVersionInvalidation:
         assert len(reopened) == len(OPS)
         reopened.close()
 
+    def test_multi_shard_file_is_dropped_wholesale(self, flights, db_path):
+        # Shard 0 of a cache written at several shards holds only part of
+        # the key space; it is dropped rather than served.
+        with DiskCacheTier(db_path) as tier:
+            tier.put(("op",), flights)
+        with sqlite3.connect(db_path) as conn:
+            conn.execute("INSERT INTO meta (key, value) VALUES ('num_shards', '3')")
+        conn.close()
+        with DiskCacheTier(db_path) as tier:
+            assert tier.invalidated
+            assert len(tier) == 0
+            tier.put(("op",), flights)
+        with DiskCacheTier(db_path) as tier:
+            assert not tier.invalidated
+            assert tier.get(("op",)) == flights
+
+
+class TestCorruptEntries:
+    def test_repair_under_a_held_write_lock_is_a_miss(self, flights, db_path):
+        # Another process holds the file's write lock: removing the torn
+        # row cannot happen now, but the lookup must still be a plain
+        # miss, and the next lookup repairs the row.
+        with DiskCacheTier(db_path, timeout=0.05) as tier:
+            tier.put(("op",), flights)
+            blocker = sqlite3.connect(db_path, isolation_level=None)
+            try:
+                blocker.execute("UPDATE entries SET payload = ?", (b"torn",))
+                blocker.execute("BEGIN IMMEDIATE")
+                assert tier.get(("op",)) is None
+                assert tier.misses == 1
+                assert tier.write_retries > 0
+                blocker.execute("ROLLBACK")
+            finally:
+                blocker.close()
+            assert len(tier) == 1  # left for the next lookup...
+            assert tier.get(("op",)) is None
+            assert len(tier) == 0  # ...which removes it
+            assert tier.misses == 2
+
 
 def _writer_process(db_path: str, which: int) -> None:
     table = load_dataset("flights", num_rows=300)

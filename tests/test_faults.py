@@ -1,6 +1,6 @@
 """Fault-injection matrix: every scripted failure recovers on its own.
 
-One proving test per :class:`~repro.engine.faults.FaultPlan` kind —
+One proving test per :class:`~repro.reliability.FaultPlan` kind —
 ``crash_after_claim``, ``crash_before_commit``, ``sqlite_busy``,
 ``hung_stage``, ``torn_cache_write`` — each asserting recovery without
 manual intervention and without duplicate execution, plus the primitives
@@ -32,7 +32,7 @@ from repro.engine import (
     ResultStore,
     SessionOutcome,
 )
-from repro.engine.faults import (
+from repro.reliability import (
     KIND_CRASH,
     KIND_HANG,
     SITE_CACHE_WRITE,
@@ -54,6 +54,7 @@ from repro.explore.cache import ExecutionCache
 from repro.explore.diskcache import DiskCacheTier
 from repro.explore.operations import FilterOperation, GroupAggOperation
 from repro.plan import canonicalize, plan_from_operations
+from store_helpers import get_payload, put
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
 
@@ -325,9 +326,9 @@ class TestSqliteBusy:
         store = ResultStore(tmp_path / "results.sqlite")
         try:
             install_plan(FaultPlan.sqlite_busy(times=2))
-            store.put("ns", "hash-1", result)
+            put(store, "ns", "hash-1", result)
             assert store.write_retries == 2
-            assert store.get_payload("ns", "hash-1") == result.to_dict()
+            assert get_payload(store, "ns", "hash-1") == result.to_dict()
         finally:
             store.close()
 

@@ -120,17 +120,13 @@ class TestRoutes:
         status, body = _call(port, "GET", "/stats")
         assert status == 200
         assert {"scheduler", "engine_cache", "exploration_context", "store"} <= set(body)
-        # The store reports per-shard occupancy and counters, one entry
-        # per shard file (the default layout is a single shard 0).
-        shards = body["store"]["shards"]
-        assert [shard["shard"] for shard in shards] == [0]
         assert {
-            "shard", "path", "entries", "leases_held",
-            "hits", "misses", "writes", "write_retries",
-        } <= set(shards[0])
+            "path", "entries", "hits", "misses", "writes", "write_retries", "leases",
+        } <= set(body["store"])
 
-    def test_sharded_store_surfaces_in_stats_and_healthz(self, tmp_path):
-        store = ResultStore(tmp_path / "results.sqlite", num_shards=4)
+    def test_store_surfaces_flat_stats_and_healthz(self, tmp_path):
+        store = ResultStore(tmp_path / "results.sqlite")
+        store.commit_result("ns", "h1", "{}")
         scheduler = RequestScheduler(
             LinxEngine(session_generator=StubGenerator()), store=store, max_workers=1
         )
@@ -138,11 +134,15 @@ class TestRoutes:
             with ServerThread(scheduler) as hosted:
                 status, body = _call(hosted.port, "GET", "/stats")
                 assert status == 200
-                assert body["store"]["num_shards"] == 4
-                assert [s["shard"] for s in body["store"]["shards"]] == [0, 1, 2, 3]
+                assert body["store"]["entries"] == 1
+                assert body["store"]["write_retries"] == 0
+                assert "shards" not in body["store"]
+                assert "num_shards" not in body["store"]
                 status, health = _call(hosted.port, "GET", "/healthz")
                 assert status == 200
-                assert [s["shard"] for s in health["store_shards"]] == [0, 1, 2, 3]
+                assert health["store_entries"] == 1
+                assert health["store_write_retries"] == 0
+                assert "store_shards" not in health
         finally:
             scheduler.shutdown()
             store.close()

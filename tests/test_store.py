@@ -1,9 +1,11 @@
-"""Tests for the persistent result store (idempotency, replay, versioning)."""
+"""Tests for the persistent result store (idempotency, replay, versioning, leases)."""
 
 from __future__ import annotations
 
 import json
 import sqlite3
+import threading
+import time
 
 import pytest
 
@@ -20,12 +22,22 @@ from repro.engine import (
 from repro.engine.store import STORE_SCHEMA_VERSION
 from repro.explore import session_from_operations
 from repro.explore.operations import FilterOperation, GroupAggOperation
+from store_helpers import contains, get, get_payload, put
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
 
 #: Namespace used by direct-store tests (the scheduler uses the engine's
 #: config fingerprint).
 NS = "test-namespace"
+
+#: Hex keys shaped like real canonical request hashes (blake2b hex).
+HEX_KEYS = [
+    f"{(value * 2654435761) % 2**32:08x}{value:032x}" for value in range(42)
+]
+
+
+def _payload(key: str) -> str:
+    return json.dumps({"key": key, "value": len(key)})
 
 
 @pytest.fixture
@@ -78,46 +90,46 @@ class CountingGenerator:
 class TestRoundTrip:
     def test_put_get_round_trips_losslessly(self, store_path, request_, executed):
         with ResultStore(store_path) as store:
-            store.put(NS, request_.canonical_hash(), executed)
-            loaded = store.get(NS, request_.canonical_hash())
+            put(store, NS, request_.canonical_hash(), executed)
+            loaded = get(store, NS, request_.canonical_hash())
         assert loaded == executed
         assert loaded.to_dict() == executed.to_dict()
         assert loaded.artifacts is None
 
     def test_payload_is_canonical_json(self, store_path, request_, executed):
         with ResultStore(store_path) as store:
-            store.put(NS, request_.canonical_hash(), executed)
-            payload = store.get_payload(NS, request_.canonical_hash())
+            put(store, NS, request_.canonical_hash(), executed)
+            payload = get_payload(store, NS, request_.canonical_hash())
         assert payload == json.loads(json.dumps(executed.to_dict()))
 
     def test_get_unknown_hash_is_a_miss(self, store_path):
         with ResultStore(store_path) as store:
-            assert store.get(NS, "no-such-hash") is None
+            assert get(store, NS, "no-such-hash") is None
             assert store.misses == 1
             assert store.hits == 0
 
     def test_survives_reopen(self, store_path, request_, executed):
         store = ResultStore(store_path)
-        store.put(NS, request_.canonical_hash(), executed)
+        put(store, NS, request_.canonical_hash(), executed)
         store.close()
         reopened = ResultStore(store_path)
         assert not reopened.invalidated
         assert len(reopened) == 1
-        assert reopened.get(NS, request_.canonical_hash()) == executed
+        assert get(reopened, NS, request_.canonical_hash()) == executed
         reopened.close()
 
     def test_contains_delete_clear(self, store_path, request_, executed):
         with ResultStore(store_path) as store:
             key = request_.canonical_hash()
-            assert not store.contains(NS, key)
-            store.put(NS, key, executed)
-            assert store.contains(NS, key)
+            assert not contains(store, NS, key)
+            put(store, NS, key, executed)
+            assert contains(store, NS, key)
             assert store.request_hashes() == [key]
             assert store.request_hashes(NS) == [key]
             assert store.request_hashes("other") == []
             assert store.delete(NS, key)
             assert not store.delete(NS, key)
-            store.put(NS, key, executed)
+            put(store, NS, key, executed)
             store.clear()
             assert len(store) == 0
 
@@ -125,29 +137,29 @@ class TestRoundTrip:
         """One hash stored under two namespaces is two independent rows."""
         with ResultStore(store_path) as store:
             key = request_.canonical_hash()
-            store.put("config-a", key, executed)
-            assert store.get("config-b", key) is None
-            store.put("config-b", key, executed)
+            put(store, "config-a", key, executed)
+            assert get(store, "config-b", key) is None
+            put(store, "config-b", key, executed)
             assert len(store) == 2
             assert store.delete("config-a", key)
-            assert store.get("config-b", key) == executed
+            assert get(store, "config-b", key) == executed
 
     def test_prune_removes_only_old_rows(self, store_path, request_, executed):
         with ResultStore(store_path) as store:
             key = request_.canonical_hash()
-            store.put(NS, key, executed)
-            store.put(NS, "fresh-hash", executed)
+            put(store, NS, key, executed)
+            put(store, NS, "fresh-hash", executed)
             # Age the first row artificially; prune must be selective.
-            with store._conn:
-                store._conn.execute(
+            with sqlite3.connect(store_path) as connection:
+                connection.execute(
                     "UPDATE results SET created_at = created_at - 3600"
                     " WHERE request_hash = ?",
                     (key,),
                 )
             assert store.prune(older_than=1800) == 1
             assert store.pruned == 1
-            assert not store.contains(NS, key)
-            assert store.contains(NS, "fresh-hash")
+            assert not contains(store, NS, key)
+            assert contains(store, NS, "fresh-hash")
             assert store.prune(older_than=1800) == 0
             with pytest.raises(ValueError):
                 store.prune(older_than=-1)
@@ -253,8 +265,8 @@ class TestReplay:
         self, store_path, request_, executed
     ):
         with ResultStore(store_path) as store:
-            store.put(NS, request_.canonical_hash(), executed)
-            loaded = store.get(NS, request_.canonical_hash())
+            put(store, NS, request_.canonical_hash(), executed)
+            loaded = get(store, NS, request_.canonical_hash())
         table = load_dataset(
             request_.dataset, num_rows=request_.num_rows, seed=request_.dataset_seed
         )
@@ -269,7 +281,7 @@ class TestReplay:
 class TestSchemaVersioning:
     def test_version_mismatch_drops_store_wholesale(self, store_path, request_, executed):
         store = ResultStore(store_path)
-        store.put(NS, request_.canonical_hash(), executed)
+        put(store, NS, request_.canonical_hash(), executed)
         store.close()
         with sqlite3.connect(store_path) as connection:
             connection.execute(
@@ -279,10 +291,10 @@ class TestSchemaVersioning:
         reopened = ResultStore(store_path)
         assert reopened.invalidated
         assert len(reopened) == 0
-        assert reopened.get(NS, request_.canonical_hash()) is None
+        assert get(reopened, NS, request_.canonical_hash()) is None
         # ... and the store is usable again at the current version.
-        reopened.put(NS, request_.canonical_hash(), executed)
-        assert reopened.get(NS, request_.canonical_hash()) == executed
+        put(reopened, NS, request_.canonical_hash(), executed)
+        assert get(reopened, NS, request_.canonical_hash()) == executed
         reopened.close()
         third = ResultStore(store_path)
         assert not third.invalidated
@@ -294,7 +306,7 @@ class TestSchemaVersioning:
     ):
         store = ResultStore(store_path)
         key = request_.canonical_hash()
-        store.put(NS, key, executed)
+        put(store, NS, key, executed)
         store.close()
         with sqlite3.connect(store_path) as connection:
             connection.execute(
@@ -302,15 +314,53 @@ class TestSchemaVersioning:
                 (key,),
             )
         reopened = ResultStore(store_path)
-        assert reopened.get(NS, key) is None
+        assert get(reopened, NS, key) is None
         assert len(reopened) == 0  # the bad row cannot keep failing
         reopened.close()
 
+    def test_corrupt_payload_text_is_removed_as_miss(self, store_path):
+        with ResultStore(store_path) as store:
+            key = HEX_KEYS[0]
+            store.commit_result(NS, key, _payload(key))
+            with sqlite3.connect(store_path) as connection:
+                connection.execute(
+                    "UPDATE results SET payload = ? WHERE request_hash = ?",
+                    (b"{not json", key),
+                )
+            assert store.get_payload_text(NS, key) is None
+            assert store.misses == 1
+            assert len(store) == 0
+
+    def test_repair_under_a_held_write_lock_is_a_miss(self, store_path):
+        # Another process holds the file's write lock: removing the
+        # unreadable row cannot happen now, but the lookup must still be a
+        # plain miss, and the next lookup repairs the row.
+        with ResultStore(store_path, timeout=0.05) as store:
+            key = HEX_KEYS[0]
+            store.commit_result(NS, key, _payload(key))
+            blocker = sqlite3.connect(store_path, isolation_level=None)
+            try:
+                blocker.execute(
+                    "UPDATE results SET payload = ? WHERE request_hash = ?",
+                    (b"\xff\xfe not utf-8", key),
+                )
+                blocker.execute("BEGIN IMMEDIATE")
+                assert store.get_payload_text(NS, key) is None
+                assert store.misses == 1
+                assert store.write_retries > 0
+                blocker.execute("ROLLBACK")
+            finally:
+                blocker.close()
+            assert len(store) == 1  # left for the next lookup...
+            assert store.get_payload_text(NS, key) is None
+            assert len(store) == 0  # ...which removes it
+            assert store.misses == 2
+
     def test_describe_reports_counters(self, store_path, request_, executed):
         with ResultStore(store_path) as store:
-            store.put(NS, request_.canonical_hash(), executed)
-            store.get(NS, request_.canonical_hash())
-            store.get(NS, "missing")
+            put(store, NS, request_.canonical_hash(), executed)
+            get(store, NS, request_.canonical_hash())
+            get(store, NS, "missing")
             summary = store.describe()
         assert summary["entries"] == 1
         assert summary["writes"] == 1
@@ -318,6 +368,60 @@ class TestSchemaVersioning:
         assert summary["misses"] == 1
         assert summary["schema_version"] == STORE_SCHEMA_VERSION
         assert summary["invalidated"] is False
+
+
+def _write_single_file_v3_store(path, rows, *, num_shards=1):
+    """A store file laid out exactly as the sharded store wrote shard 0."""
+    with sqlite3.connect(path) as connection:
+        connection.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        connection.executemany(
+            "INSERT INTO meta (key, value) VALUES (?, ?)",
+            [
+                ("schema_version", str(STORE_SCHEMA_VERSION)),
+                ("num_shards", str(num_shards)),
+                ("shard_index", "0"),
+            ],
+        )
+        connection.execute(
+            "CREATE TABLE results ("
+            " namespace TEXT NOT NULL, request_hash TEXT NOT NULL,"
+            " request_id TEXT NOT NULL, dataset TEXT NOT NULL,"
+            " payload BLOB NOT NULL, created_at REAL NOT NULL,"
+            " PRIMARY KEY (namespace, request_hash))"
+        )
+        connection.execute(
+            "CREATE TABLE leases ("
+            " namespace TEXT NOT NULL, request_hash TEXT NOT NULL,"
+            " replica_id TEXT NOT NULL, expires_at REAL NOT NULL,"
+            " claimed_at REAL NOT NULL, PRIMARY KEY (namespace, request_hash))"
+        )
+        connection.executemany(
+            "INSERT INTO results VALUES (?, ?, '', '', ?, ?)",
+            [(NS, key, _payload(key).encode("utf-8"), time.time()) for key in rows],
+        )
+    connection.close()
+
+
+class TestMigration:
+    def test_single_file_store_reopens_with_its_rows(self, store_path):
+        _write_single_file_v3_store(store_path, HEX_KEYS[:5])
+        with ResultStore(store_path) as store:
+            assert store.invalidated is False
+            assert sorted(store.request_hashes(NS)) == sorted(HEX_KEYS[:5])
+            for key in HEX_KEYS[:5]:
+                assert store.get_payload_text(NS, key) == _payload(key)
+
+    def test_multi_shard_file_is_dropped_wholesale(self, store_path):
+        # Shard 0 of a 4-shard store holds only a quarter of the keys: it
+        # is dropped, never served as if it were the whole store.
+        _write_single_file_v3_store(store_path, HEX_KEYS[:5], num_shards=4)
+        with ResultStore(store_path) as store:
+            assert store.invalidated is True
+            assert len(store) == 0
+            store.commit_result(NS, HEX_KEYS[0], _payload(HEX_KEYS[0]))
+        with ResultStore(store_path) as store:
+            assert store.invalidated is False
+            assert store.get_payload_text(NS, HEX_KEYS[0]) == _payload(HEX_KEYS[0])
 
 
 class TestLeases:
@@ -359,23 +463,27 @@ class TestLeases:
 
     def test_release_all_drops_only_that_replica(self, store_path):
         with ResultStore(store_path) as store:
-            store.claim(NS, "h1", "replica-a", 30.0)
-            store.claim(NS, "h2", "replica-a", 30.0)
-            store.claim(NS, "h3", "replica-b", 30.0)
-            assert sorted(store.leases_held("replica-a")) == ["h1", "h2"]
-            assert store.release_all("replica-a") == 2
+            for key in HEX_KEYS[:9]:
+                assert store.claim(NS, key, "replica-a", 30.0)
+            assert store.claim(NS, HEX_KEYS[9], "replica-b", 30.0)
+            # Oldest claim first.
+            assert store.leases_held("replica-a") == HEX_KEYS[:9]
+            assert store.release_all("replica-a") == 9
+            assert store.lease_releases == 9
             assert store.leases_held("replica-a") == []
-            assert store.leases_held("replica-b") == ["h3"]
+            assert store.leases_held("replica-b") == [HEX_KEYS[9]]
 
     def test_expire_leases_sweeps_only_stale_rows(self, store_path):
         import time as _time
 
         with ResultStore(store_path) as store:
-            store.claim(NS, "stale", "replica-a", 0.05)
+            for key in HEX_KEYS[:9]:
+                store.claim(NS, key, "replica-a", 0.05)
             store.claim(NS, "live", "replica-b", 30.0)
             _time.sleep(0.1)
-            assert store.expire_leases() == 1
-            assert store.lease(NS, "stale") is None
+            assert store.expire_leases() == 9
+            assert store.expire_leases() == 0
+            assert store.lease(NS, HEX_KEYS[0]) is None
             assert store.lease(NS, "live") is not None
 
     def test_leases_survive_reopen_but_not_schema_bump(self, store_path):
@@ -385,3 +493,105 @@ class TestLeases:
         reopened = ResultStore(store_path)
         assert reopened.lease(NS, "h1")["replica_id"] == "replica-a"
         reopened.close()
+        with sqlite3.connect(store_path) as connection:
+            connection.execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                (str(STORE_SCHEMA_VERSION + 1),),
+            )
+        connection.close()
+        bumped = ResultStore(store_path)
+        assert bumped.invalidated
+        assert bumped.lease(NS, "h1") is None
+        bumped.close()
+
+    def test_commit_result_releases_lease_atomically(self, store_path):
+        with ResultStore(store_path) as store:
+            key = HEX_KEYS[0]
+            assert store.claim(NS, key, "replica-a", ttl=30.0)
+            released = store.commit_result(
+                NS, key, _payload(key), replica_id="replica-a"
+            )
+            assert released is True
+            assert store.lease(NS, key) is None
+            assert store.lease_releases == 1
+            # Without a lease (or a replica_id), commit still stores the
+            # row and reports nothing released.
+            assert store.commit_result(NS, HEX_KEYS[1], _payload(HEX_KEYS[1])) is False
+
+    def test_commit_result_leaves_other_replicas_lease_alone(self, store_path):
+        with ResultStore(store_path) as store:
+            key = HEX_KEYS[0]
+            assert store.claim(NS, key, "replica-a", ttl=30.0)
+            assert store.commit_result(
+                NS, key, _payload(key), replica_id="replica-b"
+            ) is False
+            assert store.lease(NS, key)["replica_id"] == "replica-a"
+
+    def test_renew_many_extends_only_held_live_leases(self, store_path):
+        with ResultStore(store_path) as store:
+            held = HEX_KEYS[:9]
+            for key in held:
+                assert store.claim(NS, key, "replica-a", ttl=30.0)
+            other = HEX_KEYS[9]
+            assert store.claim(NS, other, "replica-b", ttl=30.0)
+            before = {key: store.lease(NS, key)["expires_at"] for key in held}
+            renewed = store.renew_many(NS, held + [other], "replica-a", ttl=120.0)
+            assert renewed == len(held)
+            assert store.lease_renewals == len(held)
+            for key in held:
+                assert store.lease(NS, key)["expires_at"] > before[key]
+            # replica-b's lease was untouched by replica-a's batch renew.
+            assert store.lease(NS, other)["expires_at"] < before[held[0]] + 120.0
+
+    def test_renew_many_of_nothing_is_a_no_op(self, store_path):
+        with ResultStore(store_path) as store:
+            assert store.renew_many(NS, [], "replica-a", ttl=30.0) == 0
+
+    def test_expiry_sweep_does_not_inflate_takeover_counters(self, store_path):
+        # A swept (deleted) lease leaves no row, so a later claim is a
+        # plain claim, not a takeover — takeovers count only live-row
+        # replacements of a *different* replica.
+        with ResultStore(store_path) as store:
+            key = HEX_KEYS[0]
+            assert store.claim(NS, key, "replica-a", ttl=0.0001)
+            time.sleep(0.01)
+            assert store.expire_leases() == 1
+            assert store.claim(NS, key, "replica-b", ttl=30.0)
+            assert store.lease_takeovers == 0
+            # An expired-but-unswept lease, by contrast, IS a takeover.
+            key2 = HEX_KEYS[1]
+            assert store.claim(NS, key2, "replica-a", ttl=0.0001)
+            time.sleep(0.01)
+            assert store.claim(NS, key2, "replica-b", ttl=30.0)
+            assert store.lease_takeovers == 1
+
+
+class TestConcurrentReads:
+    def test_parallel_readers_see_consistent_rows(self, store_path):
+        # 8 reader threads over per-thread pooled connections while a
+        # writer keeps committing: every read must return either a miss or
+        # the full, valid payload — never a torn row.
+        with ResultStore(store_path) as store:
+            keys = HEX_KEYS[:40]
+            for key in keys[:20]:
+                store.commit_result(NS, key, _payload(key))
+            failures: list[str] = []
+            stop = threading.Event()
+
+            def read_loop():
+                while not stop.is_set():
+                    for key in keys:
+                        text = store.get_payload_text(NS, key)
+                        if text is not None and json.loads(text)["key"] != key:
+                            failures.append(key)
+
+            readers = [threading.Thread(target=read_loop) for _ in range(8)]
+            for thread in readers:
+                thread.start()
+            for key in keys[20:]:
+                store.commit_result(NS, key, _payload(key))
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            assert not failures
+            assert len(store) == len(keys)
