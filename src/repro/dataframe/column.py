@@ -457,8 +457,10 @@ class Column:
         rank[appearance] = np.arange(len(uniq), dtype=np.int64)
         row_codes = np.full(len(data), -1, dtype=np.int64)
         row_codes[~mask] = rank[inverse]
-        self._memo_codes = row_codes
+        # Values before codes: a thread that sees the codes must also see
+        # the table that decodes them.
         self._memo_code_values = tuple(order)
+        self._memo_codes = row_codes
 
     def unique(self) -> list[Any]:
         """Distinct non-null values in first-appearance order (memoised)."""
@@ -502,8 +504,8 @@ class Column:
             codes = self._memo_codes
         except AttributeError:
             return child
-        child._memo_codes = codes[idx]
         child._memo_code_values = self._memo_code_values
+        child._memo_codes = codes[idx]
         return child
 
     def cast(self, dtype: str) -> "Column":

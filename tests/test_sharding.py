@@ -1,38 +1,30 @@
-"""Tests for the sharded, connection-pooled persistence tier.
+"""Tests that pin the one-file store against the layouts of the old sharded one.
 
-Covers the :mod:`repro.shards` routing primitives (stable assignment
-across processes and runs), the sharded :class:`ResultStore` (round-trip
-at several shard counts, batched lease operations, atomic
-commit-and-release, shard-count-mismatch wholesale drop) and the sharded
-:class:`DiskCacheTier` (per-shard batch flushes, same drop policy).
+The result store and the disk cache once striped keys over several sqlite
+files. They are now one pooled file each. These cases keep what the
+sharded layout promised: every key round-trips whatever the write
+concurrency, batched lease operations reach every row, a file written at
+one shard reopens with its rows, and a schema bump drops both a fresh
+file and one left by the sharded layout.
 """
 
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
+import sqlite3
 import threading
+import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.dataframe.column import Column
 from repro.dataframe.table import DataTable
 from repro.engine.store import STORE_SCHEMA_VERSION, ResultStore
 from repro.explore.diskcache import DiskCacheTier
-from repro.shards import (
-    remove_orphan_shards,
-    shard_index_for_digest,
-    shard_index_for_hex,
-    shard_path,
-)
 
 NS = "shard-test-namespace"
 
-#: Hex keys shaped like real canonical request hashes (blake2b hex) —
-#: Knuth-hashed so the routing prefix (the first 8 chars) actually varies.
+#: Hex keys shaped like real canonical request hashes (blake2b hex).
 HEX_KEYS = [
     f"{(value * 2654435761) % 2**32:08x}{value:032x}" for value in range(42)
 ]
@@ -42,249 +34,85 @@ def _payload(key: str) -> str:
     return json.dumps({"key": key, "value": len(key)})
 
 
-class TestRouting:
-    def test_hex_routing_matches_documented_formula(self):
-        # The contract is literally int(hash[:8], 16) % num_shards; pin a
-        # few values so the routing can never silently change (changing it
-        # strands every existing shard layout).
-        assert shard_index_for_hex("deadbeef" + "0" * 32, 4) == 0xDEADBEEF % 4
-        assert shard_index_for_hex("00000001" + "f" * 32, 8) == 1
-        assert shard_index_for_hex("ffffffff", 3) == 0xFFFFFFFF % 3
-
-    def test_single_shard_routes_everything_to_zero(self):
-        for key in HEX_KEYS:
-            assert shard_index_for_hex(key, 1) == 0
-
-    def test_non_hex_keys_route_stably_instead_of_raising(self):
-        # Tests and ad-hoc callers use keys like "h1"; routing must be
-        # total and deterministic over them too.
-        assert shard_index_for_hex("h1", 4) == shard_index_for_hex("h1", 4)
-        assert 0 <= shard_index_for_hex("h1", 4) < 4
-
-    @given(
-        key=st.text(min_size=1, max_size=64),
-        num_shards=st.integers(min_value=1, max_value=16),
+def _table(rows: int, name: str) -> DataTable:
+    return DataTable(
+        [Column("n", list(range(rows))), Column("label", [name] * rows)],
+        name=name,
     )
-    @settings(max_examples=200, deadline=None)
-    def test_hex_routing_is_total_and_in_range(self, key, num_shards):
-        index = shard_index_for_hex(key, num_shards)
-        assert 0 <= index < num_shards
-        assert index == shard_index_for_hex(key, num_shards)
 
-    @given(
-        digest=st.binary(min_size=4, max_size=20),
-        num_shards=st.integers(min_value=1, max_value=16),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_digest_routing_is_total_and_in_range(self, digest, num_shards):
-        index = shard_index_for_digest(digest, num_shards)
-        assert 0 <= index < num_shards
-        assert index == shard_index_for_digest(digest, num_shards)
 
-    def test_routing_is_stable_across_processes(self):
-        # The routing input is the hash string, never Python's per-process
-        # hash(): a key must land on the same shard in every process that
-        # opens the store, or cross-process serving breaks.
-        keys = HEX_KEYS[:8] + ["h1", "not-hex-at-all"]
-        script = (
-            "import json, sys; from repro.shards import shard_index_for_hex; "
-            "print(json.dumps([shard_index_for_hex(k, 8) "
-            "for k in json.loads(sys.argv[1])]))"
+def _record_shard_layout(path, num_shards: int) -> None:
+    """Add the meta rows the sharded layout wrote into its shard 0 file."""
+    with sqlite3.connect(path) as connection:
+        connection.executemany(
+            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+            [("num_shards", str(num_shards)), ("shard_index", "0")],
         )
-        output = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(keys)],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert json.loads(output) == [shard_index_for_hex(k, 8) for k in keys]
+    connection.close()
 
-    def test_shard_path_layout(self, tmp_path):
-        base = tmp_path / "results.sqlite"
-        assert shard_path(base, 0) == base
-        assert shard_path(base, 3) == tmp_path / "results.sqlite.shard3"
+
+def _bump_schema_version(path) -> None:
+    with sqlite3.connect(path) as connection:
+        connection.execute(
+            "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+            (str(STORE_SCHEMA_VERSION + 1),),
+        )
+    connection.close()
 
 
 class TestShardedResultStore:
-    @pytest.mark.parametrize("num_shards", [1, 3, 8])
-    def test_all_keys_round_trip(self, tmp_path, num_shards):
+    @pytest.mark.parametrize("writers", [1, 3, 8])
+    def test_all_keys_round_trip(self, tmp_path, writers):
+        # Writer threads share the one write connection; every key lands
+        # and reads back whole, before and after a re-open.
         path = tmp_path / "results.sqlite"
-        with ResultStore(path, num_shards=num_shards) as store:
-            for key in HEX_KEYS:
-                store.commit_result(NS, key, _payload(key))
+        failures: list[BaseException] = []
+
+        def commit(keys):
+            try:
+                for key in keys:
+                    store.commit_result(NS, key, _payload(key))
+            except BaseException as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        with ResultStore(path) as store:
+            threads = [
+                threading.Thread(target=commit, args=(HEX_KEYS[i::writers],))
+                for i in range(writers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not failures
             assert len(store) == len(HEX_KEYS)
             for key in HEX_KEYS:
                 assert store.get_payload_text(NS, key) == _payload(key)
-                assert store.get_payload(NS, key) == {"key": key, "value": len(key)}
-        # ...and across a re-open at the same count.
-        with ResultStore(path, num_shards=num_shards) as store:
-            assert not store.invalidated
-            assert sorted(store.request_hashes(NS)) == sorted(HEX_KEYS)
-
-    def test_keys_actually_spread_over_shard_files(self, tmp_path):
-        path = tmp_path / "results.sqlite"
-        with ResultStore(path, num_shards=4) as store:
-            for key in HEX_KEYS:
-                store.commit_result(NS, key, _payload(key))
-            occupancy = [shard["entries"] for shard in store.shard_stats()]
-        assert sum(occupancy) == len(HEX_KEYS)
-        assert all(entries > 0 for entries in occupancy)
-        for index in range(1, 4):
-            assert shard_path(path, index).exists()
-
-    def test_shard_count_mismatch_drops_wholesale(self, tmp_path):
-        path = tmp_path / "results.sqlite"
-        with ResultStore(path, num_shards=4) as store:
-            for key in HEX_KEYS[:20]:
-                store.commit_result(NS, key, _payload(key))
-        # Re-opened at a different count, every key would route differently:
-        # the per-shard meta detects the mismatch and drops, never misreads.
-        with ResultStore(path, num_shards=2) as store:
-            assert store.invalidated
-            assert len(store) == 0
-            store.commit_result(NS, HEX_KEYS[0], _payload(HEX_KEYS[0]))
-            assert store.get_payload_text(NS, HEX_KEYS[0]) == _payload(HEX_KEYS[0])
-
-    def test_legacy_single_file_is_compatible_at_one_shard(self, tmp_path):
-        # A num_shards=1 store IS the legacy layout: re-opening it at the
-        # default count must keep its rows.
-        path = tmp_path / "results.sqlite"
-        with ResultStore(path, num_shards=1) as store:
-            store.commit_result(NS, HEX_KEYS[0], _payload(HEX_KEYS[0]))
         with ResultStore(path) as store:
             assert not store.invalidated
-            assert store.get_payload_text(NS, HEX_KEYS[0]) == _payload(HEX_KEYS[0])
-
-    def test_orphan_shard_files_removed_on_shrink(self, tmp_path):
-        path = tmp_path / "results.sqlite"
-        with ResultStore(path, num_shards=4):
-            pass
-        assert shard_path(path, 3).exists()
-        with ResultStore(path, num_shards=2):
-            pass
-        assert shard_path(path, 1).exists()
-        assert not shard_path(path, 2).exists()
-        assert not shard_path(path, 3).exists()
-
-    def test_remove_orphan_shards_reports_removed_files(self, tmp_path):
-        path = tmp_path / "results.sqlite"
-        with ResultStore(path, num_shards=3):
-            pass
-        removed = remove_orphan_shards(path, 1)
-        assert sorted(removed) == [shard_path(path, 1), shard_path(path, 2)]
-
-    def test_describe_exposes_per_shard_counters(self, tmp_path):
-        with ResultStore(tmp_path / "results.sqlite", num_shards=3) as store:
-            for key in HEX_KEYS[:12]:
-                store.commit_result(NS, key, _payload(key))
-                assert store.get_payload_text(NS, key) is not None
-            summary = store.describe()
-            assert summary["num_shards"] == 3
-            assert len(summary["shards"]) == 3
-            for shard in summary["shards"]:
-                assert {
-                    "shard", "path", "entries", "leases_held",
-                    "hits", "misses", "writes", "write_retries",
-                } <= set(shard)
-            assert sum(s["entries"] for s in summary["shards"]) == 12
-            assert sum(s["hits"] for s in summary["shards"]) == store.hits == 12
-            assert sum(s["writes"] for s in summary["shards"]) == store.writes == 12
-
-    def test_corrupt_payload_text_is_removed_as_miss(self, tmp_path):
-        with ResultStore(tmp_path / "results.sqlite", num_shards=2) as store:
-            key = HEX_KEYS[0]
-            store.commit_result(NS, key, _payload(key))
-            shard = store._pool.shard_for_hex(key)
-            with shard.conn:
-                shard.conn.execute(
-                    "UPDATE results SET payload = ? WHERE request_hash = ?",
-                    (b"{not json", key),
-                )
-            assert store.get_payload_text(NS, key) is None
-            assert store.misses == 1
-            assert len(store) == 0
+            assert sorted(store.request_hashes(NS)) == sorted(HEX_KEYS)
+            for key in HEX_KEYS:
+                assert store.get_payload_text(NS, key) == _payload(key)
 
 
 class TestShardedLeases:
-    def test_commit_result_releases_lease_atomically(self, tmp_path):
-        with ResultStore(tmp_path / "results.sqlite", num_shards=3) as store:
-            key = HEX_KEYS[0]
-            assert store.claim(NS, key, "replica-a", ttl=30.0)
-            released = store.commit_result(
-                NS, key, _payload(key), replica_id="replica-a"
-            )
-            assert released is True
-            assert store.lease(NS, key) is None
-            assert store.lease_releases == 1
-            # Without a lease (or a replica_id), commit still stores the
-            # row and reports nothing released.
-            assert store.commit_result(NS, HEX_KEYS[1], _payload(HEX_KEYS[1])) is False
-
-    def test_commit_result_leaves_other_replicas_lease_alone(self, tmp_path):
-        with ResultStore(tmp_path / "results.sqlite") as store:
-            key = HEX_KEYS[0]
-            assert store.claim(NS, key, "replica-a", ttl=30.0)
-            assert store.commit_result(
-                NS, key, _payload(key), replica_id="replica-b"
-            ) is False
-            assert store.lease(NS, key)["replica_id"] == "replica-a"
-
-    def test_renew_many_extends_only_held_live_leases(self, tmp_path):
-        with ResultStore(tmp_path / "results.sqlite", num_shards=3) as store:
-            held = HEX_KEYS[:9]
-            for key in held:
-                assert store.claim(NS, key, "replica-a", ttl=30.0)
-            other = HEX_KEYS[9]
-            assert store.claim(NS, other, "replica-b", ttl=30.0)
-            before = {key: store.lease(NS, key)["expires_at"] for key in held}
-            renewed = store.renew_many(NS, held + [other], "replica-a", ttl=120.0)
-            assert renewed == len(held)
-            assert store.lease_renewals == len(held)
-            for key in held:
-                assert store.lease(NS, key)["expires_at"] > before[key]
-            # replica-b's lease was untouched by replica-a's batch renew.
-            assert store.lease(NS, other)["expires_at"] < before[held[0]] + 120.0
-
-    def test_renew_many_of_nothing_is_a_no_op(self, tmp_path):
-        with ResultStore(tmp_path / "results.sqlite") as store:
-            assert store.renew_many(NS, [], "replica-a", ttl=30.0) == 0
-
     def test_batch_expiry_sweeps_every_shard(self, tmp_path):
-        with ResultStore(tmp_path / "results.sqlite", num_shards=3) as store:
+        # Keys that once routed to different shards are swept by the one
+        # batched statement; a live lease survives it.
+        with ResultStore(tmp_path / "results.sqlite") as store:
             expired = HEX_KEYS[:9]
             for key in expired:
                 assert store.claim(NS, key, "replica-a", ttl=0.0001)
             live = HEX_KEYS[9]
             assert store.claim(NS, live, "replica-a", ttl=60.0)
-            import time as _time
-
-            _time.sleep(0.01)
+            time.sleep(0.01)
             assert store.expire_leases() == len(expired)
             assert store.expire_leases() == 0
             assert store.lease(NS, live) is not None
-
-    def test_expiry_sweep_does_not_inflate_takeover_counters(self, tmp_path):
-        # Regression guard: a swept (deleted) lease leaves no row, so a
-        # later claim is a plain claim, not a takeover — takeovers must
-        # count only live-row replacements of a *different* replica.
-        with ResultStore(tmp_path / "results.sqlite", num_shards=2) as store:
-            key = HEX_KEYS[0]
-            assert store.claim(NS, key, "replica-a", ttl=0.0001)
-            import time as _time
-
-            _time.sleep(0.01)
-            assert store.expire_leases() == 1
-            assert store.claim(NS, key, "replica-b", ttl=30.0)
-            assert store.lease_takeovers == 0
-            # An expired-but-unswept lease, by contrast, IS a takeover.
-            key2 = HEX_KEYS[1]
-            assert store.claim(NS, key2, "replica-a", ttl=0.0001)
-            _time.sleep(0.01)
-            assert store.claim(NS, key2, "replica-b", ttl=30.0)
-            assert store.lease_takeovers == 1
+            assert all(store.lease(NS, key) is None for key in expired)
 
     def test_release_all_fans_out_across_shards(self, tmp_path):
-        with ResultStore(tmp_path / "results.sqlite", num_shards=3) as store:
+        with ResultStore(tmp_path / "results.sqlite") as store:
             for key in HEX_KEYS[:9]:
                 assert store.claim(NS, key, "replica-a", ttl=30.0)
             assert store.claim(NS, HEX_KEYS[9], "replica-b", ttl=30.0)
@@ -293,91 +121,30 @@ class TestShardedLeases:
             assert store.leases_held("replica-b") == [HEX_KEYS[9]]
 
 
-class TestConcurrentReads:
-    def test_parallel_readers_see_consistent_rows(self, tmp_path):
-        # 8 reader threads over per-thread pooled connections while a
-        # writer keeps committing: every read must return either a miss or
-        # the full, valid payload — never a torn row.
-        with ResultStore(tmp_path / "results.sqlite", num_shards=4) as store:
-            keys = HEX_KEYS[:40]
-            for key in keys[:20]:
-                store.commit_result(NS, key, _payload(key))
-            failures: list[str] = []
-            stop = threading.Event()
-
-            def read_loop():
-                while not stop.is_set():
-                    for key in keys:
-                        text = store.get_payload_text(NS, key)
-                        if text is not None and json.loads(text)["key"] != key:
-                            failures.append(key)
-
-            readers = [threading.Thread(target=read_loop) for _ in range(8)]
-            for thread in readers:
-                thread.start()
-            for key in keys[20:]:
-                store.commit_result(NS, key, _payload(key))
-            stop.set()
-            for thread in readers:
-                thread.join(timeout=30)
-            assert not failures
-            assert len(store) == len(keys)
-
-
-def _table(rows: int, name: str) -> DataTable:
-    return DataTable(
-        [Column("n", list(range(rows))), Column("label", [name] * rows)],
-        name=name,
-    )
-
-
 class TestShardedDiskCache:
-    def test_round_trip_and_spread(self, tmp_path):
-        with DiskCacheTier(tmp_path / "cache.sqlite", num_shards=3) as tier:
-            items = [((f"op-{i}",), _table(4, f"t{i}")) for i in range(30)]
-            assert tier.put_many(items) == 30
-            assert tier.flushes == 1  # one logical flush, however many shards
-            assert len(tier) == 30
-            for key, table in items:
-                assert tier.get(key) == table
-            occupancy = [shard["entries"] for shard in tier.shard_stats()]
-            assert sum(occupancy) == 30
-            assert all(entries > 0 for entries in occupancy)
-
-    def test_shard_count_mismatch_drops_wholesale(self, tmp_path):
-        path = tmp_path / "cache.sqlite"
-        with DiskCacheTier(path, num_shards=3) as tier:
-            tier.put(("op",), _table(3, "t"))
-        with DiskCacheTier(path, num_shards=2) as tier:
-            assert tier.invalidated
-            assert len(tier) == 0
-
     def test_legacy_cache_survives_at_one_shard(self, tmp_path):
+        # A cache file the sharded tier wrote at one shard records
+        # num_shards=1: it holds the whole key space and keeps its rows.
         path = tmp_path / "cache.sqlite"
         with DiskCacheTier(path) as tier:
             tier.put(("op",), _table(3, "t"))
-        with DiskCacheTier(path, num_shards=1) as tier:
+        _record_shard_layout(path, 1)
+        with DiskCacheTier(path) as tier:
             assert not tier.invalidated
             assert tier.get(("op",)) == _table(3, "t")
-
-    def test_describe_reports_shard_layout(self, tmp_path):
-        with DiskCacheTier(tmp_path / "cache.sqlite", num_shards=2) as tier:
-            summary = tier.describe()
-            assert summary["num_shards"] == 2
-            assert [shard["shard"] for shard in summary["shards"]] == [0, 1]
 
 
 class TestSchemaVersion:
     def test_schema_bump_drops_single_and_sharded_stores(self, tmp_path):
-        path = tmp_path / "results.sqlite"
-        for num_shards in (1, 3):
-            with ResultStore(path, num_shards=num_shards) as store:
+        # Both a plain one-file store and one that records the sharded
+        # layout at one shard are dropped when the schema version moves.
+        for recorded_shards in (None, 1):
+            path = tmp_path / f"results-{recorded_shards}.sqlite"
+            with ResultStore(path) as store:
                 store.commit_result(NS, HEX_KEYS[0], _payload(HEX_KEYS[0]))
-                with store._conn:
-                    store._conn.execute(
-                        "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                        (str(STORE_SCHEMA_VERSION + 1),),
-                    )
-            with ResultStore(path, num_shards=num_shards) as store:
+            if recorded_shards is not None:
+                _record_shard_layout(path, recorded_shards)
+            _bump_schema_version(path)
+            with ResultStore(path) as store:
                 assert store.invalidated
                 assert len(store) == 0
