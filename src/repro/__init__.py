@@ -11,7 +11,7 @@ The package is organised as one sub-package per system (see DESIGN.md):
 * :mod:`repro.cdrl` — the constrained DRL engine (LINX's core contribution),
 * :mod:`repro.llm` / :mod:`repro.nl2ldx` — specification derivation from NL,
 * :mod:`repro.engine` — the service-oriented public API (declarative
-  requests, pluggable stages, batch execution, serializable results),
+  requests, pluggable stages, a request scheduler, serializable results),
 * :mod:`repro.bench`, :mod:`repro.datasets`, :mod:`repro.metrics`,
   :mod:`repro.baselines`, :mod:`repro.notebook`, :mod:`repro.study` —
   benchmark, data, metrics, baselines and evaluation harnesses.
@@ -25,11 +25,9 @@ Quickstart::
         goal="Find an atypical country", dataset="netflix"))
     print(result.notebook_markdown)
 
-The legacy one-call facade remains available::
-
-    from repro import Linx
-    output = Linx().explore("netflix", "Find an atypical country")
-    print(output.markdown())
+``result.artifacts`` holds the live session, notebook and parsed query.
+For many requests at once, submit them to a
+:class:`repro.engine.RequestScheduler` (thread or process workers).
 """
 
 from .engine import (
@@ -42,7 +40,6 @@ from .engine import (
     StageFailedError,
     StageStatus,
 )
-from .linx import Linx, LinxOutput
 
 __version__ = "2.0.0"
 
@@ -50,9 +47,7 @@ __all__ = [
     "EngineError",
     "ExploreRequest",
     "ExploreResult",
-    "Linx",
     "LinxEngine",
-    "LinxOutput",
     "ProgressEvent",
     "RequestValidationError",
     "StageFailedError",

@@ -8,7 +8,7 @@ the exploration environment and the policy-gradient trainer with the plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro.cdrl.agent import _resolve_num_envs
@@ -91,14 +91,10 @@ class AtenaAgent:
             hidden_sizes=self.config.hidden_sizes,
             seed=self.config.seed,
         )
-        trainer_config = TrainerConfig(
+        trainer_config = replace(
+            self.config.trainer,
             episodes=self.config.episodes,
             seed=self.config.seed,
-            learning_rate=self.config.trainer.learning_rate,
-            entropy_coefficient=self.config.trainer.entropy_coefficient,
-            batch_episodes=self.config.trainer.batch_episodes,
-            discount=self.config.trainer.discount,
-            greedy_eval_every=self.config.trainer.greedy_eval_every,
             num_envs=self.num_envs,
         )
         self.trainer = PolicyGradientTrainer(

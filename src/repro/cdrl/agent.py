@@ -13,7 +13,7 @@ by every request, or a private one when the agent is built on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro.dataframe.table import DataTable
@@ -251,14 +251,10 @@ class LinxCdrlAgent:
             # Schema-only validity masks: invalid parameter choices get zero
             # probability without ever executing a query.
             self.policy.mask_provider = self.environment.head_mask
-        trainer_config = TrainerConfig(
+        trainer_config = replace(
+            self.config.trainer,
             episodes=self.config.episodes,
             seed=self.config.seed,
-            learning_rate=self.config.trainer.learning_rate,
-            entropy_coefficient=self.config.trainer.entropy_coefficient,
-            batch_episodes=self.config.trainer.batch_episodes,
-            discount=self.config.trainer.discount,
-            greedy_eval_every=self.config.trainer.greedy_eval_every,
             num_envs=self.num_envs,
         )
         self.trainer = PolicyGradientTrainer(

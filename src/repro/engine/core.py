@@ -7,32 +7,32 @@ processes declarative :class:`~repro.engine.request.ExploreRequest` objects
 through four pluggable stages (derive → generate → render → insights) into
 serializable :class:`~repro.engine.result.ExploreResult` objects.
 
-Unlike the legacy :class:`repro.linx.Linx` facade (now a thin wrapper over
-this class), the engine
+The engine
 
 * validates requests up front with structured errors,
 * never rebuilds the benchmark or few-shot bank per request,
-* shares one execution cache across all requests, so a batch of related
-  requests reuses each other's query results,
+* shares one execution cache across all requests, so related requests
+  reuse each other's query results,
 * optionally layers that cache over a persistent sqlite tier
   (``disk_cache_path``), so results survive restarts and cross process
   boundaries,
-* fans batches out over a thread pool — or, opt-in, a **process pool**
-  (``explore_many(..., workers="process")``) whose workers rebuild the
-  engine and share the disk tier, turning GIL-bound interleaving into real
-  multi-core throughput — with ordered per-request progress events, and
+* emits ordered per-request progress events, and
 * returns results that round-trip through JSON for serving and storage.
+
+:meth:`LinxEngine.explore` runs one request in the calling thread and
+attaches the live session, notebook and query as ``artifacts``.  For many
+requests at once, :class:`~repro.engine.scheduler.RequestScheduler` drives
+the engine from worker threads (``workers="thread"``) or from a persistent
+process pool (``workers="process"``) whose workers rebuild the engine from
+:meth:`LinxEngine.worker_spec`.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Optional, TypeVar
 
 from repro.bench.generator import generate_benchmark
 from repro.cdrl.agent import CdrlConfig
@@ -45,7 +45,7 @@ from repro.ldx.parser import parse_ldx, try_parse_ldx
 from repro.llm.interface import LLMClient
 from repro.llm.mock import gpt4_client
 from repro.nl2ldx.fewshot import FewShotBank
-from repro.reliability import SITE_CHECKPOINT, FileCancelEvent, fault_point
+from repro.reliability import SITE_CHECKPOINT, fault_point
 
 from .errors import (
     FieldError,
@@ -145,15 +145,15 @@ class LinxEngine:
         persistent tier (:class:`~repro.explore.diskcache.DiskCacheTier`):
         results survive restarts, and warm-start sweeps or process-pool
         workers reuse each other's executions.  Ignored when an explicit
-        *cache* is supplied.  One WAL file shared by every worker thread
-        and process-pool worker.
+        *cache* is supplied.  One WAL file shared by every scheduler worker
+        thread and process-pool worker.
     policy_registry_path:
         Optional sqlite file of a :class:`~repro.train.registry.PolicyRegistry`.
         Every trained artifact in it self-registers as a session-generator
         stage (``cdrl:<name>-v<N>`` plus the floating ``cdrl:<name>`` alias),
         so requests can serve trained policies by name.  Declarative — a
-        path, not an object — so it survives ``explore_many(workers=
-        "process")`` worker rebuilds.
+        path, not an object — so it survives the worker rebuilds of a
+        process-mode :class:`~repro.engine.scheduler.RequestScheduler`.
 
     Example
     -------
@@ -405,11 +405,6 @@ class LinxEngine:
                 self._table_memo[key] = table
         return table
 
-    # -- convenience (legacy-facade support) -----------------------------------------
-    def derive_specifications(self, dataset_name: str, goal: str) -> str:
-        """Derive LDX specification text for *goal* (LINX step 1)."""
-        return self.spec_deriver.derive(dataset_name, goal).ldx_text
-
     # -- request execution -----------------------------------------------------------
     def explore(
         self,
@@ -424,8 +419,10 @@ class LinxEngine:
         """Process one request through the full pipeline.
 
         ``table`` overrides dataset resolution with an in-memory
-        :class:`DataTable` (the in-process escape hatch used by the legacy
-        facade); the request stays declarative and serializable either way.
+        :class:`DataTable` (the in-process escape hatch for ad-hoc data,
+        which then needs an explicit ``ldx_text`` unless its name is a
+        registered dataset); the request stays declarative and serializable
+        either way.
         ``observer`` receives ordered :class:`ProgressEvent` notifications.
 
         ``timeout`` (seconds) and ``cancel_event`` enable *cooperative*
@@ -510,8 +507,8 @@ class LinxEngine:
 
         query = try_parse_ldx(ldx_text)
         if query is None:
-            # Permissive fallback instead of failing outright — and, unlike
-            # the old facade, the substitution is recorded on the result.
+            # Permissive fallback instead of failing outright; the
+            # substitution is recorded on the result, never silent.
             result.derivation_fallback = True
             result.warnings.append(
                 "specification did not parse as LDX; substituted the permissive "
@@ -604,196 +601,12 @@ class LinxEngine:
         emit(ProgressEvent(request_id, EVENT_REQUEST_FINISHED))
         return result
 
-    def explore_many(
-        self,
-        requests: Iterable[ExploreRequest],
-        *,
-        max_workers: int | None = None,
-        observer: ProgressObserver | None = None,
-        workers: str = "thread",
-        timeout: float | None = None,
-        cancel_event: threading.Event | None = None,
-    ) -> list[ExploreResult]:
-        """Process a batch of requests, fanned out over a worker pool.
-
-        Results are returned in request order.  The default ``workers=
-        "thread"`` pool shares the engine's execution cache in memory, so
-        overlapping requests reuse each other's query results; with
-        ``max_workers=1`` the batch runs sequentially (events of different
-        requests never interleave), otherwise observer callbacks may arrive
-        concurrently from worker threads (per-request ordering is still
-        guaranteed).  The first failing request propagates its exception
-        after in-flight work completes.
-
-        ``workers="process"`` is the multi-core opt-in: requests are
-        serialized to a :class:`ProcessPoolExecutor` whose workers rebuild
-        the engine from this one's declarative configuration.  CDRL training
-        is pure Python/numpy and GIL-bound, so threads mostly interleave —
-        processes actually scale.  Caveats: only declaratively-configured
-        engines qualify — default stages *or stages selected by registered
-        name* (engine-level ``stages=...`` or per-request
-        ``request.stages``), default LLM/cache; a ``disk_cache_path`` lets
-        the workers share executed results through the persistent tier —
-        and results come back as lossless JSON round-trips, so live
-        ``artifacts`` (session/notebook objects) are not attached.  With an
-        ``observer``, workers stream their full event sequence (episode
-        ticks included) back over a multiprocessing queue; per-request
-        ordering is preserved, cross-request interleaving mirrors thread
-        mode.  Request seeds behave exactly as in thread mode, so a batch's
-        results are identical run-to-run and mode-to-mode.
-
-        ``timeout`` applies *per request* in both modes; a request past its
-        deadline raises :class:`~repro.engine.errors.RequestTimeoutError`
-        out of the batch.  ``cancel_event`` cancels the whole batch
-        cooperatively — in process mode it is bridged to the workers
-        through a sentinel file (a
-        :class:`~repro.reliability.FileCancelEvent` is used directly),
-        so setting it reaches requests already running in the pool at
-        their next checkpoint.
-        """
-        if workers not in ("thread", "process"):
-            raise ValueError(f"workers must be 'thread' or 'process', got {workers!r}")
-        batch: Sequence[ExploreRequest] = list(requests)
-        if not batch:
-            return []
-        labels = [
-            request.request_id or f"request-{index}"
-            for index, request in enumerate(batch)
-        ]
-        if workers == "process":
-            return self._explore_many_processes(
-                batch, labels, max_workers, observer, timeout, cancel_event
-            )
-        pool_size = max_workers if max_workers is not None else min(4, len(batch))
-        if pool_size <= 1 or len(batch) == 1:
-            return [
-                self.explore(
-                    request,
-                    observer=observer,
-                    timeout=timeout,
-                    cancel_event=cancel_event,
-                    _label=label,
-                )
-                for request, label in zip(batch, labels)
-            ]
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            futures = [
-                pool.submit(
-                    self.explore,
-                    request,
-                    observer=observer,
-                    timeout=timeout,
-                    cancel_event=cancel_event,
-                    _label=label,
-                )
-                for request, label in zip(batch, labels)
-            ]
-            return [future.result() for future in futures]
-
-    def _explore_many_processes(
-        self,
-        batch: Sequence[ExploreRequest],
-        labels: Sequence[str],
-        max_workers: int | None,
-        observer: ProgressObserver | None,
-        timeout: float | None = None,
-        cancel_event: threading.Event | None = None,
-    ) -> list[ExploreResult]:
-        """Fan the batch out over processes that rebuild this engine's config."""
-        if self._custom_stages:
-            raise ValueError(
-                "workers='process' requires a declaratively-configured engine "
-                "(default or registry-named stages, default LLM client and "
-                "cache); custom in-memory components cannot be rebuilt in "
-                "worker processes"
-            )
-        spec = self.worker_spec()
-        # Validate everything before any work is dispatched, so an invalid
-        # request cannot strand already-submitted siblings mid-flight.
-        for request in batch:
-            request.validate()
-        # Everything executed so far becomes visible to the workers.
-        self.cache.flush()
-        pool_size = max_workers if max_workers is not None else min(
-            len(batch), os.cpu_count() or 1
-        )
-
-        # With an observer, workers stream their complete per-request event
-        # sequence — episode ticks included — back through a managed queue
-        # drained by a parent thread (the PR-4 follow-up: progress used to
-        # be request-granularity only).
-        progress_queue = None
-        drainer = None
-        manager = None
-        if observer is not None:
-            import multiprocessing
-
-            manager = multiprocessing.Manager()
-            progress_queue = manager.Queue()
-            drainer = threading.Thread(
-                target=drain_progress_queue,
-                args=(progress_queue, lambda label, event: observer(event)),
-                daemon=True,
-            )
-            drainer.start()
-
-        # Cross-process cancellation rides a sentinel file the workers poll
-        # at their cooperative checkpoints — an in-memory event cannot cross
-        # the process boundary.  A FileCancelEvent contributes its own path;
-        # any other event is bridged by a watcher thread that touches a
-        # temporary sentinel when it fires.
-        cancel_path: Optional[str] = None
-        bridge_stop: Optional[threading.Event] = None
-        bridge: Optional[threading.Thread] = None
-        if cancel_event is not None:
-            if isinstance(cancel_event, FileCancelEvent):
-                cancel_path = str(cancel_event.path)
-            else:
-                cancel_path = str(
-                    Path(tempfile.mkdtemp(prefix="linx-cancel-")) / "batch.cancel"
-                )
-                bridge_stop = threading.Event()
-
-                def _bridge_cancel() -> None:
-                    while not bridge_stop.is_set():
-                        if cancel_event.is_set():
-                            FileCancelEvent(cancel_path).set()
-                            return
-                        bridge_stop.wait(0.05)
-
-                bridge = threading.Thread(target=_bridge_cancel, daemon=True)
-                bridge.start()
-        try:
-            with ProcessPoolExecutor(max_workers=max(1, pool_size)) as pool:
-                futures = [
-                    pool.submit(
-                        _process_worker,
-                        request.to_dict(),
-                        spec,
-                        label,
-                        progress_queue,
-                        timeout,
-                        cancel_path,
-                    )
-                    for request, label in zip(batch, labels)
-                ]
-                return [
-                    ExploreResult.from_dict(future.result()) for future in futures
-                ]
-        finally:
-            if bridge_stop is not None:
-                bridge_stop.set()
-                bridge.join(timeout=5)
-            if progress_queue is not None:
-                progress_queue.put(None)
-                drainer.join(timeout=30)
-                manager.shutdown()
-
     def worker_spec(self) -> dict[str, Any]:
         """The picklable spec a worker process rebuilds this engine from.
 
-        Only meaningful for declaratively-configured engines (the process
-        entry points check ``_custom_stages`` before using it).
+        Only meaningful for declaratively-configured engines (a process-mode
+        :class:`~repro.engine.scheduler.RequestScheduler` checks
+        ``_custom_stages`` before using it).
         """
         return {
             "cdrl_config": self.cdrl_config,
@@ -887,85 +700,3 @@ class LinxEngine:
             "entries": len(self.cache),
             "cached_rows": self.cache.cached_rows,
         }
-
-
-# -- process-pool worker ----------------------------------------------------------------
-#: The engine a worker process lazily builds and then reuses across tasks,
-#: keyed by the spec that built it (one warm engine per worker).
-_worker_engine: Optional[LinxEngine] = None
-_worker_spec: Optional[dict[str, Any]] = None
-
-
-def drain_progress_queue(queue, route: Callable[[str, ProgressEvent], None]) -> None:
-    """Forward ``(label, event)`` pairs from a worker queue until ``None``.
-
-    Shared by :meth:`LinxEngine.explore_many` (which drops the label — the
-    events already carry their request id) and the request scheduler (which
-    routes by label to per-ticket event logs).  Run it on a daemon thread;
-    enqueue ``None`` to stop it.
-    """
-    while True:
-        item = queue.get()
-        if item is None:
-            return
-        label, event = item
-        try:
-            route(label, event)
-        except Exception:
-            # A broken observer must not kill the drainer (and with it
-            # every subsequent event of the batch).
-            pass
-
-
-def worker_engine(spec: dict[str, Any]) -> LinxEngine:
-    """This worker process's warm engine for *spec* (rebuilt on spec change)."""
-    global _worker_engine, _worker_spec
-    if _worker_engine is None or spec != _worker_spec:
-        _worker_engine = LinxEngine(
-            cdrl_config=spec["cdrl_config"],
-            max_cache_entries=spec["max_cache_entries"],
-            max_cached_rows=spec["max_cached_rows"],
-            disk_cache_path=spec["disk_cache_path"],
-            stages=spec.get("stages") or None,
-            policy_registry_path=spec.get("policy_registry_path"),
-        )
-        _worker_spec = spec
-    return _worker_engine
-
-
-def _process_worker(
-    request_payload: dict[str, Any],
-    spec: dict[str, Any],
-    label: str = "",
-    progress_queue: Any = None,
-    timeout: float | None = None,
-    cancel_path: str | None = None,
-) -> dict[str, Any]:
-    """Process one serialized request in a pool worker; returns the result dict.
-
-    The worker materialises a :class:`LinxEngine` from the parent's
-    declarative *spec* on first use (or when the spec changes) and keeps it
-    warm: the few-shot bank, the in-memory cache tier and — when a
-    ``disk_cache_path`` is configured — the shared persistent tier all
-    survive across the worker's tasks.  With a *progress_queue*, every
-    engine event is streamed to the parent as a ``(label, event)`` pair;
-    *timeout* bounds this request cooperatively (the deadline starts when
-    the worker picks the request up, not when it was queued).  With a
-    *cancel_path*, the worker polls that sentinel file at its cooperative
-    checkpoints — the cross-process half of the cancellation registry: the
-    parent's ``cancel()`` touches the file, this request stops at its next
-    stage boundary or episode tick.
-    """
-    engine = worker_engine(spec)
-    observer = None
-    if progress_queue is not None:
-        observer = lambda event: progress_queue.put((label, event))  # noqa: E731
-    cancel_event = FileCancelEvent(cancel_path) if cancel_path else None
-    result = engine.explore(
-        ExploreRequest.from_dict(request_payload),
-        observer=observer,
-        timeout=timeout,
-        cancel_event=cancel_event,
-        _label=label,
-    )
-    return result.to_dict()

@@ -7,10 +7,11 @@ pipeline stage emits ``stage_started`` / ``stage_finished`` (or
 ``episode`` ticks so long CDRL trainings can drive progress bars.
 
 Events are plain frozen dataclasses; the observer is a simple callable so
-anything from ``list.append`` to a websocket push works.  With
-:meth:`~repro.engine.core.LinxEngine.explore_many` the observer may be
-invoked concurrently from worker threads — events of *different* requests
-interleave, but events of one request are always in order.
+anything from ``list.append`` to a websocket push works.  An observer
+shared by concurrent requests (for example on the worker threads of a
+:class:`~repro.engine.scheduler.RequestScheduler`) may be invoked
+concurrently — events of *different* requests interleave, but events of
+one request are always in order.
 """
 
 from __future__ import annotations

@@ -27,12 +27,16 @@ Three serving behaviours live here rather than in the engine:
   checkpoints; a cancelled request yields a ``cancelled`` ticket and never
   touches the store.
 
+The scheduler is the engine's one entry point for many requests at once.
 Execution is pluggable: ``workers="thread"`` runs requests on the
 scheduler's own threads over the engine's shared cache;
-``workers="process"`` reuses :func:`~repro.engine.core._process_worker` —
-the same machinery as ``explore_many(workers="process")`` — with worker
-events streamed back over a multiprocessing queue and routed to tickets by
-a drainer thread.
+``workers="process"`` sends each request to a persistent process pool
+whose workers (:func:`_process_worker`) rebuild the engine once from
+:meth:`~repro.engine.core.LinxEngine.worker_spec` and keep it warm, with
+worker events streamed back over a multiprocessing queue and routed to
+tickets by a drainer thread.  CDRL training is GIL-bound, so threads
+mostly interleave while processes use more cores; process results come
+back as JSON round-trips without live ``artifacts``.
 
 **Multi-replica coordination.**  When several schedulers (in separate
 processes, on separate servers) share one :class:`ResultStore` file, the
@@ -61,11 +65,11 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from repro.reliability import SITE_HEARTBEAT, fault_point
+from repro.reliability import SITE_HEARTBEAT, FileCancelEvent, fault_point
 
-from .core import LinxEngine, _process_worker, drain_progress_queue
+from .core import LinxEngine
 from .errors import (
     RequestCancelledError,
     RequestTimeoutError,
@@ -1103,3 +1107,83 @@ class RequestScheduler:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+
+# -- process-pool worker ----------------------------------------------------------------
+#: The engine a worker process lazily builds and then reuses across tasks,
+#: keyed by the spec that built it (one warm engine per worker).
+_worker_engine: Optional[LinxEngine] = None
+_worker_spec: Optional[dict[str, Any]] = None
+
+
+def drain_progress_queue(queue, route: Callable[[str, ProgressEvent], None]) -> None:
+    """Forward ``(label, event)`` pairs from a worker queue until ``None``.
+
+    The scheduler runs this on a daemon thread and routes each event by
+    label to its ticket's event log; enqueue ``None`` to stop it.
+    """
+    while True:
+        item = queue.get()
+        if item is None:
+            return
+        label, event = item
+        try:
+            route(label, event)
+        except Exception:
+            # A routing failure must not kill the drainer (and with it
+            # every later event of the pool).
+            pass
+
+
+def worker_engine(spec: dict[str, Any]) -> LinxEngine:
+    """This worker process's warm engine for *spec* (rebuilt on spec change)."""
+    global _worker_engine, _worker_spec
+    if _worker_engine is None or spec != _worker_spec:
+        _worker_engine = LinxEngine(
+            cdrl_config=spec["cdrl_config"],
+            max_cache_entries=spec["max_cache_entries"],
+            max_cached_rows=spec["max_cached_rows"],
+            disk_cache_path=spec["disk_cache_path"],
+            stages=spec.get("stages") or None,
+            policy_registry_path=spec.get("policy_registry_path"),
+        )
+        _worker_spec = spec
+    return _worker_engine
+
+
+def _process_worker(
+    request_payload: dict[str, Any],
+    spec: dict[str, Any],
+    label: str = "",
+    progress_queue: Any = None,
+    timeout: float | None = None,
+    cancel_path: str | None = None,
+) -> dict[str, Any]:
+    """Process one serialized request in a pool worker; returns the result dict.
+
+    The worker materialises a :class:`LinxEngine` from the parent's
+    declarative *spec* on first use (or when the spec changes) and keeps it
+    warm: the few-shot bank, the in-memory cache tier and — when a
+    ``disk_cache_path`` is configured — the shared persistent tier all
+    survive across the worker's tasks.  With a *progress_queue*, every
+    engine event is streamed to the parent as a ``(label, event)`` pair;
+    *timeout* bounds this request cooperatively (the deadline starts when
+    the worker picks the request up, not when it was queued).  With a
+    *cancel_path*, the worker polls that sentinel file at its cooperative
+    checkpoints — the cross-process half of the cancellation registry: the
+    parent's ``cancel()`` touches the file, this request stops at its next
+    stage boundary or episode tick.
+    """
+    engine = worker_engine(spec)
+    observer = None
+    if progress_queue is not None:
+        observer = lambda event: progress_queue.put((label, event))  # noqa: E731
+    cancel_event = FileCancelEvent(cancel_path) if cancel_path else None
+    result = engine.explore(
+        ExploreRequest.from_dict(request_payload),
+        observer=observer,
+        timeout=timeout,
+        cancel_event=cancel_event,
+        _label=label,
+    )
+    return result.to_dict()

@@ -1,17 +1,19 @@
-"""Engine smoke check: a tiny batch through the full service API.
+"""Engine smoke check: two requests through the request scheduler.
 
 Run by CI (``python -m repro.engine.smoke``) to catch wiring regressions in
-the service layer: it executes a 2-request :meth:`LinxEngine.explore_many`
-batch on a small dataset — one request with an explicit LDX specification,
-one through NL derivation — and asserts that
+the service layer: it runs two requests on a small dataset — one with an
+explicit LDX specification, one through NL derivation — concurrently
+through a 2-thread :class:`~repro.engine.scheduler.RequestScheduler`,
+rebuilds each result with :meth:`ExploreResult.from_dict`, and asserts
+that
 
 * both requests complete with a generated session,
 * serialized results parse back losslessly
-  (``from_dict(json.loads(json.dumps(to_dict())))``),
+  (``from_dict(json.loads(json.dumps(payload)))``),
 * the shared execution cache was actually exercised, and
-* the first request re-run after the batch, on the same engine and on a
-  fresh one, gives the same result: the engine-wide state (execution
-  cache, exploration context) never leaks between requests.
+* the first request re-run afterwards, on the same engine and on a fresh
+  one, gives the same result: the engine-wide state (execution cache,
+  exploration context) never leaks between requests.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.cdrl.agent import CdrlConfig
 from .core import LinxEngine
 from .request import ExploreRequest
 from .result import ExploreResult
+from .scheduler import TICKET_DONE, RequestScheduler
 
 SMOKE_LDX = """
 ROOT CHILDREN <A1,A2>
@@ -66,20 +69,27 @@ def main() -> int:
             request_id="smoke-derived-ldx",
         ),
     ]
-    results = engine.explore_many(requests, max_workers=2)
-    assert len(results) == len(requests)
-    for result in results:
+    with RequestScheduler(engine, max_workers=2) as scheduler:
+        tickets = [scheduler.submit(request) for request in requests]
+        payloads = []
+        for ticket in tickets:
+            snapshot = scheduler.wait(ticket.ticket_id, timeout=600)
+            assert snapshot["state"] == TICKET_DONE, (
+                f"{ticket.request.request_id}: {snapshot['state']} {snapshot['error']}"
+            )
+            payloads.append(scheduler.result_payload(ticket.ticket_id))
+    results = [ExploreResult.from_dict(payload) for payload in payloads]
+    for payload, result in zip(payloads, results):
         assert result.operations, f"{result.request['request_id']}: empty session"
         assert result.notebook_markdown, "notebook rendering failed"
-        payload = json.dumps(result.to_dict())
-        restored = ExploreResult.from_dict(json.loads(payload))
+        restored = ExploreResult.from_dict(json.loads(json.dumps(payload)))
         assert restored == result, "serialized result did not round-trip"
-        assert restored.to_dict() == result.to_dict(), "round-trip changed the payload"
+        assert restored.to_dict() == payload, "round-trip changed the payload"
     stats = engine.cache_stats()
     assert stats["hits"] + stats["misses"] > 0, "shared cache never exercised"
     # Engine-wide state must never leak between requests: the first request
-    # re-run after the batch, on this engine and on a fresh one, gives the
-    # batch's result.
+    # re-run afterwards, on this engine and on a fresh one, gives the
+    # scheduled result.
     for label, rerun_engine in (("this", engine), ("a fresh", LinxEngine(cdrl_config=config))):
         differing = _differing_fields(results[0], rerun_engine.explore(requests[0]))
         assert not differing, (

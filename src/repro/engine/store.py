@@ -224,16 +224,6 @@ class ResultStore:
             self._count("lease_releases", released)
         return bool(released)
 
-    def delete(self, namespace: str, request_hash: str) -> bool:
-        """Remove the row under the key; True when one existed."""
-        return self._file.write(
-            lambda conn: conn.execute(
-                "DELETE FROM results WHERE namespace = ? AND request_hash = ?",
-                (namespace, request_hash),
-            ).rowcount
-            > 0
-        )
-
     # -- leases (cross-replica exactly-once coordination) -----------------------------
     def claim(
         self, namespace: str, request_hash: str, replica_id: str, ttl: float

@@ -19,9 +19,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.ldx.ast import REL_CHILDREN, LdxQuery, NodeSpec, StructureClause
+from repro.ldx.ast import LdxQuery
 from repro.ldx.parser import parse_ldx
-from repro.ldx.patterns import FieldPattern, OperationPattern
+from repro.ldx.patterns import FieldPattern
 
 _PLACEHOLDER_RE = re.compile(r"^<(?P<name>[A-Za-z_][A-Za-z_0-9]*)>$")
 _READ_RE = re.compile(r"^(?P<var>\w+)\s*=\s*pd\.read_csv\((?P<args>.*)\)\s*$")
@@ -275,28 +275,3 @@ def ldx_to_pyldx(query: LdxQuery | str, dataset_name: str = "data") -> str:
             agg = _pyldx_value_from_field(fields[1], f"AGG_FUNC_{counter}")
             lines.append(f"{variable} = {source}.groupby({col}).agg({agg})")
     return "\n".join(lines)
-
-
-def ldx_from_operations_structure(
-    operation_patterns: list[OperationPattern], parents: list[int]
-) -> LdxQuery:
-    """Assemble an :class:`LdxQuery` from patterns plus a parent-index vector.
-
-    ``parents[i]`` is the index of operation *i*'s parent (-1 for the root).
-    Helper shared by tests and by the simulated LLM when it rewrites retrieved
-    templates.
-    """
-    specs = [NodeSpec(name="ROOT")]
-    children: dict[int, list[str]] = {}
-    for index, pattern in enumerate(operation_patterns):
-        name = f"A{index + 1}"
-        specs.append(NodeSpec(name=name, operation=pattern))
-        children.setdefault(parents[index], []).append(name)
-    for index, spec in enumerate([None] + operation_patterns):
-        node_index = index - 1
-        kids = children.get(node_index, [])
-        if kids:
-            specs[index].structure.append(StructureClause(relation=REL_CHILDREN, named=tuple(kids)))
-    query = LdxQuery(specs=specs)
-    query.validate()
-    return query

@@ -79,7 +79,8 @@ class TrainSpec:
     Everything is a primitive (or reduces to primitives via
     :meth:`to_payload`), so a checkpoint or registry artifact can rebuild
     the identical training context on resume or when served — the pattern
-    ``LinxEngine.worker_spec()`` established for ``explore_many``.
+    ``LinxEngine.worker_spec()`` established for the process-mode
+    ``RequestScheduler``'s workers.
     """
 
     dataset: str

@@ -10,6 +10,8 @@ objects, so these helpers layer that on the store's public methods.
 from __future__ import annotations
 
 import json
+import sqlite3
+from contextlib import closing
 from typing import Any, Optional
 
 from repro.engine import ExploreResult, ResultStore
@@ -43,3 +45,17 @@ def get(store: ResultStore, namespace: str, request_hash: str) -> Optional[Explo
 def contains(store: ResultStore, namespace: str, request_hash: str) -> bool:
     """Whether a result is stored under the key (no counter bump)."""
     return request_hash in store.request_hashes(namespace)
+
+
+def delete(store: ResultStore, namespace: str, request_hash: str) -> bool:
+    """Remove the row under the key; True when one existed.
+
+    Runs on its own connection to the store file: the store keeps no
+    in-memory copy of its rows, so its readers see the deletion at once.
+    """
+    with closing(sqlite3.connect(store.path, timeout=30.0)) as conn, conn:
+        cursor = conn.execute(
+            "DELETE FROM results WHERE namespace = ? AND request_hash = ?",
+            (namespace, request_hash),
+        )
+        return cursor.rowcount > 0

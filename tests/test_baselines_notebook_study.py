@@ -17,6 +17,7 @@ from repro.baselines import (
 )
 from repro.ldx import parse_ldx, verify
 from repro.notebook import extract_insights, render_notebook
+from repro.rl.trainer import TrainerConfig
 from repro.study import SimulatedRaterPanel, StudyTask, UserStudy
 
 
@@ -93,6 +94,16 @@ class TestBaselines:
         result = agent.run()
         assert result.session.steps_taken == 3
         assert len(result.history.episode_returns) == 6
+
+    def test_atena_agent_keeps_nested_trainer_settings(self, small_table):
+        nested = TrainerConfig(value_coefficient=0.1, reward_scale=2.0, elite_episodes=0)
+        agent = AtenaAgent(
+            small_table, config=AtenaConfig(episodes=6, seed=5, trainer=nested)
+        )
+        assert agent.trainer.config == TrainerConfig(
+            value_coefficient=0.1, reward_scale=2.0, elite_episodes=0,
+            episodes=6, seed=5,
+        )
 
 
 class TestStudy:

@@ -20,6 +20,7 @@ from repro.cdrl import (
 )
 from repro.explore import ActionSpace
 from repro.ldx import parse_ldx, verify
+from repro.rl.trainer import TrainerConfig
 
 
 class TestEndOfSessionReward:
@@ -164,6 +165,37 @@ class TestAgentAndAblation:
         assert result.fully_compliant
         assert verify(result.session.to_tree(), agent.query)
         assert result.session.num_queries() >= 4
+
+    def test_agent_keeps_every_nested_trainer_setting(self, small_table, comparison_query):
+        nested = TrainerConfig(
+            learning_rate=0.01,
+            entropy_coefficient=0.1,
+            value_coefficient=0.1,
+            batch_episodes=4,
+            reward_scale=2.0,
+            discount=0.9,
+            greedy_eval_every=5,
+            elite_episodes=0,
+            episodes=999,
+            seed=99,
+        )
+        config = CdrlConfig(episodes=7, seed=4, trainer=nested)
+        agent = LinxCdrlAgent(small_table, comparison_query, config=config)
+        # Episodes, seed and num_envs come from the CDRL config; every other
+        # trainer hyper-parameter is taken from ``config.trainer`` as given.
+        assert agent.trainer.config == TrainerConfig(
+            learning_rate=0.01,
+            entropy_coefficient=0.1,
+            value_coefficient=0.1,
+            batch_episodes=4,
+            reward_scale=2.0,
+            discount=0.9,
+            greedy_eval_every=5,
+            elite_episodes=0,
+            episodes=7,
+            seed=4,
+            num_envs=1,
+        )
 
     def test_agent_episode_length_covers_specification(self, small_table, comparison_query):
         agent = LinxCdrlAgent(small_table, comparison_query, config=CdrlConfig(episodes=1))

@@ -12,7 +12,13 @@ from eager_oracle import run_one
 from repro.dataframe.column import Column
 from repro.dataframe.table import DataTable
 from repro.datasets import load_dataset
-from repro.engine import ExploreRequest, LinxEngine
+from repro.engine import (
+    TICKET_DONE,
+    ExploreRequest,
+    ExploreResult,
+    LinxEngine,
+    RequestScheduler,
+)
 from repro.cdrl.agent import CdrlConfig
 from repro.explore.cache import ExecutionCache
 from repro.explore.diskcache import (
@@ -301,18 +307,19 @@ class TestEngineIntegration:
         ]
         config = CdrlConfig(episodes=6)
         engine = LinxEngine(cdrl_config=config, disk_cache_path=db_path)
-        via_processes = engine.explore_many(requests, workers="process", max_workers=2)
-        via_threads = LinxEngine(cdrl_config=config).explore_many(
-            requests, workers="thread"
-        )
-        for p, t in zip(via_processes, via_threads):
-            assert p.operations == t.operations
-            assert p.fully_compliant == t.fully_compliant
-        # Process results are lossless JSON round-trips without live artifacts.
-        assert via_processes[0].artifacts is None
-        assert via_processes[0].to_dict() == type(via_processes[0]).from_dict(
-            via_processes[0].to_dict()
-        ).to_dict()
+        with RequestScheduler(engine, workers="process", max_workers=2) as scheduler:
+            tickets = [scheduler.submit(request) for request in requests]
+            for ticket in tickets:
+                assert scheduler.wait(ticket.ticket_id, timeout=300)["state"] == TICKET_DONE
+            payloads = [scheduler.result_payload(ticket.ticket_id) for ticket in tickets]
+        in_process = [LinxEngine(cdrl_config=config).explore(r) for r in requests]
+        for payload, expected in zip(payloads, in_process):
+            assert ExploreResult.from_dict(payload) == expected
+        # The workers wrote their executions to the shared disk tier: a
+        # fresh engine in this process replays them as disk hits.
+        warm = LinxEngine(cdrl_config=config, disk_cache_path=db_path)
+        assert warm.explore(requests[0]) == in_process[0]
+        assert warm.cache_stats()["disk_hits"] > 0
 
     def test_process_pool_rejects_custom_stages(self):
         class NullRenderer:
@@ -323,6 +330,4 @@ class TestEngineIntegration:
 
         engine = LinxEngine(notebook_renderer=NullRenderer())
         with pytest.raises(ValueError):
-            engine.explore_many(
-                [ExploreRequest(goal="g", dataset="flights")], workers="process"
-            )
+            RequestScheduler(engine, workers="process")

@@ -24,16 +24,17 @@ from repro.engine import (
     STATUS_COMPLETE,
     STATUS_FAILED,
     STATUS_SKIPPED,
+    TICKET_DONE,
     ExploreRequest,
     ExploreResult,
     LinxEngine,
+    RequestScheduler,
     RequestValidationError,
     SessionOutcome,
     StageFailedError,
 )
 from repro.explore import session_from_operations
 from repro.explore.operations import FilterOperation, GroupAggOperation
-from repro.linx import Linx
 
 
 @pytest.fixture
@@ -227,10 +228,19 @@ class TestBatchExecution:
         assert result.cache_stats["misses"] == 0
 
 
-class TestRegisteredDatasetBatch:
-    """Batch execution against the registry (no table override)."""
+def _scheduled_payloads(engine, requests, max_workers):
+    """Run *requests* concurrently through a thread scheduler; payloads in order."""
+    with RequestScheduler(engine, max_workers=max_workers) as scheduler:
+        tickets = [scheduler.submit(request) for request in requests]
+        for ticket in tickets:
+            assert scheduler.wait(ticket.ticket_id, timeout=300)["state"] == TICKET_DONE
+        return [scheduler.result_payload(ticket.ticket_id) for ticket in tickets]
 
-    def test_explore_many_parallel_matches_sequential(self, comparison_query):
+
+class TestRegisteredDatasetBatch:
+    """Many requests against the registry (no table override)."""
+
+    def test_thread_scheduler_matches_sequential_explore(self, comparison_query):
         ldx = comparison_query.render()
         requests = [
             ExploreRequest(
@@ -242,18 +252,40 @@ class TestRegisteredDatasetBatch:
                 seed=seed,
                 request_id=f"batch-{seed}",
             )
-            for seed in (0, 1, 0, 1)
+            for seed in (0, 1, 2, 3)
         ]
         sequential_engine = LinxEngine(cdrl_config=CdrlConfig(episodes=10))
-        sequential = sequential_engine.explore_many(requests, max_workers=1)
+        sequential = [sequential_engine.explore(request) for request in requests]
         parallel_engine = LinxEngine(cdrl_config=CdrlConfig(episodes=10))
-        parallel = parallel_engine.explore_many(requests, max_workers=4)
-        assert sequential == parallel
-        assert [r.request["request_id"] for r in parallel] == [
-            "batch-0", "batch-1", "batch-0", "batch-1",
+        parallel = _scheduled_payloads(parallel_engine, requests, max_workers=4)
+        for request, alone, payload in zip(requests, sequential, parallel):
+            assert ExploreResult.from_dict(payload) == alone, request.request_id
+        assert [payload["request"]["request_id"] for payload in parallel] == [
+            "batch-0", "batch-1", "batch-2", "batch-3",
         ]
 
     def test_batch_matches_single_explore_under_identical_seeds(self, comparison_query):
+        requests = [
+            ExploreRequest(
+                goal="compare countries",
+                dataset="netflix",
+                num_rows=120,
+                ldx_text=comparison_query.render(),
+                episodes=10,
+                seed=seed,
+            )
+            for seed in (0, 1, 2, 3)
+        ]
+        shared = LinxEngine(cdrl_config=CdrlConfig(episodes=10))
+        payloads = _scheduled_payloads(shared, requests, max_workers=4)
+        for request, payload in zip(requests, payloads):
+            single = LinxEngine(cdrl_config=CdrlConfig(episodes=10)).explore(request)
+            assert ExploreResult.from_dict(payload) == single
+        # Concurrent requests on one engine reuse each other's executions.
+        assert shared.cache_stats()["hits"] > 0
+
+    def test_batch_reuses_cache_on_later_requests(self, comparison_query):
+        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=10))
         request = ExploreRequest(
             goal="compare countries",
             dataset="netflix",
@@ -262,33 +294,9 @@ class TestRegisteredDatasetBatch:
             episodes=10,
             seed=0,
         )
-        single = LinxEngine(cdrl_config=CdrlConfig(episodes=10)).explore(request)
-        batch = LinxEngine(cdrl_config=CdrlConfig(episodes=10)).explore_many(
-            [request] * 4, max_workers=2
-        )
-        assert all(result == single for result in batch)
-        assert any(result.cache_stats["hits"] > 0 for result in batch[1:])
-
-    def test_batch_reuses_cache_on_later_requests(self, comparison_query):
-        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=10))
-        requests = [
-            ExploreRequest(
-                goal="compare countries",
-                dataset="netflix",
-                num_rows=120,
-                ldx_text=comparison_query.render(),
-                episodes=10,
-                seed=0,
-            )
-            for _ in range(4)
-        ]
-        results = engine.explore_many(requests, max_workers=1)
-        assert len(results) == 4
+        results = [engine.explore(request) for _ in range(4)]
         for result in results[1:]:
             assert result.cache_stats["hits"] > 0
-
-    def test_empty_batch(self):
-        assert LinxEngine().explore_many([]) == []
 
 
 class TestProgressEvents:
@@ -324,9 +332,8 @@ class TestProgressEvents:
             (EVENT_STAGE_FINISHED, STAGE_INSIGHTS),
         ]
 
-    def test_batch_labels_unlabelled_requests(self, netflix_mini, comparison_query):
+    def test_batch_labels_unlabelled_requests(self, comparison_query):
         engine = LinxEngine(cdrl_config=CdrlConfig(episodes=8))
-        events = []
         requests = [
             ExploreRequest(
                 goal="compare countries",
@@ -338,9 +345,14 @@ class TestProgressEvents:
             )
             for seed in (0, 1)
         ]
-        engine.explore_many(requests, max_workers=1, observer=events.append)
-        labels = {event.request_id for event in events}
-        assert labels == {"request-0", "request-1"}
+        with RequestScheduler(engine, max_workers=1) as scheduler:
+            tickets = [scheduler.submit(request) for request in requests]
+            for ticket in tickets:
+                scheduler.wait(ticket.ticket_id, timeout=300)
+                events, _, _ = scheduler.events_since(ticket.ticket_id)
+                # Unlabelled requests are labelled by their ticket.
+                assert {event.request_id for event in events} == {ticket.ticket_id}
+            assert len({ticket.ticket_id for ticket in tickets}) == 2
 
 
 class TestProcessEventStreaming:
@@ -348,7 +360,6 @@ class TestProcessEventStreaming:
 
     def test_process_batch_streams_episode_events(self):
         engine = LinxEngine(cdrl_config=CdrlConfig(episodes=5))
-        events = []
         requests = [
             ExploreRequest(
                 goal="compare countries",
@@ -361,30 +372,19 @@ class TestProcessEventStreaming:
             )
             for seed in (0, 1)
         ]
-        results = engine.explore_many(
-            requests, workers="process", max_workers=2, observer=events.append
-        )
-        assert len(results) == 2
-        for request in requests:
-            kinds = [
-                event.kind for event in events
-                if event.request_id == request.request_id
-            ]
-            # Full per-request ordering survives the process boundary,
-            # episode ticks included (previously request-granularity only).
-            assert kinds[0] == EVENT_REQUEST_STARTED
-            assert kinds[-1] == EVENT_REQUEST_FINISHED
-            assert EVENT_EPISODE in kinds
-            assert kinds.index((EVENT_STAGE_STARTED)) < kinds.index(EVENT_EPISODE)
-
-    def test_process_batch_without_observer_skips_queue(self):
-        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=5))
-        request = ExploreRequest(
-            goal="g", dataset="netflix", num_rows=100,
-            ldx_text="ROOT CHILDREN <A1>\nA1 LIKE [G,.*]", episodes=5, seed=0,
-        )
-        [result] = engine.explore_many([request], workers="process", max_workers=1)
-        assert result.operations
+        with RequestScheduler(engine, workers="process", max_workers=2) as scheduler:
+            tickets = [scheduler.submit(request) for request in requests]
+            for request, ticket in zip(requests, tickets):
+                assert scheduler.wait(ticket.ticket_id, timeout=300)["state"] == TICKET_DONE
+                events, _, done = scheduler.events_since(ticket.ticket_id)
+                assert done
+                # Two workers ran concurrently, yet each ticket holds only
+                # its own request's events, in order, episode ticks included.
+                assert {event.request_id for event in events} == {request.request_id}
+                kinds = [event.kind for event in events]
+                assert kinds[0] == EVENT_REQUEST_STARTED
+                assert kinds[-1] == EVENT_REQUEST_FINISHED
+                assert kinds.index(EVENT_STAGE_STARTED) < kinds.index(EVENT_EPISODE)
 
 
 class StubGenerator:
@@ -452,22 +452,35 @@ class TestPluggableStages:
 
 
 class TestLegacyFacade:
+    """What the removed one-call ``Linx`` facade guaranteed, now checked on
+    ``engine.explore(request, table=...)`` with an in-memory table."""
+
     def test_linx_shares_engine_cache_across_explores(self, netflix_mini, comparison_query):
-        linx = Linx(cdrl_config=CdrlConfig(episodes=10, seed=3))
-        linx.explore(netflix_mini, "goal", ldx_text=comparison_query.render())
-        hits_before = linx.engine.cache.stats.hits
-        linx.explore(netflix_mini, "goal", ldx_text=comparison_query.render())
-        assert linx.engine.cache.stats.hits > hits_before
+        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=10, seed=3))
+        request = ExploreRequest(
+            goal="goal", dataset="netflix", ldx_text=comparison_query.render()
+        )
+        engine.explore(request, table=netflix_mini)
+        hits_before = engine.cache.stats.hits
+        engine.explore(request, table=netflix_mini)
+        assert engine.cache.stats.hits > hits_before
 
     def test_linx_surfaces_derivation_fallback(self, netflix_mini):
-        linx = Linx(cdrl_config=CdrlConfig(episodes=8, seed=3))
-        output = linx.explore(netflix_mini, "whatever goal", ldx_text="NOT LDX (((")
-        assert output.derivation_fallback
-        assert output.warnings
-        assert output.query is not None
+        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=8, seed=3))
+        request = ExploreRequest(
+            goal="whatever goal", dataset="netflix", ldx_text="NOT LDX ((("
+        )
+        result = engine.explore(request, table=netflix_mini)
+        assert result.derivation_fallback
+        assert result.warnings
+        # The live artifacts carry the parsed fallback specification.
+        assert result.artifacts.query is not None
 
     def test_linx_output_without_fallback(self, netflix_mini, comparison_query):
-        linx = Linx(cdrl_config=CdrlConfig(episodes=10, seed=3))
-        output = linx.explore(netflix_mini, "goal", ldx_text=comparison_query.render())
-        assert not output.derivation_fallback
-        assert output.warnings == []
+        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=10, seed=3))
+        request = ExploreRequest(
+            goal="goal", dataset="netflix", ldx_text=comparison_query.render()
+        )
+        result = engine.explore(request, table=netflix_mini)
+        assert not result.derivation_fallback
+        assert result.warnings == []

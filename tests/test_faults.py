@@ -26,7 +26,6 @@ from repro.engine import (
     TICKET_FAILED,
     ExploreRequest,
     LinxEngine,
-    RequestCancelledError,
     RequestScheduler,
     RequestTimeoutError,
     ResultStore,
@@ -508,28 +507,6 @@ class TestProcessCancellation:
         assert worker_side.wait(timeout=1.0)
         controller.clear()
         assert not path.exists()
-
-    def test_explore_many_cancel_event_reaches_process_workers(self, tmp_path):
-        """The sentinel bridge cancels pool workers at their next checkpoint."""
-        engine = LinxEngine(
-            cdrl_config=CdrlConfig(episodes=5_000),
-            disk_cache_path=tmp_path / "cache.sqlite",
-        )
-        cancel = threading.Event()
-        timer = threading.Timer(1.0, cancel.set)
-        timer.start()
-        try:
-            with pytest.raises(RequestCancelledError):
-                engine.explore_many(
-                    [_request(num_rows=100, episodes=5_000, seed=0)],
-                    workers="process",
-                    max_workers=1,
-                    cancel_event=cancel,
-                )
-        finally:
-            timer.cancel()
-            cancel.set()
-            engine.close()
 
     def test_scheduler_cancel_reaches_process_worker(self, tmp_path):
         """cancel() on a running process-mode ticket terminates at a checkpoint,

@@ -1,20 +1,22 @@
-"""End-to-end tests for the LINX facade (goal → specifications → notebook)."""
+"""End-to-end tests of LINX through the engine (goal → specifications → notebook)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Linx
+from repro import ExploreRequest, LinxEngine
 from repro.cdrl import CdrlConfig
 from repro.dataframe import DataTable
 from repro.ldx import try_parse_ldx
 
+GOAL = "Find a country with different viewing habits than the rest of the world"
+
 
 @pytest.fixture(scope="module")
-def linx() -> Linx:
+def engine() -> LinxEngine:
     # Small training budget: the specification-aware guidance makes compliant
     # sessions reachable even with few episodes.
-    return Linx(cdrl_config=CdrlConfig(episodes=30, seed=3))
+    return LinxEngine(cdrl_config=CdrlConfig(episodes=30, seed=3))
 
 
 @pytest.fixture
@@ -30,39 +32,39 @@ def netflix_mini() -> DataTable:
     )
 
 
+def _explore(engine: LinxEngine, table: DataTable, goal: str, ldx_text: str | None = None):
+    request = ExploreRequest(goal=goal, dataset=table.name, ldx_text=ldx_text)
+    return engine.explore(request, table=table)
+
+
 class TestSpecificationDerivation:
-    def test_derived_specs_parse(self, linx):
-        ldx_text = linx.derive_specifications(
-            "netflix", "Find a country with different viewing habits than the rest of the world"
-        )
+    def test_derived_specs_parse(self, engine):
+        ldx_text = engine.spec_deriver.derive("netflix", GOAL).ldx_text
         assert try_parse_ldx(ldx_text) is not None
 
-    def test_derivation_mentions_goal_attribute(self, linx):
-        ldx_text = linx.derive_specifications("playstore", "Survey the price attribute of the data")
-        assert "price" in ldx_text
+    def test_derivation_mentions_goal_attribute(self, engine):
+        derivation = engine.spec_deriver.derive(
+            "playstore", "Survey the price attribute of the data"
+        )
+        assert "price" in derivation.ldx_text
 
 
 class TestEndToEnd:
-    def test_explore_with_explicit_ldx(self, linx, netflix_mini, comparison_query):
-        output = linx.explore(
-            netflix_mini,
-            "Find a country with different viewing habits than the rest of the world",
-            ldx_text=comparison_query.render(),
-        )
-        assert output.session.num_queries() >= 4
-        assert output.fully_compliant
-        assert "## Step" in output.markdown()
-        assert output.insights
+    def test_explore_with_explicit_ldx(self, engine, netflix_mini, comparison_query):
+        result = _explore(engine, netflix_mini, GOAL, ldx_text=comparison_query.render())
+        assert result.artifacts.session.num_queries() >= 4
+        assert result.fully_compliant
+        assert "## Step" in result.notebook_markdown
+        assert result.artifacts.insights
 
-    def test_explore_derives_specs_when_missing(self, linx, netflix_mini):
-        output = linx.explore(
-            netflix_mini, "Find a country with different viewing habits than the rest of the world"
-        )
-        assert output.query is not None
-        assert output.session.num_queries() >= 1
-        assert output.notebook.cells
+    def test_explore_derives_specs_when_missing(self, engine, netflix_mini):
+        result = _explore(engine, netflix_mini, GOAL)
+        assert result.artifacts.query is not None
+        assert result.artifacts.session.num_queries() >= 1
+        assert result.artifacts.notebook.cells
 
-    def test_malformed_ldx_falls_back(self, linx, netflix_mini):
-        output = linx.explore(netflix_mini, "whatever goal", ldx_text="THIS IS NOT LDX (((")
-        assert output.query is not None
-        assert output.session.num_queries() >= 1
+    def test_malformed_ldx_falls_back(self, engine, netflix_mini):
+        result = _explore(engine, netflix_mini, "whatever goal", ldx_text="THIS IS NOT LDX (((")
+        assert result.derivation_fallback
+        assert result.artifacts.query is not None
+        assert result.artifacts.session.num_queries() >= 1

@@ -10,8 +10,11 @@ from repro.engine import (
     KIND_SESSION_GENERATOR,
     STAGE_KINDS,
     STAGE_REGISTRY,
+    TICKET_DONE,
     ExploreRequest,
+    ExploreResult,
     LinxEngine,
+    RequestScheduler,
     RequestValidationError,
     SessionOutcome,
     StageContext,
@@ -191,6 +194,14 @@ class TestEngineStageSelection:
         assert first is second
 
 
+def _process_payload(engine: LinxEngine, request: ExploreRequest) -> dict:
+    """Run *request* in a one-worker process-mode scheduler; its payload."""
+    with RequestScheduler(engine, workers="process", max_workers=1) as scheduler:
+        ticket = scheduler.submit(request)
+        assert scheduler.wait(ticket.ticket_id, timeout=300)["state"] == TICKET_DONE
+        return scheduler.result_payload(ticket.ticket_id)
+
+
 class TestProcessModeStageNames:
     def test_named_stages_allowed_in_process_mode(self):
         """Registry-named stages lift the custom-stage process restriction."""
@@ -200,19 +211,17 @@ class TestProcessModeStageNames:
         )
         assert not engine._custom_stages
         assert engine.worker_spec()["stages"] == {"session_generator": "atena"}
-        requests = [
-            ExploreRequest(
-                goal="g", dataset="netflix", num_rows=100, ldx_text=LDX,
-                episodes=5, seed=0, request_id="p0",
-            )
-        ]
-        via_process = engine.explore_many(requests, workers="process", max_workers=1)
-        via_thread = LinxEngine(
+        request = ExploreRequest(
+            goal="g", dataset="netflix", num_rows=100, ldx_text=LDX,
+            episodes=5, seed=0, request_id="p0",
+        )
+        via_process = ExploreResult.from_dict(_process_payload(engine, request))
+        in_process = LinxEngine(
             cdrl_config=CdrlConfig(episodes=5),
             stages={"session_generator": "atena"},
-        ).explore_many(requests, workers="thread")
-        assert via_process[0].stage_names["session_generator"] == "atena"
-        assert via_process[0].operations == via_thread[0].operations
+        ).explore(request)
+        assert via_process.stage_names["session_generator"] == "atena"
+        assert via_process == in_process
 
     def test_per_request_names_ride_to_process_workers(self):
         engine = LinxEngine(cdrl_config=CdrlConfig(episodes=5))
@@ -220,8 +229,9 @@ class TestProcessModeStageNames:
             goal="g", dataset="netflix", num_rows=100, ldx_text=LDX,
             episodes=5, seed=0, stages={"session_generator": "atena"},
         )
-        [result] = engine.explore_many([request], workers="process", max_workers=1)
+        result = ExploreResult.from_dict(_process_payload(engine, request))
         assert result.stage_names["session_generator"] == "atena"
+        assert result == LinxEngine(cdrl_config=CdrlConfig(episodes=5)).explore(request)
 
     def test_object_configured_stages_still_rejected(self):
         class NullRenderer:
@@ -232,6 +242,4 @@ class TestProcessModeStageNames:
 
         engine = LinxEngine(notebook_renderer=NullRenderer())
         with pytest.raises(ValueError):
-            engine.explore_many(
-                [ExploreRequest(goal="g", dataset="flights")], workers="process"
-            )
+            RequestScheduler(engine, workers="process")

@@ -315,13 +315,6 @@ class TestEngineCooperativeInterruption:
         with pytest.raises(RequestCancelledError):
             engine.explore(_request(), cancel_event=cancel)
 
-    def test_explore_many_timeout_raises(self):
-        engine = LinxEngine(
-            session_generator=TickingGenerator(ticks=10_000, tick_seconds=0.02)
-        )
-        with pytest.raises(RequestTimeoutError):
-            engine.explore_many([_request()], max_workers=1, timeout=0.15)
-
     def test_generate_stage_marked_cancelled(self):
         from repro.engine import STAGE_GENERATE, STATUS_CANCELLED
 

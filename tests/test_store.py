@@ -22,7 +22,7 @@ from repro.engine import (
 from repro.engine.store import STORE_SCHEMA_VERSION
 from repro.explore import session_from_operations
 from repro.explore.operations import FilterOperation, GroupAggOperation
-from store_helpers import contains, get, get_payload, put
+from store_helpers import contains, delete, get, get_payload, put
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
 
@@ -127,8 +127,8 @@ class TestRoundTrip:
             assert store.request_hashes() == [key]
             assert store.request_hashes(NS) == [key]
             assert store.request_hashes("other") == []
-            assert store.delete(NS, key)
-            assert not store.delete(NS, key)
+            assert delete(store, NS, key)
+            assert not delete(store, NS, key)
             put(store, NS, key, executed)
             store.clear()
             assert len(store) == 0
@@ -141,7 +141,7 @@ class TestRoundTrip:
             assert get(store, "config-b", key) is None
             put(store, "config-b", key, executed)
             assert len(store) == 2
-            assert store.delete("config-a", key)
+            assert delete(store, "config-a", key)
             assert get(store, "config-b", key) == executed
 
     def test_prune_removes_only_old_rows(self, store_path, request_, executed):
