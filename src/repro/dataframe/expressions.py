@@ -231,37 +231,3 @@ class Predicate:
             "endswith": "ends with",
         }[self.op]
         return f"{self.column} {symbol} {self.term}"
-
-
-def combine_and(masks: list) -> np.ndarray:
-    """AND-combine several row masks (lists or boolean ndarrays) of equal length."""
-    return _combine(masks, np.logical_and, "combine_and")
-
-
-def combine_or(masks: list) -> np.ndarray:
-    """OR-combine several row masks (lists or boolean ndarrays) of equal length."""
-    return _combine(masks, np.logical_or, "combine_or")
-
-
-def _combine(masks: list, op: np.ufunc, caller: str) -> np.ndarray:
-    if not len(masks):
-        raise FilterError(f"{caller}() requires at least one mask")
-    arrays = [np.asarray(mask, dtype=bool) for mask in masks]
-    length = len(arrays[0])
-    for array in arrays:
-        if len(array) != length:
-            raise FilterError("masks must have equal length")
-    return op.reduce(arrays) if len(arrays) > 1 else arrays[0]
-
-
-def predicate_from_parts(column: str, op: str, term: Any) -> Predicate:
-    """Convenience constructor used by the LDX and PyLDX layers."""
-    return Predicate(column=column, op=op, term=term)
-
-
-#: Registry mapping canonical operator names to cell-level callables, useful
-#: for property-based testing of operator semantics.
-OPERATOR_FUNCTIONS: dict[str, Callable[[Any, Any], bool]] = {
-    name: (lambda v, t, _n=name: Predicate("_", _n, t).evaluate(v))
-    for name in FILTER_OPERATORS
-}

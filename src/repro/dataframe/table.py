@@ -159,10 +159,6 @@ class DataTable:
     def num_rows(self) -> int:
         return self._length
 
-    @property
-    def num_columns(self) -> int:
-        return len(self._columns)
-
     def schema(self) -> dict[str, str]:
         """Mapping of column name -> dtype."""
         return {name: col.dtype for name, col in self._columns.items()}
@@ -446,46 +442,11 @@ class DataTable:
         positions = np.searchsorted(sorted_hashes, hash_keys(rows))
         return by_value[positions]
 
-    def _masked_group_index(
-        self, group_column: str, where: "Sequence[bool] | np.ndarray"
-    ) -> tuple[list[Any], np.ndarray, int]:
-        """The group index restricted to the rows where *where* is True.
-
-        Built from the full table's memoised :meth:`_group_index` by
-        dropping masked-out rows and renumbering the surviving groups into
-        the order of their first appearance *among the surviving rows* —
-        exactly the ``(order, codes, count)`` that :meth:`_group_index`
-        would return on the materialised ``filter_rows(where)`` table, so
-        downstream aggregation is bit-identical to the eager two-step path.
-        Masked-out rows keep code ``-1`` (the null-key convention), which
-        excludes them from every aggregate kernel.
-        """
-        mask = np.asarray(where, dtype=bool)
-        if len(mask) != self._length:
-            raise SchemaError(
-                f"mask length {len(mask)} does not match table length {self._length}"
-            )
-        base_order, base_codes, base_count = self._group_index(group_column)
-        codes = np.where(mask, base_codes, np.int64(-1))
-        surviving = codes[codes >= 0]
-        if surviving.size == 0:
-            return [], np.full(self._length, -1, dtype=np.int64), 0
-        kept, first_row = np.unique(surviving, return_index=True)
-        # Renumber by first appearance among surviving rows (np.unique
-        # returns codes sorted by value, not by appearance).
-        kept = kept[np.argsort(first_row, kind="stable")]
-        remap = np.full(base_count + 1, -1, dtype=np.int64)
-        remap[kept] = np.arange(len(kept), dtype=np.int64)
-        order = [base_order[code] for code in kept.tolist()]
-        # codes of -1 index the sentinel slot at remap[-1], which stays -1.
-        return order, remap[codes], len(order)
-
     def groupby_agg(
         self,
         group_column: str,
         agg_func: str,
         agg_column: str | None = None,
-        where: "Sequence[bool] | np.ndarray | None" = None,
     ) -> "DataTable":
         """Group by *group_column* and aggregate *agg_column* with *agg_func*.
 
@@ -495,13 +456,6 @@ class DataTable:
         column.  Groups are returned ordered by descending aggregate value,
         then by first appearance, which mirrors the presentation order in
         the paper's notebooks.
-
-        ``where`` restricts the aggregation to the rows where the mask is
-        True *without materialising the filtered table*: the result is
-        value- and buffer-identical to ``self.filter_rows(where)
-        .groupby_agg(...)``, but reuses this table's memoised group index
-        (one factorisation serves every mask), which is how the query
-        planner fuses filter→group-by pipelines into a single pass.
         """
         func = canonical_agg(agg_func)
         self.column(group_column)  # validate early for a clear error
@@ -522,8 +476,7 @@ class DataTable:
             result_name = f"{func}_{agg_column}"
 
         if (
-            where is None
-            and func == "count"
+            func == "count"
             and agg_column == group_column
             and key_data.dtype != object
             and result_name != group_column
@@ -546,10 +499,7 @@ class DataTable:
                     "int",
                 )
 
-        if where is None:
-            order, codes, n_groups = self._group_index(group_column)
-        else:
-            order, codes, n_groups = self._masked_group_index(group_column, where)
+        order, codes, n_groups = self._group_index(group_column)
         aggregated = self._grouped_aggregate(func, codes, n_groups, value_col)
 
         if (

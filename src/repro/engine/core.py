@@ -39,7 +39,7 @@ from repro.cdrl.agent import CdrlConfig
 from repro.cdrl.context import SharedExplorationContext
 from repro.dataframe.table import DataTable
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.explore.cache import DEFAULT_MAX_ENTRIES, ExecutionCache
+from repro.explore.cache import DEFAULT_MAX_ENTRIES, CacheStats, ExecutionCache
 from repro.explore.session import ExplorationSession
 from repro.ldx.parser import parse_ldx, try_parse_ldx
 from repro.llm.interface import LLMClient
@@ -211,6 +211,9 @@ class LinxEngine:
         self.disk_cache_path = (
             str(disk_cache_path) if disk_cache_path is not None else None
         )
+        # A caller-supplied cache outlives the engine; one built here is
+        # flushed and closed by :meth:`close`.
+        self._owns_cache = cache is None
         if cache is not None:
             self.cache = cache
         else:
@@ -304,9 +307,16 @@ class LinxEngine:
         return self.cache.describe()
 
     def close(self) -> None:
-        """Release background resources (currently the batcher wave thread)."""
+        """Release background resources: the batcher wave thread and the cache.
+
+        The execution cache is flushed and closed only when the engine built
+        it (a caller-supplied ``cache=`` stays open), so a ``disk_cache_path``
+        engine persists its write-behind buffer even after a failed request.
+        """
         if self.batcher is not None:
             self.batcher.close()
+        if self._owns_cache:
+            self.cache.close()
 
     def config_fingerprint(self) -> str:
         """Digest of this engine's result-shaping configuration.
@@ -677,26 +687,20 @@ class LinxEngine:
         )
         return value
 
-    def _cache_delta(self, counters_before: tuple[int, int, int, int, int]) -> dict:
+    def _cache_delta(self, before: CacheStats) -> dict:
         """Per-request cache counters (approximate under concurrent batches)."""
-        hits_before, misses_before, evictions_before, plan_hits_before, fusions_before = (
-            counters_before
-        )
-        hits_after, misses_after, evictions_after, plan_hits_after, fusions_after = (
-            self.cache.snapshot_counters()
-        )
-        hits = hits_after - hits_before
-        misses = misses_after - misses_before
-        plan_hits = plan_hits_after - plan_hits_before
+        after = self.cache.snapshot_counters()
+        hits = after.hits - before.hits
+        misses = after.misses - before.misses
+        plan_hits = after.plan_hits - before.plan_hits
         lookups = hits + misses
         return {
             "hits": hits,
             "misses": misses,
-            "evictions": evictions_after - evictions_before,
+            "evictions": after.evictions - before.evictions,
             "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
             "plan_hits": plan_hits,
             "plan_hit_rate": round(plan_hits / lookups, 4) if lookups else 0.0,
-            "fusion_count": fusions_after - fusions_before,
             "entries": len(self.cache),
             "cached_rows": self.cache.cached_rows,
         }

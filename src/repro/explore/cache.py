@@ -14,12 +14,10 @@ executing a pipeline is a pure function of
 
 :class:`ExecutionCache` memoises those results in an LRU map keyed
 ``(base fingerprint, ("PLAN", canonical plan fingerprint))``; the entries are
-written by :meth:`~repro.explore.executor.QueryExecutor.execute_step` (one
-operation extending a canonical prefix — every served request executes this
-way) and :meth:`~repro.explore.executor.QueryExecutor.execute_plan` (whole
-plans in fused segments).  Pipelines that differ only in filter ordering,
-duplicated predicates or undone (back) steps collapse to one entry;
-``stats.plan_hits`` counts the lookups served that way.  A hit returns the
+written by :meth:`~repro.explore.executor.QueryExecutor.execute_step`, one
+operation extending a canonical prefix.  Pipelines that differ only in
+filter ordering, duplicated predicates or undone (back) steps collapse to
+one entry; ``stats.plan_hits`` counts the lookups served that way.  A hit returns the
 *same* immutable ``DataTable`` object that the original execution produced,
 so repeated episodes share views (and all the per-view memoised statistics
 that hang off them) instead of re-scanning the data.
@@ -59,7 +57,7 @@ import logging
 import sqlite3
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -95,10 +93,6 @@ class CacheStats:
     negative_hits: int = 0
     #: Hits served under a canonical-plan key (a subset of ``hits``).
     plan_hits: int = 0
-    #: Fused multi-operation segments executed by
-    #: :meth:`~repro.explore.executor.QueryExecutor.execute_plan` (each one
-    #: replaces >= 2 per-operation materialisations with a single pass).
-    fusion_count: int = 0
 
     @property
     def lookups(self) -> int:
@@ -117,7 +111,6 @@ class CacheStats:
             "evictions": self.evictions,
             "negative_hits": self.negative_hits,
             "plan_hits": self.plan_hits,
-            "fusion_count": self.fusion_count,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -127,7 +120,6 @@ class CacheStats:
         self.evictions = 0
         self.negative_hits = 0
         self.plan_hits = 0
-        self.fusion_count = 0
 
 
 class ExecutionCache:
@@ -267,11 +259,6 @@ class ExecutionCache:
             self._cached_rows -= self._row_counts.pop(evicted_key)
             self.stats.evictions += 1
 
-    def record_fusion(self) -> None:
-        """Count one fused multi-operation segment (``stats.fusion_count``)."""
-        with self._lock:
-            self.stats.fusion_count += 1
-
     # -- failures -------------------------------------------------------------------
     def get_error(self, view: DataTable, operation: Operation) -> str | None:
         """The memoised failure message for ``(view, operation)``, or ``None``.
@@ -393,19 +380,10 @@ class ExecutionCache:
                 summary["disk_schema_version"] = DISK_SCHEMA_VERSION
             return summary
 
-    def snapshot_counters(self) -> tuple[int, int, int, int, int]:
-        """A consistent ``(hits, misses, evictions, plan_hits, fusion_count)`` snapshot.
-
-        Used by the engine for per-request deltas.
-        """
+    def snapshot_counters(self) -> CacheStats:
+        """A consistent copy of :attr:`stats`, for the engine's per-request deltas."""
         with self._lock:
-            return (
-                self.stats.hits,
-                self.stats.misses,
-                self.stats.evictions,
-                self.stats.plan_hits,
-                self.stats.fusion_count,
-            )
+            return replace(self.stats)
 
     def __repr__(self) -> str:
         return (

@@ -236,10 +236,6 @@ class ExplorationEnvironment:
         self._masks = None
         return self.observe()
 
-    @property
-    def steps_remaining(self) -> int:
-        return self.episode_length - self._step_count
-
     def step(self, choice: ActionChoice) -> StepResult:
         """Execute the agent's factored action choice and return the outcome."""
         if self._step_count >= self.episode_length:

@@ -1,22 +1,13 @@
 """Execution of parametric query operations against :class:`DataTable` views.
 
-Every operation executes as a canonical logical plan:
+Every operation executes one way, through :meth:`QueryExecutor.execute_step`:
+the exploration environments, session replays, baselines and every served
+request extend the canonical plan of the current view by one operation,
+run that operation once against the view, and memoise its result under the
+new plan's semantic ``(base, canonical plan)`` key, so commuted or
+duplicated pipelines share one cache entry.
 
-* :meth:`QueryExecutor.execute_step` is the incremental path the
-  exploration environments, session replays, baselines and every served
-  request use: one operation extends the canonical plan of the current
-  view, runs once against that view, and its result is memoised under the
-  new plan's semantic ``(base, canonical plan)`` key, so commuted or
-  duplicated pipelines share one cache entry;
-* :meth:`QueryExecutor.execute_plan` runs a whole
-  :class:`~repro.plan.nodes.LogicalPlan` in *fused segments* (adjacent
-  filters AND-combine their vectorised masks; a filter run feeding a
-  group-by pushes the combined mask straight into the group-by
-  factorisation).  Served traffic never takes this path, so its
-  ``fusion_count`` stays 0 there; fusion serves direct callers such as
-  ``benchmarks/bench_planner.py`` and ``examples/plan_cache.py``.
-
-Both paths are bit-identical to applying ``DataTable.filter`` /
+The result is bit-identical to applying ``DataTable.filter`` /
 ``DataTable.groupby_agg`` one operation at a time; that per-operation
 replay lives in ``tests/`` as the reference the property suite compares
 against.
@@ -26,15 +17,9 @@ from __future__ import annotations
 
 from repro.dataframe.aggregates import numeric_only
 from repro.dataframe.errors import DataFrameError
-from repro.dataframe.expressions import Predicate, combine_and
+from repro.dataframe.expressions import Predicate
 from repro.dataframe.table import DataTable
-from repro.plan import (
-    FilterNode,
-    GroupNode,
-    LogicalPlan,
-    canonicalize,
-    node_from_operation,
-)
+from repro.plan import LogicalPlan, canonicalize, node_from_operation
 
 from .cache import ExecutionCache
 from .operations import (
@@ -118,94 +103,6 @@ class QueryExecutor:
         if self.cache is not None:
             self.cache.put_plan(base, new_plan, result)
         return result, new_plan
-
-    def execute_plan(self, base: DataTable, plan: LogicalPlan) -> DataTable:
-        """Execute *plan* against *base* with fused segments.
-
-        The plan is canonicalized first, so back steps are resolved and
-        equivalent pipelines share both their cache entries and their
-        execution.  Execution walks the canonical plan in segments:
-
-        * a maximal run of adjacent filters computes every predicate mask
-          on the segment's input view and materialises **one** filtered
-          view from the AND-combined mask;
-        * when the run feeds a group-by, the combined mask goes straight
-          into :meth:`DataTable.groupby_agg` (``where=``) and *no*
-          intermediate view is materialised at all.
-
-        Each materialised prefix is cached under its canonical-plan key, so
-        later pipelines sharing a prefix resume from it.  Results are
-        bit-identical to executing each operation in sequence.
-        """
-        canonical = canonicalize(plan)
-        steps = canonical.steps
-        if not steps:
-            return base
-        if self.cache is not None:
-            cached = self.cache.get_plan(base, canonical)
-            if cached is not None:
-                return cached
-        view = base
-        i = 0
-        while i < len(steps):
-            node = steps[i]
-            if isinstance(node, FilterNode):
-                j = i
-                while j < len(steps) and isinstance(steps[j], FilterNode):
-                    j += 1
-                mask = self._fused_filter_mask(view, steps[i:j])
-                fused = j - i
-                if j < len(steps) and isinstance(steps[j], GroupNode):
-                    view = self._run_group_node(view, steps[j], where=mask)
-                    j += 1
-                    fused += 1
-                else:
-                    view = view.filter_rows(mask)
-                i = j
-                if fused >= 2 and self.cache is not None:
-                    self.cache.record_fusion()
-            elif isinstance(node, GroupNode):
-                view = self._run_group_node(view, node)
-                i += 1
-            else:
-                raise ExecutionError(
-                    f"cannot execute plan node of kind {node.kind!r}"
-                )
-            if self.cache is not None:
-                self.cache.put_plan(base, LogicalPlan(steps[:i]), view)
-        return view
-
-    def _fused_filter_mask(self, view: DataTable, run) -> "object":
-        """The AND-combined row mask of an adjacent filter run over *view*."""
-        masks = []
-        for node in run:
-            if node.attr not in view:
-                raise ExecutionError(
-                    f"filter attribute {node.attr!r} not in view columns {view.columns}"
-                )
-            try:
-                predicate = Predicate(node.attr, node.op, node.term)
-                masks.append(predicate.mask(view.column(node.attr)))
-            except DataFrameError as exc:
-                raise ExecutionError(str(exc)) from exc
-        return combine_and(masks)
-
-    def _run_group_node(self, view: DataTable, node: GroupNode, where=None) -> DataTable:
-        if node.group_attr not in view:
-            raise ExecutionError(
-                f"group attribute {node.group_attr!r} not in view columns {view.columns}"
-            )
-        if node.agg_attr not in view:
-            raise ExecutionError(
-                f"aggregate attribute {node.agg_attr!r} not in view columns "
-                f"{view.columns}"
-            )
-        try:
-            return view.groupby_agg(
-                node.group_attr, node.agg_func, node.agg_attr, where=where
-            )
-        except DataFrameError as exc:
-            raise ExecutionError(str(exc)) from exc
 
     # -- per-operation kernels ------------------------------------------------------------
     def _execute_filter(self, view: DataTable, operation: FilterOperation) -> DataTable:

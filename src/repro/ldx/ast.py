@@ -65,12 +65,6 @@ class NodeSpec:
             return []
         return self.operation.continuity_variables()
 
-    def has_structure(self) -> bool:
-        return bool(self.structure)
-
-    def has_operation(self) -> bool:
-        return self.operation is not None
-
     def render(self) -> str:
         """Serialise the spec back to a line of LDX text."""
         clauses: list[str] = []
@@ -167,14 +161,6 @@ class LdxQuery:
     def operational_specs(self) -> list[NodeSpec]:
         """``opr(QX)``: specifications that carry an operation pattern."""
         return [spec for spec in self.specs if spec.operation is not None and not spec.is_root]
-
-    def operation_patterns(self) -> dict[str, OperationPattern]:
-        """Mapping of node name -> operation pattern (root excluded)."""
-        return {
-            spec.name: spec.operation
-            for spec in self.specs
-            if spec.operation is not None and not spec.is_root
-        }
 
     # -- derived sizes ---------------------------------------------------------------------
     def required_operations(self) -> int:

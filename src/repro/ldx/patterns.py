@@ -91,11 +91,6 @@ class FieldPattern:
         return {}
 
     @property
-    def is_free(self) -> bool:
-        """True when the field does not pin a concrete value (wildcard or unbound var)."""
-        return self.kind in (FIELD_ANY, FIELD_CONTINUITY)
-
-    @property
     def is_specified(self) -> bool:
         """True when the field constrains the value (literal or regex)."""
         return self.kind in (FIELD_LITERAL, FIELD_REGEX)
@@ -231,11 +226,6 @@ class OperationPattern:
         """Serialise back to the bracketed LDX form."""
         parts = [self.kind] + [f.render() for f in self.fields]
         return "[" + ",".join(parts) + "]"
-
-    @property
-    def is_fully_specified(self) -> bool:
-        """True when every field is a literal (no freedom left for the ADE engine)."""
-        return all(f.kind == FIELD_LITERAL for f in self.fields)
 
 
 def _split_pattern_fields(body: str) -> list[str]:

@@ -1,18 +1,14 @@
 """Building and canonicalizing logical plans.
 
-The builders translate between the executable operation vocabulary
-(:mod:`repro.explore.operations`) and the plan AST, and
+:func:`node_from_operation` translates one executable filter or group-by
+operation (:mod:`repro.explore.operations`) into its plan node, and
 :func:`canonicalize` reduces a raw plan to the normal form whose
 fingerprint keys the execution caches:
 
-1. **Back resolution** — ``BackNode`` steps are resolved by replaying the
-   pipeline as a stack (push filter/group, pop on back, clamped at the
-   base), so ``filter → back`` pairs vanish and only the net pipeline
-   remains.  Root nodes are no-ops and are dropped.
-2. **Duplicate-filter merging** — filters are idempotent (a predicate's
+1. **Duplicate-filter merging** — filters are idempotent (a predicate's
    row mask is deterministic), so identical predicates within one adjacent
    filter run collapse to one.
-3. **Filter commutation** — adjacent filters AND-commute (each row's mask
+2. **Filter commutation** — adjacent filters AND-commute (each row's mask
    bit depends only on that row), so every maximal run of adjacent filters
    is sorted by signature.  Group-by nodes are commutation barriers: they
    change the schema and row identity, so filters never move across them.
@@ -25,24 +21,15 @@ prefix key.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.explore.operations import (
-    BackOperation,
-    FilterOperation,
-    GroupAggOperation,
-    Operation,
-    RootOperation,
-)
+from repro.explore.operations import FilterOperation, GroupAggOperation, Operation
 
-from .nodes import BackNode, FilterNode, GroupNode, LogicalPlan, PlanNode, RootNode
-
-#: The empty (root-only) plan every session starts from.
-EMPTY_PLAN = LogicalPlan(())
+from .nodes import FilterNode, GroupNode, LogicalPlan, PlanNode
 
 
 def node_from_operation(operation: Operation) -> PlanNode:
-    """The plan node mirroring *operation* (signatures match exactly)."""
+    """The plan node mirroring a filter or group-by *operation* (signatures match)."""
     if isinstance(operation, FilterOperation):
         return FilterNode(attr=operation.attr, op=operation.op, term=operation.term)
     if isinstance(operation, GroupAggOperation):
@@ -51,59 +38,23 @@ def node_from_operation(operation: Operation) -> PlanNode:
             agg_func=operation.agg_func,
             agg_attr=operation.agg_attr,
         )
-    if isinstance(operation, BackOperation):
-        return BackNode(steps=operation.steps)
-    if isinstance(operation, RootOperation):
-        return RootNode()
     raise ValueError(f"cannot plan operation {operation!r}")
-
-
-def operation_from_node(node: PlanNode) -> Operation:
-    """The executable operation mirroring *node*."""
-    if isinstance(node, FilterNode):
-        return FilterOperation(attr=node.attr, op=node.op, term=node.term)
-    if isinstance(node, GroupNode):
-        return GroupAggOperation(
-            group_attr=node.group_attr, agg_func=node.agg_func, agg_attr=node.agg_attr
-        )
-    if isinstance(node, BackNode):
-        return BackOperation(steps=node.steps)
-    if isinstance(node, RootNode):
-        return RootOperation()
-    raise ValueError(f"cannot convert plan node {node!r} to an operation")
-
-
-def plan_from_operations(operations: Iterable[Operation]) -> LogicalPlan:
-    """The raw (uncanonicalized) plan of a flat operation list (backs included)."""
-    return LogicalPlan(tuple(node_from_operation(operation) for operation in operations))
 
 
 def canonicalize(plan: LogicalPlan) -> LogicalPlan:
     """Reduce *plan* to its canonical normal form (see the module docstring)."""
-    # 1. Resolve backs by stack replay; drop root no-ops.
-    stack: list[PlanNode] = []
-    for node in plan.steps:
-        if isinstance(node, BackNode):
-            for _ in range(max(1, node.steps)):
-                if not stack:
-                    break
-                stack.pop()
-        elif isinstance(node, RootNode):
-            continue
-        else:
-            stack.append(node)
-    # 2 + 3. Sort each maximal adjacent filter run and merge duplicates.
+    steps = plan.steps
     out: list[PlanNode] = []
     i = 0
-    while i < len(stack):
-        if not isinstance(stack[i], FilterNode):
-            out.append(stack[i])
+    while i < len(steps):
+        if not isinstance(steps[i], FilterNode):
+            out.append(steps[i])
             i += 1
             continue
         j = i
-        while j < len(stack) and isinstance(stack[j], FilterNode):
+        while j < len(steps) and isinstance(steps[j], FilterNode):
             j += 1
-        out.extend(_sorted_unique_filters(stack[i:j]))
+        out.extend(_sorted_unique_filters(steps[i:j]))
         i = j
     return LogicalPlan(tuple(out))
 

@@ -3,35 +3,28 @@
 An exploration pipeline — the path of operations from the session root to
 one view — is *syntactic*: ``filter A → filter B`` and ``filter B →
 filter A`` are different operation lists that denote the same relation.
-This module gives pipelines a relational AST (in the shape of JQL-style
-``Filter | Join | Project | Union`` algebras): a :class:`LogicalPlan` is an
-ordered tuple of plan nodes mirroring the executable operation vocabulary,
-and :func:`repro.plan.builder.canonicalize` reduces many surface orderings
-to one normal form whose :meth:`LogicalPlan.fingerprint` keys every cache
-tier.
+This module gives pipelines a relational form: a :class:`LogicalPlan` is
+the ordered tuple of filter and group-by nodes that
+:meth:`repro.explore.executor.QueryExecutor.execute_step` builds for one
+session node, and :func:`repro.plan.builder.canonicalize` reduces its many
+surface orderings to one normal form whose :meth:`LogicalPlan.fingerprint`
+keys every cache tier.  Back and root operations never become nodes: the
+session resolves them by moving to an existing node, whose plan is reused.
 
 Nodes are immutable value objects whose ``signature()`` matches the
 corresponding :meth:`repro.explore.operations.Operation.signature` exactly,
 so plan fingerprints and operation signatures hash the same field values.
-Join and union pipelines (ROADMAP item 2) should land here as new node
-types — the canonicalizer and fingerprint extend per node kind, the eager
-operation vocabulary does not need to grow.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.dataframe.aggregates import canonical_agg
 from repro.dataframe.expressions import canonical_operator
-from repro.explore.operations import (
-    KIND_BACK,
-    KIND_FILTER,
-    KIND_GROUP,
-    KIND_ROOT,
-)
+from repro.explore.operations import KIND_FILTER, KIND_GROUP
 
 
 @dataclass(frozen=True)
@@ -48,21 +41,6 @@ class PlanNode:
 
     def describe(self) -> str:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class RootNode(PlanNode):
-    """The unmodified base table (only ever appears as a leading no-op)."""
-
-    @property
-    def kind(self) -> str:
-        return KIND_ROOT
-
-    def signature(self) -> tuple[str, ...]:
-        return (KIND_ROOT,)
-
-    def describe(self) -> str:
-        return "ROOT"
 
 
 @dataclass(frozen=True)
@@ -109,23 +87,6 @@ class GroupNode(PlanNode):
 
     def describe(self) -> str:
         return f"GROUP {self.group_attr} {self.agg_func}({self.agg_attr})"
-
-
-@dataclass(frozen=True)
-class BackNode(PlanNode):
-    """Undo the last *steps* pipeline stages (resolved away by canonicalize)."""
-
-    steps: int = 1
-
-    @property
-    def kind(self) -> str:
-        return KIND_BACK
-
-    def signature(self) -> tuple[str, ...]:
-        return (KIND_BACK, str(self.steps))
-
-    def describe(self) -> str:
-        return f"BACK {self.steps}"
 
 
 @dataclass(frozen=True)
@@ -187,7 +148,3 @@ class LogicalPlan:
     def __repr__(self) -> str:
         return f"LogicalPlan({self.describe()!r})"
 
-
-def plan_of(steps: Iterable[PlanNode]) -> LogicalPlan:
-    """Convenience constructor from any iterable of nodes."""
-    return LogicalPlan(tuple(steps))

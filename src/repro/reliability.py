@@ -194,10 +194,6 @@ class FaultPlan:
         return cls(FaultSpec.from_dict(entry) for entry in json.loads(payload))
 
     # -- firing --------------------------------------------------------------------
-    def total_fired(self) -> int:
-        with self._lock:
-            return sum(self.fired.values())
-
     def hit(self, site: str) -> Optional[FaultSpec]:
         """Advance *site*'s arrival counter; perform and return a due fault."""
         spec: Optional[FaultSpec] = None

@@ -40,10 +40,6 @@ class TreeNode:
     def is_root(self) -> bool:
         return self.parent is None
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def depth(self) -> int:
         """Number of edges from the root to this node."""
         depth = 0

@@ -1,7 +1,7 @@
 """The eager per-operation reference the plan path is tested against.
 
-Production code executes every operation as a canonical logical plan
-(:meth:`QueryExecutor.execute_step` / :meth:`QueryExecutor.execute_plan`).
+Production code executes every operation as one step extending a canonical
+logical plan (:meth:`QueryExecutor.execute_step`).
 This module replays operation lists the naive way instead: one operation at
 a time against the current view, straight through the ``DataTable`` kernels
 (``DataTable.filter(Predicate(...))`` and ``DataTable.groupby_agg(...)``),
@@ -25,7 +25,7 @@ from repro.explore.operations import (
     Operation,
     RootOperation,
 )
-from repro.plan import EMPTY_PLAN
+from repro.plan import LogicalPlan, node_from_operation
 
 
 def eager_apply(view: DataTable, operation: Operation) -> DataTable:
@@ -69,9 +69,14 @@ def eager_replay(table: DataTable, operations: list[Operation]) -> EagerReplay:
     return replay
 
 
+def plan_from(operations: list[Operation]) -> LogicalPlan:
+    """The raw (uncanonicalized) plan of a filter/group-by operation list."""
+    return LogicalPlan(tuple(node_from_operation(operation) for operation in operations))
+
+
 def run_one(executor, view: DataTable, operation: Operation) -> DataTable:
     """Execute one operation on *view* through the plan path, *view* as the base."""
-    return executor.execute_step(view, EMPTY_PLAN, view, operation)[0]
+    return executor.execute_step(view, LogicalPlan(()), view, operation)[0]
 
 
 def same_view(a: DataTable, b: DataTable) -> bool:

@@ -1,7 +1,7 @@
 """One execution cache shared by many threads stays consistent.
 
-Eight threads drive ``execute_step`` chains and fused ``execute_plan`` calls
-against one small :class:`ExecutionCache` (tight entry and row budgets, so
+Eight threads drive ``execute_step`` chains and ``session_from_operations``
+replays against one small :class:`ExecutionCache` (tight entry and row budgets, so
 eviction and, with a disk tier, read-through promotion and write-behind
 flushes run concurrently).  Afterwards the cache's bounds, row accounting
 and counters must agree with what the threads actually did, and every view
@@ -24,7 +24,8 @@ from repro.datasets import load_dataset
 from repro.explore.cache import CacheStats, ExecutionCache
 from repro.explore.executor import QueryExecutor
 from repro.explore.operations import FilterOperation, GroupAggOperation
-from repro.plan import EMPTY_PLAN, plan_from_operations
+from repro.explore.session import session_from_operations
+from repro.plan import LogicalPlan
 
 NUM_THREADS = 8
 TASKS_PER_THREAD = 24
@@ -53,31 +54,18 @@ class LockCheckedStats(CacheStats):
         object.__setattr__(self, name, value)
 
 
-class CountingExecutor(QueryExecutor):
-    """Counts fused filter→group-by segments as they execute."""
-
-    def __init__(self, cache, fused_segments: list):
-        super().__init__(cache=cache)
-        self._fused_segments = fused_segments
-
-    def _run_group_node(self, view, node, where=None):
-        if where is not None:
-            self._fused_segments.append(1)  # list.append is atomic
-        return super()._run_group_node(view, node, where=where)
-
-
 def _tasks(seed: int) -> list[tuple[str, list]]:
-    """A thread's deterministic mix of step chains and fused plans.
+    """A thread's deterministic mix of step chains and session replays.
 
-    Every chain is 1-3 filters, then a group-by for plans (so each executed
-    plan has exactly one fused segment) and optionally for step chains.
+    Every chain is 1-3 filters, then a group-by for replays and optionally
+    for step chains.
     """
     rng = random.Random(seed)
     tasks = []
     for _ in range(TASKS_PER_THREAD):
         filters = rng.sample(FILTERS, rng.randint(1, 3))
         if rng.random() < 0.5:
-            tasks.append(("plan", filters + [rng.choice(GROUPS)]))
+            tasks.append(("replay", filters + [rng.choice(GROUPS)]))
         else:
             tail = [rng.choice(GROUPS)] if rng.random() < 0.5 else []
             tasks.append(("step", filters + tail))
@@ -87,9 +75,9 @@ def _tasks(seed: int) -> list[tuple[str, list]]:
 def _run(executor, table, task) -> list:
     """Execute one task; returns every view it produced (one per lookup)."""
     kind, operations = task
-    if kind == "plan":
-        return [executor.execute_plan(table, plan_from_operations(operations))]
-    views, plan, view = [], EMPTY_PLAN, table
+    if kind == "replay":
+        return session_from_operations(table, operations, executor=executor).views()
+    views, plan, view = [], LogicalPlan(()), table
     for operation in operations:
         view, plan = executor.execute_step(table, plan, view, operation)
         views.append(view)
@@ -108,8 +96,7 @@ def test_threads_sharing_one_cache_keep_it_consistent(tmp_path, with_disk):
     stats = LockCheckedStats()
     stats.owner = cache
     cache.stats = stats
-    fused_segments: list = []
-    executor = CountingExecutor(cache, fused_segments)
+    executor = QueryExecutor(cache=cache)
     workloads = [_tasks(seed) for seed in range(NUM_THREADS)]
     results: list = [None] * NUM_THREADS
     errors: list = []
@@ -141,12 +128,10 @@ def test_threads_sharing_one_cache_keep_it_consistent(tmp_path, with_disk):
     # Bounds and row accounting.
     assert len(cache) <= MAX_ENTRIES
     assert cache.cached_rows == sum(len(view) for view in cache._entries.values())
-    # Every call issues exactly one lookup: a step's extended plan, or a
-    # whole plan (no failures occur, so the negative map never answers).
+    # Every executed operation issues exactly one lookup, its extended plan
+    # (no failures occur, so the negative map never answers).
     lookups = sum(len(views) for per_thread in results for views in per_thread)
     assert cache.stats.hits + cache.stats.misses == lookups
-    assert cache.stats.fusion_count == len(fused_segments)
-    assert cache.stats.fusion_count > 0
 
     # Every returned view equals a single-threaded replay of the same task.
     reference = QueryExecutor(cache=ExecutionCache())

@@ -22,7 +22,7 @@ from repro.dataframe import DataTable, Predicate, read_delimited_text
 from repro.dataframe.aggregates import AGG_FUNCTIONS, apply_aggregation
 from repro.dataframe.column import Column
 from repro.dataframe.errors import AggregationError
-from repro.dataframe.expressions import FILTER_OPERATORS, combine_and, combine_or
+from repro.dataframe.expressions import FILTER_OPERATORS
 from repro.explore import (
     ExecutionCache,
     ExecutionError,
@@ -182,12 +182,6 @@ class TestMissingValueSemantics:
             None,
             None,
         ]
-
-    def test_combine_masks_accept_lists_and_arrays(self):
-        a = np.array([True, True, False])
-        b = [True, False, True]
-        assert list(combine_and([a, b])) == [True, False, False]
-        assert list(combine_or([a, b])) == [True, True, True]
 
 
 class TestMixedTypeColumns:

@@ -8,7 +8,7 @@ import sqlite3
 import numpy as np
 import pytest
 
-from eager_oracle import run_one
+from eager_oracle import plan_from, run_one
 from repro.dataframe.column import Column
 from repro.dataframe.table import DataTable
 from repro.datasets import load_dataset
@@ -30,7 +30,6 @@ from repro.explore.diskcache import (
 )
 from repro.explore.executor import ExecutionError, QueryExecutor
 from repro.explore.operations import FilterOperation, GroupAggOperation
-from repro.plan import canonicalize, plan_from_operations
 
 
 @pytest.fixture()
@@ -41,11 +40,6 @@ def flights():
 @pytest.fixture()
 def db_path(tmp_path):
     return tmp_path / "execution_cache.sqlite"
-
-
-def plan_for(operation):
-    """The canonical one-operation plan a step on the base view is keyed by."""
-    return canonicalize(plan_from_operations([operation]))
 
 
 OPS = [
@@ -79,8 +73,8 @@ class TestSerialization:
         assert rebuilt.fingerprint() == empty.fingerprint()
 
     def test_key_encoding_is_stable_and_discriminating(self, flights):
-        key_a = ExecutionCache.plan_key_for(flights, plan_for(OPS[0]))
-        key_b = ExecutionCache.plan_key_for(flights, plan_for(OPS[1]))
+        key_a = ExecutionCache.plan_key_for(flights, plan_from([OPS[0]]))
+        key_b = ExecutionCache.plan_key_for(flights, plan_from([OPS[1]]))
         assert encode_key(key_a) == encode_key(key_a)
         assert encode_key(key_a) != encode_key(key_b)
 
@@ -245,7 +239,7 @@ class TestConcurrentWriters:
         # 4 + 4 operations with one overlap -> 7 distinct entries.
         assert len(tier) == 7
         for op in OPS:
-            key = ExecutionCache.plan_key_for(flights, plan_for(op))
+            key = ExecutionCache.plan_key_for(flights, plan_from([op]))
             assert tier.get(key) is not None
         tier.close()
 
@@ -291,6 +285,31 @@ class TestEngineIntegration:
         stats = warm.cache_stats()
         assert stats["disk_hits"] > 0
         assert first.operations == second.operations
+
+    def test_close_flushes_and_closes_the_cache_it_built(self, flights, db_path):
+        """An engine closed with unflushed writes (e.g. after a failed
+        request) persists them and releases its sqlite connections."""
+        engine = LinxEngine(disk_cache_path=db_path)
+        run_one(QueryExecutor(cache=engine.cache), flights, OPS[0])
+        assert engine.cache.pending_writes == 1
+        engine.close()
+        assert engine.cache.pending_writes == 0
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(engine.cache.disk)  # the engine's connections are closed
+        with DiskCacheTier(db_path) as reopened:
+            assert len(reopened) == 1
+
+    def test_close_leaves_a_supplied_cache_open(self, flights, db_path):
+        cache = ExecutionCache(disk=db_path)
+        engine = LinxEngine(cache=cache)
+        executor = QueryExecutor(cache=cache)
+        run_one(executor, flights, OPS[0])
+        engine.close()
+        assert cache.pending_writes == 1  # the caller owns the flush
+        run_one(executor, flights, OPS[1])
+        cache.close()
+        with DiskCacheTier(db_path) as reopened:
+            assert len(reopened) == 2
 
     def test_process_pool_matches_thread_pool(self, db_path):
         requests = [

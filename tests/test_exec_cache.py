@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eager_oracle import eager_apply, run_one
+from eager_oracle import eager_apply, plan_from, run_one
 from repro.dataframe import DataTable
 from repro.dataframe.column import Column
 from repro.dataframe.expressions import FILTER_OPERATORS, Predicate
@@ -31,7 +31,6 @@ from repro.explore import (
     RootOperation,
     session_from_operations,
 )
-from repro.plan import canonicalize, plan_from_operations
 
 
 class TestFingerprint:
@@ -197,7 +196,7 @@ class TestRowBudgetBounding:
         executor = QueryExecutor(cache=cache)
         op = FilterOperation("country", "eq", "India")
         result = run_one(executor, small_table, op)
-        plan = canonicalize(plan_from_operations([op]))
+        plan = plan_from([op])
         cache.put_plan(small_table, plan, result)  # idempotent re-put
         assert cache.cached_rows == len(result)
 

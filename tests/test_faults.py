@@ -52,7 +52,7 @@ from repro.explore import session_from_operations
 from repro.explore.cache import ExecutionCache
 from repro.explore.diskcache import DiskCacheTier
 from repro.explore.operations import FilterOperation, GroupAggOperation
-from repro.plan import canonicalize, plan_from_operations
+from eager_oracle import plan_from
 from store_helpers import get_payload, put
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
@@ -338,7 +338,7 @@ class TestSqliteBusy:
         result = flights.filter_rows(
             [value == "AA" for value in flights.column("airline").values]
         )
-        plan = canonicalize(plan_from_operations([operation]))
+        plan = plan_from([operation])
         cache = ExecutionCache(disk=tmp_path / "cache.sqlite")
         try:
             cache.put_plan(flights, plan, result)

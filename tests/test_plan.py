@@ -1,4 +1,4 @@
-"""Tests for the lazy query planner: canonical plans, fused execution, plan caching."""
+"""Tests for the query planner: canonical plans and plan-keyed caching."""
 
 from __future__ import annotations
 
@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager_oracle import eager_replay, first_divergence, same_view
+from eager_oracle import eager_replay, first_divergence, plan_from
 from repro.dataframe.column import Column
 from repro.dataframe.table import DataTable
 from repro.datasets import load_dataset
 from repro.explore.action_space import ActionChoice
-from repro.explore.cache import PLAN_KEY_TAG, ExecutionCache
+from repro.explore.cache import PLAN_KEY_TAG, CacheStats, ExecutionCache
 from repro.explore.environment import ExplorationEnvironment
-from repro.explore.executor import ExecutionError, QueryExecutor
+from repro.explore.executor import ExecutionError
 from repro.explore.operations import (
     BackOperation,
     FilterOperation,
@@ -24,16 +24,11 @@ from repro.explore.operations import (
 )
 from repro.explore.session import session_from_operations
 from repro.plan import (
-    BackNode,
     FilterNode,
     GroupNode,
     LogicalPlan,
-    RootNode,
     canonicalize,
     node_from_operation,
-    operation_from_node,
-    plan_from_operations,
-    plan_of,
 )
 
 
@@ -68,150 +63,84 @@ class TestPlanNodes:
         pairs = [
             (FilterNode("cat", "eq", "a"), F_CAT_A),
             (GroupNode("cat", "count", "cat"), G_COUNT),
-            (BackNode(2), BackOperation(2)),
-            (RootNode(), RootOperation()),
         ]
         for node, operation in pairs:
             assert node.signature() == operation.signature()
 
     def test_filter_node_normalises_operator_aliases(self):
         assert FilterNode("cat", "==", "a") == FilterNode("cat", "eq", "a")
-        assert plan_of([FilterNode("cat", "==", "a")]).fingerprint() == plan_of(
-            [FilterNode("cat", "eq", "a")]
+        assert LogicalPlan((FilterNode("cat", "==", "a"),)).fingerprint() == LogicalPlan(
+            (FilterNode("cat", "eq", "a"),)
         ).fingerprint()
 
     def test_group_node_normalises_aggregate_aliases(self):
         assert GroupNode("cat", "avg", "num") == GroupNode("cat", "mean", "num")
 
     def test_fingerprint_is_stable_and_discriminating(self):
-        plan = plan_of([FilterNode("cat", "eq", "a"), GroupNode("cat", "count", "cat")])
-        same = plan_of([FilterNode("cat", "eq", "a"), GroupNode("cat", "count", "cat")])
-        other = plan_of([FilterNode("cat", "eq", "b"), GroupNode("cat", "count", "cat")])
+        plan = LogicalPlan((FilterNode("cat", "eq", "a"), GroupNode("cat", "count", "cat")))
+        same = LogicalPlan((FilterNode("cat", "eq", "a"), GroupNode("cat", "count", "cat")))
+        other = LogicalPlan((FilterNode("cat", "eq", "b"), GroupNode("cat", "count", "cat")))
         assert plan.fingerprint() == same.fingerprint()
         assert plan.fingerprint() != other.fingerprint()
         # Length-prefixed encoding: field boundaries cannot be confused.
-        left = plan_of([FilterNode("cat", "eq", "ab")])
-        right = plan_of([FilterNode("cat", "eq", "a")])
+        left = LogicalPlan((FilterNode("cat", "eq", "ab"),))
+        right = LogicalPlan((FilterNode("cat", "eq", "a"),))
         assert left.fingerprint() != right.fingerprint()
 
     def test_fingerprint_not_part_of_equality(self):
-        plan = plan_of([FilterNode("cat", "eq", "a")])
-        fresh = plan_of([FilterNode("cat", "eq", "a")])
+        plan = LogicalPlan((FilterNode("cat", "eq", "a"),))
+        fresh = LogicalPlan((FilterNode("cat", "eq", "a"),))
         plan.fingerprint()  # memoises into the instance dict
         assert plan == fresh
         assert hash(plan) == hash(fresh)
 
-    def test_node_operation_round_trip(self):
-        for operation in (F_CAT_A, G_MEAN, BackOperation(3), RootOperation()):
-            assert operation_from_node(node_from_operation(operation)) == operation
-
     def test_unknown_conversions_raise(self):
-        with pytest.raises(ValueError):
-            node_from_operation(object())
-        with pytest.raises(ValueError):
-            operation_from_node(object())
+        # Back and root operations never become plan nodes: the session
+        # resolves them by moving to an existing node.
+        for operation in (object(), BackOperation(3), RootOperation()):
+            with pytest.raises(ValueError):
+                node_from_operation(operation)
 
 
 class TestCanonicalize:
     def test_commuted_adjacent_filters_share_canonical_form(self):
-        forward = plan_from_operations([F_CAT_A, F_NUM_GT])
-        reversed_ = plan_from_operations([F_NUM_GT, F_CAT_A])
+        forward = plan_from([F_CAT_A, F_NUM_GT])
+        reversed_ = plan_from([F_NUM_GT, F_CAT_A])
         assert canonicalize(forward) == canonicalize(reversed_)
         assert canonicalize(forward).fingerprint() == canonicalize(reversed_).fingerprint()
 
     def test_duplicate_predicates_merge(self):
-        noisy = plan_from_operations([F_CAT_A, F_NUM_GT, F_CAT_A])
-        clean = plan_from_operations([F_CAT_A, F_NUM_GT])
+        noisy = plan_from([F_CAT_A, F_NUM_GT, F_CAT_A])
+        clean = plan_from([F_CAT_A, F_NUM_GT])
         assert canonicalize(noisy) == canonicalize(clean)
 
     def test_group_nodes_are_commute_barriers(self):
-        left = plan_from_operations([F_CAT_A, G_COUNT, F_NUM_GT])
-        right = plan_from_operations([F_NUM_GT, G_COUNT, F_CAT_A])
+        left = plan_from([F_CAT_A, G_COUNT, F_NUM_GT])
+        right = plan_from([F_NUM_GT, G_COUNT, F_CAT_A])
         assert canonicalize(left) != canonicalize(right)
 
     def test_back_pairs_prune(self):
-        undone = plan_from_operations([F_CAT_A, F_NUM_GT, BackOperation(1), G_COUNT])
-        direct = plan_from_operations([F_CAT_A, G_COUNT])
-        assert canonicalize(undone) == canonicalize(direct)
+        # Backs never reach the plan: the session moves to the parent node
+        # and extends that node's canonical plan.
+        undone = [F_CAT_A, F_NUM_GT, BackOperation(1), G_COUNT]
+        session = session_from_operations(toy_table(), undone, cache=ExecutionCache())
+        assert session.current.plan == canonicalize(plan_from([F_CAT_A, G_COUNT]))
 
     def test_back_clamps_at_root(self):
-        overshoot = plan_from_operations([F_CAT_A, BackOperation(9), F_NUM_GT])
-        assert canonicalize(overshoot) == canonicalize(plan_from_operations([F_NUM_GT]))
+        overshoot = [F_CAT_A, BackOperation(9), F_NUM_GT]
+        session = session_from_operations(toy_table(), overshoot, cache=ExecutionCache())
+        assert session.current.plan == canonicalize(plan_from([F_NUM_GT]))
 
     def test_canonicalize_is_idempotent(self):
-        plan = plan_from_operations([F_NUM_GT, F_CAT_A, BackOperation(1), F_NUM_LE, G_MEAN])
+        plan = plan_from([F_NUM_GT, F_CAT_A, F_NUM_LE, F_CAT_A, G_MEAN])
         once = canonicalize(plan)
         assert canonicalize(once) == once
 
     def test_prefixes_of_canonical_plans_are_canonical(self):
-        plan = canonicalize(
-            plan_from_operations([F_NUM_GT, F_CAT_A, G_COUNT, F_NUM_LE])
-        )
+        plan = canonicalize(plan_from([F_NUM_GT, F_CAT_A, G_COUNT, F_NUM_LE]))
         for cut in range(len(plan) + 1):
             prefix = LogicalPlan(plan.steps[:cut])
             assert canonicalize(prefix) == prefix
-
-
-class TestFusedExecution:
-    AGGS = ["count", "sum", "mean", "min", "max", "nunique"]
-
-    def _eager(self, table, operations):
-        return eager_replay(table, operations).view
-
-    def test_fused_filter_group_bit_identical_across_aggregates(self, flights):
-        executor = QueryExecutor(cache=ExecutionCache())
-        for agg in self.AGGS:
-            operations = [
-                FilterOperation("distance", "gt", 300),
-                FilterOperation("airline", "neq", "AA"),
-                GroupAggOperation("airline", agg, "departure_delay"),
-            ]
-            fused = executor.execute_plan(flights, plan_from_operations(operations))
-            eager = self._eager(flights, operations)
-            assert fused == eager
-            assert fused.fingerprint() == eager.fingerprint()
-
-    def test_fused_trailing_filter_chain_bit_identical(self, flights):
-        operations = [
-            FilterOperation("distance", "gt", 300),
-            FilterOperation("airline", "neq", "AA"),
-            FilterOperation("month", "le", 9),
-        ]
-        executor = QueryExecutor(cache=ExecutionCache())
-        fused = executor.execute_plan(flights, plan_from_operations(operations))
-        eager = self._eager(flights, operations)
-        assert fused == eager
-        assert fused.fingerprint() == eager.fingerprint()
-
-    def test_fused_empty_selection_matches_eager(self, flights):
-        operations = [
-            FilterOperation("distance", "gt", 10**9),
-            GroupAggOperation("airline", "count", "airline"),
-        ]
-        executor = QueryExecutor(cache=ExecutionCache())
-        fused = executor.execute_plan(flights, plan_from_operations(operations))
-        eager = self._eager(flights, operations)
-        assert fused == eager
-        assert len(fused) == 0
-
-    def test_fusion_counter_increments(self, flights):
-        cache = ExecutionCache()
-        executor = QueryExecutor(cache=cache)
-        operations = [
-            FilterOperation("distance", "gt", 300),
-            GroupAggOperation("airline", "count", "airline"),
-        ]
-        executor.execute_plan(flights, plan_from_operations(operations))
-        assert cache.stats.fusion_count == 1
-        assert cache.describe()["fusion_count"] == 1
-
-    def test_plan_with_missing_column_raises_execution_error(self, flights):
-        executor = QueryExecutor(cache=ExecutionCache())
-        plan = plan_from_operations(
-            [GroupAggOperation("airline", "count", "airline"), FilterOperation("distance", "gt", 1)]
-        )
-        with pytest.raises(ExecutionError):
-            executor.execute_plan(flights, plan)
 
 
 OPERATION_VOCAB = [
@@ -230,7 +159,7 @@ OPERATION_VOCAB = [
 
 
 class TestPlanEagerEquivalence:
-    """Property: the plan paths are value-identical to the eager reference.
+    """Property: the step path is value-identical to the eager reference.
 
     The reference is ``tests/eager_oracle.py``: each operation applied on its
     own with the ``DataTable`` kernels.  A mismatch names the first
@@ -238,41 +167,6 @@ class TestPlanEagerEquivalence:
     """
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.sampled_from(OPERATION_VOCAB), min_size=1, max_size=8))
-    def test_execute_plan_matches_eager_replay(self, operations):
-        table = toy_table()
-        try:
-            reference = eager_replay(table, operations).view
-        except ExecutionError:
-            # The eager replay failed mid-chain.  The lazy path only fails
-            # when the failing operation survives canonicalization (a later
-            # back step may legitimately discard it), so assert raise-parity
-            # on back-free chains only.
-            if not any(isinstance(op, BackOperation) for op in operations):
-                with pytest.raises(ExecutionError):
-                    QueryExecutor(cache=ExecutionCache()).execute_plan(
-                        table, plan_from_operations(operations)
-                    )
-            return
-
-        def fused(prefix):
-            return QueryExecutor(cache=ExecutionCache()).execute_plan(
-                table, plan_from_operations(prefix)
-            )
-
-        if not same_view(reference, fused(operations)):
-            # Locate the first prefix whose fused result leaves the reference.
-            prefixes = [operations[: k + 1] for k in range(len(operations))]
-            message = first_divergence(
-                operations,
-                (
-                    (k, eager_replay(table, prefix).view, fused(prefix))
-                    for k, prefix in enumerate(prefixes)
-                ),
-            )
-            pytest.fail(message or "final views differ")
-
-    @settings(max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(OPERATION_VOCAB), min_size=1, max_size=8))
     def test_incremental_step_path_matches_eager_replay(self, operations):
         table = toy_table()
@@ -313,19 +207,14 @@ class TestPlanCacheSharing:
 
     def test_commuted_filters_share_memory_entry(self, flights):
         cache = ExecutionCache()
-        executor = QueryExecutor(cache=cache)
         forward, reversed_ = self.COMMUTED
-        first = executor.execute_plan(flights, plan_from_operations(forward))
+        first = session_from_operations(flights, forward, cache=cache).current.view
         assert cache.stats.plan_hits == 0
-        second = executor.execute_plan(flights, plan_from_operations(reversed_))
+        second = session_from_operations(flights, reversed_, cache=cache).current.view
         assert cache.stats.plan_hits == 1
         assert second is first  # one shared entry, not a re-execution
-        key_a = ExecutionCache.plan_key_for(
-            flights, canonicalize(plan_from_operations(forward))
-        )
-        key_b = ExecutionCache.plan_key_for(
-            flights, canonicalize(plan_from_operations(reversed_))
-        )
+        key_a = ExecutionCache.plan_key_for(flights, canonicalize(plan_from(forward)))
+        key_b = ExecutionCache.plan_key_for(flights, canonicalize(plan_from(reversed_)))
         assert key_a == key_b
         assert key_a[1][0] == PLAN_KEY_TAG
         assert len(cache) == cache.describe()["plan_entries"] > 0
@@ -334,15 +223,11 @@ class TestPlanCacheSharing:
         db_path = tmp_path / "plan_cache.sqlite"
         forward, reversed_ = self.COMMUTED
         cold = ExecutionCache(disk=db_path)
-        first = QueryExecutor(cache=cold).execute_plan(
-            flights, plan_from_operations(forward)
-        )
+        first = session_from_operations(flights, forward, cache=cold).current.view
         cold.close()  # flushes the write-behind buffer
 
         warm = ExecutionCache(disk=db_path)
-        second = QueryExecutor(cache=warm).execute_plan(
-            flights, plan_from_operations(reversed_)
-        )
+        second = session_from_operations(flights, reversed_, cache=warm).current.view
         summary = warm.describe()
         assert summary["disk_hits"] >= 1
         assert summary["plan_hits"] >= 1
@@ -376,10 +261,17 @@ class TestPlanCacheSharing:
         assert cache.stats.plan_hits >= hits_before + 1
         assert env_a.session.current.view == env_b.session.current.view
 
-    def test_snapshot_counters_has_plan_fields(self):
+    def test_snapshot_counters_has_plan_fields(self, flights):
         cache = ExecutionCache()
-        counters = cache.snapshot_counters()
-        assert len(counters) == 5
+        forward, reversed_ = self.COMMUTED
+        session_from_operations(flights, forward, cache=cache)
+        session_from_operations(flights, reversed_, cache=cache)
+        snapshot = cache.snapshot_counters()
+        assert isinstance(snapshot, CacheStats)
+        assert snapshot == cache.stats and snapshot is not cache.stats
+        assert (snapshot.hits, snapshot.misses, snapshot.plan_hits) == (1, 3, 1)
+        session_from_operations(flights, forward, cache=cache)
+        assert snapshot.hits == 1  # a copy, not a live view
 
 
 class TestOperationSignatureRoundTrip:
@@ -437,4 +329,5 @@ class TestSessionPlanThreading:
         session = session_from_operations(flights, operations, cache=ExecutionCache())
         assert session.root.plan == LogicalPlan(())
         leaf = session.current
-        assert leaf.plan == canonicalize(plan_from_operations(operations))
+        net = [operations[0], operations[3]]  # the back undid the second filter
+        assert leaf.plan == canonicalize(plan_from(net))
