@@ -6,10 +6,10 @@ actually runs episodes:
 * **batched vs sequential rollouts** — repeated rollout sweeps (the shape of
   benchmark/eval reruns and training waves) through the status-quo path —
   one environment at a time, each sweep cold-starting its own private
-  caches, one policy forward per environment per step — against the
-  :class:`~repro.explore.rollouts.VectorEnvironment` path: 8 environments in
-  lock-step over **one** long-lived shared cache, one batched policy
-  forward per step.  The two must produce bit-identical episodes at equal
+  caches, one policy forward per environment per step — against
+  :func:`~repro.explore.rollouts.collect_rollouts` over a list of 8
+  environments in lock-step sharing **one** action space, long-lived
+  cache and view-feature memo, one batched policy forward per step.  The two must produce bit-identical episodes at equal
   seeds (asserted), so the entire ratio is overhead removed, not behaviour
   changed.
 * **cold vs warm disk tier** — the same batched sweep over a
@@ -50,7 +50,7 @@ from repro.datasets import load_dataset
 from repro.explore.action_space import ActionSpace
 from repro.explore.cache import ExecutionCache
 from repro.explore.environment import ExplorationEnvironment
-from repro.explore.rollouts import VectorEnvironment, collect_rollouts
+from repro.explore.rollouts import collect_rollouts
 
 #: Minimum batched/sequential steps-per-second ratio (acceptance criterion).
 #: Wall-clock ratios are load-sensitive, so noisy shared runners may lower
@@ -97,9 +97,11 @@ def _run_sequential_sweeps(table, sweeps: int):
             for _ in range(NUM_ENVS)
         ]
         policy = build_basic_policy(
-            observation_size=observation_size, action_space=space, seed=POLICY_SEED
+            observation_size=observation_size,
+            action_space=space,
+            seed=POLICY_SEED,
+            mask_invalid_actions=True,
         )
-        policy.mask_provider = environments[0].head_mask
         batch = collect_sequential_rollouts(environments, policy, seed=SEED)
         steps += batch.total_steps()
         trace = _episode_trace(batch)
@@ -107,29 +109,34 @@ def _run_sequential_sweeps(table, sweeps: int):
 
 
 def _run_batched_sweeps(table, sweeps: int, cache=None):
-    """The new path: one vector environment, one shared cache, lock-step waves."""
+    """The library path: one environment list, one shared cache, lock-step waves."""
     space = ActionSpace(table)
-    vector_env = VectorEnvironment.create(
-        table,
-        NUM_ENVS,
-        episode_length=EPISODE_LENGTH,
-        action_space=space,
-        cache=cache,
-    )
+    cache = cache if cache is not None else ExecutionCache()
+    feature_memo: dict = {}
+    environments = [
+        ExplorationEnvironment(
+            table,
+            episode_length=EPISODE_LENGTH,
+            action_space=space,
+            cache=cache,
+            feature_memo=feature_memo,
+        )
+        for _ in range(NUM_ENVS)
+    ]
     policy = build_basic_policy(
-        observation_size=vector_env.observation_size(),
+        observation_size=environments[0].observation_size(),
         action_space=space,
         seed=POLICY_SEED,
+        mask_invalid_actions=True,
     )
-    policy.mask_provider = vector_env.environments[0].head_mask
     steps = 0
     trace = None
     started = time.perf_counter()
     for _ in range(sweeps):
-        batch = collect_rollouts(vector_env, policy, seed=SEED)
+        batch = collect_rollouts(environments, policy, seed=SEED)
         steps += batch.total_steps()
         trace = _episode_trace(batch)
-    return steps / (time.perf_counter() - started), trace, vector_env
+    return steps / (time.perf_counter() - started), trace, cache
 
 
 def _run_rollout_benchmark():
@@ -140,7 +147,7 @@ def _run_rollout_benchmark():
     # -- batched vs sequential ----------------------------------------------------
     _run_sequential_sweeps(table, 1)  # warm-up: dataset/action-space memos
     sequential_sps, sequential_trace = _run_sequential_sweeps(table, sweeps)
-    batched_sps, batched_trace, vector_env = _run_batched_sweeps(table, sweeps)
+    batched_sps, batched_trace, shared_cache = _run_batched_sweeps(table, sweeps)
     workloads.append(
         {
             "workload": f"rollouts: {NUM_ENVS}-env batched vs sequential",
@@ -150,7 +157,7 @@ def _run_rollout_benchmark():
             "batched_steps_per_s": round(batched_sps, 1),
             "speedup": round(batched_sps / sequential_sps, 2),
             "bit_identical": batched_trace == sequential_trace,
-            "shared_cache": vector_env.cache_stats(),
+            "shared_cache": shared_cache.stats.as_dict(),
         }
     )
 

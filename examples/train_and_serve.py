@@ -2,9 +2,9 @@
 
 A `TrainingRun` trains a CDRL policy in one process, collecting episodes
 in lock-step waves of `num_envs` and checkpointing at every wave boundary.
-Wave episodes draw from per-episode RNG streams and use the wave-start
-weights, so a run stopped at a checkpoint and resumed ends with exactly
-the weights of an uninterrupted one.
+Wave episodes use the wave-start weights, and the checkpoint stores where
+their sampling streams stand, so a run stopped at a checkpoint and resumed
+ends with exactly the weights of an uninterrupted one.
 
 This script:
 

@@ -11,14 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from repro.cdrl.agent import _resolve_num_envs
 from repro.cdrl.spec_network import build_basic_policy
 from repro.dataframe.table import DataTable
 from repro.explore.action_space import ActionSpace
 from repro.explore.cache import ExecutionCache
 from repro.explore.environment import ExplorationEnvironment, GenericRewardStrategy
 from repro.explore.reward import GenericExplorationReward
-from repro.explore.rollouts import VectorEnvironment
 from repro.explore.session import ExplorationSession
 from repro.rl.trainer import PolicyGradientTrainer, TrainerConfig, TrainingHistory
 
@@ -32,7 +30,8 @@ class AtenaConfig:
     hidden_sizes: tuple[int, ...] = (64, 64)
     seed: int = 0
     #: Environments rolled out in lock-step per training wave (> 1 batches
-    #: the policy forward over one shared execution cache).
+    #: the policy forward over one shared execution cache and view-feature
+    #: memo, each episode sampling from ``env_rng(seed, episode_index)``).
     num_envs: int = 1
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
 
@@ -59,32 +58,23 @@ class AtenaAgent:
         self.config = config or AtenaConfig()
         self.action_space = ActionSpace(dataset)
         # The generic reward strategy is stateless (its interestingness memo
-        # is content-keyed), so one instance serves every sibling
-        # environment of a batched rollout wave.
+        # is content-keyed), so one instance serves every environment of a
+        # training wave, as do one execution cache and one feature memo.
         reward_strategy = GenericRewardStrategy()
-        self.environment = ExplorationEnvironment(
-            dataset=dataset,
-            episode_length=self.config.episode_length,
-            reward_strategy=reward_strategy,
-            action_space=self.action_space,
-            cache=cache,
-        )
-        self.vector_environment = None
-        self.num_envs = _resolve_num_envs(
-            self.config.num_envs, self.config.trainer.num_envs
-        )
-        if self.num_envs > 1:
-            siblings = [self.environment] + [
-                ExplorationEnvironment(
-                    dataset=dataset,
-                    episode_length=self.config.episode_length,
-                    reward_strategy=reward_strategy,
-                    action_space=self.action_space,
-                    cache=self.environment.cache,
-                )
-                for _ in range(self.num_envs - 1)
-            ]
-            self.vector_environment = VectorEnvironment(siblings)
+        cache = cache if cache is not None else ExecutionCache()
+        feature_memo: dict = {}
+        environments = [
+            ExplorationEnvironment(
+                dataset=dataset,
+                episode_length=self.config.episode_length,
+                reward_strategy=reward_strategy,
+                action_space=self.action_space,
+                cache=cache,
+                feature_memo=feature_memo,
+            )
+            for _ in range(max(1, self.config.num_envs))
+        ]
+        self.environment = environments[0]
         self.policy = build_basic_policy(
             observation_size=self.environment.observation_size(),
             action_space=self.action_space,
@@ -92,16 +82,10 @@ class AtenaAgent:
             seed=self.config.seed,
         )
         trainer_config = replace(
-            self.config.trainer,
-            episodes=self.config.episodes,
-            seed=self.config.seed,
-            num_envs=self.num_envs,
+            self.config.trainer, episodes=self.config.episodes, seed=self.config.seed
         )
         self.trainer = PolicyGradientTrainer(
-            environment=self.environment,
-            policy=self.policy,
-            config=trainer_config,
-            vector_environment=self.vector_environment,
+            environments, policy=self.policy, config=trainer_config
         )
         self._scorer = GenericExplorationReward()
 

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 from repro.dataframe.table import DataTable
 from repro.explore.cache import ExecutionCache
 from repro.explore.environment import ExplorationEnvironment
-from repro.explore.rollouts import VectorEnvironment
 from repro.explore.session import ExplorationSession
 from repro.ldx.ast import LdxQuery
 from repro.ldx.parser import parse_ldx
@@ -54,10 +53,11 @@ class CdrlConfig:
     #: Memoise query execution across episodes via a shared ExecutionCache.
     cache_execution: bool = True
     #: Episodes rolled out in lock-step per training wave, over one shared
-    #: execution cache, each sampling from ``env_rng(seed, episode_index)``.
-    #: Changing it changes how sampling interleaves with gradient updates,
-    #: so results depend on ``(seed, num_envs)``; ``run()`` at 1 samples
-    #: sequentially from the policy's own stream.
+    #: execution cache and view-feature memo.  At 1 episodes sample from the
+    #: policy's own generator; above 1 each samples from
+    #: ``env_rng(seed, episode_index)``.  Changing it changes how sampling
+    #: interleaves with gradient updates, so results depend on
+    #: ``(seed, num_envs)``.
     num_envs: int = 1
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     compliance: ComplianceRewardConfig = field(default_factory=ComplianceRewardConfig)
@@ -128,20 +128,6 @@ class CdrlResult:
         }
 
 
-def _resolve_num_envs(agent_level: int, trainer_level: int) -> int:
-    """Reconcile the agent-level and nested trainer-level ``num_envs`` knobs.
-
-    Setting either works; setting both to different batched values is
-    rejected rather than silently preferring one.
-    """
-    if agent_level > 1 and trainer_level > 1 and agent_level != trainer_level:
-        raise ValueError(
-            f"conflicting num_envs settings: config.num_envs={agent_level} vs "
-            f"config.trainer.num_envs={trainer_level}; set just one"
-        )
-    return max(agent_level, trainer_level)
-
-
 class LinxCdrlAgent:
     """Generates a compliant, high-utility exploration session for (dataset, LDX)."""
 
@@ -208,20 +194,14 @@ class LinxCdrlAgent:
         else:
             self.cache = ExecutionCache()
         self.environment = self._environment(self.reward_strategy)
-        # Batched rollouts: siblings of the primary environment sharing its
+        # Training waves: the primary environment plus siblings sharing its
         # action space, execution cache and feature memo.  The compliance
         # strategy keeps a per-episode step counter, so each environment gets
         # its own instance over the shared memos.
-        self.vector_environment: Optional[VectorEnvironment] = None
-        self.num_envs = _resolve_num_envs(
-            self.config.num_envs, self.config.trainer.num_envs
-        )
-        if self.num_envs > 1:
-            siblings = [self.environment] + [
-                self._environment(self._reward_strategy())
-                for _ in range(self.num_envs - 1)
-            ]
-            self.vector_environment = VectorEnvironment(siblings)
+        environments = [self.environment] + [
+            self._environment(self._reward_strategy())
+            for _ in range(self.config.num_envs - 1)
+        ]
         observation_size = self.environment.observation_size()
         if spec_aware:
             self.policy = SpecificationAwarePolicy(
@@ -234,10 +214,8 @@ class LinxCdrlAgent:
                     self.query, dataset, self.config.mask_invalid_actions
                 ),
                 matcher=self.matcher,
+                mask_invalid_actions=self.config.mask_invalid_actions,
             )
-            # Give the specification-aware policy access to the ongoing session
-            # so its structure guide can shift action probabilities per state.
-            self.policy.environment = self.environment
             decision_to_choice = self.policy.indices_to_choice
         else:
             self.policy = build_basic_policy(
@@ -245,24 +223,17 @@ class LinxCdrlAgent:
                 action_space=self.action_space,
                 hidden_sizes=self.config.hidden_sizes,
                 seed=self.config.seed,
+                mask_invalid_actions=self.config.mask_invalid_actions,
             )
             decision_to_choice = None
-        if self.config.mask_invalid_actions:
-            # Schema-only validity masks: invalid parameter choices get zero
-            # probability without ever executing a query.
-            self.policy.mask_provider = self.environment.head_mask
         trainer_config = replace(
-            self.config.trainer,
-            episodes=self.config.episodes,
-            seed=self.config.seed,
-            num_envs=self.num_envs,
+            self.config.trainer, episodes=self.config.episodes, seed=self.config.seed
         )
         self.trainer = PolicyGradientTrainer(
-            environment=self.environment,
+            environments,
             policy=self.policy,
             config=trainer_config,
             decision_to_choice=decision_to_choice,
-            vector_environment=self.vector_environment,
         )
         self._best_compliant: Optional[tuple[ExplorationSession, float]] = None
 

@@ -18,10 +18,12 @@ The network derives part of its structure from the LDX specifications:
   specification, and biases the free-parameter heads toward values that are
   consistent with already-bound continuity variables.
 
-The guidance is a pure function of (specification, dataset, session-tree
-shape), so the complete per-state bias row — guidance plus folded validity
-masks, one read-only :class:`~repro.rl.policy.BiasRow` — is memoised under a
-compact state key.  The memo belongs to the engine's exploration context
+The guidance reads the session of the environment each decision is taken
+for (:meth:`SpecificationAwarePolicy.decision_biases` receives it).  It is a
+pure function of (specification, dataset, session-tree shape), so the
+complete per-state bias row — guidance plus folded validity masks, one
+read-only :class:`~repro.rl.policy.BiasRow` — is memoised under a compact
+state key.  The memo belongs to the engine's exploration context
 (:mod:`repro.cdrl.context`), not to the policy or the batcher, so every
 request on the same (specification, dataset) shares it, batched or not.
 
@@ -32,12 +34,11 @@ trainer stay unchanged.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.explore.action_space import ActionChoice, ActionSpace, HEAD_ORDER
-from repro.explore.environment import ExplorationEnvironment
 from repro.ldx.ast import LdxQuery, NodeSpec
 from repro.ldx.patterns import FIELD_CONTINUITY, OperationPattern
 from repro.ldx.verifier import LdxMatcher
@@ -45,6 +46,10 @@ from repro.rl.network import MultiHeadPolicyNetwork
 from repro.rl.policy import BiasRow, CategoricalPolicy
 
 from .snippets import FILTER_ROLES, GROUP_ROLES, SnippetLibrary
+
+if TYPE_CHECKING:
+    from repro.explore.environment import ExplorationEnvironment
+    from repro.explore.session import ExplorationSession
 
 #: Index of the extra "snippet" entry in the extended operation-type head.
 SNIPPET_ACTION_INDEX = 3
@@ -80,6 +85,7 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         continuity_bias: float = 5.0,
         decision_memo: Optional[dict] = None,
         matcher: Optional[LdxMatcher] = None,
+        mask_invalid_actions: bool = False,
     ):
         self.action_space = action_space
         self.query = query
@@ -99,9 +105,6 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         self.parameter_bias = parameter_bias
         self.structure_bias = structure_bias
         self.continuity_bias = continuity_bias
-        #: Set by :class:`~repro.cdrl.agent.LinxCdrlAgent` so the policy can
-        #: inspect the ongoing session when computing the guidance.
-        self.environment: Optional[ExplorationEnvironment] = None
         self._preferred = self.library.preferred_indices()
         self._named_order = query.preorder_named_nodes()
         #: Decision memo: the complete per-state bias row (guidance plus
@@ -115,7 +118,11 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         self._decision_memo: dict[str, BiasRow] = (
             {} if decision_memo is None else decision_memo
         )
-        super().__init__(network, rng=np.random.default_rng(seed), bias_provider=None)
+        super().__init__(
+            network,
+            rng=np.random.default_rng(seed),
+            mask_invalid_actions=mask_invalid_actions,
+        )
 
     # -- bias computation (once per step) --------------------------------------------------
     @staticmethod
@@ -143,25 +150,32 @@ class SpecificationAwarePolicy(CategoricalPolicy):
             stack.extend(reversed(node.children))
         return "".join(pieces)
 
-    def decision_biases(self) -> BiasRow:
-        """Per-state decision biases (guidance + masks), memoised by state.
+    def decision_biases(
+        self, environment: "ExplorationEnvironment | None" = None
+    ) -> BiasRow:
+        """Per-state decision biases (guidance + masks) in *environment*,
+        memoised by state.
 
         The validity masks are a pure function of the current view, which —
         for a fixed dataset — is itself determined by the session's tree
         structure, so the complete row is memoised under the guidance-state
         key.  Memoised rows are read-only: they are shared by every request
         on the same (specification, dataset), and an in-place write raises.
+        Without an environment the row holds the static specification
+        biases only.
         """
-        if self.environment is None:
-            return self._apply_masks(self._guidance_biases())
-        key = self._session_state_key(self.environment.session)
+        if environment is None:
+            return self._guidance_biases(None)
+        key = self._session_state_key(environment.session)
         cached = self._decision_memo.get(key)
         if cached is None:
-            cached = self._apply_masks(self._guidance_biases()).freeze()
+            cached = self._apply_masks(
+                self._guidance_biases(environment.session), environment
+            ).freeze()
             self._decision_memo[key] = cached
         return cached
 
-    def _guidance_biases(self) -> BiasRow:
+    def _guidance_biases(self, session: "ExplorationSession | None") -> BiasRow:
         """Static specification biases plus the per-state guidance."""
         layout = self.network.layout
         biases = BiasRow.empty(layout)
@@ -175,14 +189,12 @@ class SpecificationAwarePolicy(CategoricalPolicy):
             for index in indices:
                 if index < len(bias):
                     bias[index] = self.parameter_bias
-        self._apply_guidance(biases)
+        if session is not None:
+            self._apply_guidance(biases, session)
         return biases
 
-    def _apply_guidance(self, biases: BiasRow) -> None:
+    def _apply_guidance(self, biases: BiasRow, session: "ExplorationSession") -> None:
         """Shift distributions toward the specification node that should come next."""
-        if self.environment is None:
-            return
-        session = self.environment.session
         assignment, assigned, named = self.matcher.best_partial_structural_assignment(
             session.root
         )
@@ -335,6 +347,7 @@ def build_basic_policy(
     action_space: ActionSpace,
     hidden_sizes: tuple[int, ...] = (64, 64),
     seed: int = 0,
+    mask_invalid_actions: bool = False,
 ) -> CategoricalPolicy:
     """The plain (non specification-aware) policy used by ATENA and the ablations."""
     network = MultiHeadPolicyNetwork(
@@ -343,4 +356,8 @@ def build_basic_policy(
         hidden_sizes=hidden_sizes,
         seed=seed,
     )
-    return CategoricalPolicy(network, rng=np.random.default_rng(seed))
+    return CategoricalPolicy(
+        network,
+        rng=np.random.default_rng(seed),
+        mask_invalid_actions=mask_invalid_actions,
+    )

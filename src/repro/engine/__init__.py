@@ -35,19 +35,7 @@ Served (see ``examples/serve.py`` and ``python -m repro.engine.server``)::
     scheduler.wait(ticket.ticket_id)
 """
 
-from repro.cdrl.context import SharedExplorationContext
-from repro.reliability import (
-    FaultPlan,
-    FaultSpec,
-    FileCancelEvent,
-    InjectedFaultError,
-    clear_plan,
-    fault_point,
-    install_plan,
-    retry_sqlite,
-)
-
-from .batcher import BatchMember, InferenceBatcher
+from .batcher import InferenceBatcher
 from .core import (
     DEFAULT_ENGINE_MAX_CACHED_ROWS,
     PERMISSIVE_LDX,
@@ -143,7 +131,6 @@ from .store import STORE_SCHEMA_VERSION, ResultStore
 __all__ = [
     "ACTIVE_STATES",
     "AtenaSessionGenerator",
-    "BatchMember",
     "CdrlSessionGenerator",
     "ChainedSpecDeriver",
     "DEFAULT_ENGINE_MAX_CACHED_ROWS",
@@ -161,11 +148,7 @@ __all__ = [
     "EngineError",
     "ExploreRequest",
     "ExploreResult",
-    "FaultPlan",
-    "FaultSpec",
     "FieldError",
-    "FileCancelEvent",
-    "InjectedFaultError",
     "InferenceBatcher",
     "InsightExtractor",
     "KIND_INSIGHT_EXTRACTOR",
@@ -206,7 +189,6 @@ __all__ = [
     "SchedulerFullError",
     "SessionGenerator",
     "SessionOutcome",
-    "SharedExplorationContext",
     "SpecDerivation",
     "SpecDeriver",
     "StageContext",
@@ -221,11 +203,7 @@ __all__ = [
     "TICKET_QUEUED",
     "TICKET_RUNNING",
     "Ticket",
-    "clear_plan",
     "event_from_dict",
     "event_to_dict",
-    "fault_point",
-    "install_plan",
     "register_stage_factory",
-    "retry_sqlite",
 ]

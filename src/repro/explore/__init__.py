@@ -37,13 +37,7 @@ from .operations import (
     operation_from_signature,
 )
 from .reward import GenericExplorationReward, GenericRewardConfig
-from .rollouts import (
-    RolloutBatch,
-    VectorEnvironment,
-    VectorStepResult,
-    collect_rollouts,
-    env_rng,
-)
+from .rollouts import RolloutBatch, collect_rollouts, env_rng
 from .session import ExplorationSession, SessionNode, session_from_operations
 
 __all__ = [
@@ -73,8 +67,6 @@ __all__ = [
     "RootOperation",
     "SessionNode",
     "StepResult",
-    "VectorEnvironment",
-    "VectorStepResult",
     "choice_from_index_map",
     "choice_from_indices",
     "collect_rollouts",

@@ -224,7 +224,7 @@ class ExplorationEnvironment:
         return self._masks
 
     def head_mask(self, head: str) -> Optional[np.ndarray]:
-        """Validity mask for one softmax head (policy ``mask_provider`` hook)."""
+        """Validity mask for one softmax head (folded in by masking policies)."""
         return self.action_masks().get(head)
 
     # -- episode control -----------------------------------------------------------------

@@ -5,12 +5,7 @@ from .network import DenseLayer, MultiHeadPolicyNetwork, softmax
 from .optimizer import SGD, Adam
 from .policy import CategoricalPolicy, PolicyDecision
 from .schedules import ConstantSchedule, ExponentialDecaySchedule, LinearSchedule
-from .trainer import (
-    PolicyGradientTrainer,
-    TrainerConfig,
-    TrainingHistory,
-    default_decision_to_choice,
-)
+from .trainer import PolicyGradientTrainer, TrainerConfig, TrainingHistory
 
 __all__ = [
     "Adam",
@@ -27,6 +22,5 @@ __all__ = [
     "TrainerConfig",
     "TrainingHistory",
     "Transition",
-    "default_decision_to_choice",
     "softmax",
 ]

@@ -6,22 +6,21 @@ aggregation attribute), records the probabilities needed for the REINFORCE
 update, and converts policy-gradient losses into logit gradients for the
 network's backward pass.
 
-The policy also supports an optional *bias provider*: a callable that, given
-the head name, returns an additive logit bias.  The specification-aware
-network (Section 5.3) shifts probability mass toward snippet-compatible
-parameter values the same way, by overriding :meth:`decision_biases`.
-
-A second hook, the *mask provider*, returns per-head boolean validity masks
-(e.g. :meth:`ExplorationEnvironment.head_mask`, backed by the schema-only
-:meth:`ActionSpace.valid_mask`).  Masked-out choices receive a large negative
-logit bias, driving their probability to exactly zero.
-
-Both fold into one :class:`BiasRow` per decision: a ``(T,)`` logit-bias row
-in the network's concatenated head layout plus one flag per head that
-carries a bias.  It is the only bias representation — the decision kernel
-stacks the rows of a batch directly, and the row in effect at sampling time
-is recorded on the decision so the gradient update re-applies the same
-distribution.
+Each decision is taken *for an environment*:
+:meth:`CategoricalPolicy.decision_biases` receives the environment it
+decides for and returns one :class:`BiasRow`: a ``(T,)`` logit-bias row in
+the network's concatenated head layout plus one flag per head that carries
+a bias.  With ``mask_invalid_actions`` the base policy folds the
+environment's per-head validity masks
+(:meth:`ExplorationEnvironment.head_mask`, backed by the schema-only
+:meth:`ActionSpace.valid_mask`) into the row: masked-out choices receive a
+large negative logit bias, driving their probability to exactly zero.  The
+specification-aware network (Section 5.3) overrides
+:meth:`~CategoricalPolicy.decision_biases` to add its guidance toward
+snippet-compatible parameter values.  The row is the only bias
+representation: the decision kernel stacks the rows of a batch directly,
+and the row in effect at sampling time is recorded on the decision so the
+gradient update re-applies the same distribution.
 
 Acting comes in two shapes: :meth:`CategoricalPolicy.act` for one
 observation, and :meth:`CategoricalPolicy.act_batch` for a ``(K, F)`` stack
@@ -37,14 +36,14 @@ bit-identical to the sequential decision taken with the same RNG stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .network import HeadLayout, MultiHeadPolicyNetwork
 
-BiasProvider = Callable[[str], Optional[np.ndarray]]
-MaskProvider = Callable[[str], Optional[np.ndarray]]
+if TYPE_CHECKING:  # repro.explore builds on rl
+    from repro.explore.environment import ExplorationEnvironment
 
 #: Additive logit applied to masked-out choices; large enough that the
 #: post-softmax probability underflows to exactly 0.0.
@@ -109,13 +108,12 @@ class CategoricalPolicy:
         self,
         network: MultiHeadPolicyNetwork,
         rng: np.random.Generator | None = None,
-        bias_provider: BiasProvider | None = None,
-        mask_provider: MaskProvider | None = None,
+        mask_invalid_actions: bool = False,
     ):
         self.network = network
         self.rng = rng or np.random.default_rng(0)
-        self.bias_provider = bias_provider
-        self.mask_provider = mask_provider
+        #: Fold the environment's validity masks into every decision.
+        self.mask_invalid_actions = mask_invalid_actions
         #: Optional acting delegate ``(obs, biases_list, rngs, greedy) ->
         #: list[PolicyDecision]``.  When set, :meth:`act_batch` routes the
         #: fully-prepared batch there instead of running the network forward
@@ -127,33 +125,34 @@ class CategoricalPolicy:
         self.act_backend = None
 
     # -- acting --------------------------------------------------------------------------
-    def decision_biases(self) -> BiasRow:
-        """The logit biases in effect right now (provider + masks), as one row.
+    def decision_biases(
+        self, environment: "ExplorationEnvironment | None" = None
+    ) -> BiasRow:
+        """The logit biases of one decision in *environment*, as one row.
 
-        This is the per-step, per-environment part of acting; the batched
-        rollout collector calls it once per environment (with the policy's
-        hooks bound to that environment) and hands the results to
-        :meth:`act_batch`.  Masks shorter than a head (e.g. the base
-        action-type mask against the specification-aware head with its
-        extra snippet entry) are padded with ``True``; all-true and
-        degenerate all-false masks are ignored.
+        This is the per-step, per-environment part of acting; the rollout
+        collector calls it once per environment and hands the rows to
+        :meth:`act_batch`.  The base policy has no biases of its own, so the
+        row carries *environment*'s validity masks when
+        ``mask_invalid_actions`` is set, and nothing otherwise.
         """
-        layout = self.network.layout
-        biases = BiasRow.empty(layout)
-        if self.bias_provider is not None:
-            for name in layout.names:
-                bias = self.bias_provider(name)
-                if bias is not None:
-                    biases.head(layout, name)[:] = bias
-        return self._apply_masks(biases)
+        return self._apply_masks(BiasRow.empty(self.network.layout), environment)
 
-    def _apply_masks(self, biases: BiasRow) -> BiasRow:
-        """Fold the mask provider's validity masks into *biases* (in place)."""
-        if self.mask_provider is None:
+    def _apply_masks(
+        self, biases: BiasRow, environment: "ExplorationEnvironment | None"
+    ) -> BiasRow:
+        """Fold *environment*'s per-head validity masks into *biases* (in place).
+
+        Masks shorter than a head (e.g. the base action-type mask against
+        the specification-aware head with its extra snippet entry) are
+        padded with ``True``; all-true and degenerate all-false masks are
+        ignored.
+        """
+        if not self.mask_invalid_actions or environment is None:
             return biases
         layout = self.network.layout
         for name, size in zip(layout.names, layout.sizes):
-            mask = self.mask_provider(name)
+            mask = environment.head_mask(name)
             if mask is None:
                 continue
             mask = np.asarray(mask, dtype=bool)
@@ -169,18 +168,20 @@ class CategoricalPolicy:
     def act(
         self,
         observation: np.ndarray,
+        environment: "ExplorationEnvironment | None" = None,
         greedy: bool = False,
         rng: np.random.Generator | None = None,
     ) -> PolicyDecision:
         """Sample (or argmax, when *greedy*) one index per head.
 
-        ``rng`` overrides the policy's own generator for this decision —
+        The biases are :meth:`decision_biases` for *environment*.  ``rng``
+        overrides the policy's own generator for this decision —
         sequential replays of batched rollouts use it to consume the same
         per-environment stream the batch did.  Acting is the batch kernel
         with K = 1, so a batched decision for the same observation, biases
         and RNG state is bit-identical by construction.
         """
-        biases = self.decision_biases()
+        biases = self.decision_biases(environment)
         return self.act_batch(
             np.asarray(observation, dtype=np.float64)[None, :],
             [biases],
@@ -198,8 +199,9 @@ class CategoricalPolicy:
         """Decide for a ``(K, F)`` batch of observations in one network pass.
 
         ``biases_list[k]`` holds environment *k*'s bias row
-        (:meth:`decision_biases` computed with the policy bound to that
-        environment) and ``rngs[k]`` its sampling stream.  Everything that
+        (:meth:`decision_biases` for that environment) and ``rngs[k]`` its
+        sampling stream; without ``rngs`` every row draws from the
+        policy's own generator, in row order.  Everything that
         does not consume randomness is vectorised across the batch — the
         trunk/head forward, the bias folds, the per-head log/entropy/CDF
         statistics — while sampling draws one uniform per head from each
@@ -396,10 +398,14 @@ class CategoricalPolicy:
         return self.network.parameters()
 
     # -- diagnostics ----------------------------------------------------------------------
-    def action_distribution(self, observation: np.ndarray) -> Mapping[str, np.ndarray]:
+    def action_distribution(
+        self,
+        observation: np.ndarray,
+        environment: "ExplorationEnvironment | None" = None,
+    ) -> Mapping[str, np.ndarray]:
         """Per-head probabilities without sampling (used in tests and the ablation)."""
         probabilities, _ = self.network.forward_batch(
             np.asarray(observation, dtype=np.float64)[None, :]
         )
-        folded = self._fold_biases(probabilities, [self.decision_biases()])
+        folded = self._fold_biases(probabilities, [self.decision_biases(environment)])
         return self.network.layout.split(folded[0])

@@ -6,35 +6,35 @@ training loop both the goal-agnostic ATENA baseline and the LINX CDRL agent
 use; LINX differs only in its environment reward and its specification-aware
 policy (snippet head + logit biasing).
 
-Rollout collection has two modes.  At ``num_envs=1`` :meth:`train` steps
-one environment per episode, sampling from the policy's own stream (the
-served path).  Otherwise episodes are collected in lock-step *waves* by
-:meth:`PolicyGradientTrainer.collect_waves` — the only wave loop — via
-:func:`repro.explore.rollouts.collect_rollouts`: K environments share one
-execution cache and one batched policy forward per step.  Wave episodes
-sample from per-episode streams derived from ``(seed, episode_index)``, so
-a wave run is reproducible for a given ``(seed, num_envs)`` and can stop at
-any wave boundary and continue later to the same weights;
-:class:`repro.train.run.TrainingRun` checkpoints there, collecting waves of
-one at ``num_envs=1``.  Different ``num_envs`` values are *not*
-interchangeable: every episode of a wave is collected with the wave's
-starting weights, so changing K changes how sampling interleaves with
-gradient updates.
+The trainer holds a list of K environments, primary first.  Every episode
+it plays — training episodes, greedy evaluations and ``best_session``
+attempts — is played by :func:`repro.explore.rollouts.collect_rollouts`.
+Training episodes are collected in lock-step *waves* of K by
+:meth:`PolicyGradientTrainer.collect_waves`, the only wave loop, which both
+:meth:`~PolicyGradientTrainer.train` and
+:class:`repro.train.run.TrainingRun` call; evaluations are waves of one on
+the primary environment.  At K = 1 episodes sample from the policy's own
+generator (the served path); at K > 1 episode *i* samples from
+``env_rng(seed, i)``.  Either way a run is reproducible for a given
+``(seed, K)`` and can stop at any wave boundary and continue later to the
+same weights (a checkpoint stores the policy's generator state).
+Different K are *not* interchangeable: every episode of a wave is
+collected with the wave's starting weights, so changing K changes how
+sampling interleaves with gradient updates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.explore.action_space import ActionChoice, choice_from_index_map
 from repro.explore.environment import ExplorationEnvironment
 from repro.explore.session import ExplorationSession
 
 if TYPE_CHECKING:  # imported lazily at runtime (rollouts itself builds on rl)
-    from repro.explore.rollouts import VectorEnvironment
+    from repro.explore.rollouts import DecisionToChoice, RolloutBatch
 
 from .buffer import EpisodeBuffer
 from .optimizer import Adam
@@ -58,9 +58,6 @@ class TrainerConfig:
     # batch, which keeps rare high-reward (e.g. fully compliant) behaviour from
     # being washed out by the on-policy gradient noise.
     elite_episodes: int = 2
-    #: Environments rolled out in lock-step per collection wave.  Values > 1
-    #: require the trainer to be constructed with a ``vector_environment``.
-    num_envs: int = 1
 
     def validate(self, prefix: str = "") -> list:
         """Structured validation; returns ``FieldError`` entries (empty = valid).
@@ -81,8 +78,6 @@ class TrainerConfig:
             bad("episodes", f"must be >= 1, got {self.episodes}")
         if self.batch_episodes < 1:
             bad("batch_episodes", f"must be >= 1, got {self.batch_episodes}")
-        if self.num_envs < 1:
-            bad("num_envs", f"must be >= 1, got {self.num_envs}")
         if not self.learning_rate > 0:
             bad("learning_rate", f"must be > 0, got {self.learning_rate}")
         if not 0 < self.discount <= 1:
@@ -177,41 +172,26 @@ class TrainingHistory:
         )
 
 
-DecisionToChoice = Callable[[dict[str, int]], ActionChoice]
-
-
-def default_decision_to_choice(indices: dict[str, int]) -> ActionChoice:
-    """Map per-head indices to an :class:`ActionChoice` (the canonical decoder)."""
-    return choice_from_index_map(indices)
-
-
 class PolicyGradientTrainer:
-    """Trains a :class:`CategoricalPolicy` in an :class:`ExplorationEnvironment`."""
+    """Trains a :class:`CategoricalPolicy` over a list of exploration environments.
+
+    ``environments`` are played in lock-step waves of ``len(environments)``
+    (K) and should share one action space, execution cache and view-feature
+    memo.  The first is the primary one: evaluations run on it and it
+    reports the cache statistics.
+    """
 
     def __init__(
         self,
-        environment: ExplorationEnvironment,
+        environments: Sequence[ExplorationEnvironment],
         policy: CategoricalPolicy,
         config: TrainerConfig | None = None,
-        decision_to_choice: DecisionToChoice | None = None,
-        vector_environment: "VectorEnvironment | None" = None,
+        decision_to_choice: "DecisionToChoice | None" = None,
     ):
-        self.environment = environment
+        self.environments = list(environments)
         self.policy = policy
         self.config = config or TrainerConfig()
-        self.decision_to_choice = decision_to_choice or default_decision_to_choice
-        self.vector_environment = vector_environment
-        if self.config.num_envs > 1:
-            if vector_environment is None:
-                raise ValueError(
-                    "num_envs > 1 requires a vector_environment "
-                    "(see repro.explore.rollouts.VectorEnvironment)"
-                )
-            if vector_environment.num_envs < self.config.num_envs:
-                raise ValueError(
-                    f"num_envs={self.config.num_envs} exceeds the vector "
-                    f"environment's {vector_environment.num_envs} environments"
-                )
+        self.decision_to_choice = decision_to_choice
         self.config.check()
         self.optimizer = Adam(learning_rate=self.config.learning_rate)
         self.history = TrainingHistory()
@@ -223,19 +203,26 @@ class PolicyGradientTrainer:
         self._batch: list[EpisodeBuffer] = []
 
     # -- rollout -------------------------------------------------------------------------
-    def run_episode(self, greedy: bool = False) -> tuple[EpisodeBuffer, ExplorationSession]:
-        """Run one episode with the current policy and return its buffer and session."""
-        buffer = EpisodeBuffer()
-        observation = self.environment.reset()
-        done = False
-        while not done:
-            decision = self.policy.act(observation, greedy=greedy)
-            choice = self.decision_to_choice(decision.indices)
-            result = self.environment.step(choice)
-            buffer.add(decision, result.reward * self.config.reward_scale, result.done)
-            observation = result.observation
-            done = result.done
-        return buffer, self.environment.session
+    def _rollout(
+        self,
+        environments: Sequence[ExplorationEnvironment],
+        *,
+        greedy: bool = False,
+        seed: Optional[int] = None,
+        episode_base: int = 0,
+    ) -> "RolloutBatch":
+        """One lock-step episode per environment with the current policy."""
+        from repro.explore.rollouts import collect_rollouts
+
+        return collect_rollouts(
+            environments,
+            self.policy,
+            seed=seed,
+            episode_base=episode_base,
+            greedy=greedy,
+            decision_to_choice=self.decision_to_choice,
+            reward_scale=self.config.reward_scale,
+        )
 
     # -- training ------------------------------------------------------------------------
     def train(
@@ -243,20 +230,9 @@ class PolicyGradientTrainer:
         episodes: Optional[int] = None,
         callback: Optional[Callable[[int, float, ExplorationSession], None]] = None,
     ) -> TrainingHistory:
-        """Train for *episodes* (default from the config) and return the history.
-
-        With ``config.num_envs > 1`` episodes are collected by
-        :meth:`collect_waves`; per-episode bookkeeping — history, gradient
-        batches, elite tracking, callbacks, periodic greedy evaluations — is
-        :meth:`record_episode` in both modes.
-        """
+        """Train for *episodes* (default from the config) and return the history."""
         total_episodes = episodes if episodes is not None else self.config.episodes
-        if self.config.num_envs > 1:
-            self.collect_waves(0, total_episodes, total_episodes, callback=callback)
-        else:
-            for episode in range(total_episodes):
-                buffer, session = self.run_episode(greedy=False)
-                self.record_episode(episode, buffer, session, callback=callback)
+        self.collect_waves(0, total_episodes, total_episodes, callback=callback)
         return self.finish_training()
 
     def collect_waves(
@@ -270,26 +246,19 @@ class PolicyGradientTrainer:
         boundary at or past *stop*; returns the episode reached.
 
         Wave sizes follow the schedule of an uninterrupted *total*-episode
-        run (``min(num_envs, total - episode)``), so stopping at a wave
-        boundary and continuing later collects exactly the same waves.
-        Without a vector environment (``num_envs=1``) each wave is one
-        episode over the primary environment.
+        run (``min(K, total - episode)``), so stopping at a wave boundary
+        and continuing later collects exactly the same waves.  At K = 1
+        episodes sample from the policy's own generator; at K > 1 episode
+        *i* samples from ``env_rng(config.seed, i)``.
         """
-        from repro.explore.rollouts import VectorEnvironment, collect_rollouts
-
-        vector_environment = self.vector_environment or VectorEnvironment(
-            [self.environment]
-        )
+        num_envs = len(self.environments)
+        seed = self.config.seed if num_envs > 1 else None
         episode = start
         while episode < min(stop, total):
-            rollout = collect_rollouts(
-                vector_environment,
-                self.policy,
-                seed=self.config.seed,
+            rollout = self._rollout(
+                self.environments[: min(num_envs, total - episode)],
+                seed=seed,
                 episode_base=episode,
-                num_episodes=min(self.config.num_envs, total - episode),
-                decision_to_choice=self.decision_to_choice,
-                reward_scale=self.config.reward_scale,
             )
             for buffer, session in zip(rollout.buffers, rollout.sessions):
                 self.record_episode(episode, buffer, session, callback=callback)
@@ -305,9 +274,9 @@ class PolicyGradientTrainer:
     ) -> None:
         """Account one collected episode: history, batching, elites, greedy evals.
 
-        Both collection modes feed every episode through here.  Gradient
-        updates fire whenever the pending batch reaches
-        ``config.batch_episodes``.
+        Gradient updates fire whenever the pending batch reaches
+        ``config.batch_episodes``; greedy evaluations are episodes on the
+        primary environment.
         """
         self.history.episode_returns.append(buffer.total_reward())
         self.history.episode_steps.append(len(buffer))
@@ -322,9 +291,9 @@ class PolicyGradientTrainer:
             self.config.greedy_eval_every
             and (episode + 1) % self.config.greedy_eval_every == 0
         ):
-            greedy_buffer, _ = self.run_episode(greedy=True)
+            greedy = self._rollout(self.environments[:1], greedy=True)
             self.history.greedy_returns.append(
-                (episode + 1, greedy_buffer.total_reward())
+                (episode + 1, greedy.buffers[0].total_reward())
             )
 
     def finish_training(self) -> TrainingHistory:
@@ -332,7 +301,7 @@ class PolicyGradientTrainer:
         if self._batch:
             self._update(self._batch)
             self._batch.clear()
-        self.history.cache_stats = self.environment.cache_stats()
+        self.history.cache_stats = self.environments[0].cache_stats()
         return self.history
 
     def _maybe_keep_elite(self, buffer: EpisodeBuffer) -> None:
@@ -375,12 +344,16 @@ class PolicyGradientTrainer:
 
     # -- evaluation ----------------------------------------------------------------------
     def best_session(self, attempts: int = 5) -> tuple[ExplorationSession, float]:
-        """Return the best greedy/sampled session after training."""
+        """Return the best greedy/sampled session after training.
+
+        Attempt 0 is greedy; the rest sample from the policy's generator.
+        All run on the primary environment.
+        """
         best: tuple[ExplorationSession, float] | None = None
         for attempt in range(max(1, attempts)):
-            buffer, session = self.run_episode(greedy=(attempt == 0))
-            score = buffer.total_reward()
+            rollout = self._rollout(self.environments[:1], greedy=(attempt == 0))
+            score = rollout.buffers[0].total_reward()
             if best is None or score > best[1]:
-                best = (session, score)
+                best = (rollout.sessions[0], score)
         assert best is not None
         return best

@@ -10,7 +10,7 @@ makes it operable:
   names the first divergent episode or parameter.
 * :mod:`repro.train.checkpoint` — schema-versioned, bit-identical training
   checkpoints (network weights, optimizer moments, pending gradient batch,
-  elite replay set and history).
+  elite replay set, history and the policy's generator state).
 * :mod:`repro.train.registry` — a sqlite-backed :class:`PolicyRegistry` of
   named, versioned policy artifacts that self-registers session-generator
   factories (``cdrl:<name>-v<N>``) into the serving tier's stage registry.

@@ -138,7 +138,7 @@ def _train(run: TrainingRun, args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     print(
         f"trained {result.episodes_trained} episodes in {elapsed:.1f}s "
-        f"(waves of {run.trainer.config.num_envs})"
+        f"(waves of {len(run.trainer.environments)})"
     )
     print(
         f"  best session: compliant={result.fully_compliant}, "

@@ -5,10 +5,11 @@ it had never stopped: network weights and optimizer moments (structurally
 serialized — dtype string, shape, raw bytes — the same discipline
 :mod:`repro.explore.diskcache` uses for table columns, never pickled object
 graphs), the trainer's pending gradient batch and elite replay set, the
-JSON-round-tripping :class:`~repro.rl.trainer.TrainingHistory`, and the
-episode position.  Because wave rollouts draw from per-episode RNG streams
-(``env_rng(seed, episode_index)``), the RNG "position" of a run *is* the
-``(seed, episodes_completed)`` pair — no stateful generator needs saving.
+JSON-round-tripping :class:`~repro.rl.trainer.TrainingHistory`, the
+episode position and the state of the policy's generator.  Waves of one
+sample from that generator, so a resumed run continues its stream; waves of
+K > 1 draw from per-episode streams (``env_rng(seed, episode_index)``),
+whose position *is* the ``(seed, episodes_completed)`` pair.
 
 The hard guarantee, tested in ``tests/test_train.py``: restoring a
 checkpoint taken at episode *k* and training to the end produces weights,
@@ -40,7 +41,7 @@ from repro.rl.buffer import EpisodeBuffer
 from repro.rl.policy import BiasRow, PolicyDecision
 from repro.rl.trainer import PolicyGradientTrainer, TrainerConfig, TrainingHistory
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: Serialized array: (dtype string, shape, raw bytes).
 ArrayPayload = tuple[str, tuple[int, ...], bytes]
@@ -181,6 +182,9 @@ class TrainingCheckpoint:
     #: Best fully-compliant session seen so far, as
     #: ``(operation signatures, utility)`` — or ``None``.
     best_compliant: Optional[tuple]
+    #: ``policy.rng.bit_generator.state``: where the policy's own sampling
+    #: stream (waves of one, ``best_session``) continues.
+    policy_rng_state: dict
     created_at: float = 0.0
     schema_version: int = CHECKPOINT_SCHEMA_VERSION
 
@@ -265,6 +269,7 @@ def capture(
         pending_batch=[serialize_buffer(buffer) for buffer in trainer._batch],
         elite=elite_payload,
         best_compliant=best_compliant,
+        policy_rng_state=trainer.policy.rng.bit_generator.state,
         created_at=time.time(),
     )
 
@@ -278,6 +283,7 @@ def restore_into(checkpoint: TrainingCheckpoint, trainer: PolicyGradientTrainer)
     """
     trainer.policy.network.load_state(checkpoint.network_state)
     trainer.optimizer.load_state(trainer.policy.parameters(), checkpoint.optimizer_state)
+    trainer.policy.rng.bit_generator.state = checkpoint.policy_rng_state
     trainer.history = TrainingHistory.from_dict(checkpoint.history)
     trainer._batch = [deserialize_buffer(rows) for rows in checkpoint.pending_batch]
     elite: list[EpisodeBuffer] = []

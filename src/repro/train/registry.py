@@ -383,11 +383,7 @@ class RegisteredPolicySessionGenerator:
         agent = LinxCdrlAgent(
             table,
             spec.ldx_text,
-            config=dataclasses.replace(
-                spec.config,
-                num_envs=1,
-                trainer=dataclasses.replace(spec.config.trainer, num_envs=1),
-            ),
+            config=dataclasses.replace(spec.config, num_envs=1),
             cache=cache,
         )
         try:
@@ -411,7 +407,7 @@ class RegisteredPolicySessionGenerator:
         on_episode=None,
     ):
         from repro.engine.stages import SessionOutcome
-        from repro.explore.rollouts import VectorEnvironment, collect_rollouts
+        from repro.explore.rollouts import collect_rollouts
         from repro.ldx.parser import try_parse_ldx
         from repro.ldx.verifier import verify, verify_structure
 
@@ -426,15 +422,13 @@ class RegisteredPolicySessionGenerator:
             max(1, min(int(episodes), 16)) if episodes is not None else self.attempts
         )
         # Attempt k is a wave of one sampling from env_rng(eval_seed, k).
-        environment = VectorEnvironment([agent.environment])
         best: Optional[tuple[Any, bool, float]] = None
         for attempt in range(attempts):
             rollout = collect_rollouts(
-                environment,
+                [agent.environment],
                 agent.policy,
                 seed=eval_seed,
                 episode_base=attempt,
-                num_episodes=1,
                 greedy=(attempt == 0),
                 decision_to_choice=agent.trainer.decision_to_choice,
             )

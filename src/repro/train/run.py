@@ -3,12 +3,12 @@
 :class:`TrainingRun` drives the agent a :class:`~repro.train.checkpoint.TrainSpec`
 builds through the trainer's own wave loop
 (:meth:`~repro.rl.trainer.PolicyGradientTrainer.collect_waves`), in waves of
-``spec.config.num_envs`` (waves of one at ``num_envs=1``), and checkpoints
-at wave boundaries.  Wave episodes sample from ``env_rng(seed, episode)``
-and use the wave-start weights, so resuming from any wave boundary
-reproduces the uninterrupted run weight for weight.  Best-compliant
-tracking and the result are the agent's own, so at ``num_envs > 1`` a run
-equals ``spec.build_agent().run()``.
+``spec.config.num_envs``, and checkpoints at wave boundaries.  Wave
+episodes use the wave-start weights and the checkpoint stores the policy's
+generator state, so resuming from any wave boundary reproduces the
+uninterrupted run weight for weight.  The wave loop, best-compliant
+tracking and the result are the agent's own, so at every ``num_envs`` a
+run equals ``spec.build_agent().run()``.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class TrainingRun:
         # Each trainer call ends at a checkpoint: every checkpoint_every
         # waves, or once at the end when there is no checkpoint file.
         stride = (
-            self.checkpoint_every * self.trainer.config.num_envs
+            self.checkpoint_every * len(self.trainer.environments)
             if self.checkpoint_path
             else stop
         )

@@ -5,9 +5,9 @@ guarantees end to end:
 
 * a :class:`~repro.train.run.TrainingRun` killed at a wave boundary and
   resumed from its checkpoint finishes **bit-identical** to the
-  uninterrupted ``agent.run()`` at ``num_envs=2`` — same final weights,
-  optimizer moments and history (a mismatch names the first divergent
-  episode or parameter);
+  uninterrupted ``agent.run()``, at ``num_envs=1`` and at ``num_envs=2`` —
+  same final weights, optimizer moments and history (a mismatch names the
+  first divergent episode or parameter);
 * the trained policy publishes to a :class:`~repro.train.registry.PolicyRegistry`
   and is served over HTTP: an ``ExploreRequest`` naming
   ``stages={"session_generator": "cdrl:smoke-v1"}`` returns a session from
@@ -68,40 +68,51 @@ def _outcome(result) -> tuple:
     )
 
 
-def main() -> int:
+def _kill_and_resume(num_envs: int, checkpoint_path: Path) -> tuple[TrainingRun, Any]:
+    """Kill a run half-way, resume it, and check it against ``agent.run()``."""
     spec = TrainSpec(
         dataset="flights",
         ldx_text=SMOKE_LDX,
         num_rows=NUM_ROWS,
-        config=CdrlConfig(episodes=EPISODES, episode_length=4, seed=SEED, num_envs=2),
+        config=CdrlConfig(
+            episodes=EPISODES, episode_length=4, seed=SEED, num_envs=num_envs
+        ),
     )
     baseline = spec.build_agent()
     baseline_result = baseline.run()
+    stopped_at = TrainingRun(spec, checkpoint_path=checkpoint_path).collect_until(
+        EPISODES // 2
+    )
+    assert stopped_at == EPISODES // 2, f"stopped at {stopped_at}"
+    resumed = TrainingRun.from_checkpoint(checkpoint_path)
+    resumed_result = resumed.train()
+    what = f"kill-and-resume at num_envs={num_envs}"
+    assert_same_training(baseline.trainer, resumed.trainer, what)
+    assert _outcome(resumed_result) == _outcome(baseline_result), (
+        f"{what}: result {_outcome(resumed_result)} != "
+        f"uninterrupted {_outcome(baseline_result)}"
+    )
+    print(
+        f"{what} ok: stopped at {stopped_at}/{EPISODES}, weights, "
+        f"optimizer and history bit-identical to the uninterrupted run "
+        f"(utility={resumed_result.utility_score:.4f}, "
+        f"compliant={resumed_result.fully_compliant})"
+    )
+    return resumed, resumed_result
 
+
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="linx-train-smoke-") as tmp:
-        checkpoint_path = Path(tmp) / "run.ckpt"
         registry_path = Path(tmp) / "policies.sqlite"
 
         # -- kill at a wave boundary, resume from the checkpoint ----------------
-        stopped_at = TrainingRun(spec, checkpoint_path=checkpoint_path).collect_until(
-            EPISODES // 2
-        )
-        assert stopped_at == EPISODES // 2, f"stopped at {stopped_at}"
-        resumed = TrainingRun.from_checkpoint(checkpoint_path)
-        resumed_result = resumed.train()
-        assert_same_training(baseline.trainer, resumed.trainer, "kill-and-resume")
-        assert _outcome(resumed_result) == _outcome(baseline_result), (
-            f"kill-and-resume result {_outcome(resumed_result)} != "
-            f"uninterrupted {_outcome(baseline_result)}"
-        )
-        print(
-            f"kill-and-resume ok: stopped at {stopped_at}/{EPISODES}, weights, "
-            f"optimizer and history bit-identical to the uninterrupted run "
-            f"(utility={resumed_result.utility_score:.4f}, "
-            f"compliant={resumed_result.fully_compliant})"
-        )
+        runs = {
+            num_envs: _kill_and_resume(num_envs, Path(tmp) / f"run-{num_envs}.ckpt")
+            for num_envs in (1, 2)
+        }
 
         # -- publish the trained policy -----------------------------------------
+        resumed, resumed_result = runs[2]
         with PolicyRegistry(registry_path) as registry:
             version = resumed.publish(
                 registry, "smoke", metrics={"utility": resumed_result.utility_score}

@@ -181,7 +181,7 @@ class TestAgentAndAblation:
         )
         config = CdrlConfig(episodes=7, seed=4, trainer=nested)
         agent = LinxCdrlAgent(small_table, comparison_query, config=config)
-        # Episodes, seed and num_envs come from the CDRL config; every other
+        # Episodes and seed come from the CDRL config; every other
         # trainer hyper-parameter is taken from ``config.trainer`` as given.
         assert agent.trainer.config == TrainerConfig(
             learning_rate=0.01,
@@ -194,7 +194,6 @@ class TestAgentAndAblation:
             elite_episodes=0,
             episodes=7,
             seed=4,
-            num_envs=1,
         )
 
     def test_agent_episode_length_covers_specification(self, small_table, comparison_query):

@@ -239,9 +239,20 @@ def _rows(network, biases_list: list[dict[str, np.ndarray]]) -> list[BiasRow]:
     return [_to_row(network.layout, biases) for biases in biases_list]
 
 
+class _FixedBiasPolicy(CategoricalPolicy):
+    """A policy whose every decision carries one fixed bias row."""
+
+    def __init__(self, network, row: BiasRow):
+        super().__init__(network)
+        self.row = row
+
+    def decision_biases(self, environment=None) -> BiasRow:
+        return self.row
+
+
 def _act_alone(network, observation, biases, rng, greedy=False):
-    """One decision through ``act`` with *biases* served by the bias provider."""
-    policy = CategoricalPolicy(network, bias_provider=biases.get)
+    """One decision through ``act`` with *biases* as its decision biases."""
+    policy = _FixedBiasPolicy(network, _to_row(network.layout, biases))
     return policy.act(observation, greedy=greedy, rng=rng)
 
 

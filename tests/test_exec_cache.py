@@ -334,8 +334,18 @@ class TestStaticValidity:
             assert bool(masks["filter_attr"][attr_index]) == executor.can_execute(view, op)
 
 
+class _MaskedEnvironment:
+    """Stands in for an environment whose validity masks are *masks*."""
+
+    def __init__(self, masks):
+        self.masks = masks
+
+    def head_mask(self, head):
+        return self.masks.get(head)
+
+
 class TestPolicyMasking:
-    def _policy(self, masks):
+    def _policy(self, mask_invalid_actions=True):
         from repro.rl import CategoricalPolicy, MultiHeadPolicyNetwork
 
         network = MultiHeadPolicyNetwork(
@@ -344,36 +354,41 @@ class TestPolicyMasking:
         return CategoricalPolicy(
             network,
             rng=np.random.default_rng(0),
-            mask_provider=lambda head: masks.get(head),
+            mask_invalid_actions=mask_invalid_actions,
         )
 
     def test_masked_choices_get_zero_probability(self):
-        policy = self._policy({"a": np.array([True, False, True])})
-        distribution = policy.action_distribution(np.zeros(4))
+        env = _MaskedEnvironment({"a": np.array([True, False, True])})
+        distribution = self._policy().action_distribution(np.zeros(4), env)
         assert distribution["a"][1] == 0.0
         assert distribution["a"].sum() == pytest.approx(1.0)
+        # Without the flag the environment's masks are not folded in.
+        unmasked = self._policy(False).action_distribution(np.zeros(4), env)
+        assert unmasked["a"][1] > 0.0
 
     def test_masked_choices_never_sampled(self):
-        policy = self._policy({"a": np.array([False, True, False])})
+        policy = self._policy()
+        env = _MaskedEnvironment({"a": np.array([False, True, False])})
         for _ in range(50):
-            assert policy.act(np.zeros(4)).indices["a"] == 1
+            assert policy.act(np.zeros(4), env).indices["a"] == 1
 
     def test_short_mask_is_padded(self):
         # A 2-entry mask on a 3-entry head: the extra entry stays valid.
-        policy = self._policy({"a": np.array([False, True])})
-        distribution = policy.action_distribution(np.zeros(4))
+        env = _MaskedEnvironment({"a": np.array([False, True])})
+        distribution = self._policy().action_distribution(np.zeros(4), env)
         assert distribution["a"][0] == 0.0
         assert distribution["a"][2] > 0.0
 
     def test_degenerate_masks_are_ignored(self):
-        policy = self._policy({"a": np.array([False, False, False])})
-        distribution = policy.action_distribution(np.zeros(4))
+        env = _MaskedEnvironment({"a": np.array([False, False, False])})
+        distribution = self._policy().action_distribution(np.zeros(4), env)
         assert distribution["a"].sum() == pytest.approx(1.0)
         assert (distribution["a"] > 0).all()
 
     def test_gradient_update_reuses_sampling_masks(self):
-        policy = self._policy({"a": np.array([True, False, True])})
-        decision = policy.act(np.zeros(4))
+        policy = self._policy()
+        env = _MaskedEnvironment({"a": np.array([True, False, True])})
+        decision = policy.act(np.zeros(4), env)
         policy.zero_grad()
         # Must not raise and must reproduce the masked distribution.
         policy.accumulate_gradient(decision, advantage=1.0, value_target=0.0)

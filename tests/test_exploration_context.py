@@ -106,7 +106,7 @@ class TestOneContextPerEngine:
             table, LDX, config=CdrlConfig(episodes=2, num_envs=3), shared=shared
         )
         memo = shared.view_feature_memo(table)
-        environments = [first.environment, *second.vector_environment.environments]
+        environments = [first.environment, *second.trainer.environments]
         assert all(env._view_feature_memo is memo for env in environments)
         first.run()
         assert memo
@@ -129,7 +129,7 @@ class TestOneContextPerEngine:
         memo = agent.policy._decision_memo
         assert memo
         agent.environment.reset()
-        biases = agent.policy.decision_biases()
+        biases = agent.policy.decision_biases(agent.environment)
         assert any(value is biases for value in memo.values())
         for value in memo.values():
             assert not value.row.flags.writeable

@@ -90,16 +90,6 @@ class TestPolicy:
         for head, probs in distribution.items():
             assert decision.indices[head] == int(np.argmax(probs))
 
-    def test_bias_provider_shifts_distribution(self, network):
-        bias = np.array([10.0, 0.0, 0.0])
-        policy = CategoricalPolicy(
-            network,
-            rng=np.random.default_rng(0),
-            bias_provider=lambda head: bias if head == "a" else None,
-        )
-        distribution = policy.action_distribution(np.zeros(6))
-        assert distribution["a"][0] > 0.9
-
     def test_gradient_accumulation_and_update_changes_distribution(self, network):
         policy = CategoricalPolicy(network, rng=np.random.default_rng(0))
         observation = np.ones(6)
@@ -152,7 +142,7 @@ class TestTrainer:
 
         policy = build_basic_policy(env.observation_size(), env.action_space, (16,), seed=0)
         trainer = PolicyGradientTrainer(
-            env, policy, TrainerConfig(episodes=10, batch_episodes=2, greedy_eval_every=5)
+            [env], policy, TrainerConfig(episodes=10, batch_episodes=2, greedy_eval_every=5)
         )
         history = trainer.train()
         assert len(history.episode_returns) == 10
@@ -164,7 +154,7 @@ class TestTrainer:
         from repro.cdrl.spec_network import build_basic_policy
 
         policy = build_basic_policy(env.observation_size(), env.action_space, (8,), seed=0)
-        trainer = PolicyGradientTrainer(env, policy, TrainerConfig(episodes=6, batch_episodes=3))
+        trainer = PolicyGradientTrainer([env], policy, TrainerConfig(episodes=6, batch_episodes=3))
         history = trainer.train()
         curve = history.normalised_curve(window=3)
         assert all(0.0 <= value <= 1.0 for value in curve)
@@ -174,7 +164,7 @@ class TestTrainer:
         from repro.cdrl.spec_network import build_basic_policy
 
         policy = build_basic_policy(env.observation_size(), env.action_space, (8,), seed=0)
-        trainer = PolicyGradientTrainer(env, policy, TrainerConfig(episodes=4, batch_episodes=2))
+        trainer = PolicyGradientTrainer([env], policy, TrainerConfig(episodes=4, batch_episodes=2))
         trainer.train()
         session, score = trainer.best_session(attempts=2)
         assert session.steps_taken == 2

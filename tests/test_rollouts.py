@@ -1,11 +1,13 @@
-"""Tests for batched lock-step rollouts (repro.explore.rollouts).
+"""Tests for lock-step rollouts (repro.explore.rollouts).
 
 The load-bearing property is *bit-identity*: a K-environment batched rollout
 must reproduce K one-at-a-time rollouts exactly — same actions, same
 rewards, same observations, same log-probabilities — at equal seeds.  That
 holds because per-episode RNG streams derive from ``(seed, episode_index)``
 and the policy's batched kernels are row-bit-identical to the
-single-observation ones.
+single-observation ones.  At K = 1 with ``seed=None`` (the served training
+path) consecutive episodes must equal single-observation acting on the
+policy's own generator.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from repro.cdrl.spec_network import build_basic_policy
 from repro.datasets import load_dataset
 from repro.explore.cache import ExecutionCache
 from repro.explore.environment import ExplorationEnvironment
-from repro.explore.action_space import ActionSpace, choice_from_index_map
-from repro.explore.rollouts import VectorEnvironment, collect_rollouts, env_rng
-from repro.rl.trainer import PolicyGradientTrainer, TrainerConfig
+from repro.explore.action_space import ActionSpace
+from repro.explore.rollouts import collect_rollouts, env_rng
 from rollout_oracle import collect_sequential_rollouts
 
 LDX = "ROOT CHILDREN <A1,A2>\nA1 LIKE [F,.*]\nA2 LIKE [G,.*]"
@@ -35,6 +36,31 @@ def flights():
 @pytest.fixture(scope="module")
 def space(flights):
     return ActionSpace(flights)
+
+
+def _environments(table, space, count, episode_length, cache=None):
+    """*count* lock-step environments sharing one action space, cache and memo."""
+    cache = cache if cache is not None else ExecutionCache()
+    memo: dict = {}
+    return [
+        ExplorationEnvironment(
+            table,
+            episode_length=episode_length,
+            action_space=space,
+            cache=cache,
+            feature_memo=memo,
+        )
+        for _ in range(count)
+    ]
+
+
+def _masking_policy(space, environments, seed):
+    return build_basic_policy(
+        observation_size=environments[0].observation_size(),
+        action_space=space,
+        seed=seed,
+        mask_invalid_actions=True,
+    )
 
 
 def _assert_rollouts_identical(batched, sequential):
@@ -67,151 +93,140 @@ class TestEnvRng:
         assert env_rng(-5, 0).random() == env_rng(-5, 0).random()
 
 
-class TestVectorEnvironment:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            VectorEnvironment([])
+class TestLockStepArguments:
+    def test_rejects_empty(self, flights, space):
+        policy = _masking_policy(space, _environments(flights, space, 1, 4), seed=0)
+        with pytest.raises(ValueError, match="at least one environment"):
+            collect_rollouts([], policy)
 
     def test_rejects_mismatched_episode_lengths(self, flights, space):
         envs = [
             ExplorationEnvironment(flights, episode_length=4, action_space=space),
             ExplorationEnvironment(flights, episode_length=6, action_space=space),
         ]
-        with pytest.raises(ValueError):
-            VectorEnvironment(envs)
+        policy = _masking_policy(space, envs, seed=0)
+        with pytest.raises(ValueError, match="equal episode lengths"):
+            collect_rollouts(envs, policy)
 
-    def test_create_shares_one_cache_and_memo(self, flights):
-        vec = VectorEnvironment.create(flights, 4, episode_length=5)
-        caches = {id(env.cache) for env in vec.environments}
-        assert len(caches) == 1
-        memos = {id(env._view_feature_memo) for env in vec.environments}
-        assert len(memos) == 1
-
-    def test_reset_and_step_shapes(self, flights, space):
-        vec = VectorEnvironment.create(flights, 3, episode_length=5, action_space=space)
-        observations = vec.reset()
-        assert observations.shape == (3, vec.observation_size())
-        assert observations.dtype == np.float64
-        masks = vec.head_masks()
-        for name, stacked in masks.items():
-            assert stacked.shape[0] == 3, name
-        policy = build_basic_policy(
-            observation_size=vec.observation_size(), action_space=space, seed=0
-        )
-        decisions = policy.act_batch(observations, [policy.decision_biases()] * 3)
-        outcome = vec.step(
-            [choice_from_index_map(d.indices) for d in decisions]
-        )
-        assert outcome.observations.shape == (3, vec.observation_size())
-        assert outcome.rewards.shape == (3,)
-        assert outcome.dones.shape == (3,)
-        assert len(outcome.infos) == 3
+    def test_rejects_mismatched_observation_sizes(self, flights, space):
+        netflix = load_dataset("netflix", num_rows=60)
+        envs = [
+            ExplorationEnvironment(flights, episode_length=4, action_space=space),
+            ExplorationEnvironment(netflix, episode_length=4),
+        ]
+        assert envs[0].observation_size() != envs[1].observation_size()
+        policy = _masking_policy(space, envs, seed=0)
+        with pytest.raises(ValueError, match="observation sizes"):
+            collect_rollouts(envs, policy)
 
 
 class TestBitIdentity:
     def test_basic_policy_batched_equals_sequential(self, flights, space):
         num = 6
-        vec = VectorEnvironment.create(flights, num, episode_length=6, action_space=space)
-        policy = build_basic_policy(
-            observation_size=vec.observation_size(), action_space=space, seed=3
-        )
-        policy.mask_provider = vec.environments[0].head_mask
-        batched = collect_rollouts(vec, policy, seed=42)
+        envs = _environments(flights, space, num, episode_length=6)
+        batched = collect_rollouts(envs, _masking_policy(space, envs, seed=3), seed=42)
 
         # Fresh environments with *private* caches: caching must not change
         # results, only speed.
-        envs = [
+        private = [
             ExplorationEnvironment(flights, episode_length=6, action_space=space)
             for _ in range(num)
         ]
-        policy_seq = build_basic_policy(
-            observation_size=vec.observation_size(), action_space=space, seed=3
+        sequential = collect_sequential_rollouts(
+            private, _masking_policy(space, private, seed=3), seed=42
         )
-        policy_seq.mask_provider = envs[0].head_mask
-        sequential = collect_sequential_rollouts(envs, policy_seq, seed=42)
         _assert_rollouts_identical(batched, sequential)
 
     def test_spec_aware_policy_batched_equals_sequential(self, flights):
         config = CdrlConfig(episodes=8, num_envs=4, seed=5)
         agent_a = LinxCdrlAgent(flights, LDX, config=config)
         agent_b = LinxCdrlAgent(flights, LDX, config=config)
-        batched = collect_rollouts(agent_a.vector_environment, agent_a.policy, seed=9)
-        sequential = collect_sequential_rollouts(
-            agent_b.vector_environment.environments,
-            agent_b.policy,
-            seed=9,
-            decision_to_choice=agent_b.policy.indices_to_choice,
-        )
-        # The batched collector must be given the same decoder.
-        batched_decoded = collect_rollouts(
-            agent_a.vector_environment,
+        batched = collect_rollouts(
+            agent_a.trainer.environments,
             agent_a.policy,
             seed=9,
             decision_to_choice=agent_a.policy.indices_to_choice,
         )
-        _assert_rollouts_identical(batched_decoded, sequential)
-        assert batched is not None  # first collection also completed
+        sequential = collect_sequential_rollouts(
+            agent_b.trainer.environments,
+            agent_b.policy,
+            seed=9,
+            decision_to_choice=agent_b.policy.indices_to_choice,
+        )
+        _assert_rollouts_identical(batched, sequential)
 
     def test_partial_wave_matches_prefix(self, flights, space):
-        vec = VectorEnvironment.create(flights, 5, episode_length=5, action_space=space)
-        policy = build_basic_policy(
-            observation_size=vec.observation_size(), action_space=space, seed=1
-        )
-        policy.mask_provider = vec.environments[0].head_mask
-        full = collect_rollouts(vec, policy, seed=11)
-        partial = collect_rollouts(vec, policy, seed=11, num_episodes=2)
+        envs = _environments(flights, space, 5, episode_length=5)
+        policy = _masking_policy(space, envs, seed=1)
+        full = collect_rollouts(envs, policy, seed=11)
+        partial = collect_rollouts(envs[:2], policy, seed=11)
         for full_buffer, part_buffer in zip(full.buffers[:2], partial.buffers):
             assert [t.decision.indices for t in full_buffer.transitions] == [
                 t.decision.indices for t in part_buffer.transitions
             ]
 
     def test_episode_base_shifts_streams(self, flights, space):
-        vec = VectorEnvironment.create(flights, 2, episode_length=5, action_space=space)
+        envs = _environments(flights, space, 2, episode_length=5)
         policy = build_basic_policy(
-            observation_size=vec.observation_size(), action_space=space, seed=1
+            observation_size=envs[0].observation_size(), action_space=space, seed=1
         )
-        first = collect_rollouts(vec, policy, seed=0, episode_base=0)
-        second = collect_rollouts(vec, policy, seed=0, episode_base=2)
+        first = collect_rollouts(envs, policy, seed=0, episode_base=0)
+        second = collect_rollouts(envs, policy, seed=0, episode_base=2)
         assert [t.decision.indices for t in first.buffers[0].transitions] != [
             t.decision.indices for t in second.buffers[0].transitions
         ]
 
 
-class TestCustomMaskProvider:
-    def test_custom_provider_is_honored_in_batched_collection(self, flights, space):
-        vec = VectorEnvironment.create(flights, 3, episode_length=5, action_space=space)
-        policy = build_basic_policy(
-            observation_size=vec.observation_size(), action_space=space, seed=0
-        )
-        forbid_filter = np.array([True, False, True])  # mask out action_type "filter"
+def _basic_setup(flights, space):
+    envs = _environments(flights, space, 1, episode_length=5)
+    return envs[0], _masking_policy(space, envs, seed=4), None
 
-        def provider(name):
-            return forbid_filter if name == "action_type" else None
 
-        policy.mask_provider = provider
-        batch = collect_rollouts(vec, policy, seed=0)
-        chosen = {
-            t.decision.indices["action_type"]
-            for buffer in batch.buffers
-            for t in buffer.transitions
-        }
-        assert 1 not in chosen
-        # The provider survives collection (it is not an environment hook).
-        assert policy.mask_provider is provider
+def _spec_aware_setup(flights, space):
+    agent = LinxCdrlAgent(flights, LDX, config=CdrlConfig(episodes=4, seed=6))
+    return agent.environment, agent.policy, agent.policy.indices_to_choice
+
+
+class TestOneEnvironment:
+    """K = 1 with ``seed=None``: the trainer's served path."""
+
+    @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
+    @pytest.mark.parametrize(
+        "setup", [_basic_setup, _spec_aware_setup], ids=["basic", "spec_aware"]
+    )
+    def test_consecutive_episodes_equal_sequential_acting(
+        self, flights, space, setup, greedy
+    ):
+        """Each episode of a one-environment list equals the oracle's
+        ``act(observation, environment, rng=None)`` loop, and the policy's
+        generator ends in the same state, so the next episode continues the
+        same stream."""
+        env_a, policy_a, decode = setup(flights, space)
+        env_b, policy_b, _ = setup(flights, space)
+        for episode in range(4):
+            batched = collect_rollouts(
+                [env_a], policy_a, greedy=greedy, decision_to_choice=decode
+            )
+            sequential = collect_sequential_rollouts(
+                [env_b], policy_b, seed=None, greedy=greedy, decision_to_choice=decode
+            )
+            _assert_rollouts_identical(batched, sequential)
+            assert (
+                policy_a.rng.bit_generator.state == policy_b.rng.bit_generator.state
+            ), f"episode {episode}: generator states differ"
+            pairs = zip(batched.buffers[0].transitions, sequential.buffers[0].transitions)
+            for b, s in pairs:
+                assert b.decision.biases.row.tobytes() == s.decision.biases.row.tobytes()
+                assert np.array_equal(b.decision.biases.folded, s.decision.biases.folded)
 
 
 class TestSharedCache:
     def test_cross_environment_reuse(self, flights, space):
         shared = ExecutionCache()
-        vec = VectorEnvironment.create(
-            flights, 8, episode_length=6, action_space=space, cache=shared
-        )
-        policy = build_basic_policy(
-            observation_size=vec.observation_size(), action_space=space, seed=0
-        )
-        policy.mask_provider = vec.environments[0].head_mask
-        collect_rollouts(vec, policy, seed=0)
-        collect_rollouts(vec, policy, seed=1)
+        envs = _environments(flights, space, 8, episode_length=6, cache=shared)
+        policy = _masking_policy(space, envs, seed=0)
+        collect_rollouts(envs, policy, seed=0)
+        collect_rollouts(envs, policy, seed=1)
         stats = shared.stats
         assert stats.lookups > 0
         # Across 16 episodes over one cache some (view, operation) pairs repeat.
@@ -219,43 +234,6 @@ class TestSharedCache:
 
 
 class TestTrainerIntegration:
-    def test_num_envs_requires_vector_environment(self, flights, space):
-        environment = ExplorationEnvironment(flights, episode_length=5, action_space=space)
-        policy = build_basic_policy(
-            observation_size=environment.observation_size(), action_space=space, seed=0
-        )
-        with pytest.raises(ValueError):
-            PolicyGradientTrainer(
-                environment, policy, TrainerConfig(episodes=4, num_envs=4)
-            )
-
-    def test_num_envs_must_fit_the_vector_environment(self, flights, space):
-        vec = VectorEnvironment.create(flights, 2, episode_length=5, action_space=space)
-        policy = build_basic_policy(
-            observation_size=vec.observation_size(), action_space=space, seed=0
-        )
-        with pytest.raises(ValueError):
-            PolicyGradientTrainer(
-                vec.environments[0],
-                policy,
-                TrainerConfig(episodes=4, num_envs=4),
-                vector_environment=vec,
-            )
-
-    def test_trainer_level_num_envs_is_honored(self, flights):
-        config = CdrlConfig(episodes=8, seed=0, trainer=TrainerConfig(num_envs=4))
-        agent = LinxCdrlAgent(flights, LDX, config=config)
-        assert agent.num_envs == 4
-        assert agent.vector_environment is not None
-        assert agent.vector_environment.num_envs == 4
-
-    def test_conflicting_num_envs_settings_are_rejected(self, flights):
-        config = CdrlConfig(
-            episodes=8, num_envs=2, trainer=TrainerConfig(num_envs=4)
-        )
-        with pytest.raises(ValueError):
-            LinxCdrlAgent(flights, LDX, config=config)
-
     def test_batched_training_is_deterministic(self, flights):
         config = CdrlConfig(episodes=12, num_envs=4, seed=2)
         first = LinxCdrlAgent(flights, LDX, config=config).run()
@@ -278,6 +256,8 @@ class TestTrainerIntegration:
         agent = AtenaAgent(flights, config=config)
         result = agent.run()
         assert len(result.history.episode_returns) == 8
-        assert agent.vector_environment is not None
-        caches = {id(env.cache) for env in agent.vector_environment.environments}
-        assert caches == {id(agent.environment.cache)}
+        environments = agent.trainer.environments
+        assert len(environments) == 4 and environments[0] is agent.environment
+        assert {id(env.cache) for env in environments} == {id(agent.environment.cache)}
+        memos = {id(env._view_feature_memo) for env in environments}
+        assert memos == {id(agent.environment._view_feature_memo)}

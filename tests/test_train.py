@@ -16,7 +16,7 @@ from repro.engine import (
     RequestValidationError,
 )
 from repro.engine.registry import KIND_SESSION_GENERATOR, StageRegistry
-from repro.explore.rollouts import VectorEnvironment, collect_rollouts
+from repro.explore.rollouts import collect_rollouts
 from repro.rl.trainer import TrainerConfig, TrainingHistory
 from repro.train import __main__ as cli
 from repro.train.checkpoint import (
@@ -134,9 +134,8 @@ class TestCheckpointSerialization:
         run = TrainingRun(_spec(episodes=2))
         run.train()
         rollout = collect_rollouts(
-            VectorEnvironment([run.agent.environment]),
+            [run.agent.environment],
             run.agent.policy,
-            num_episodes=1,
             decision_to_choice=run.trainer.decision_to_choice,
         )
         rows = serialize_buffer(rollout.buffers[0])
@@ -153,6 +152,15 @@ class TestCheckpointSerialization:
         checkpoint = run.checkpoint()
         restored = TrainingCheckpoint.from_blob(checkpoint.to_blob())
         assert restored == checkpoint
+
+    def test_checkpoint_carries_the_policy_generator_state(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        run = TrainingRun(_spec(episodes=4), checkpoint_path=path)
+        run.collect_until(2)
+        state = run.agent.policy.rng.bit_generator.state
+        assert TrainingCheckpoint.load(path).policy_rng_state == state
+        resumed = TrainingRun.from_checkpoint(path)
+        assert resumed.agent.policy.rng.bit_generator.state == state
 
     def test_unknown_schema_version_rejected(self):
         blob = TrainingRun(_spec(episodes=2)).checkpoint().to_blob()
@@ -197,7 +205,7 @@ class TestCheckpointSerialization:
 
 # -- one training path: TrainingRun == agent.run() ----------------------------------
 class TestTrainingRunEqualsAgentRun:
-    @pytest.mark.parametrize("num_envs", [2, 4])
+    @pytest.mark.parametrize("num_envs", [1, 2, 4])
     def test_run_equals_agent_run(self, num_envs):
         spec = _spec(num_envs=num_envs)
         agent = spec.build_agent()
