@@ -157,12 +157,12 @@ class HeadLayout:
     def softmax(self, logits: np.ndarray) -> np.ndarray:
         """Numerically stable softmax of every head segment of a ``(K, T)`` batch."""
         peak = np.maximum.reduceat(logits, self.offsets, axis=-1)
-        exp = np.exp(logits - peak[:, self.owner])
-        return exp / np.add.reduceat(exp, self.offsets, axis=-1)[:, self.owner]
+        exp = np.exp(logits - peak.take(self.owner, axis=-1))
+        return exp / np.add.reduceat(exp, self.offsets, axis=-1).take(self.owner, axis=-1)
 
-    def grid(self, rows: np.ndarray, fill: float) -> np.ndarray:
-        """``(K, T)`` rows laid out as a ``(K, H, width)`` grid, padded with *fill*."""
-        grid = np.full((len(rows), len(self.names) * self.width), fill)
+    def grid(self, rows: np.ndarray) -> np.ndarray:
+        """``(K, T)`` rows laid out as a ``(K, H, width)`` grid, padded with zeros."""
+        grid = np.zeros((len(rows), len(self.names) * self.width))
         grid[:, self.cells] = rows
         return grid.reshape(len(rows), len(self.names), self.width)
 
@@ -327,10 +327,12 @@ class MultiHeadPolicyNetwork:
         #: Monotonic counter identifying the current weight values; bumped
         #: whenever the parameter buffers may have been mutated (optimiser
         #: steps reach them through :meth:`parameters`, checkpoint restore
-        #: through :meth:`load_state`).  Caches of derived weight data —
-        #: the continuous batcher's per-wave weight stacks — key on
-        #: ``(id(network), weights_version)`` and so never serve stale
-        #: parameters.
+        #: through :meth:`load_state`).  Reads go through :meth:`weights` or
+        #: :meth:`named_parameters` and leave it alone.  Caches of derived
+        #: weight data key on it and so never serve stale parameters: the
+        #: continuous batcher's per-wave weight stacks on
+        #: ``(id(network), weights_version)``, and each policy's decision
+        #: distribution memo on the version it was filled under.
         self.weights_version = 0
 
     # -- forward --------------------------------------------------------------------------
@@ -408,8 +410,13 @@ class MultiHeadPolicyNetwork:
         params.extend(self.value_head.parameters())
         return params
 
+    def weights(self) -> list[np.ndarray]:
+        """Every weight array in :meth:`parameters` order, for reading only
+        (unlike :meth:`parameters`, this keeps ``weights_version``)."""
+        return [array for _, array in self.named_parameters()]
+
     def num_parameters(self) -> int:
-        return sum(weight.size for weight, _ in self.parameters())
+        return sum(weight.size for weight in self.weights())
 
     # -- structural state export/import ---------------------------------------------------
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:

@@ -53,19 +53,17 @@ class Adam:
             weight -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
     # -- structural state export/import ------------------------------------------------
-    def export_state(
-        self, parameters: list[tuple[np.ndarray, np.ndarray]]
-    ) -> dict[str, object]:
-        """Serialize the optimiser state aligned to *parameters* order.
+    def export_state(self, weights: list[np.ndarray]) -> dict[str, object]:
+        """Serialize the optimiser state aligned to *weights* order.
 
         The internal moment table is keyed by array identity, which does not
         survive a process boundary; exporting projects it onto the caller's
-        parameter order (the network's :meth:`~repro.rl.network.MultiHeadPolicyNetwork.parameters`
-        contract).  Parameters the optimiser has not seen yet export as
-        ``None``.
+        weight order (the network's :meth:`~repro.rl.network.MultiHeadPolicyNetwork.weights`,
+        which is :meth:`~repro.rl.network.MultiHeadPolicyNetwork.parameters`
+        order).  Weights the optimiser has not seen yet export as ``None``.
         """
         moments: list[tuple[str, tuple[int, ...], bytes, bytes] | None] = []
-        for weight, _ in parameters:
+        for weight in weights:
             entry = self._moments.get(id(weight))
             if entry is None:
                 moments.append(None)
@@ -74,24 +72,20 @@ class Adam:
                 moments.append((m.dtype.str, tuple(m.shape), m.tobytes(), v.tobytes()))
         return {"step": self._step, "moments": moments}
 
-    def load_state(
-        self,
-        parameters: list[tuple[np.ndarray, np.ndarray]],
-        state: dict[str, object],
-    ) -> None:
-        """Restore an :meth:`export_state` payload against *parameters*.
+    def load_state(self, weights: list[np.ndarray], state: dict[str, object]) -> None:
+        """Restore an :meth:`export_state` payload against *weights*.
 
         Bit-identical resume: the restored moments and step counter make the
         next :meth:`step` compute exactly what an uninterrupted run would.
         """
         moments = state["moments"]
-        if len(moments) != len(parameters):  # type: ignore[arg-type]
+        if len(moments) != len(weights):  # type: ignore[arg-type]
             raise ValueError(
                 f"optimizer state covers {len(moments)} parameters, "  # type: ignore[arg-type]
-                f"got {len(parameters)}"
+                f"got {len(weights)}"
             )
         rebuilt: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for (weight, _), entry in zip(parameters, moments):  # type: ignore[arg-type]
+        for weight, entry in zip(weights, moments):  # type: ignore[arg-type]
             if entry is None:
                 continue
             dtype_str, shape, m_raw, v_raw = entry

@@ -31,6 +31,20 @@ network's concatenated ``(K, T)`` head rows (see
 sums and inverse-CDF sampling are single passes whose reductions stay
 inside each row, so a batched decision for environment ``k`` is
 bit-identical to the sequential decision taken with the same RNG stream.
+
+The kernel has two steps.  :meth:`CategoricalPolicy.decision_distributions`
+is deterministic: from forward outputs and bias rows it derives each row's
+:class:`DecisionDistribution` (folded log-probabilities, entropy, value,
+padded probabilities and per-head CDF).
+:meth:`CategoricalPolicy.sample_decisions` then draws one uniform per head
+per row, in row order, and looks the choices up.
+:meth:`CategoricalPolicy.decisions_from_forward` composes the two.  Episodes
+keep revisiting states, so on the local route :meth:`~CategoricalPolicy.act_batch`
+memoises each row's distribution under its observation, bias-row and
+folded-flag bytes for as long as the network's ``weights_version`` stays the
+same: only rows not seen under the current weights are forwarded, and every
+row is still sampled.  The memo is private to the policy, because its
+weights are; the batcher route (``act_backend``) bypasses it.
 """
 
 from __future__ import annotations
@@ -87,6 +101,41 @@ class BiasRow(NamedTuple):
 _FOLDED_PATTERNS: dict[bytes, np.ndarray] = {}
 
 
+class DecisionDistribution(NamedTuple):
+    """The deterministic step of one decision: everything but the draws.
+
+    ``log_p`` is the folded ``(T,)`` log-probability row, ``grid`` the
+    folded probabilities as a zero-padded ``(H, width)`` grid and ``cdf``
+    its per-head cumulative sums, with ``totals`` their last column.  It is
+    a function of the weights, the observation and the bias row only, so a
+    policy memoises it per (observation, bias row) for one weight version.
+    """
+
+    log_p: np.ndarray
+    entropy: float
+    value: float
+    grid: np.ndarray
+    cdf: np.ndarray
+    totals: np.ndarray
+
+
+#: Bound on a policy's distribution memo (distinct (observation, bias row)
+#: pairs under one weight version); cleared wholesale when reached.
+DISTRIBUTION_MEMO_MAX = 1024
+
+
+def _check_rows(count: int, biases_list: Sequence[BiasRow], rngs) -> None:
+    if len(biases_list) != count:
+        raise ValueError("need one bias row per observation")
+    if rngs is not None and len(rngs) != count:
+        raise ValueError("need one RNG per observation")
+
+
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    """*rows* as one ``(K, ...)`` array; a single row becomes a view, not a copy."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
 @dataclass
 class PolicyDecision:
     """One sampled action with everything needed for the gradient update."""
@@ -123,6 +172,12 @@ class CategoricalPolicy:
         #: is; see :mod:`repro.engine.batcher`).  Learning never routes
         #: through it: gradient forwards stay on the owning thread.
         self.act_backend = None
+        #: The local route's :class:`DecisionDistribution` per (observation,
+        #: bias row, folded flags) bytes, valid for the network's
+        #: ``weights_version`` it was filled under (:attr:`_memo_version`).
+        #: Private to the policy, as its weights are.
+        self._distribution_memo: dict[tuple[bytes, bytes, bytes], DecisionDistribution] = {}
+        self._memo_version = network.weights_version
 
     # -- acting --------------------------------------------------------------------------
     def decision_biases(
@@ -208,25 +263,47 @@ class CategoricalPolicy:
         row's own RNG.  All batched kernels reduce along the contiguous
         last axis, so row *k* of every intermediate is bit-identical to the
         same computation on ``observations[k]`` alone, whatever K is.
+
+        That row independence is what the distribution memo relies on:
+        rows whose (observation, bias row) pair this policy already decided
+        under the current weights reuse their :class:`DecisionDistribution`,
+        and only the other rows are forwarded.  Every row is still sampled,
+        in row order.  The ``act_backend`` route bypasses the memo.
         """
         obs = np.asarray(observations, dtype=np.float64)
         if obs.ndim != 2:
             raise ValueError(f"expected a (K, F) observation batch, got {obs.shape}")
+        _check_rows(len(obs), biases_list, rngs)
         if self.act_backend is not None:
-            if len(biases_list) != len(obs):
-                raise ValueError("need one bias row per observation")
-            if rngs is not None and len(rngs) != len(obs):
-                raise ValueError("need one RNG per observation")
             # Pin each row to an explicit RNG before handing off: the wave
             # thread may interleave rows of several policies, and every row
             # must keep sampling from its own stream (``self.rng`` rows draw
-            # in row order, exactly as the local loop below would).
+            # in row order, exactly as the local route would).
             pinned = list(rngs) if rngs is not None else [self.rng] * len(obs)
             return self.act_backend(obs, list(biases_list), pinned, greedy)
-        probabilities, values = self.network.forward_batch(obs)
-        return self.decisions_from_forward(
-            obs, probabilities, values, biases_list, rngs, greedy=greedy
+        memo = self._distribution_memo
+        if self._memo_version != self.network.weights_version:
+            memo.clear()
+            self._memo_version = self.network.weights_version
+        keys = [
+            (row.tobytes(), biases.row.tobytes(), biases.folded.tobytes())
+            for row, biases in zip(obs, biases_list)
+        ]
+        distributions = [memo.get(key) for key in keys]
+        missing = [k for k, known in enumerate(distributions) if known is None]
+        probabilities = values = None
+        if missing:
+            probabilities, values = self.network.forward_batch(
+                obs if len(missing) == len(obs) else obs.take(missing, axis=0)
+            )
+        decisions = self.decisions_from_forward(
+            obs, probabilities, values, biases_list, rngs, greedy, distributions
         )
+        for k in missing:
+            if len(memo) >= DISTRIBUTION_MEMO_MAX:
+                memo.clear()
+            memo[keys[k]] = distributions[k]
+        return decisions
 
     def _fold_biases(
         self,
@@ -249,23 +326,99 @@ class CategoricalPolicy:
                     f"bias row has {len(biases.row)} entries over {len(biases.folded)} "
                     f"heads; the policy has {layout.total} over {len(layout.names)}"
                 )
-        folded = np.array([biases.folded for biases in biases_list])
-        if not folded.any():
+        folded = _stack([biases.folded for biases in biases_list])
+        if not np.count_nonzero(folded):
             return probabilities
-        bias_rows = np.array([biases.row for biases in biases_list])
+        bias_rows = _stack([biases.row for biases in biases_list])
         biased = layout.softmax(np.log(np.maximum(probabilities, 1e-12)) + bias_rows)
-        return np.where(folded[:, layout.owner], biased, probabilities)
+        return np.where(folded.take(layout.owner, axis=-1), biased, probabilities)
 
-    def decisions_from_forward(
+    def decision_distributions(
         self,
-        obs: np.ndarray,
         probabilities: np.ndarray,
         values: np.ndarray,
+        biases_list: Sequence[BiasRow],
+    ) -> list[DecisionDistribution]:
+        """The deterministic step of a decision, for every row of a forward.
+
+        Folds ``biases_list[k]`` into row *k* of the ``(K, T)`` head
+        probabilities and derives everything sampling needs that draws no
+        randomness: the folded log-probabilities, the entropy summed over
+        heads, and the rows laid out as a zero-padded ``(K, H, width)`` grid
+        with its per-head CDF (padding repeats each head's total).
+        """
+        layout = self.network.layout
+        probs = self._fold_biases(probabilities, biases_list)
+        log_p = np.log(np.maximum(probs, 1e-12))
+        entropies = -np.add.reduceat(probs * log_p, layout.offsets, axis=-1).sum(axis=-1)
+        grid = layout.grid(probs)
+        cdf = np.cumsum(grid, axis=-1)
+        totals = cdf[:, :, -1]
+        entropies = entropies.tolist()
+        values = np.asarray(values, dtype=np.float64).tolist()
+        return [
+            DecisionDistribution(log_p[k], entropies[k], values[k], grid[k], cdf[k], totals[k])
+            for k in range(len(probs))
+        ]
+
+    def sample_decisions(
+        self,
+        obs: np.ndarray,
+        distributions: Sequence[DecisionDistribution],
         biases_list: Sequence[BiasRow],
         rngs: Sequence[np.random.Generator] | None = None,
         greedy: bool = False,
     ) -> list[PolicyDecision]:
-        """The post-forward half of :meth:`act_batch`.
+        """The sampling step: one decision per row, in row order.
+
+        Sampling draws one uniform per head, in head order, from
+        ``rngs[k]`` (or the policy's own generator); the inverse-CDF lookup
+        counts the entries of the head's own cumsum that are <= the target
+        (padding repeats the head total, so the clamp to the last real
+        choice covers it).  Greedy rows draw nothing and take each head's
+        argmax; over the zero-padded grid that is the argmax over the real
+        choices, since every head's largest probability is positive.
+        """
+        layout = self.network.layout
+        heads = len(layout.names)
+        last = layout.sizes - 1
+        # Decisions keep views into one private copy of the observations.
+        observations = np.array(obs, dtype=np.float64)
+        decisions = []
+        for k, distribution in enumerate(distributions):
+            if greedy:
+                chosen = distribution.grid.argmax(-1)
+            else:
+                draws = (self.rng if rngs is None else rngs[k]).random(heads)
+                targets = draws * distribution.totals
+                chosen = np.minimum(
+                    np.add.reduce(distribution.cdf <= targets[:, None], -1), last
+                )
+            log_prob = np.add.reduce(distribution.log_p.take(chosen + layout.offsets))
+            decisions.append(
+                PolicyDecision(
+                    indices=dict(zip(layout.names, chosen.tolist())),
+                    log_prob=float(log_prob),
+                    value=distribution.value,
+                    entropy=distribution.entropy,
+                    observation=observations[k],
+                    biases=biases_list[k],
+                )
+            )
+        return decisions
+
+    def decisions_from_forward(
+        self,
+        obs: np.ndarray,
+        probabilities: np.ndarray | None,
+        values: np.ndarray | None,
+        biases_list: Sequence[BiasRow],
+        rngs: Sequence[np.random.Generator] | None = None,
+        greedy: bool = False,
+        distributions: list[DecisionDistribution | None] | None = None,
+    ) -> list[PolicyDecision]:
+        """The post-forward half of :meth:`act_batch`:
+        :meth:`decision_distributions`, then :meth:`sample_decisions`.
 
         Takes the concatenated ``(K, T)`` head probabilities and values of a
         forward pass and performs everything downstream of the network — the
@@ -273,55 +426,24 @@ class CategoricalPolicy:
         continuous batcher (:mod:`repro.engine.batcher`) calls this directly
         with the outputs of a *stacked multi-network* forward so that rows
         belonging to different requests still share one decision kernel.
+
+        ``distributions`` holds the rows already known (the local route's
+        memo hits) and ``None`` elsewhere; the forward outputs then cover
+        only the ``None`` rows, in order, and those entries are filled in
+        place.  Both routes thus run all post-forward work through this one
+        method, which is where the traced benchmark times ``rl.decide``.
         """
-        count = len(obs)
-        if len(biases_list) != count:
-            raise ValueError("need one bias row per observation")
-        if rngs is not None and len(rngs) != count:
-            raise ValueError("need one RNG per observation")
-        layout = self.network.layout
-        probs = self._fold_biases(probabilities, biases_list)
-        log_p = np.log(np.maximum(probs, 1e-12))
-        entropies = -np.add.reduceat(probs * log_p, layout.offsets, axis=-1).sum(axis=-1)
-
-        # Index selection in the padded (K, H, width) grid.  Sampling draws
-        # one uniform per head, in head order, from each row's own stream;
-        # the inverse-CDF lookup counts the entries of the head's own cumsum
-        # that are <= the target (padding repeats the head total, so the
-        # clamp to the last real choice covers it).
-        if greedy:
-            chosen = np.argmax(layout.grid(probs, -1.0), axis=-1)
-        else:
-            draws = np.array(
-                [
-                    (self.rng if rngs is None else rngs[k]).random(len(layout.names))
-                    for k in range(count)
-                ]
-            ).reshape(count, len(layout.names))
-            cdf = np.cumsum(layout.grid(probs, 0.0), axis=-1)
-            targets = draws * cdf[:, :, -1]
-            chosen = np.minimum(
-                (cdf <= targets[:, :, None]).sum(axis=-1), layout.sizes - 1
+        _check_rows(len(obs), biases_list, rngs)
+        if distributions is None:
+            distributions = [None] * len(obs)
+        missing = [k for k, known in enumerate(distributions) if known is None]
+        if missing:
+            fresh = self.decision_distributions(
+                probabilities, values, [biases_list[k] for k in missing]
             )
-        log_probs = log_p[np.arange(count)[:, None], chosen + layout.offsets].sum(axis=-1)
-
-        # Decisions keep views into one private copy of the observations.
-        observations = np.array(obs, dtype=np.float64)
-        picks = chosen.tolist()
-        log_probs = log_probs.tolist()
-        entropies = entropies.tolist()
-        values = np.asarray(values, dtype=np.float64).tolist()
-        return [
-            PolicyDecision(
-                indices=dict(zip(layout.names, picks[k])),
-                log_prob=log_probs[k],
-                value=values[k],
-                entropy=entropies[k],
-                observation=observations[k],
-                biases=biases_list[k],
-            )
-            for k in range(count)
-        ]
+            for k, distribution in zip(missing, fresh):
+                distributions[k] = distribution
+        return self.sample_decisions(obs, distributions, biases_list, rngs, greedy)
 
     # -- learning ------------------------------------------------------------------------
     def accumulate_gradient_batch(

@@ -264,7 +264,7 @@ def capture(
         episodes_completed=episodes_completed,
         total_episodes=total_episodes,
         network_state=trainer.policy.network.export_state(),
-        optimizer_state=trainer.optimizer.export_state(trainer.policy.parameters()),
+        optimizer_state=trainer.optimizer.export_state(trainer.policy.network.weights()),
         history=trainer.history.to_dict(),
         pending_batch=[serialize_buffer(buffer) for buffer in trainer._batch],
         elite=elite_payload,
@@ -282,7 +282,7 @@ def restore_into(checkpoint: TrainingCheckpoint, trainer: PolicyGradientTrainer)
     in place, which keeps the optimizer-moment identity keys valid.
     """
     trainer.policy.network.load_state(checkpoint.network_state)
-    trainer.optimizer.load_state(trainer.policy.parameters(), checkpoint.optimizer_state)
+    trainer.optimizer.load_state(trainer.policy.network.weights(), checkpoint.optimizer_state)
     trainer.policy.rng.bit_generator.state = checkpoint.policy_rng_state
     trainer.history = TrainingHistory.from_dict(checkpoint.history)
     trainer._batch = [deserialize_buffer(rows) for rows in checkpoint.pending_batch]

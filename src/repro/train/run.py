@@ -182,7 +182,7 @@ def training_divergence(
                 f"weights: parameter {index} ({name}) first differs at flat index "
                 f"{flat}: {left.ravel()[flat].item()!r} != {right.ravel()[flat].item()!r}"
             )
-    states = [t.optimizer.export_state(t.policy.parameters()) for t in (expected, actual)]
+    states = [t.optimizer.export_state(t.policy.network.weights()) for t in (expected, actual)]
     if states[0]["step"] != states[1]["step"]:
         return f"optimizer: step {states[0]['step']} != {states[1]['step']}"
     for index, (left, right) in enumerate(zip(states[0]["moments"], states[1]["moments"])):

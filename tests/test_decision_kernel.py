@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rl.network import MultiHeadPolicyNetwork, stacked_forward
+from repro.rl.optimizer import Adam
 from repro.rl.policy import MASK_LOGIT_BIAS, BiasRow, CategoricalPolicy
 
 SIZES = {"action": 4, "column": 7, "op": 3, "term": 9, "single": 1}
@@ -328,6 +329,126 @@ class TestRowBitIdentity:
 
         for batched, sequential in zip(gradients(True), gradients(False)):
             assert np.array_equal(batched, sequential)
+
+
+# -- the distribution memo -----------------------------------------------------------
+#: Small pools, so random call sequences revisit (observation, bias row) pairs.
+_MEMO_OBSERVATIONS = np.random.default_rng(11).normal(size=(3, 6))
+
+
+def _memo_bias_pool(layout) -> list[BiasRow]:
+    masked = BiasRow.empty(layout)
+    masked.head(layout, "term")[[1, 4]] = MASK_LOGIT_BIAS
+    rows = [BiasRow.empty(layout), masked]
+    for peak in (-1.0, 1.0):  # equal folded flags, different biases
+        guided = BiasRow.empty(layout)
+        guided.head(layout, "column")[:] = np.linspace(-peak, peak, SIZES["column"])
+        rows.append(guided)
+    return rows
+
+
+@st.composite
+def memo_call_sequences(draw):
+    """Random ``act``/``act_batch`` calls with Adam steps and restores between."""
+    rows = st.tuples(st.integers(0, len(_MEMO_OBSERVATIONS) - 1), st.integers(0, 3))
+    act = st.tuples(
+        st.just("act"), st.lists(rows, min_size=1, max_size=1), st.booleans(), st.booleans()
+    )
+    batch = st.tuples(
+        st.just("batch"), st.lists(rows, min_size=1, max_size=3), st.booleans(), st.booleans()
+    )
+    calls = st.one_of(act, batch, st.just(("step",)), st.just(("load",)))
+    return draw(st.lists(calls, min_size=1, max_size=14))
+
+
+class _RowPolicy(CategoricalPolicy):
+    """A policy whose next decision biases are whatever row the test set."""
+
+    row: BiasRow
+
+    def decision_biases(self, environment=None) -> BiasRow:
+        return self.row
+
+
+class TestDistributionMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(calls=memo_call_sequences(), seed=st.integers(0, 2**16))
+    def test_memoised_acting_equals_the_memo_free_kernel(self, calls, seed):
+        """``act``/``act_batch`` with the memo decide exactly as one forward plus
+        :meth:`decisions_from_forward` on an identically seeded twin, across
+        weight changes that must invalidate the memo."""
+
+        def build():
+            network = MultiHeadPolicyNetwork(6, SIZES, (8,), seed=seed)
+            return _RowPolicy(network, rng=np.random.default_rng(seed)), Adam(0.05)
+
+        (memo, memo_adam), (twin, twin_adam) = build(), build()
+        snapshot = MultiHeadPolicyNetwork(6, SIZES, (8,), seed=seed + 1).export_state()
+        pool = _memo_bias_pool(memo.network.layout)
+        history = []
+        for number, call in enumerate(calls):
+            if call[0] == "step":
+                for policy, adam in ((memo, memo_adam), (twin, twin_adam)):
+                    policy.zero_grad()
+                    if history:
+                        policy.accumulate_gradient_batch(
+                            history[-3:], [1.0] * len(history[-3:]), [0.5] * len(history[-3:])
+                        )
+                    adam.step(policy.parameters())
+                continue
+            if call[0] == "load":
+                memo.network.load_state(snapshot)
+                twin.network.load_state(snapshot)
+                continue
+            kind, rows, greedy, explicit = call
+            observations = _MEMO_OBSERVATIONS[[obs for obs, _ in rows]]
+
+            def fresh_rows():  # equal content, new objects: the memo keys on bytes
+                return [BiasRow(pool[b].row.copy(), pool[b].folded.copy()) for _, b in rows]
+
+            def streams():
+                return [np.random.default_rng([seed, number, k]) for k in range(len(rows))]
+
+            memo_rngs, twin_rngs = (streams(), streams()) if explicit else (None, None)
+            if kind == "act":
+                memo.row = fresh_rows()[0]
+                mine = [
+                    memo.act(
+                        observations[0],
+                        greedy=greedy,
+                        rng=None if memo_rngs is None else memo_rngs[0],
+                    )
+                ]
+            else:
+                mine = memo.act_batch(observations, fresh_rows(), memo_rngs, greedy=greedy)
+            probabilities, values = twin.network.forward_batch(observations)
+            theirs = twin.decisions_from_forward(
+                observations, probabilities, values, fresh_rows(), twin_rngs, greedy=greedy
+            )
+            for actual, expected in zip(mine, theirs):
+                _assert_same_decision(actual, expected)
+            if explicit:
+                for left, right in zip(memo_rngs, twin_rngs):
+                    assert left.bit_generator.state == right.bit_generator.state
+            history.extend(mine)
+        assert memo.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    def test_repeated_state_is_forwarded_once_per_weight_version(self):
+        network = MultiHeadPolicyNetwork(6, SIZES, (8,), seed=0)
+        policy = CategoricalPolicy(network)
+        forwards = []
+        forward_batch = network.forward_batch
+        network.forward_batch = lambda obs: forwards.append(len(obs)) or forward_batch(obs)
+        observation = _MEMO_OBSERVATIONS[:1]
+        policy.act_batch(observation, [BiasRow.empty(network.layout)])
+        policy.act_batch(observation, [BiasRow.empty(network.layout)])
+        policy.act_batch(
+            _MEMO_OBSERVATIONS[:2], [BiasRow.empty(network.layout) for _ in range(2)]
+        )
+        assert forwards == [1, 1]  # the repeat hits; the pair forwards its new row only
+        Adam().step(policy.parameters())
+        policy.act_batch(observation, [BiasRow.empty(network.layout)])
+        assert forwards == [1, 1, 1]
 
 
 class TestConcatenatedHeadStorage:

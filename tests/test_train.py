@@ -227,6 +227,24 @@ class TestTrainingRunEqualsAgentRun:
         assert_same_training(plain.trainer, checkpointed.trainer)
 
 
+class TestWeightsVersion:
+    def test_reads_keep_the_version_and_writes_bump_it(self):
+        """Only weight writes invalidate caches keyed on ``weights_version``."""
+        run = TrainingRun(_spec(episodes=4))
+        run.collect_until(2)
+        network = run.trainer.policy.network
+        version = network.weights_version
+        assert network.num_parameters() > 0
+        checkpoint = run.checkpoint()
+        assert training_divergence(run.trainer, run.trainer) is None
+        assert network.weights_version == version
+        run.trainer.optimizer.step(run.trainer.policy.parameters())
+        assert network.weights_version > version
+        version = network.weights_version
+        network.load_state(checkpoint.network_state)
+        assert network.weights_version > version
+
+
 class TestDivergenceGate:
     def test_identical_runs_have_no_divergence(self):
         first, second = TrainingRun(_spec(episodes=2)), TrainingRun(_spec(episodes=2))
