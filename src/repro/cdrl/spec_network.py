@@ -115,7 +115,7 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         #: previous one.  :class:`~repro.cdrl.agent.LinxCdrlAgent` passes
         #: the memo its exploration context pools per (specification,
         #: dataset), so every request on the same pair shares the work.
-        self._decision_memo: dict[str, BiasRow] = (
+        self._decision_memo: dict[tuple, BiasRow] = (
             {} if decision_memo is None else decision_memo
         )
         super().__init__(
@@ -126,29 +126,17 @@ class SpecificationAwarePolicy(CategoricalPolicy):
 
     # -- bias computation (once per step) --------------------------------------------------
     @staticmethod
-    def _session_state_key(session) -> str:
+    def _session_state_key(session) -> tuple:
         """Compact key of a guidance state: tree structure plus cursor.
 
-        One string: the pre-order walk of the tree, each node written as its
-        signature ``repr`` followed by its bracketed children, with ``*``
-        after the current node.  Signature reprs are self-delimiting, so the
-        encoding is unambiguous, and each is computed once per node.
+        The signature ``repr`` of every node in pre-order, the pre-order
+        child counts and the cursor's position, all read from the session's
+        pre-order index.  Counts in pre-order determine the tree, so two
+        states share a key exactly when their trees, labels and cursors agree.
         """
-        current = session.current
-        pieces: list[str] = []
-        stack: list = [session.root]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                pieces.append("]")
-                continue
-            pieces.append(node.signature_text)
-            if node is current:
-                pieces.append("*")
-            pieces.append("[")
-            stack.append(None)
-            stack.extend(reversed(node.children))
-        return "".join(pieces)
+        index = session.index
+        texts = tuple([node.signature_text for node in index.nodes])
+        return texts, index.shape(), session.current.position
 
     def decision_biases(
         self, environment: "ExplorationEnvironment | None" = None

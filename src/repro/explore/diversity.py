@@ -19,7 +19,7 @@ def _top_values(column) -> set:
     memo = _reference_interest(column)
     top = memo.get("top10")
     if top is None:
-        top = memo["top10"] = set(list(column.value_counts())[:10])
+        top = memo["top10"] = set(column.unique()[:10])
     return top
 
 

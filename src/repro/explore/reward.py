@@ -9,12 +9,12 @@ the diversity of the newest query with respect to all previous queries::
 Interestingness uses KL divergence for filters and conciseness for group-bys;
 diversity is the minimal result distance to any previous query.
 
-Because the step reward re-scores *every* node of the growing session on
-every step — and training revisits the same views across thousands of
-episodes — per-node interestingness is memoised by the content fingerprints
-of the parent and result views (see :mod:`repro.explore.cache`).  Views
-served from the execution cache share fingerprints, so repeated episodes
-score in O(1) per node.
+A node's terms are computed once per session and recorded in the session's
+pre-order index (:class:`~repro.explore.session.PreorderIndex`), so a step
+scores only the new node.  Training revisits the same views across
+thousands of episodes, so interestingness and pairwise result distances are
+also memoised by view content fingerprints (see :mod:`repro.explore.cache`);
+views served from the execution cache share fingerprints.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 from .diversity import result_distance
 from .interestingness import operation_interestingness
 from .operations import is_query_operation
-from .session import ExplorationSession, SessionNode
+from .session import ExplorationSession, PreorderIndex, SessionNode
 
 
 @dataclass(frozen=True)
@@ -112,35 +112,53 @@ class GenericExplorationReward:
             return 1.0
         return min(self._view_distance(new_view, view) for view in previous_views)
 
+    def _interest_terms(self, index: PreorderIndex) -> list[float]:
+        """The index's interestingness terms, after scoring the nodes not scored yet."""
+        terms, nodes = index.interest, index.nodes
+        for position in range(len(terms) + 1, len(nodes)):
+            terms.append(self.node_interestingness(nodes[position]))
+        return terms
+
     def step_reward(self, session: ExplorationSession, node: SessionNode) -> float:
-        """Reward for the step that produced *node* (the newest query)."""
+        """Reward for the step that produced *node*, the session's newest query."""
         if not is_query_operation(node.operation):
             return self.config.back_action_reward
         if len(node.view) == 0:
             return self.config.empty_result_penalty
-        cumulative_interest = sum(
-            self.node_interestingness(existing) for existing in session.query_nodes()
+        index = session.index
+        interest = self._interest_terms(index)
+        # ``sum`` over the list, never a running total: Python 3.12's float
+        # ``sum`` is compensated, so only a sum of the same list in the same
+        # order gives the same bits.
+        cumulative_interest = sum(interest)
+        previous_views = [n.view for n in index.nodes[1 : node.position]]
+        diversity = index.diversity[node.position - 1] = self._diversity(
+            node.view, previous_views
         )
-        previous_views = [n.view for n in session.query_nodes() if n is not node]
-        diversity = self._diversity(node.view, previous_views)
         return (
-            self.config.interestingness_weight * cumulative_interest / max(1, session.num_queries())
+            self.config.interestingness_weight * cumulative_interest / max(1, len(interest))
             + self.config.diversity_weight * diversity
         )
 
     def session_score(self, session: ExplorationSession) -> float:
-        """Utility score ``U(T_D)`` of a full session: mean interestingness + mean diversity."""
-        nodes = session.query_nodes()
-        if not nodes:
+        """Utility score ``U(T_D)`` of a full session: mean interestingness + mean diversity.
+
+        Terms the step rewards recorded are reused; the rest are computed
+        and recorded now.
+        """
+        index = session.index
+        interest = self._interest_terms(index)
+        if not interest:
             return 0.0
-        interest = sum(self.node_interestingness(node) for node in nodes) / len(nodes)
-        diversity_terms = []
-        seen_views = []
-        for node in nodes:
-            diversity_terms.append(self._diversity(node.view, seen_views))
-            seen_views.append(node.view)
+        nodes, diversity_terms = index.nodes, index.diversity
+        for position, term in enumerate(diversity_terms, start=1):
+            if term is None:
+                diversity_terms[position - 1] = self._diversity(
+                    nodes[position].view, [n.view for n in nodes[1:position]]
+                )
+        interest_mean = sum(interest) / len(interest)
         diversity = sum(diversity_terms) / len(diversity_terms)
         return (
-            self.config.interestingness_weight * interest
+            self.config.interestingness_weight * interest_mean
             + self.config.diversity_weight * diversity
         )

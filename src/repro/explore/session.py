@@ -40,6 +40,10 @@ class SessionNode:
     parent: Optional["SessionNode"] = None
     children: list["SessionNode"] = field(default_factory=list)
     step_index: int = 0
+    #: Pre-order position in the session (0 at the root).
+    position: int = 0
+    #: The session's pre-order index; set on the root only.
+    preorder_index: Optional["PreorderIndex"] = field(default=None, repr=False, compare=False)
 
     def signature(self) -> tuple[str, ...]:
         """Positional signature used by LDX verification."""
@@ -88,6 +92,40 @@ class SessionNode:
         return f"SessionNode(op={self.operation.describe()!r}, rows={len(self.view)})"
 
 
+@dataclass(eq=False)
+class PreorderIndex:
+    """Append-only pre-order index of a session tree (see :class:`ExplorationSession`).
+
+    ``interest`` and ``diversity`` hold one generic-reward term per query
+    node (position ``p`` at ``p - 1``); the generic scorer fills them the
+    first time it scores a node, ``None`` marking a diversity term not yet
+    computed.  ``verdict`` is the last LDX verification, stamped
+    ``(matcher, len(nodes), compliant)`` so that growth invalidates it.
+    """
+
+    nodes: list[SessionNode]
+    child_counts: list[int] = field(default_factory=lambda: [0])
+    interest: list[float] = field(default_factory=list)
+    diversity: list[Optional[float]] = field(default_factory=list)
+    verdict: Optional[tuple] = None
+    _shape: Optional[tuple[int, ...]] = None
+
+    def append(self, node: SessionNode) -> None:
+        """Index *node*, the new last child of a node on the rightmost path."""
+        node.position = len(self.nodes)
+        self.nodes.append(node)
+        self.child_counts.append(0)
+        self.child_counts[node.parent.position] += 1
+        self.diversity.append(None)
+        self._shape = None
+
+    def shape(self) -> tuple[int, ...]:
+        """Pre-order child counts, as a tuple built once per growth."""
+        if self._shape is None:
+            self._shape = tuple(self.child_counts)
+        return self._shape
+
+
 class ExplorationSession:
     """A growing exploration session over a dataset.
 
@@ -95,6 +133,16 @@ class ExplorationSession:
     be applied to) so the RL environment can implement filter, group-by and
     back actions.  Query operations append children; the back operation moves
     the cursor up the tree without adding a node.
+
+    **Insertion order is pre-order.**  The cursor is always on the tree's
+    rightmost path: a new node becomes the cursor, and the back operation
+    only moves to its ancestors.  A new node is the last child of the
+    cursor, so it is last in pre-order.  The session therefore keeps an
+    append-only :class:`PreorderIndex` (``self.index``, also reachable as
+    ``root.preorder_index``) that :meth:`add_operation` updates in O(1):
+    the nodes root first, each node's child count (and, on the node, its
+    position) and the generic-reward terms.  The generic reward, the LDX
+    matcher and the guidance key read it instead of walking the tree.
     """
 
     def __init__(self, dataset: DataTable, dataset_name: str | None = None):
@@ -105,6 +153,7 @@ class ExplorationSession:
             view=dataset,
             plan=LogicalPlan(()),
         )
+        self.index = self.root.preorder_index = PreorderIndex([self.root])
         self.current = self.root
         self._steps = 0
         self._operations: list[Operation] = []
@@ -146,6 +195,7 @@ class ExplorationSession:
             plan=plan,
         )
         self.current.children.append(node)
+        self.index.append(node)
         self.current = node
         self._operations.append(operation)
         return node
@@ -184,10 +234,10 @@ class ExplorationSession:
 
     def query_nodes(self) -> list[SessionNode]:
         """All non-root nodes in execution (pre-order) order."""
-        return [node for node in self.root.preorder() if not node.is_root]
+        return self.index.nodes[1:]
 
     def num_queries(self) -> int:
-        return len(self.query_nodes())
+        return len(self.index.nodes) - 1
 
     def views(self) -> list[DataTable]:
         """Result views of every query node, in execution order."""
@@ -256,6 +306,7 @@ def session_from_operations(
 
 __all__ = [
     "ExplorationSession",
+    "PreorderIndex",
     "SessionNode",
     "session_from_operations",
     "FilterOperation",

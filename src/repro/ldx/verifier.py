@@ -8,7 +8,9 @@ and of its continuity variables to concrete values such that every
 structural clause and every operation pattern is satisfied.  A tree is given
 by its root: a :class:`~repro.tregex.tree.TreeNode`, or any node with
 ``label`` and ``children`` such as a session's
-:class:`~repro.explore.session.SessionNode`.
+:class:`~repro.explore.session.SessionNode`.  A session root carries its
+session's pre-order index (``preorder_index``), which is read instead of
+walking the tree.
 
 **Why labels stay out of ``struct(QX)``.**  The structural search
 (``GetTregexNodeMatches`` restricted to the CHILDREN/DESCENDANTS clauses)
@@ -349,7 +351,13 @@ class LdxMatcher:
 
     # -- per-shape memo -------------------------------------------------------------------
     def _shape(self, tree_root: TreeNode) -> tuple[_Shape, list[TreeNode]]:
-        key, nodes = _walk(tree_root)
+        index = getattr(tree_root, "preorder_index", None)
+        if index is None:
+            key, nodes = _walk(tree_root)
+        else:
+            # A session root: its index is the pre-order walk, and only the
+            # root carries a ROOT-kind label.
+            key, nodes = (index.shape(), (0,)), index.nodes
         shape = self._shapes.get(key)
         if shape is None:
             shape = self._shapes[key] = _Shape(key)
@@ -405,8 +413,18 @@ class LdxMatcher:
         return None
 
     def verify(self, tree_root: TreeNode) -> bool:
-        """``VerifyLDX``: True when the session complies with the full query."""
-        return self.find_assignment(tree_root) is not None
+        """``VerifyLDX``: True when the session complies with the full query.
+
+        A session's verdict is stamped on its pre-order index with the
+        session's length, so it is reused until the session grows.
+        """
+        index = getattr(tree_root, "preorder_index", None)
+        if index is None:
+            return self.find_assignment(tree_root) is not None
+        stamp = (self, len(index.nodes))
+        if index.verdict is None or index.verdict[:2] != stamp:
+            index.verdict = (*stamp, self.find_assignment(tree_root) is not None)
+        return index.verdict[2]
 
     # -- structural questions ----------------------------------------------------------------
     def structural_assignments(self, tree_root: TreeNode) -> list[Assignment]:

@@ -15,7 +15,7 @@ from repro.engine import (
     LinxEngine,
     RequestValidationError,
 )
-from repro.engine.registry import KIND_SESSION_GENERATOR, StageRegistry
+from repro.engine.registry import KIND_SESSION_GENERATOR, STAGE_REGISTRY, StageRegistry
 from repro.explore.rollouts import collect_rollouts
 from repro.rl.trainer import TrainerConfig, TrainingHistory
 from repro.train import __main__ as cli
@@ -444,6 +444,24 @@ class TestPolicyRegistry:
             assert len(registry) == 0
 
 
+@pytest.fixture
+def restore_stage_registry():
+    """Give the process-global stage registry back as the test found it.
+
+    An engine opened on a policy registry attaches that registry's
+    ``cdrl:*`` stages to :data:`STAGE_REGISTRY`; without this they would
+    outlive the test and show up in every later registry listing.
+    """
+    STAGE_REGISTRY.describe()  # load the built-ins before the snapshot
+    saved = {kind: dict(factories) for kind, factories in STAGE_REGISTRY._factories.items()}
+    yield
+    with STAGE_REGISTRY._lock:
+        for kind, factories in STAGE_REGISTRY._factories.items():
+            factories.clear()
+            factories.update(saved[kind])
+
+
+@pytest.mark.usefixtures("restore_stage_registry")
 class TestServingRegisteredPolicies:
     def test_engine_serves_registered_policy_by_name(self, tmp_path):
         run = TrainingRun(_spec(num_envs=2))
