@@ -1,10 +1,10 @@
 """Fault-tolerance walkthrough: a replica cluster surviving a crash.
 
-PR 9 made the serving tier multi-replica: several server processes share
-one `ResultStore` file, and a **lease table** inside it coordinates them —
-before executing a request, a replica atomically claims its canonical
-hash, so duplicated submissions across the cluster execute exactly once.
-A heartbeat renews held leases; a replica that dies stops renewing, its
+The serving tier runs as several replicas: server processes that share one
+`ResultStore` file, coordinated by a **lease table** inside it.  Before
+executing a request, a replica atomically claims its canonical hash, so
+duplicated submissions across the cluster execute exactly once.  A
+heartbeat renews held leases; a replica that dies stops renewing, its
 leases expire after `lease_ttl`, and a surviving replica *takes over* the
 work without operator intervention.
 
@@ -19,12 +19,13 @@ This script makes the failure visible:
 4. prints the execution journal: one ``execute`` and one ``commit`` line
    per canonical hash, cluster-wide.
 
-The deterministic fault harness (`repro.reliability`) drives step 2 —
-the same `FaultPlan` mechanism the CI fault matrix uses.  Run with::
+The deterministic fault harness (`repro.reliability.FaultPlan`) drives
+step 2.  Run with::
 
     python examples/serve_cluster.py
 """
 
+import http.client
 import json
 import multiprocessing
 import tempfile
@@ -32,14 +33,64 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from repro.engine.serve_cluster import (
-    CRASH_EXIT_CODE,
-    LEASE_TTL,
-    _call,
-    _replica_main,
-    _request_payload,
-)
-from repro.reliability import FaultPlan
+from repro.cdrl import CdrlConfig
+from repro.engine import LinxEngine, RequestScheduler, ResultStore
+from repro.engine.server import ServerThread
+from repro.reliability import FaultPlan, install_plan
+
+#: Short lease so the crashed replica's takeover happens in seconds.
+LEASE_TTL = 2.0
+#: Replica 0 hard-exits with this code when its first lease claim commits.
+CRASH_EXIT_CODE = 23
+EPISODES = 6
+
+REQUEST = {
+    "goal": "explore viewing habits",
+    "dataset": "netflix",
+    "num_rows": 200,
+    "ldx_text": "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]",
+    "episodes": EPISODES,
+    "seed": 0,
+}
+
+
+def _call(port, method, path, body=None):
+    """One JSON request to the replica on *port*: ``(status, parsed body)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        connection.request(
+            method, path, body=json.dumps(body) if body is not None else None,
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read().decode("utf-8"))
+    finally:
+        connection.close()
+
+
+def _replica_main(index, root, port_queue, fault_json):
+    """One server replica over the shared store/cache directory."""
+    if fault_json:
+        install_plan(FaultPlan.from_json(fault_json))
+    base = Path(root)
+    engine = LinxEngine(
+        cdrl_config=CdrlConfig(episodes=EPISODES),
+        disk_cache_path=base / "cache.sqlite",
+    )
+    scheduler = RequestScheduler(
+        engine,
+        store=ResultStore(base / "results.sqlite"),
+        max_workers=2,
+        replica_id=f"replica-{index}",
+        lease_ttl=LEASE_TTL,
+        heartbeat_interval=LEASE_TTL / 4.0,
+        cancel_dir=base / "cancel",
+        execution_journal=base / "executions.log",
+    )
+    hosted = ServerThread(scheduler).start()
+    port_queue.put((index, hosted.port))
+    while True:  # serve until terminated, or until the fault plan kills us
+        time.sleep(3600)
 
 
 def main() -> None:
@@ -65,7 +116,7 @@ def main() -> None:
         try:
             # The same canonical request to every replica: one must die
             # holding the lease, another must take over.
-            payload = _request_payload(unique=0, submission=0)
+            payload = REQUEST
             for index in sorted(ports):
                 body = dict(payload, request_id=f"demo-via-replica-{index}")
                 try:

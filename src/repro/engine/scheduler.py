@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -194,7 +195,8 @@ class RequestScheduler:
         of the memory while status lookups keep working.
     replica_id:
         This scheduler's identity in the store's lease table.  Defaults to
-        a per-process unique id; the cluster smoke assigns stable names.
+        a per-process unique id; a multi-replica deployment assigns stable
+        names.
     lease_ttl:
         Seconds a claimed lease stays valid without renewal.  The
         heartbeat renews at ``lease_ttl / 3``, so a healthy replica never
@@ -204,13 +206,14 @@ class RequestScheduler:
         Override the heartbeat period (defaults to ``lease_ttl / 3``).
     cancel_dir:
         Directory of the cross-process cancellation sentinels (defaults to
-        ``<store dir>/cancel``, or a temp dir without a store).  Process
-        workers poll their ticket's sentinel at engine checkpoints, so
-        :meth:`cancel` reaches requests running in the pool.
+        ``<store dir>/cancel``, or without a store a temp dir that
+        :meth:`shutdown` removes).  Process workers poll their ticket's
+        sentinel at engine checkpoints, so :meth:`cancel` reaches requests
+        running in the pool.
     execution_journal:
         Optional append-only JSON-lines file recording every ``execute``
         (lease claimed, work starting) and ``commit`` (result stored)
-        with the replica id — the cluster smoke's exactly-once evidence.
+        with the replica id — exactly-once evidence for a cluster.
 
     The scheduler starts its workers immediately; use it as a context
     manager or call :meth:`shutdown` to stop them.
@@ -266,7 +269,10 @@ class RequestScheduler:
         elif store is not None:
             self._cancel_dir = store.path.parent / "cancel"
         else:
-            self._cancel_dir = None  # created lazily on first process cancel
+            self._cancel_dir = None  # a temp dir, made on the first process request
+        #: Whether :meth:`_cancel_path` made ``_cancel_dir`` (and so
+        #: :meth:`shutdown` removes it).
+        self._owns_cancel_dir = False
         self._journal_path = (
             Path(execution_journal) if execution_journal is not None else None
         )
@@ -604,6 +610,7 @@ class RequestScheduler:
         if self._cancel_dir is None:
             # No store to anchor the registry: a per-scheduler temp dir.
             self._cancel_dir = Path(tempfile.mkdtemp(prefix="linx-cancel-"))
+            self._owns_cancel_dir = True
         return self._cancel_dir / f"{self.replica_id}-{ticket.ticket_id}.cancel"
 
     def cancel(self, ticket_id: str) -> bool:
@@ -1101,6 +1108,8 @@ class RequestScheduler:
                 self._drainer.join(timeout=30)
         if self._manager is not None:
             self._manager.shutdown()
+        if self._owns_cancel_dir:
+            shutil.rmtree(self._cancel_dir, ignore_errors=True)
 
     def __enter__(self) -> "RequestScheduler":
         return self

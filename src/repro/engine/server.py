@@ -384,7 +384,7 @@ def _head(status: int, headers: dict[str, str]) -> bytes:
 class ServerThread:
     """Host a :class:`LinxHttpServer` on a background thread.
 
-    For tests, the smoke check and notebook-style clients: the asyncio loop
+    For tests, examples and notebook-style clients: the asyncio loop
     runs on its own daemon thread, :meth:`start` returns once the port is
     bound, :meth:`stop` tears the loop down.
     """

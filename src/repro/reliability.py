@@ -7,8 +7,8 @@ seams every other layer threads through.
 * :class:`FaultPlan` / :class:`FaultSpec` / :func:`fault_point` — a
   deterministic fault-injection harness.  Production code marks its
   crash-relevant seams with ``fault_point(SITE_...)``; with no plan
-  installed the call is one global read.  Tests (and the
-  ``serve_cluster`` smoke) install a plan that fires a scripted fault —
+  installed the call is one global read.  Tests (among them the
+  replica-cluster crash check) install a plan that fires a scripted fault —
   an injected crash, a ``database is locked`` storm, a hung stage, a
   torn payload — on the *N*-th arrival at a site, the same way every
   time.  Plans serialize to JSON so subprocess replicas inherit them
@@ -32,8 +32,8 @@ seams every other layer threads through.
 
 This module is deliberately stdlib-only and imports nothing from
 ``repro``, so both :mod:`repro.engine` and :mod:`repro.explore` can
-depend on it without import cycles.  Tests and the ``serve_cluster``
-smoke import the harness from here::
+depend on it without import cycles.  Tests import the harness from
+here::
 
     from repro.reliability import FaultPlan, install_plan, clear_plan
 """
@@ -112,7 +112,7 @@ class FaultSpec:
     seconds: float = 0.05
     #: When set, a :data:`KIND_CRASH` fault hard-kills the process with
     #: ``os._exit(exit_code)`` instead of raising — the real crash, for
-    #: subprocess replicas under the cluster smoke.
+    #: subprocess replicas of a cluster.
     exit_code: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -256,7 +256,7 @@ def fault_point(site: str) -> Optional[FaultSpec]:
     return plan.hit(site)
 
 
-# Subprocess replicas (cluster smoke, CI) inherit their scripted faults
+# Subprocess replicas inherit their scripted faults
 # through the environment: installing at import time covers every entry
 # point without per-module wiring.
 if os.environ.get(FAULT_PLAN_ENV):

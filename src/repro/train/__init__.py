@@ -6,8 +6,7 @@ makes it operable:
 * :mod:`repro.train.run` — :class:`TrainingRun`, which collects episodes
   with the trainer's wave loop in waves of ``config.num_envs`` and
   checkpoints at wave boundaries, so a killed run resumes to the weights
-  of an uninterrupted one; and the ``assert_same_training`` gate that
-  names the first divergent episode or parameter.
+  of an uninterrupted one.
 * :mod:`repro.train.checkpoint` — schema-versioned, bit-identical training
   checkpoints (network weights, optimizer moments, pending gradient batch,
   elite replay set, history and the policy's generator state).
@@ -25,7 +24,7 @@ from .checkpoint import (
     TrainSpec,
 )
 from .registry import PolicyRegistry, RegisteredPolicySessionGenerator
-from .run import TrainingRun, assert_same_training
+from .run import TrainingRun
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -34,5 +33,4 @@ __all__ = [
     "TrainSpec",
     "TrainingCheckpoint",
     "TrainingRun",
-    "assert_same_training",
 ]

@@ -16,12 +16,9 @@ from __future__ import annotations
 import os
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.cdrl.agent import CdrlResult
 from repro.explore.operations import operation_from_signature
 from repro.explore.session import session_from_operations
-from repro.rl.trainer import PolicyGradientTrainer
 
 from .checkpoint import TrainingCheckpoint, TrainSpec, capture, restore_into
 
@@ -145,56 +142,3 @@ class TrainingRun:
         final partial-batch update that ``finish_training`` applies.
         """
         return registry.publish(name, self.checkpoint(), metrics=metrics or {})
-
-
-# -- the equality gate ---------------------------------------------------------------
-def _at(values: list, index: int) -> object:
-    return values[index] if index < len(values) else "<missing>"
-
-
-def training_divergence(
-    expected: PolicyGradientTrainer, actual: PolicyGradientTrainer
-) -> Optional[str]:
-    """The first difference between two trainers' outcomes, or ``None``.
-
-    Compares the history episode by episode (returns and steps, then the
-    greedy evaluations), then the weights and Adam state parameter by
-    parameter, bit for bit.  ``cache_stats`` are left out: a resumed run
-    starts with a cold cache.
-    """
-    histories = (expected.history, actual.history)
-    for episode in range(max(len(h.episode_returns) for h in histories)):
-        for name in ("episode_returns", "episode_steps"):
-            left, right = (_at(getattr(h, name), episode) for h in histories)
-            if left != right:
-                return f"history: episode {episode} {name} {left!r} != {right!r}"
-    for index in range(max(len(h.greedy_returns) for h in histories)):
-        left, right = (_at(h.greedy_returns, index) for h in histories)
-        if left != right:
-            return f"history: greedy evaluation {index} (episode, return) {left!r} != {right!r}"
-    parameters = zip(
-        expected.policy.network.named_parameters(), actual.policy.network.named_parameters()
-    )
-    for index, ((name, left), (_, right)) in enumerate(parameters):
-        if left.tobytes() != right.tobytes():
-            flat = int(np.argmax(left.ravel() != right.ravel()))
-            return (
-                f"weights: parameter {index} ({name}) first differs at flat index "
-                f"{flat}: {left.ravel()[flat].item()!r} != {right.ravel()[flat].item()!r}"
-            )
-    states = [t.optimizer.export_state(t.policy.network.weights()) for t in (expected, actual)]
-    if states[0]["step"] != states[1]["step"]:
-        return f"optimizer: step {states[0]['step']} != {states[1]['step']}"
-    for index, (left, right) in enumerate(zip(states[0]["moments"], states[1]["moments"])):
-        if left != right:
-            return f"optimizer: moments of parameter {index} differ"
-    return None
-
-
-def assert_same_training(
-    expected: PolicyGradientTrainer, actual: PolicyGradientTrainer, what: str = "run"
-) -> None:
-    """Raise ``AssertionError`` naming the first divergence of *actual*."""
-    divergence = training_divergence(expected, actual)
-    if divergence is not None:
-        raise AssertionError(f"{what} diverged from the expected run: {divergence}")

@@ -11,10 +11,13 @@ cancellation.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import random
 import sqlite3
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -53,6 +56,7 @@ from repro.explore.cache import ExecutionCache
 from repro.explore.diskcache import DiskCacheTier
 from repro.explore.operations import FilterOperation, GroupAggOperation
 from eager_oracle import plan_from
+from harness import call, comparable, first_difference, replica_main
 from store_helpers import get_payload, put
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
@@ -492,6 +496,145 @@ class TestExactlyOnceAcrossSchedulers:
             release.set()
             store_a.close()
             store_b.close()
+
+
+def _submit(ports: list[int], payload: dict, offset: int, deadline: float) -> tuple[int, str]:
+    """Submit *payload* round-robin from *offset*, failing over past dead
+    replicas: ``(port, ticket)``."""
+    while time.monotonic() < deadline:
+        port = ports[offset % len(ports)]
+        offset += 1
+        try:
+            status, body = call(port, "POST", "/requests", payload)
+        except OSError:
+            continue  # replica is gone: fail over to the next one
+        if status in (429, 503):
+            time.sleep(0.2)
+            continue
+        assert status == 202, f"submit returned {status}: {body}"
+        return port, body["ticket"]
+    raise AssertionError(f"request {payload['request_id']} not accepted in time")
+
+
+def _serve_all(ports: list[int], payloads: list[dict]) -> list[dict]:
+    """Submit every payload round-robin before fetching any, so duplicates of
+    one hash are live on several replicas at once; a request whose replica
+    dies is resubmitted to the next one.  The results, in order."""
+    deadline = time.monotonic() + 180
+    live = [_submit(ports, payload, offset, deadline) for offset, payload in enumerate(payloads)]
+    results = []
+    for offset, (payload, (port, ticket)) in enumerate(zip(payloads, live)):
+        while True:
+            assert time.monotonic() < deadline, f"{payload['request_id']} not served in time"
+            try:
+                status, body = call(port, "GET", f"/requests/{ticket}/result")
+            except OSError:  # replica died mid-request: resubmit elsewhere
+                offset += 1
+                port, ticket = _submit(ports, payload, offset, deadline)
+                continue
+            if status == 200:
+                results.append(body["result"])
+                break
+            assert status == 202, f"result returned {status}: {body}"
+            time.sleep(0.25)
+    return results
+
+
+class TestReplicaCluster:
+    REPLICAS, UNIQUE, DUPLICATES, EPISODES = 3, 7, 3, 6
+    CRASH_EXIT_CODE = 23
+
+    def _payload(self, unique: int, submission: int) -> dict:
+        """Submissions of one unique request differ only in ``request_id``,
+        which the canonical hash leaves out."""
+        return {
+            "request_id": f"req-u{unique}-s{submission}",
+            "goal": f"explore viewing habits (variant {unique})",
+            "dataset": "netflix",
+            "num_rows": 200,
+            "ldx_text": LDX,
+            "episodes": self.EPISODES,
+            "seed": unique,
+        }
+
+    def test_crash_after_claim_on_one_of_three_replicas(self, tmp_path):
+        """Three replicas over one store serve 21 requests (7 hashes x 3, the
+        three submissions of a hash on three replicas at once), while
+        replica 0 hard-exits the moment its first lease commits: each hash
+        executes and commits exactly once, a survivor takes the dead lease
+        over, and every payload equals an unfaulted single-engine run."""
+        context = multiprocessing.get_context("spawn")
+        crash_plan = FaultPlan.crash_after_claim(exit_code=self.CRASH_EXIT_CODE).to_json()
+        port_queue = context.Queue()
+        procs = [
+            context.Process(
+                target=replica_main,
+                args=(index, str(tmp_path), port_queue,
+                      crash_plan if index == 0 else None, self.EPISODES, 2.0),
+                daemon=True,
+            )
+            for index in range(self.REPLICAS)
+        ]
+        for proc in procs:
+            proc.start()
+        try:
+            ports_by_index = dict(port_queue.get(timeout=300) for _ in procs)
+            ports = [ports_by_index[index] for index in range(self.REPLICAS)]
+            uniques = [unique for _ in range(self.DUPLICATES) for unique in range(self.UNIQUE)]
+            payloads = [
+                self._payload(unique, submission // self.UNIQUE)
+                for submission, unique in enumerate(uniques)
+            ]
+            served = list(zip(uniques, _serve_all(ports, payloads)))
+            procs[0].join(timeout=60)
+            assert procs[0].exitcode == self.CRASH_EXIT_CODE
+            assert all(proc.is_alive() for proc in procs[1:]), "a survivor died"
+
+            journal = [
+                json.loads(line)
+                for line in (tmp_path / "executions.log").read_text().splitlines()
+            ]
+            for action in ("execute", "commit"):
+                counts = Counter(
+                    entry["request_hash"] for entry in journal if entry["action"] == action
+                )
+                assert len(counts) == self.UNIQUE, f"{action}: {len(counts)} hashes"
+                repeated = {h: n for h, n in counts.items() if n != 1}
+                assert not repeated, f"duplicate {action}s: {repeated}"
+            with ResultStore(tmp_path / "results.sqlite") as audit:
+                assert len(audit) == self.UNIQUE
+
+            takeovers = 0
+            for port in ports[1:]:
+                _, stats = call(port, "GET", "/stats")
+                takeovers += stats["store"]["leases"]["takeovers"]
+                status, health = call(port, "GET", "/healthz")
+                assert status == 200 and health["status"] == "ok"
+            assert takeovers >= 1, "the dead replica's lease was never taken over"
+        finally:
+            for proc in procs:
+                proc.terminate()
+            for proc in procs:
+                proc.join(timeout=30)
+
+        engine = LinxEngine(
+            cdrl_config=CdrlConfig(episodes=self.EPISODES),
+            disk_cache_path=tmp_path / "baseline-cache.sqlite",
+        )
+        try:
+            baselines = [
+                comparable(engine.explore(
+                    ExploreRequest.from_dict(self._payload(unique, 0))
+                ).to_dict())
+                for unique in range(self.UNIQUE)
+            ]
+        finally:
+            engine.close()
+        for unique, payload in served:
+            payload = comparable(payload)
+            payload["request"]["request_id"] = baselines[unique]["request"]["request_id"]
+            differs = first_difference(baselines[unique], payload)
+            assert differs is None, f"request u{unique}: cluster payload differs at {differs}"
 
 
 # -- cross-process cancellation ------------------------------------------------------------

@@ -10,8 +10,8 @@ a request evaluates to must bump that version and re-record the file::
 
     PYTHONPATH=src python tests/test_golden_digests.py > tests/golden_digests.json
 
-A mismatch names the first differing payload field of the first differing
-request.
+A mismatch names the first differing request and payload field, as
+``<request_id>.<field>``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 
 from repro.bench.generator import generate_benchmark
 from repro.engine import RESULT_SEMANTICS_VERSION, ExploreRequest, LinxEngine
+from harness import comparable, first_difference
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
@@ -50,22 +51,13 @@ def golden_requests() -> list[ExploreRequest]:
     ]
 
 
-def normalise(payload: dict) -> dict:
-    """The payload without its load-dependent fields."""
-    clean = json.loads(json.dumps(payload))
-    clean.pop("cache_stats", None)
-    for stage in clean.get("stages", []):
-        stage.pop("seconds", None)
-    return clean
-
-
 def field_digests(payload: dict) -> dict[str, str]:
     """One short digest per top-level field of the normalised payload."""
     return {
         name: hashlib.blake2b(
             json.dumps(value, sort_keys=True).encode("utf-8"), digest_size=8
         ).hexdigest()
-        for name, value in sorted(normalise(payload).items())
+        for name, value in sorted(comparable(payload).items())
     }
 
 
@@ -81,24 +73,12 @@ def served_digests() -> dict:
     return {"result_semantics_version": RESULT_SEMANTICS_VERSION, "results": results}
 
 
-def first_difference(expected: dict, actual: dict) -> str | None:
-    """``"<request>: <field>"`` of the first differing field, or ``None``."""
-    for request_id, fields in expected["results"].items():
-        served = actual["results"].get(request_id)
-        if served is None:
-            return f"{request_id}: not served"
-        for name in sorted(set(fields) | set(served)):
-            if fields.get(name) != served.get(name):
-                return f"{request_id}: field {name!r}"
-    return None
-
-
 def test_served_payloads_match_golden_digests():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert golden["result_semantics_version"] == RESULT_SEMANTICS_VERSION, (
         "RESULT_SEMANTICS_VERSION changed: re-record tests/golden_digests.json"
     )
-    divergence = first_difference(golden, served_digests())
+    divergence = first_difference(golden["results"], served_digests()["results"])
     assert divergence is None, (
         f"served payload differs from its golden digest at {divergence}; a change "
         "in result semantics must bump RESULT_SEMANTICS_VERSION"

@@ -425,6 +425,25 @@ class TestProcessExecution:
         finally:
             store.close()
 
+    def test_storeless_scheduler_removes_only_its_own_cancel_dir(self, tmp_path):
+        """Without a store, the sentinel registry is a temp dir made on the
+        first process request; shutdown removes it, but never a caller's."""
+        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=3))
+        given = tmp_path / "cancel"
+        given.mkdir()
+        dirs = []
+        for cancel_dir in (None, given):
+            with RequestScheduler(
+                engine, workers="process", max_workers=1, cancel_dir=cancel_dir
+            ) as scheduler:
+                ticket = scheduler.submit(_request(num_rows=60, episodes=3, seed=0))
+                assert scheduler.wait(ticket.ticket_id, timeout=300)["state"] == TICKET_DONE
+                dirs.append(scheduler._cancel_dir)
+                assert dirs[-1].is_dir()
+        made, kept = dirs
+        assert made != given and not made.exists()
+        assert kept == given and given.is_dir()
+
     def test_process_scheduler_rejects_custom_stage_objects(self):
         engine = LinxEngine(session_generator=TickingGenerator())
         with pytest.raises(ValueError):

@@ -13,9 +13,11 @@ from repro.cdrl.agent import CdrlConfig
 from repro.engine import (
     ExploreRequest,
     LinxEngine,
+    RequestScheduler,
     RequestValidationError,
 )
 from repro.engine.registry import KIND_SESSION_GENERATOR, STAGE_REGISTRY, StageRegistry
+from repro.engine.server import ServerThread
 from repro.explore.rollouts import collect_rollouts
 from repro.rl.trainer import TrainerConfig, TrainingHistory
 from repro.train import __main__ as cli
@@ -31,7 +33,8 @@ from repro.train.registry import (
     RegisteredPolicySessionGenerator,
     config_fingerprint,
 )
-from repro.train.run import TrainingRun, assert_same_training, training_divergence
+from repro.train.run import TrainingRun
+from harness import assert_same_training, call, stream_events, training_divergence
 from rollout_oracle import collect_sequential_rollouts
 
 LDX = """
@@ -280,17 +283,21 @@ class TestDivergenceGate:
 # -- kill-and-resume -----------------------------------------------------------------
 class TestKillAndResume:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        spec = _spec(num_envs=2)
-        baseline = spec.build_agent()
-        expected = baseline.run()
+        # Waves of one sample from the policy's generator, waves of two
+        # from per-episode streams: both must resume exactly.
+        for num_envs, boundary in ((1, 3), (2, 4)):
+            spec = _spec(num_envs=num_envs)
+            baseline = spec.build_agent()
+            expected = baseline.run()
 
-        path = tmp_path / "run.ckpt"
-        stopped = TrainingRun(spec, checkpoint_path=path).collect_until(3)
-        assert stopped == 4  # the first wave boundary at or past 3
-        resumed = TrainingRun.from_checkpoint(path)
-        result = resumed.train()
-        assert_same_training(baseline.trainer, resumed.trainer, "kill-and-resume")
-        assert _outcome(result) == _outcome(expected)
+            path = tmp_path / f"run-{num_envs}.ckpt"
+            stopped = TrainingRun(spec, checkpoint_path=path).collect_until(3)
+            assert stopped == boundary  # the first wave boundary at or past 3
+            resumed = TrainingRun.from_checkpoint(path)
+            result = resumed.train()
+            what = f"kill-and-resume at num_envs={num_envs}"
+            assert_same_training(baseline.trainer, resumed.trainer, what)
+            assert _outcome(result) == _outcome(expected), what
 
     def test_resume_from_completion_checkpoint_is_a_no_op(self, tmp_path):
         spec = _spec(episodes=4, num_envs=2)
@@ -464,15 +471,21 @@ def restore_stage_registry():
 @pytest.mark.usefixtures("restore_stage_registry")
 class TestServingRegisteredPolicies:
     def test_engine_serves_registered_policy_by_name(self, tmp_path):
+        """A published policy is listed, served by name over HTTP without
+        training, and reported in ``/stats``."""
         run = TrainingRun(_spec(num_envs=2))
         run.train()
         registry_path = tmp_path / "pol.sqlite"
         with PolicyRegistry(registry_path) as registry:
-            run.publish(registry, "served")
+            assert run.publish(registry, "served") == 1
         engine = LinxEngine(policy_registry_path=registry_path)
+        scheduler = RequestScheduler(engine, max_workers=1)
         try:
-            result = engine.explore(
-                ExploreRequest(
+            with ServerThread(scheduler) as hosted:
+                _, stages = call(hosted.port, "GET", "/stages")
+                generators = stages["stages"]["session_generator"]
+                assert {"cdrl:served-v1", "cdrl:served"} <= set(generators)
+                request = ExploreRequest(
                     goal="weather delays",
                     dataset="flights",
                     num_rows=120,
@@ -481,11 +494,22 @@ class TestServingRegisteredPolicies:
                     seed=3,
                     stages={"session_generator": "cdrl:served-v1"},
                 )
-            )
-            assert result.stage_names["session_generator"] == "cdrl:served-v1"
-            assert result.operations
-            assert result.episodes_trained == run.total_episodes
+                status, submitted = call(hosted.port, "POST", "/requests", request.to_dict())
+                assert status == 202, submitted
+                stream_events(hosted.port, submitted["ticket"], timeout=120)
+                status, body = call(
+                    hosted.port, "GET", f"/requests/{submitted['ticket']}/result"
+                )
+                assert status == 200, body
+                result = body["result"]
+                assert result["stage_names"]["session_generator"] == "cdrl:served-v1"
+                assert result["operations"]
+                assert result["episodes_trained"] == run.total_episodes
+                _, stats = call(hosted.port, "GET", "/stats")
+                assert stats["policy_registry"]["artifacts"] >= 1
+                assert stats["policy_registry"]["loads"] >= 1
         finally:
+            scheduler.shutdown()
             engine.policy_registry.close()
 
     def test_generator_rejects_mismatched_table(self, tmp_path):
