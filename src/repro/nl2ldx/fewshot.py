@@ -56,6 +56,9 @@ class FewShotBank:
     def __init__(self, benchmark: Benchmark, examples_per_prompt: int = 8):
         self.benchmark = benchmark
         self.examples_per_prompt = examples_per_prompt
+        #: Each instance's example, built on first pick; examples are frozen,
+        #: so every prompt shares them.
+        self._examples: dict[int, FewShotExample] = {}
 
     def select(
         self, test: BenchmarkInstance, scenario: Scenario
@@ -89,7 +92,12 @@ class FewShotBank:
             if len(chosen) >= self.examples_per_prompt:
                 break
         chosen.sort(key=lambda inst: (inst.meta_goal_id, inst.dataset))
-        return tuple(example_from_instance(instance) for instance in chosen)
+        return tuple(self._example(instance) for instance in chosen)
+
+    def _example(self, instance: BenchmarkInstance) -> FewShotExample:
+        if instance.instance_id not in self._examples:
+            self._examples[instance.instance_id] = example_from_instance(instance)
+        return self._examples[instance.instance_id]
 
     @staticmethod
     def _allowed_fallback(

@@ -5,8 +5,10 @@ exploration agents need: dense layers with tanh activations, a shared trunk
 feeding several softmax heads (the "multi-softmax" pre-output layer of
 Figure 2), a value head for the baseline, and manual backpropagation.
 
-All parameters live in plain numpy arrays so the optimiser
-(:mod:`repro.rl.optimizer`) can update them in place.
+A network keeps every parameter in one contiguous float64 buffer and every
+gradient in a second buffer of the same layout (see
+:class:`MultiHeadPolicyNetwork`), so ``zero_grad`` is one ``fill`` and the
+optimiser (:mod:`repro.rl.optimizer`) updates all weights in one pass.
 
 Forward passes accept either one observation vector or a ``(K, F)`` batch
 (:meth:`MultiHeadPolicyNetwork.forward_batch`), which is how the vectorised
@@ -17,6 +19,10 @@ different batch shapes, so row ``k`` of a ``(K, F) @ W`` product is *not*
 bit-identical to the same row computed alone, while einsum's fixed reduction
 order is.  That row-independence is what lets a K-env batched rollout
 reproduce K sequential rollouts bit-for-bit (an explicit acceptance test).
+
+The backward pass keeps the same discipline: every gradient reduces over
+the batch in row order, so K rows at once equal K single-row passes bit
+for bit (see :meth:`MultiHeadPolicyNetwork.backward`).
 """
 
 from __future__ import annotations
@@ -46,62 +52,37 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 class DenseLayer:
     """A fully-connected layer ``y = x @ W + b`` with optional tanh activation.
 
-    Forward/backward operate on 2-D ``(K, fan_in)`` batches; a batch of one
-    is the single-observation case.
+    The parameters and their gradients are views into the owning network's
+    flat buffers.  Forward/backward operate on 2-D ``(K, fan_in)`` batches;
+    a batch of one is the single-observation case.
     """
 
     weight: np.ndarray
     bias: np.ndarray
+    grad_weight: np.ndarray = field(repr=False)
+    grad_bias: np.ndarray = field(repr=False)
     activation: str = "tanh"
     # forward cache
     _input: np.ndarray = field(default=None, repr=False)
-    _pre_activation: np.ndarray = field(default=None, repr=False)
-    # gradients
-    grad_weight: np.ndarray = field(default=None, repr=False)
-    grad_bias: np.ndarray = field(default=None, repr=False)
-
-    @classmethod
-    def create(
-        cls, rng: np.random.Generator, fan_in: int, fan_out: int, activation: str = "tanh"
-    ) -> "DenseLayer":
-        return cls(
-            weight=_init_weight(rng, fan_in, fan_out),
-            bias=np.zeros(fan_out),
-            activation=activation,
-        )
+    _output: np.ndarray = field(default=None, repr=False)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 1:
-            x = x[None, :]
         self._input = x
-        self._pre_activation = _affine(x, self.weight, self.bias)
-        if self.activation == "tanh":
-            return np.tanh(self._pre_activation)
-        if self.activation == "linear":
-            return self._pre_activation
-        raise ValueError(f"unknown activation {self.activation!r}")
+        output = _affine(x, self.weight, self.bias)
+        self._output = np.tanh(output) if self.activation == "tanh" else output
+        return self._output
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients and return the gradient wrt the input.
+    def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
+        """Accumulate parameter gradients; return the gradient wrt the input
+        (``None`` without *input_gradient*).
 
-        Like the forward pass, every reduction is batch-shape independent:
-        backpropagating a ``(K, fan_out)`` gradient batch in one call is
-        bit-identical to K single-row calls in row order.  The weight
-        gradient reduces over the batch via einsum (whose k-order
-        accumulation matches a sequential row-by-row ``+=`` for
-        ``fan_in >= 2``; one-column inputs fall back to an explicit loop,
-        as does the bias, whose single-column einsum special case reorders
-        the sum).
+        Every reduction over the batch runs in row order, as K single-row
+        calls would: einsum accumulates in k order for ``fan_in >= 2``, but
+        its single-column special case reorders the sum, so one-column
+        inputs take a row loop and the bias a ``cumsum`` fold.
         """
-        if grad_output.ndim == 1:
-            grad_output = grad_output[None, :]
-        if self.activation == "tanh":
-            grad_pre = grad_output * (1.0 - np.tanh(self._pre_activation) ** 2)
-        else:
-            grad_pre = grad_output
-        if self.grad_weight is None:
-            self.grad_weight = np.zeros_like(self.weight)
-            self.grad_bias = np.zeros_like(self.bias)
+        tanh = self.activation == "tanh"
+        grad_pre = grad_output * (1.0 - self._output**2) if tanh else grad_output
         if self.weight.shape[0] >= 2:
             self.grad_weight += np.einsum("kf,kh->fh", self._input, grad_pre)
         else:
@@ -109,18 +90,8 @@ class DenseLayer:
                 self.grad_weight += np.einsum(
                     "kf,kh->fh", self._input[k : k + 1], grad_pre[k : k + 1]
                 )
-        for row in grad_pre:
-            self.grad_bias += row
-        return np.einsum("kh,fh->kf", grad_pre, self.weight)
-
-    def zero_grad(self) -> None:
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-
-    def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self.grad_weight is None:
-            self.zero_grad()
-        return [(self.weight, self.grad_weight), (self.bias, self.grad_bias)]
+        self.grad_bias += np.cumsum(grad_pre, axis=0)[-1]
+        return np.einsum("kh,fh->kf", grad_pre, self.weight) if input_gradient else None
 
 
 class HeadLayout:
@@ -274,13 +245,6 @@ def stacked_forward(
     return probabilities, values
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
-
-
 class MultiHeadPolicyNetwork:
     """Shared MLP trunk with one softmax head per action component and a value head.
 
@@ -291,6 +255,11 @@ class MultiHeadPolicyNetwork:
     parameter names, shapes and order are those of independent head layers.
     The forward pass returns the concatenated per-head probabilities plus a
     scalar state-value estimate used as the policy-gradient baseline.
+
+    All parameters live in :attr:`buffer` and all gradients in
+    :attr:`grad_buffer`, laid out layer by layer (trunk layers, the head
+    block, the value head; weight then bias each).  Every layer's and
+    head's weight, bias and gradient is a view into one of them.
     """
 
     def __init__(
@@ -305,25 +274,38 @@ class MultiHeadPolicyNetwork:
         self.head_sizes = dict(head_sizes)
         self.hidden_sizes = tuple(hidden_sizes)
         self.layout = HeadLayout(self.head_sizes)
-        self.trunk: list[DenseLayer] = []
-        fan_in = observation_size
-        for size in hidden_sizes:
-            self.trunk.append(DenseLayer.create(rng, fan_in, size, activation="tanh"))
-            fan_in = size
-        self.head_layer = DenseLayer(
-            weight=np.empty((fan_in, self.layout.total)),
-            bias=np.zeros(self.layout.total),
-            activation="linear",
-        )
+        widths = (observation_size, *self.hidden_sizes)
+        shapes = [*zip(widths, widths[1:]), (widths[-1], self.layout.total), (widths[-1], 1)]
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+        self.buffer, self.grad_buffer = np.zeros(size), np.zeros(size)
+        layers, offset = [], 0
+        for fan_in, fan_out in shapes:
+            middle, stop = offset + fan_in * fan_out, offset + (fan_in + 1) * fan_out
+            views = [
+                (flat[offset:middle].reshape(fan_in, fan_out), flat[middle:stop])
+                for flat in (self.buffer, self.grad_buffer)
+            ]
+            layers.append(DenseLayer(*views[0], *views[1]))
+            offset = stop
+        *self.trunk, self.head_layer, self.value_head = layers
+        self.head_layer.activation = self.value_head.activation = "linear"
+        # Initialise in the order of independent layers: trunk, heads, value.
+        for layer in self.trunk:
+            layer.weight[...] = _init_weight(rng, *layer.weight.shape)
+        head = self.head_layer
+        columns = (head.weight, head.bias, head.grad_weight, head.grad_bias)
         self.heads: dict[str, DenseLayer] = {}
         for name, (_, start, stop) in self.layout.slots.items():
-            self.head_layer.weight[:, start:stop] = _init_weight(rng, fan_in, stop - start)
-            self.heads[name] = DenseLayer(
-                weight=self.head_layer.weight[:, start:stop],
-                bias=self.head_layer.bias[start:stop],
-                activation="linear",
-            )
-        self.value_head = DenseLayer.create(rng, fan_in, 1, activation="linear")
+            head.weight[:, start:stop] = _init_weight(rng, widths[-1], stop - start)
+            self.heads[name] = DenseLayer(*(array[..., start:stop] for array in columns), "linear")
+        self.value_head.weight[...] = _init_weight(rng, widths[-1], 1)
+        #: ``(name, weight, gradient)`` per parameter, in :meth:`parameters` order.
+        self._named: list[tuple[str, np.ndarray, np.ndarray]] = []
+        named_layers = [(f"trunk.{index}", layer) for index, layer in enumerate(self.trunk)]
+        named_layers += [(f"head.{name}", layer) for name, layer in self.heads.items()]
+        for prefix, layer in named_layers + [("value", self.value_head)]:
+            self._named.append((f"{prefix}.weight", layer.weight, layer.grad_weight))
+            self._named.append((f"{prefix}.bias", layer.bias, layer.grad_bias))
         #: Monotonic counter identifying the current weight values; bumped
         #: whenever the parameter buffers may have been mutated (optimiser
         #: steps reach them through :meth:`parameters`, checkpoint restore
@@ -353,6 +335,20 @@ class MultiHeadPolicyNetwork:
         values = self.value_head.forward(hidden)[:, 0]
         return probabilities, values
 
+    def repeat_rows(self, observations: np.ndarray, rows: np.ndarray) -> None:
+        """Expand the last forward's layer caches to the batch *observations*,
+        whose row ``k`` repeats row ``rows[k]`` of the forwarded batch.
+
+        Forward rows are independent, so the gathered caches are bit for
+        bit those a forward of *observations* itself would leave.
+        """
+        hidden = observations
+        for layer in self.trunk:
+            layer._input, hidden = hidden, layer._output[rows]
+            layer._output = hidden
+        for layer in (self.head_layer, self.value_head):
+            layer._input, layer._output = hidden, layer._output[rows]
+
     def forward(self, observation: np.ndarray) -> tuple[dict[str, np.ndarray], float]:
         """Return per-head probabilities and the state value for one observation."""
         probabilities, values = self.forward_batch(
@@ -370,7 +366,13 @@ class MultiHeadPolicyNetwork:
         Each row must come from the corresponding row of the most recent
         forward batch — the layer caches hold that batch.  Backpropagating
         K rows at once is bit-identical to K sequential single-row calls
-        (the layer kernels reduce over the batch in row order).
+        (every kernel reduces over the batch in row order).
+
+        The head block's weight and bias gradients are one fused pass over
+        all T columns (each column reduces over the rows alone, exactly as
+        a head's own layer would).  Its input gradient is one einsum per
+        head, summed in head order.  The first trunk layer's input gradient
+        would be discarded, so it is never computed.
 
         The caller is responsible for converting policy-gradient losses into
         gradients with respect to the head logits (see
@@ -379,44 +381,33 @@ class MultiHeadPolicyNetwork:
         grads = np.asarray(head_grad_logits, dtype=np.float64)
         if grads.ndim == 1:
             grads = grads[None, :]
-        head_input = self.head_layer._input
-        grad_hidden = np.zeros_like(head_input)
-        for layer, (_, start, stop) in zip(self.heads.values(), self.layout.slots.values()):
-            layer._input = head_input
-            grad_hidden = grad_hidden + layer.backward(
-                np.ascontiguousarray(grads[:, start:stop])
-            )
         value_column = np.asarray(value_grad, dtype=np.float64).reshape(-1, 1)
-        grad_hidden = grad_hidden + self.value_head.backward(value_column)
-        for layer in reversed(self.trunk):
-            grad_hidden = layer.backward(grad_hidden)
+        self.head_layer.backward(grads, input_gradient=False)
+        grad_hidden = np.zeros_like(self.head_layer._input)
+        for head, (_, start, stop) in zip(self.heads.values(), self.layout.slots.values()):
+            grad_hidden += np.einsum("kh,fh->kf", grads[:, start:stop], head.weight)
+        grad_hidden += self.value_head.backward(value_column)
+        for index in reversed(range(len(self.trunk))):
+            grad_hidden = self.trunk[index].backward(grad_hidden, input_gradient=index > 0)
 
     def zero_grad(self) -> None:
-        for layer in self.trunk:
-            layer.zero_grad()
-        for head in self.heads.values():
-            head.zero_grad()
-        self.value_head.zero_grad()
+        self.grad_buffer.fill(0.0)
 
     def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(weight, gradient)`` views per parameter, in :meth:`named_parameters`
+        order; they tile :attr:`buffer` and :attr:`grad_buffer`."""
         # Handing out the parameter buffers is how the optimiser mutates
         # them in place, so conservatively assume they change.
         self.weights_version += 1
-        params: list[tuple[np.ndarray, np.ndarray]] = []
-        for layer in self.trunk:
-            params.extend(layer.parameters())
-        for head in self.heads.values():
-            params.extend(head.parameters())
-        params.extend(self.value_head.parameters())
-        return params
+        return [(weight, grad) for _, weight, grad in self._named]
 
     def weights(self) -> list[np.ndarray]:
         """Every weight array in :meth:`parameters` order, for reading only
         (unlike :meth:`parameters`, this keeps ``weights_version``)."""
-        return [array for _, array in self.named_parameters()]
+        return [weight for _, weight, _ in self._named]
 
     def num_parameters(self) -> int:
-        return sum(weight.size for weight in self.weights())
+        return self.buffer.size
 
     # -- structural state export/import ---------------------------------------------------
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
@@ -426,16 +417,7 @@ class MultiHeadPolicyNetwork:
         then bias each) is the contract checkpoints and optimizer-state
         serialization rely on.
         """
-        named: list[tuple[str, np.ndarray]] = []
-        for index, layer in enumerate(self.trunk):
-            named.append((f"trunk.{index}.weight", layer.weight))
-            named.append((f"trunk.{index}.bias", layer.bias))
-        for name, head in self.heads.items():
-            named.append((f"head.{name}.weight", head.weight))
-            named.append((f"head.{name}.bias", head.bias))
-        named.append(("value.weight", self.value_head.weight))
-        named.append(("value.bias", self.value_head.bias))
-        return named
+        return [(name, weight) for name, weight, _ in self._named]
 
     def export_state(self) -> list[tuple[str, str, tuple[int, ...], bytes]]:
         """The network weights as ``(name, dtype, shape, raw bytes)`` tuples.

@@ -50,6 +50,7 @@ weights are; the batcher route (``act_backend``) bypasses it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -464,54 +465,52 @@ class CategoricalPolicy:
         One batched re-forward replaces ``len(decisions)`` single-row
         forwards (which dominated update cost), re-applying each row's
         recorded logit biases so the gradient matches the sampling
-        distribution.  Bit-identity contract: because every forward and
-        backward kernel is batch-shape independent and parameter-gradient
-        accumulation reduces over the batch in row order, this call
-        produces exactly the gradients of ``len(decisions)`` sequential
-        :meth:`accumulate_gradient` calls.  Gradients are pushed into the
-        network; the caller applies the optimiser step afterwards.
+        distribution.  Episodes revisit states, so about half the decisions
+        of an update repeat an (observation, bias row) pair: each distinct
+        pair is forwarded and folded once, and the rows and the network's
+        layer caches are gathered back (:meth:`MultiHeadPolicyNetwork.repeat_rows`).
+        Bit-identity contract: because every forward and backward kernel is
+        batch-shape independent and parameter-gradient accumulation reduces
+        over the batch in row order, this call produces exactly the
+        gradients of ``len(decisions)`` sequential one-decision calls.
+        Gradients are pushed into the network; the caller applies the
+        optimiser step afterwards.
         """
         if not decisions:
             return
-        observations = np.stack(
-            [np.asarray(decision.observation, dtype=np.float64) for decision in decisions]
+        observations = np.array(
+            [decision.observation for decision in decisions], dtype=np.float64
         )
-        probabilities, values = self.network.forward_batch(observations)
-        probs = self._fold_biases(probabilities, [decision.biases for decision in decisions])
+        biases_list = [decision.biases for decision in decisions]
+        keys = [
+            (row.tobytes(), biases.row.tobytes(), biases.folded.tobytes())
+            for row, biases in zip(observations, biases_list)
+        ]
+        index: dict[tuple[bytes, bytes, bytes], int] = {}
+        rows = np.array([index.setdefault(key, len(index)) for key in keys])
+        firsts = np.unique(rows, return_index=True)[1]  # distinct rows in first-seen order
+        probabilities, values = self.network.forward_batch(observations[firsts])
+        probs = self._fold_biases(probabilities, [biases_list[k] for k in firsts])
+        self.network.repeat_rows(observations, rows)
         layout = self.network.layout
-        chosen = np.array(
-            [[decision.indices[name] for name in layout.names] for decision in decisions]
-        )
-        one_hot = np.zeros_like(probs)
-        one_hot[np.arange(len(decisions))[:, None], chosen + layout.offsets] = 1.0
-        # d(-advantage * log p_chosen)/d logits = advantage * (p - onehot)
-        grad = np.asarray(advantages, dtype=np.float64)[:, None] * (probs - one_hot)
         # Entropy bonus gradient: d(-H)/d logits = p * (log p + H), with
-        # ``negative_entropy`` = -H of each head segment.
+        # ``negative_entropy`` = -H of each head segment (per distinct row).
         log_p = np.log(np.maximum(probs, 1e-12))
         negative_entropy = np.add.reduceat(probs * log_p, layout.offsets, axis=-1)
-        grad += entropy_coefficient * probs * (log_p - negative_entropy[:, layout.owner])
+        entropy_grad = entropy_coefficient * probs * (log_p - negative_entropy[:, layout.owner])
+        # d(-advantage * log p_chosen)/d logits = advantage * (p - onehot)
+        head_choices = itemgetter(*layout.names)
+        chosen = np.array(
+            [head_choices(decision.indices) for decision in decisions], dtype=np.intp
+        ).reshape(len(decisions), len(layout.names))
+        grad = probs[rows]
+        grad[np.arange(len(decisions))[:, None], chosen + layout.offsets] -= 1.0
+        grad *= np.asarray(advantages, dtype=np.float64)[:, None]
+        grad += entropy_grad[rows]
         value_grads = value_coefficient * 2.0 * (
-            values - np.asarray(value_targets, dtype=np.float64)
+            values[rows] - np.asarray(value_targets, dtype=np.float64)
         )
         self.network.backward(grad, value_grads)
-
-    def accumulate_gradient(
-        self,
-        decision: PolicyDecision,
-        advantage: float,
-        value_target: float,
-        entropy_coefficient: float = 0.01,
-        value_coefficient: float = 0.5,
-    ) -> None:
-        """Accumulate gradients for one decision (the K=1 batch kernel)."""
-        self.accumulate_gradient_batch(
-            [decision],
-            [advantage],
-            [value_target],
-            entropy_coefficient=entropy_coefficient,
-            value_coefficient=value_coefficient,
-        )
 
     def zero_grad(self) -> None:
         self.network.zero_grad()

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 
 from repro.rl.network import MultiHeadPolicyNetwork, stacked_forward
 from repro.rl.optimizer import Adam
-from repro.rl.policy import MASK_LOGIT_BIAS, BiasRow, CategoricalPolicy
+from repro.rl.policy import MASK_LOGIT_BIAS, BiasRow, CategoricalPolicy, PolicyDecision
+from update_oracle import (
+    OracleAdam,
+    OracleNetwork,
+    accumulate_sequentially,
+    accumulate_whole_batch,
+)
 
 SIZES = {"action": 4, "column": 7, "op": 3, "term": 9, "single": 1}
 
@@ -323,8 +329,7 @@ class TestRowBitIdentity:
             if batched:
                 policy.accumulate_gradient_batch(decisions, advantages, targets)
             else:
-                for decision, advantage, target in zip(decisions, advantages, targets):
-                    policy.accumulate_gradient(decision, advantage, target)
+                accumulate_sequentially(policy, decisions, advantages, targets)
             return [grad.copy() for _, grad in network.parameters()]
 
         for batched, sequential in zip(gradients(True), gradients(False)):
@@ -491,3 +496,91 @@ class TestConcatenatedHeadStorage:
             target.forward_batch(observations), source.forward_batch(observations)
         ):
             assert np.array_equal(mine, theirs)
+
+
+# -- the learning step against the per-layer oracle ------------------------------------
+@st.composite
+def update_runs(draw):
+    """Random architectures, decision batches of 1 to 80 rows and Adam steps."""
+    hidden = draw(st.sampled_from([(8,), (16, 8), (64, 64)]))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    sizes[draw(st.integers(0, len(sizes) - 1))] = 1  # always a one-wide head
+    clip_norm = draw(st.sampled_from([None, 0.05, 5.0, 1e6]))
+    batches = draw(st.lists(st.integers(1, 80), min_size=1, max_size=4))
+    restore_before = draw(st.integers(1, len(batches)))  # == len: never restored
+    seed = draw(st.integers(0, 2**16))
+    return hidden, sizes, clip_norm, batches, restore_before, seed
+
+
+def _random_decisions(layout, count, rng):
+    """*count* decisions with random choices; observations and bias rows come
+    from pools of random size, so (observation, bias row) pairs may repeat."""
+    pool = int(rng.integers(1, count + 1))
+    observations = rng.normal(size=(pool, 6))
+    bias_rows = []
+    for _ in range(pool):
+        biases = BiasRow.empty(layout)
+        for name, size in zip(layout.names, layout.sizes):
+            kind = rng.integers(3)
+            if kind == 1:
+                biases.head(layout, name)[:] = rng.normal(size=size)
+            elif kind == 2 and size > 1:
+                biases.head(layout, name)[rng.integers(size)] = MASK_LOGIT_BIAS
+        bias_rows.append(biases)
+    decisions = []
+    for _ in range(count):
+        heads = zip(layout.names, layout.sizes)
+        indices = {name: int(rng.integers(size)) for name, size in heads}
+        observation = observations[rng.integers(pool)]
+        biases = bias_rows[rng.integers(pool)]
+        decisions.append(PolicyDecision(indices, 0.0, 0.0, 0.0, observation, biases))
+    return decisions
+
+
+def _bytes(arrays) -> list[bytes]:
+    return [np.ascontiguousarray(array).tobytes() for array in arrays]
+
+
+class TestUpdateMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(run=update_runs())
+    def test_fused_update_matches_per_layer_oracle(self, run):
+        """Flat buffer, fused head backward and one-buffer Adam equal the per-layer
+        backward and per-parameter Adam bit for bit, step after step, also
+        across an ``export_state``/``load_state`` restore of network and Adam."""
+        hidden, sizes, clip_norm, batches, restore_before, seed = run
+        heads = {f"h{index}": size for index, size in enumerate(sizes)}
+        network = MultiHeadPolicyNetwork(6, heads, hidden, seed=seed)
+        policy, adam = CategoricalPolicy(network), Adam(0.01, clip_norm=clip_norm)
+        oracle_network = OracleNetwork(network)
+        oracle_adam = OracleAdam(0.01, clip_norm)
+        rng = np.random.default_rng(seed)
+        for number, count in enumerate(batches):
+            if number == restore_before:
+                network = MultiHeadPolicyNetwork(6, heads, hidden, seed=seed + 1)
+                network.load_state(policy.network.export_state())
+                restored = Adam(0.01, clip_norm=clip_norm)
+                restored.load_state(network.weights(), adam.export_state(policy.network.weights()))
+                policy, adam = CategoricalPolicy(network), restored
+            decisions = _random_decisions(network.layout, count, rng)
+            advantages, targets = rng.normal(size=count), rng.normal(size=count)
+            policy.zero_grad()
+            policy.accumulate_gradient_batch(decisions, advantages, targets, 0.03, 0.5)
+            oracle_network.zero_grad()
+            accumulate_whole_batch(
+                oracle_network, policy, decisions, advantages, targets, 0.03, 0.5
+            )
+            assert _bytes(g for _, g in policy.parameters()) == _bytes(
+                g for _, g in oracle_network.parameters()
+            ), f"gradients differ at step {number}"
+            adam.step(policy.parameters())
+            oracle_adam.step(oracle_network.parameters())
+            oracle_weights = [w for w, _ in oracle_network.parameters()]
+            assert _bytes(network.weights()) == _bytes(oracle_weights), (
+                f"weights differ after step {number}"
+            )
+            exported = adam.export_state(network.weights())["moments"]
+            expected = [oracle_adam.moments[id(weight)] for weight in oracle_weights]
+            assert [(m, v) for _, _, m, v in exported] == [
+                (m.tobytes(), v.tobytes()) for m, v in expected
+            ], f"Adam moments differ after step {number}"

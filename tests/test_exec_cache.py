@@ -391,7 +391,7 @@ class TestPolicyMasking:
         decision = policy.act(np.zeros(4), env)
         policy.zero_grad()
         # Must not raise and must reproduce the masked distribution.
-        policy.accumulate_gradient(decision, advantage=1.0, value_target=0.0)
+        policy.accumulate_gradient_batch([decision], [1.0], [0.0])
 
     def test_environment_head_mask_hook(self, small_table):
         env = ExplorationEnvironment(small_table, episode_length=2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import COMPARISON_LDX
 
 from repro.ldx import (
     LdxSemanticError,
@@ -176,3 +177,7 @@ class TestAstDerivedProperties:
         rendered = comparison_query.render()
         reparsed = parse_ldx(rendered)
         assert reparsed.node_names() == comparison_query.node_names()
+
+    def test_render_is_stable_across_a_round_trip(self):
+        rendered = parse_ldx(COMPARISON_LDX).render()
+        assert parse_ldx(rendered).render() == rendered

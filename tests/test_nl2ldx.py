@@ -16,6 +16,7 @@ from repro.llm import (
     render_prompt,
 )
 from repro.metrics import lev2_score
+from repro.nl2ldx import fewshot
 from repro.nl2ldx import (
     ChainedPipeline,
     DirectPipeline,
@@ -166,6 +167,22 @@ class TestSimulatedLLM:
         unseen = bank.select(test, SCENARIOS[3])
         assert all(example.dataset != test.dataset for example in unseen)
         assert all(example.meta_goal_id != test.meta_goal_id for example in unseen)
+
+    def test_fewshot_bank_builds_each_example_once(self, corpus, monkeypatch):
+        built = []
+        build = fewshot.example_from_instance
+        monkeypatch.setattr(
+            fewshot,
+            "example_from_instance",
+            lambda instance: built.append(instance.instance_id) or build(instance),
+        )
+        bank = FewShotBank(corpus)
+        first = bank.select(corpus.instances[0], SCENARIOS[0])
+        again = bank.select(corpus.instances[0], SCENARIOS[0])
+        assert len(built) == len(set(built)) == len(first)
+        assert all(mine is theirs for mine, theirs in zip(first, again))
+        by_id = {instance.instance_id: instance for instance in corpus.instances}
+        assert first == tuple(build(by_id[instance_id]) for instance_id in built)
 
     def test_fewshot_bank_never_leaks_test_instance(self, corpus):
         bank = FewShotBank(corpus)
