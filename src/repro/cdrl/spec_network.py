@@ -34,7 +34,8 @@ trainer stay unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
@@ -59,6 +60,9 @@ SNIPPET_HEAD = "snippet_select"
 
 #: Index of the back action in the operation-type head.
 BACK_ACTION_INDEX = 0
+
+#: Bound on a policy's continuity-bindings memo (cleared wholesale when reached).
+_BINDINGS_MEMO_MAX = 4096
 
 #: Head names corresponding to each pattern field role.
 _FILTER_ROLE_HEADS = {"attr": "filter_attr", "op": "filter_op", "term": "filter_term"}
@@ -107,6 +111,9 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         self.continuity_bias = continuity_bias
         self._preferred = self.library.preferred_indices()
         self._named_order = query.preorder_named_nodes()
+        self._operational_specs = tuple(query.operational_specs())
+        #: Continuity bindings by each operational spec's assigned-node signature.
+        self._bindings_memo: dict[tuple, Mapping[str, str]] = {}
         #: Decision memo: the complete per-state bias row (guidance plus
         #: folded validity masks, i.e. what :meth:`decision_biases` returns)
         #: is a pure function of the session's tree structure and cursor
@@ -227,24 +234,32 @@ class SpecificationAwarePolicy(CategoricalPolicy):
             parent_name = self._declared_parent(parent_name)
         return assignment.nodes.get(parent_name or self.query.root_name())
 
-    def _continuity_bindings(self, assignment) -> dict[str, str]:
-        """Continuity values already pinned down by realised specification nodes."""
+    def _continuity_bindings(self, assignment) -> Mapping[str, str]:
+        """Continuity values pinned down by realised specification nodes,
+        memoised by the assigned nodes' signatures (read-only, as it is shared)."""
+        nodes = [assignment.nodes.get(spec.name) for spec in self._operational_specs]
+        key = tuple(None if node is None else node.signature_text for node in nodes)
+        cached = self._bindings_memo.get(key)
+        if cached is not None:
+            return cached
         bindings: dict[str, str] = {}
-        for spec in self.query.operational_specs():
-            node = assignment.nodes.get(spec.name)
-            if node is None or spec.operation is None:
+        for spec, node in zip(self._operational_specs, nodes):
+            if node is None:
                 continue
             signature = _node_signature(node)
             # Bound variables are checked against *bindings* itself, which is
             # what substituting them into the pattern would do.
             if spec.operation.matches(signature, bindings):
                 bindings.update(spec.operation.capture(signature, bindings))
-        return bindings
+        if len(self._bindings_memo) >= _BINDINGS_MEMO_MAX:
+            self._bindings_memo.clear()
+        cached = self._bindings_memo[key] = MappingProxyType(bindings)
+        return cached
 
     def _bias_toward_spec(
         self,
         spec: NodeSpec,
-        bindings: dict[str, str],
+        bindings: Mapping[str, str],
         biases: BiasRow,
     ) -> None:
         """Bias snippet selection and free-parameter heads toward *spec*."""

@@ -48,6 +48,11 @@ NULL = None
 _NUMERIC_DTYPES = ("int", "float")
 _VALID_DTYPES = ("int", "float", "str")
 
+#: Non-float columns of at most this many rows count their distinct values
+#: in one Python pass, where numpy's per-call overhead would outweigh the
+#: data (floats keep ``np.unique``, which collapses NaNs and a dict does not).
+SHORT_DISTINCT_ROWS = 64
+
 
 def infer_dtype(values: Iterable[Any]) -> str:
     """Infer the narrowest dtype (``int`` < ``float`` < ``str``) for *values*.
@@ -442,6 +447,9 @@ class Column:
             self._memo_unique = tuple(counts)
             self._memo_counts = counts
             return
+        if len(data) <= SHORT_DISTINCT_ROWS and data.dtype.kind in "iubU":
+            self._short_unique_stats(data, mask)
+            return
         sub = data[~mask]
         uniq, first_index, inverse, group_counts = np.unique(
             sub, return_index=True, return_inverse=True, return_counts=True
@@ -461,6 +469,27 @@ class Column:
         # the table that decodes them.
         self._memo_code_values = tuple(order)
         self._memo_codes = row_codes
+
+    def _short_unique_stats(self, data: np.ndarray, mask: np.ndarray) -> None:
+        """The ``np.unique`` path's four memos, equal in order and value types."""
+        code_of: dict[Any, int] = {}
+        counts: list[int] = []
+        row_codes: list[int] = []
+        for value, null in zip(data.tolist(), mask.tolist()):
+            if null:
+                row_codes.append(-1)
+                continue
+            code = code_of.get(value)
+            if code is None:
+                code = code_of[value] = len(counts)
+                counts.append(0)
+            counts[code] += 1
+            row_codes.append(code)
+        order = tuple(code_of)
+        self._memo_unique = order
+        self._memo_counts = dict(zip(order, counts))
+        self._memo_code_values = order
+        self._memo_codes = np.array(row_codes, dtype=np.int64)
 
     def unique(self) -> list[Any]:
         """Distinct non-null values in first-appearance order (memoised)."""

@@ -324,8 +324,9 @@ class LinxEngine:
         Covers everything that changes *what identical requests produce*
         under engine defaults — the code's
         :data:`~repro.engine.result.RESULT_SEMANTICS_VERSION`, the CDRL
-        configuration (episode budget, seeds, trainer hyper-parameters) and
-        the ``name`` of every configured stage implementation (which also
+        configuration (episode budget, seeds, trainer hyper-parameters), the
+        LLM client's ``name`` (it shapes the derived specification) and the
+        ``name`` of every configured stage implementation (which also
         distinguishes custom stage *objects* from the defaults, as long as
         they carry distinct names).  The scheduler namespaces result-store
         keys with it, so a store file shared across servers (or restarts)
@@ -339,6 +340,7 @@ class LinxEngine:
             (
                 RESULT_SEMANTICS_VERSION,
                 sorted(dataclasses.asdict(self.cdrl_config).items()),
+                getattr(self.llm_client, "name", "custom"),
                 [
                     (kind, getattr(getattr(self, attribute), "name", "custom"))
                     for kind, attribute in sorted(STAGE_KIND_ATTRS.items())

@@ -12,7 +12,7 @@ from .action_space import (
 )
 from .cache import CacheStats, ExecutionCache
 from .diskcache import DISK_SCHEMA_VERSION, DiskCacheTier
-from .diversity import operation_distance, result_distance, session_diversity
+from .diversity import ViewSummary, operation_distance, summarize, summary_distance
 from .environment import (
     ExplorationEnvironment,
     GenericRewardStrategy,
@@ -67,6 +67,7 @@ __all__ = [
     "RootOperation",
     "SessionNode",
     "StepResult",
+    "ViewSummary",
     "choice_from_index_map",
     "choice_from_indices",
     "collect_rollouts",
@@ -79,7 +80,7 @@ __all__ = [
     "operation_distance",
     "operation_from_signature",
     "operation_interestingness",
-    "result_distance",
-    "session_diversity",
     "session_from_operations",
+    "summarize",
+    "summary_distance",
 ]

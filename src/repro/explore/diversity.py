@@ -4,40 +4,51 @@ The generic reward (Section 5.1) includes a diversity term: the minimal
 distance between the newest query and any previous query, using a distance
 over query results.  Sessions that keep producing near-identical views are
 penalised; sessions that examine genuinely different slices are rewarded.
+
+A view is read once, into a :class:`ViewSummary` (:func:`summarize`), and
+distances are computed between summaries, so the reward scorer keeps one
+summary per view fingerprint and a new view costs one pass.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.dataframe.table import DataTable
 
-from .interestingness import _reference_interest
 from .operations import Operation
 
 
-def _top_values(column) -> set:
-    """The column's first ten distinct values, memoised on the column."""
-    memo = _reference_interest(column)
-    top = memo.get("top10")
-    if top is None:
-        top = memo["top10"] = set(column.unique()[:10])
-    return top
+class ViewSummary(NamedTuple):
+    """Everything :func:`summary_distance` reads of a view; ``top`` maps each
+    column, in schema order, to its first ten distinct values."""
+
+    columns: tuple[str, ...]
+    column_set: frozenset[str]
+    size: int
+    top: dict[str, frozenset]
 
 
-def result_distance(a: DataTable, b: DataTable) -> float:
-    """Distance in [0, 1] between two result views.
+def summarize(view: DataTable) -> ViewSummary:
+    """The distance summary of *view*: one pass over its columns."""
+    top = {name: frozenset(view.column(name).unique()[:10]) for name in view.columns}
+    return ViewSummary(tuple(top), frozenset(top), len(view), top)
+
+
+def summary_distance(a: ViewSummary, b: ViewSummary) -> float:
+    """Distance in [0, 1] between two summarised result views.
 
     Combines three signals: schema overlap (Jaccard over column names),
-    relative size difference, and overlap of the top categorical values in
-    shared columns.  Identical views are at distance 0, views with disjoint
-    schemas at distance 1.
+    relative size difference, and the Jaccard overlap, per shared column, of
+    the first ten distinct values in first-appearance order.  Identical
+    views are at distance 0, views with disjoint schemas at distance 1.
     """
-    cols_a, cols_b = set(a.columns), set(b.columns)
-    union = cols_a | cols_b
+    union = a.column_set | b.column_set
     if not union:
         return 0.0
-    schema_similarity = len(cols_a & cols_b) / len(union)
+    schema_similarity = len(a.column_set & b.column_set) / len(union)
 
-    size_a, size_b = len(a), len(b)
+    size_a, size_b = a.size, b.size
     if max(size_a, size_b) == 0:
         size_similarity = 1.0
     else:
@@ -45,20 +56,15 @@ def result_distance(a: DataTable, b: DataTable) -> float:
 
     # Shared columns in ``a``'s column order, not set order: the float sum
     # below must not depend on the interpreter's string-hash seed.
-    shared = [column for column in a.columns if column in cols_b]
-    if shared:
-        overlaps = []
-        for column in shared:
-            top_a = _top_values(a.column(column))
-            top_b = _top_values(b.column(column))
-            if not top_a and not top_b:
-                overlaps.append(1.0)
-                continue
-            union_vals = top_a | top_b
-            overlaps.append(len(top_a & top_b) / len(union_vals) if union_vals else 1.0)
-        content_similarity = sum(overlaps) / len(overlaps)
-    else:
-        content_similarity = 0.0
+    overlaps = []
+    for column in a.columns:
+        top_b = b.top.get(column)
+        if top_b is None:
+            continue
+        top_a = a.top[column]
+        union_vals = top_a | top_b
+        overlaps.append(len(top_a & top_b) / len(union_vals) if union_vals else 1.0)
+    content_similarity = sum(overlaps) / len(overlaps) if overlaps else 0.0
 
     similarity = 0.4 * schema_similarity + 0.2 * size_similarity + 0.4 * content_similarity
     return 1.0 - similarity
@@ -80,10 +86,3 @@ def operation_distance(a: Operation, b: Operation) -> float:
         != (fields_b[i] if i < len(fields_b) else None)
     )
     return differing / length
-
-
-def session_diversity(new_view: DataTable, previous_views: list[DataTable]) -> float:
-    """Diversity contribution of the newest view: min distance to any previous view."""
-    if not previous_views:
-        return 1.0
-    return min(result_distance(new_view, view) for view in previous_views)

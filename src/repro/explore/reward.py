@@ -12,9 +12,9 @@ diversity is the minimal result distance to any previous query.
 A node's terms are computed once per session and recorded in the session's
 pre-order index (:class:`~repro.explore.session.PreorderIndex`), so a step
 scores only the new node.  Training revisits the same views across
-thousands of episodes, so interestingness and pairwise result distances are
-also memoised by view content fingerprints (see :mod:`repro.explore.cache`);
-views served from the execution cache share fingerprints.
+thousands of episodes, so interestingness, view summaries and pairwise result
+distances are also memoised by view content fingerprints (see
+:mod:`repro.explore.cache`); views served from the execution cache share them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .diversity import result_distance
+from .diversity import ViewSummary, summarize, summary_distance
 from .interestingness import operation_interestingness
 from .operations import is_query_operation
 from .session import ExplorationSession, PreorderIndex, SessionNode
@@ -45,7 +45,8 @@ _MISSING = object()
 #: Interestingness memo bound; the memo is cleared wholesale when exceeded.
 _INTEREST_MEMO_MAX = 65536
 
-#: Pairwise result-distance memo bound (cleared wholesale when exceeded).
+#: Bound of the pairwise result-distance memo and of the view-summary memo
+#: (each cleared wholesale when exceeded).
 _DISTANCE_MEMO_MAX = 65536
 
 
@@ -53,13 +54,13 @@ class GenericExplorationReward:
     """Computes the ATENA-style generic exploration reward for session steps.
 
     Both score components are memoised by content fingerprints — per-node
-    interestingness and the pairwise result distances behind the diversity
-    term — because training revisits the same (execution-cache-shared)
-    views thousands of times.  The scorer itself is stateless apart from
-    these pure memos, so one instance can be shared across the sibling
-    environments of a batched rollout wave, or across requests.  ``memo``
-    builds the two memo dicts; the exploration context passes one that
-    charges its engine-wide entry budget.
+    interestingness, and the pairwise result distances behind the diversity
+    term with one distance summary per view — because training revisits the
+    same (execution-cache-shared) views thousands of times.  The scorer
+    itself is stateless apart from these pure memos, so one instance can be
+    shared across the sibling environments of a batched rollout wave, or
+    across requests.  ``memo`` builds the three memo dicts; the exploration
+    context passes one that charges its engine-wide entry budget.
     """
 
     def __init__(
@@ -70,6 +71,7 @@ class GenericExplorationReward:
         self.config = config or GenericRewardConfig()
         self._interest_memo: dict[tuple, float] = memo()
         self._distance_memo: dict[tuple, float] = memo()
+        self._summary_memo: dict[tuple, ViewSummary] = memo()
 
     def node_interestingness(self, node: SessionNode) -> float:
         """Interestingness of a single executed query node (memoised).
@@ -94,13 +96,23 @@ class GenericExplorationReward:
             self._interest_memo[key] = value
         return value
 
+    def _summary(self, view, fingerprint: tuple) -> ViewSummary:
+        """The memoised :func:`summarize` of *view*, keyed by its fingerprint."""
+        summary = self._summary_memo.get(fingerprint)
+        if summary is None:
+            summary = summarize(view)
+            if len(self._summary_memo) >= _DISTANCE_MEMO_MAX:
+                self._summary_memo.clear()
+            self._summary_memo[fingerprint] = summary
+        return summary
+
     def _view_distance(self, a, b) -> float:
-        """Memoised :func:`result_distance` (symmetric, fingerprint-keyed)."""
+        """Memoised :func:`summary_distance` (symmetric, fingerprint-keyed)."""
         fa, fb = a.fingerprint(), b.fingerprint()
         key = (fa, fb) if fa <= fb else (fb, fa)
         value = self._distance_memo.get(key, _MISSING)
         if value is _MISSING:
-            value = result_distance(a, b)
+            value = summary_distance(self._summary(a, fa), self._summary(b, fb))
             if len(self._distance_memo) >= _DISTANCE_MEMO_MAX:
                 self._distance_memo.clear()
             self._distance_memo[key] = value

@@ -202,23 +202,23 @@ class CategoricalPolicy:
         Masks shorter than a head (e.g. the base action-type mask against
         the specification-aware head with its extra snippet entry) are
         padded with ``True``; all-true and degenerate all-false masks are
-        ignored.
+        ignored.  The masks are laid out as one ``(T,)`` validity row and
+        folded in one pass.
         """
         if not self.mask_invalid_actions or environment is None:
             return biases
         layout = self.network.layout
-        for name, size in zip(layout.names, layout.sizes):
+        valid = np.ones(layout.total, dtype=bool)
+        for name, (_, start, stop) in layout.slots.items():
             mask = environment.head_mask(name)
-            if mask is None:
-                continue
-            mask = np.asarray(mask, dtype=bool)
-            if len(mask) < size:
-                mask = np.concatenate([mask, np.ones(size - len(mask), dtype=bool)])
-            elif len(mask) > size:
-                mask = mask[:size]
-            if mask.all() or not mask.any():
-                continue
-            biases.head(layout, name)[~mask] += MASK_LOGIT_BIAS
+            if mask is not None:
+                mask = np.asarray(mask, dtype=bool)[: stop - start]
+                valid[start : start + len(mask)] = mask
+        usable = np.logical_or.reduceat(valid, layout.offsets) & ~np.logical_and.reduceat(
+            valid, layout.offsets
+        )
+        biases.row[~valid & usable[layout.owner]] += MASK_LOGIT_BIAS
+        biases.folded[usable] = True
         return biases
 
     def act(

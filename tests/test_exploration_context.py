@@ -189,6 +189,30 @@ class TestEntryBudget:
         assert held.verify(build_tree(("ROOT", [("G", "a", "count", "b")])))
         assert _live_entries(shared) <= shared.describe()["entries"]
 
+    def test_view_summaries_are_charged_and_cleared(self, monkeypatch):
+        """The scorer's per-view distance summaries count against the budget,
+        and a wholesale clear empties them with every other memo."""
+        shared = SharedExplorationContext()
+        table = load_dataset("netflix", num_rows=60)
+        scorer = shared.scorer(table)
+        assert any(memo is scorer._summary_memo for memo in shared._memos.values())
+        a, b, c = table.head(5), table.head(7), table.head(9)
+        expected = scorer._view_distance(a, b)
+        # The scorer pool, two summaries and one distance.
+        assert shared.describe()["entries"] == 4
+        assert set(scorer._summary_memo) == {a.fingerprint(), b.fingerprint()}
+        monkeypatch.setattr(context_module, "MAX_POOLED_ENTRIES", 4)
+        # ``c``'s summary is the next new key and the budget is full, so
+        # every memo is emptied before it is stored.
+        scorer._view_distance(a, c)
+        assert shared.describe()["clears"] == 1
+        assert list(scorer._summary_memo) == [c.fingerprint()]
+        assert list(scorer._distance_memo) == [
+            tuple(sorted((a.fingerprint(), c.fingerprint())))
+        ]
+        # Recomputed after the clear, the distance is unchanged.
+        assert scorer._view_distance(a, b) == expected
+
     def test_matcher_shapes_are_charged_and_a_mid_run_clear_stays_pure(self, monkeypatch):
         """The pooled matcher's shape entries count against the budget, and a
         request during which the budget clears equals a fresh engine's."""

@@ -30,9 +30,9 @@ from repro.explore import (
     filter_interestingness,
     kl_divergence,
     operation_from_signature,
-    result_distance,
-    session_diversity,
     session_from_operations,
+    summarize,
+    summary_distance,
 )
 
 
@@ -159,12 +159,13 @@ class TestInterestingnessAndDiversity:
         assert conciseness(few) > conciseness(many)
 
     def test_result_distance_bounds(self, small_table):
-        assert result_distance(small_table, small_table) == pytest.approx(0.0, abs=0.05)
-        other = DataTable({"x": [1, 2, 3]})
-        assert result_distance(small_table, other) > 0.5
+        summary = summarize(small_table)
+        assert summary_distance(summary, summary) == pytest.approx(0.0, abs=0.05)
+        other = summarize(DataTable({"x": [1, 2, 3]}))
+        assert summary_distance(summary, other) > 0.5
 
     def test_session_diversity_no_previous(self, small_table):
-        assert session_diversity(small_table, []) == 1.0
+        assert GenericExplorationReward()._diversity(small_table, []) == 1.0
 
     def test_session_score_independent_of_hash_seed(self):
         # Sessions whose shared-column overlaps sum to different last bits

@@ -29,6 +29,7 @@ from repro.engine import (
 )
 from repro.explore import session_from_operations
 from repro.explore.operations import FilterOperation, GroupAggOperation
+from repro.llm import chatgpt_client, gpt4_client
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
 
@@ -391,6 +392,18 @@ class TestConfigFingerprint:
         a = LinxEngine(cdrl_config=CdrlConfig(episodes=5))
         b = LinxEngine(cdrl_config=CdrlConfig(episodes=9))
         assert a.config_fingerprint() != b.config_fingerprint()
+
+    def test_llm_client_changes_the_namespace(self):
+        # The client derives the specification, so two engines that differ
+        # only in it produce different results and must not share a namespace.
+        default = LinxEngine(cdrl_config=CdrlConfig(episodes=5))
+        chatgpt = LinxEngine(cdrl_config=CdrlConfig(episodes=5), llm_client=chatgpt_client())
+        assert default.config_fingerprint() != chatgpt.config_fingerprint()
+        assert (
+            LinxEngine(cdrl_config=CdrlConfig(episodes=5), llm_client=gpt4_client())
+            .config_fingerprint()
+            == default.config_fingerprint()
+        )
 
     def test_engine_level_stage_selection_changes_the_namespace(self):
         a = LinxEngine(cdrl_config=CdrlConfig(episodes=5))
