@@ -213,6 +213,7 @@ class LinxCdrlAgent:
                 decision_memo=self.shared.decision_memo(
                     self.query, dataset, self.config.mask_invalid_actions
                 ),
+                guidance_memo=self.shared.guidance_memo(self.query, dataset),
                 matcher=self.matcher,
                 mask_invalid_actions=self.config.mask_invalid_actions,
             )

@@ -4,11 +4,12 @@ Training a CDRL agent recomputes the same pure functions over and over — the
 guidance of a session state, the structural LDX answers for a tree shape, the
 interestingness of a view — and identical inputs recur across requests on
 the same (specification, dataset).  A :class:`SharedExplorationContext`
-pools that work: action spaces with their validity-mask memos, generic-reward
-scorers, LDX matchers with their per-shape memos, view-feature memos, and the
-specification-aware policy's decision memos (one read-only bias row per
-session state).  Pools are keyed by content (rendered specification, table
-fingerprint), and every pooled structure memoises a pure function of its
+pools that work: action spaces with their validity-mask and mask-fold memos
+(by view schema), generic-reward scorers, LDX matchers with their per-shape
+memos, view-feature memos, and the specification-aware policy's guidance
+memos (one read-only bias row per guidance key and mask fold) and decision
+memos (the guidance memo's row for each session state).  Pools are keyed by
+content (rendered specification, table fingerprint), and every pooled structure memoises a pure function of its
 key, so sharing changes how often things are computed, never what they
 evaluate to.
 
@@ -152,6 +153,11 @@ class SharedExplorationContext:
             self._memo,
         )
 
+    def guidance_memo(self, query: LdxQuery, table: DataTable) -> dict:
+        """The pooled guidance memo for one (specification, dataset) pair: the
+        read-only bias row of each (guidance key, masked columns) pair."""
+        return self._pooled(("guidance_memos", query.render(), table.fingerprint()), self._memo)
+
     def view_feature_memo(self, table: DataTable) -> dict:
         """The pooled observation-feature memo for environments over *table*.
 
@@ -169,6 +175,7 @@ class SharedExplorationContext:
                     "scorers",
                     "matchers",
                     "decision_memos",
+                    "guidance_memos",
                     "view_feature_memos",
                 ),
                 0,

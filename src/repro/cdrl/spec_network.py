@@ -23,9 +23,12 @@ for (:meth:`SpecificationAwarePolicy.decision_biases` receives it).  It is a
 pure function of (specification, dataset, session-tree shape), so the
 complete per-state bias row — guidance plus folded validity masks, one
 read-only :class:`~repro.rl.policy.BiasRow` — is memoised under a compact
-state key.  The memo belongs to the engine's exploration context
-(:mod:`repro.cdrl.context`), not to the policy or the batcher, so every
-request on the same (specification, dataset) shares it, batched or not.
+state key.  A miss finds it under what many states share: the guidance key
+(the pending specification node, whether the cursor is at the node it
+belongs under and, only there, the continuity bindings) and the columns the
+view's masks rule out (memoised per view schema).  The memos belong to the engine's exploration context (:mod:`repro.cdrl.context`),
+not to the policy or the batcher, so every request on the same
+(specification, dataset) shares them, batched or not.
 
 A snippet choice is resolved back into a fully factored
 :class:`~repro.explore.action_space.ActionChoice`, so the environment and the
@@ -34,13 +37,12 @@ trainer stay unchanged.
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
 from repro.explore.action_space import ActionChoice, ActionSpace, HEAD_ORDER
-from repro.ldx.ast import LdxQuery, NodeSpec
+from repro.ldx.ast import LdxQuery
 from repro.ldx.patterns import FIELD_CONTINUITY, OperationPattern
 from repro.ldx.verifier import LdxMatcher
 from repro.rl.network import MultiHeadPolicyNetwork
@@ -60,9 +62,6 @@ SNIPPET_HEAD = "snippet_select"
 
 #: Index of the back action in the operation-type head.
 BACK_ACTION_INDEX = 0
-
-#: Bound on a policy's continuity-bindings memo (cleared wholesale when reached).
-_BINDINGS_MEMO_MAX = 4096
 
 #: Head names corresponding to each pattern field role.
 _FILTER_ROLE_HEADS = {"attr": "filter_attr", "op": "filter_op", "term": "filter_term"}
@@ -88,6 +87,7 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         structure_bias: float = 6.0,
         continuity_bias: float = 5.0,
         decision_memo: Optional[dict] = None,
+        guidance_memo: Optional[dict] = None,
         matcher: Optional[LdxMatcher] = None,
         mask_invalid_actions: bool = False,
     ):
@@ -112,8 +112,6 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         self._preferred = self.library.preferred_indices()
         self._named_order = query.preorder_named_nodes()
         self._operational_specs = tuple(query.operational_specs())
-        #: Continuity bindings by each operational spec's assigned-node signature.
-        self._bindings_memo: dict[tuple, Mapping[str, str]] = {}
         #: Decision memo: the complete per-state bias row (guidance plus
         #: folded validity masks, i.e. what :meth:`decision_biases` returns)
         #: is a pure function of the session's tree structure and cursor
@@ -125,6 +123,12 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         self._decision_memo: dict[tuple, BiasRow] = (
             {} if decision_memo is None else decision_memo
         )
+        #: Guidance memo: the row of a (guidance key, masked columns' bytes)
+        #: pair, pooled like the decision memo; many states share each row.
+        self._guidance_memo: dict[tuple, BiasRow] = (
+            {} if guidance_memo is None else guidance_memo
+        )
+        self._head_sizes = network.layout.sizes.tobytes()
         super().__init__(
             network,
             rng=np.random.default_rng(seed),
@@ -154,24 +158,65 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         The validity masks are a pure function of the current view, which —
         for a fixed dataset — is itself determined by the session's tree
         structure, so the complete row is memoised under the guidance-state
-        key.  Memoised rows are read-only: they are shared by every request
-        on the same (specification, dataset), and an in-place write raises.
+        key.  A miss looks the row up in the guidance memo under the
+        state's :meth:`_guidance_key` and the view's :meth:`_masked_columns`,
+        so states agreeing on both share one row.  Memoised rows are
+        read-only: every request on the same (specification, dataset)
+        shares them, and an in-place write raises.
         Without an environment the row holds the static specification
         biases only.
         """
         if environment is None:
-            return self._guidance_biases(None)
+            return self._guidance_row(None)
         key = self._session_state_key(environment.session)
         cached = self._decision_memo.get(key)
         if cached is None:
-            cached = self._apply_masks(
-                self._guidance_biases(environment.session), environment
-            ).freeze()
+            guidance_key = self._guidance_key(environment.session)
+            masked = self._masked_columns(environment) if self.mask_invalid_actions else None
+            shared_key = (guidance_key, None if masked is None else masked.tobytes())
+            cached = self._guidance_memo.get(shared_key)
+            if cached is None:
+                cached = self._guidance_memo[shared_key] = self._apply_masks(
+                    self._guidance_row(guidance_key), environment
+                ).freeze()
             self._decision_memo[key] = cached
         return cached
 
-    def _guidance_biases(self, session: "ExplorationSession | None") -> BiasRow:
-        """Static specification biases plus the per-state guidance."""
+    def _masked_columns(self, environment: "ExplorationEnvironment") -> np.ndarray:
+        """The base policy's masked columns, memoised read-only per (view
+        schema, head sizes) in the action space's fold memo."""
+        memo = self.action_space.fold_memo
+        key = (environment.session.current.view.schema_key(), self._head_sizes)
+        masked = memo.get(key)
+        if masked is None:
+            masked = super()._masked_columns(environment)
+            masked.flags.writeable = False
+            if len(memo) >= ActionSpace.MASK_MEMO_MAX:
+                memo.clear()
+            memo[key] = masked
+        return masked
+
+    def _guidance_key(self, session: "ExplorationSession") -> Optional[tuple]:
+        """All the guidance of *session* depends on: ``None`` when no named
+        node is pending, else the pending node's name, whether the cursor is
+        at the session node it belongs under and, only there, the continuity
+        bindings' sorted items."""
+        assignment, _, named = self.matcher.best_partial_structural_assignment(
+            session.root
+        )
+        pending = next(
+            (name for name in self._named_order if name not in assignment.nodes), None
+        )
+        if named == 0 or pending is None:
+            return None
+        target = self._target_parent_node(pending, assignment)
+        if target is None or target is session.current:
+            return pending, True, tuple(sorted(self._continuity_bindings(assignment).items()))
+        return pending, False, ()
+
+    def _guidance_row(self, key: Optional[tuple]) -> BiasRow:
+        """Static specification biases plus the guidance of a guidance key:
+        shift distributions toward the specification node that should come next."""
         layout = self.network.layout
         biases = BiasRow.empty(layout)
         action_bias = biases.head(layout, "action_type")
@@ -184,42 +229,19 @@ class SpecificationAwarePolicy(CategoricalPolicy):
             for index in indices:
                 if index < len(bias):
                     bias[index] = self.parameter_bias
-        if session is not None:
-            self._apply_guidance(biases, session)
-        return biases
-
-    def _apply_guidance(self, biases: BiasRow, session: "ExplorationSession") -> None:
-        """Shift distributions toward the specification node that should come next."""
-        assignment, assigned, named = self.matcher.best_partial_structural_assignment(
-            session.root
-        )
-        if named == 0:
-            return
-        bindings = self._continuity_bindings(assignment)
-        pending = self._pending_spec(assignment)
-        if pending is None:
-            return
-        target = self._target_parent_node(pending.name, assignment)
-        action_bias = biases.head(self.network.layout, "action_type")
-        if target is None or target is session.current:
+        if key is None:
+            return biases
+        pending, at_target, bindings = key
+        if at_target:
             action_bias[SNIPPET_ACTION_INDEX] += self.structure_bias
             action_bias[BACK_ACTION_INDEX] -= self.structure_bias
-            self._bias_toward_spec(pending, bindings, biases)
+            self._bias_toward_spec(pending, dict(bindings), biases)
         else:
             action_bias[BACK_ACTION_INDEX] += self.structure_bias
             action_bias[SNIPPET_ACTION_INDEX] -= self.structure_bias
+        return biases
 
     # -- guidance helpers -------------------------------------------------------------------
-    def _pending_spec(self, assignment) -> Optional[NodeSpec]:
-        """The next unrealised named node, following the specification pre-order."""
-        for name in self._named_order:
-            if name not in assignment.nodes:
-                spec = self.query.spec_for(name)
-                if spec is not None:
-                    return spec
-                return NodeSpec(name=name)
-        return None
-
     def _declared_parent(self, name: str) -> Optional[str]:
         for spec in self.query.specs:
             for clause in spec.structure:
@@ -234,16 +256,11 @@ class SpecificationAwarePolicy(CategoricalPolicy):
             parent_name = self._declared_parent(parent_name)
         return assignment.nodes.get(parent_name or self.query.root_name())
 
-    def _continuity_bindings(self, assignment) -> Mapping[str, str]:
-        """Continuity values pinned down by realised specification nodes,
-        memoised by the assigned nodes' signatures (read-only, as it is shared)."""
-        nodes = [assignment.nodes.get(spec.name) for spec in self._operational_specs]
-        key = tuple(None if node is None else node.signature_text for node in nodes)
-        cached = self._bindings_memo.get(key)
-        if cached is not None:
-            return cached
+    def _continuity_bindings(self, assignment) -> dict[str, str]:
+        """Continuity values pinned down by realised specification nodes."""
         bindings: dict[str, str] = {}
-        for spec, node in zip(self._operational_specs, nodes):
+        for spec in self._operational_specs:
+            node = assignment.nodes.get(spec.name)
             if node is None:
                 continue
             signature = _node_signature(node)
@@ -251,25 +268,23 @@ class SpecificationAwarePolicy(CategoricalPolicy):
             # what substituting them into the pattern would do.
             if spec.operation.matches(signature, bindings):
                 bindings.update(spec.operation.capture(signature, bindings))
-        if len(self._bindings_memo) >= _BINDINGS_MEMO_MAX:
-            self._bindings_memo.clear()
-        cached = self._bindings_memo[key] = MappingProxyType(bindings)
-        return cached
+        return bindings
 
     def _bias_toward_spec(
         self,
-        spec: NodeSpec,
+        name: str,
         bindings: Mapping[str, str],
         biases: BiasRow,
     ) -> None:
-        """Bias snippet selection and free-parameter heads toward *spec*."""
+        """Bias snippet selection and free-parameter heads toward spec node *name*."""
         layout = self.network.layout
         if len(self.library) > 0 and SNIPPET_HEAD in layout.slots:
             snippet_bias = biases.head(layout, SNIPPET_HEAD)
             for index, snippet in enumerate(self.library.snippets):
-                if snippet.source_node == spec.name and index < len(snippet_bias):
+                if snippet.source_node == name and index < len(snippet_bias):
                     snippet_bias[index] += self.structure_bias
-        if spec.operation is None:
+        spec = self.query.spec_for(name)
+        if spec is None or spec.operation is None:
             return
         pattern = spec.operation.substitute(bindings)
         role_heads = _FILTER_ROLE_HEADS if pattern.kind == "F" else _GROUP_ROLE_HEADS

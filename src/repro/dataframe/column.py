@@ -48,9 +48,10 @@ NULL = None
 _NUMERIC_DTYPES = ("int", "float")
 _VALID_DTYPES = ("int", "float", "str")
 
-#: Non-float columns of at most this many rows count their distinct values
-#: in one Python pass, where numpy's per-call overhead would outweigh the
-#: data (floats keep ``np.unique``, which collapses NaNs and a dict does not).
+#: Columns of at most this many rows count their distinct values in one
+#: Python pass, where numpy's per-call overhead would outweigh the data
+#: (floats with an unmasked NaN keep ``np.unique``, which collapses NaNs and
+#: a dict does not; both keep the first of -0.0 and 0.0).
 SHORT_DISTINCT_ROWS = 64
 
 
@@ -447,7 +448,10 @@ class Column:
             self._memo_unique = tuple(counts)
             self._memo_counts = counts
             return
-        if len(data) <= SHORT_DISTINCT_ROWS and data.dtype.kind in "iubU":
+        if len(data) <= SHORT_DISTINCT_ROWS and (
+            data.dtype.kind in "iubU"
+            or (data.dtype.kind == "f" and not np.isnan(data[~mask]).any())
+        ):
             self._short_unique_stats(data, mask)
             return
         sub = data[~mask]

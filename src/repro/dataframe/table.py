@@ -224,6 +224,10 @@ class DataTable:
             )
         return self._fingerprint
 
+    def schema_key(self) -> tuple:
+        """The hashable ``((name, dtype), ...)`` schema part of :meth:`fingerprint`."""
+        return self.fingerprint()[2]
+
     def column(self, name: str) -> Column:
         """Return the named column, raising :class:`ColumnNotFoundError` if absent."""
         if name not in self._columns:

@@ -74,12 +74,13 @@ class ActionSpace:
         self.terms: dict[str, list[Any]] = {
             attr: self._derive_terms(dataset, attr) for attr in self.attributes
         }
-        # Validity masks keyed by view fingerprint: views are immutable and
-        # content-addressed (shared through the execution cache), so every
-        # environment, episode and lock-step rollout wave that reaches the
-        # same view reuses one schema scan.  ``memo`` builds the dict; the
-        # exploration context passes one that charges its entry budget.
-        self._mask_memo: dict[str, dict[str, np.ndarray]] = memo()
+        # Validity masks keyed by view schema (:meth:`DataTable.schema_key`,
+        # all they read), so every view with one schema reuses one scan.  ``memo`` builds the dict; the exploration
+        # context passes one that charges its entry budget.
+        self._mask_memo: dict[tuple, dict[str, np.ndarray]] = memo()
+        #: A policy's read-only fold of those masks (the head-row columns they
+        #: rule out) by (view schema, head sizes), on the same budget.
+        self.fold_memo: dict[tuple[tuple, bytes], np.ndarray] = memo()
 
     # -- vocabulary derivation ----------------------------------------------------------
     @staticmethod
@@ -136,8 +137,8 @@ class ActionSpace:
         )
         return 1 + filter_count + group_count
 
-    #: Bound on the fingerprint-keyed validity-mask memo (cleared wholesale
-    #: when exceeded).
+    #: Bound on the schema-keyed validity-mask memo (cleared wholesale when
+    #: exceeded).
     MASK_MEMO_MAX = 4096
 
     # -- validity masking ----------------------------------------------------------------
@@ -150,8 +151,8 @@ class ActionSpace:
         :meth:`QueryExecutor.can_execute` — column presence plus dtype
         constraints — and never executes a query, so environments and
         policies can mask invalid actions on every step for free.  Results
-        are memoised by the view's content fingerprint (callers must treat
-        the returned arrays as read-only).
+        are memoised by the view's schema (callers must treat the returned
+        arrays as read-only).
 
         Per-head masks are exact for this action space: filter operators and
         terms are always applicable once the attribute is present, and
@@ -160,7 +161,7 @@ class ActionSpace:
         ``agg_attr = group_attr``, so it is valid whenever any group
         attribute is.
         """
-        key = view.fingerprint()
+        key = view.schema_key()
         memo = self._mask_memo
         cached = memo.get(key)
         if cached is None:

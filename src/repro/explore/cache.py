@@ -59,7 +59,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.dataframe.table import DataTable
 
@@ -181,6 +181,9 @@ class ExecutionCache:
         self._row_counts: dict[CacheKey, int] = {}
         self._cached_rows = 0
         self._errors: "OrderedDict[CacheKey, str]" = OrderedDict()
+        #: Canonical plans by (prefix plan fingerprint, operation signature),
+        #: bounded by ``max_entries`` (cleared wholesale when reached).
+        self._extensions: dict[tuple[str, tuple[str, ...]], Any] = {}
         if disk is not None and not isinstance(disk, DiskCacheTier):
             disk = DiskCacheTier(disk)
         self.disk: Optional[DiskCacheTier] = disk
@@ -259,14 +262,28 @@ class ExecutionCache:
             self._cached_rows -= self._row_counts.pop(evicted_key)
             self.stats.evictions += 1
 
+    def extension(self, plan, signature: tuple[str, ...], extend: Callable[[], Any]):
+        """*plan* extended by the operation of *signature* (``extend()`` on a
+        miss), memoised under (*plan*'s fingerprint, *signature*): canonical
+        extension depends on node signatures only, as the fingerprint does."""
+        key = (plan.fingerprint(), signature)
+        extended = self._extensions.get(key)
+        if extended is None:
+            extended = extend()
+            with self._lock:
+                if len(self._extensions) >= self.max_entries:
+                    self._extensions.clear()
+                self._extensions[key] = extended
+        return extended
+
     # -- failures -------------------------------------------------------------------
-    def get_error(self, view: DataTable, operation: Operation) -> str | None:
-        """The memoised failure message for ``(view, operation)``, or ``None``.
+    def get_error(self, view: DataTable, signature: tuple[str, ...]) -> str | None:
+        """The memoised failure message for *view* and an operation's *signature*.
 
         A hit counts towards ``stats.negative_hits``; a miss is silent (the
         caller is about to look up the result and will count that).
         """
-        key = self.key_for(view, operation)
+        key = (view.fingerprint(), signature)
         with self._lock:
             message = self._errors.get(key)
             if message is None:
@@ -275,9 +292,9 @@ class ExecutionCache:
             self.stats.negative_hits += 1
             return message
 
-    def put_error(self, view: DataTable, operation: Operation, message: str) -> None:
-        """Memoise a runtime execution failure for ``(view, operation)``."""
-        key = self.key_for(view, operation)
+    def put_error(self, view: DataTable, signature: tuple[str, ...], message: str) -> None:
+        """Memoise a runtime execution failure for *view* and an operation's *signature*."""
+        key = (view.fingerprint(), signature)
         with self._lock:
             self._errors[key] = message
             self._errors.move_to_end(key)
@@ -353,6 +370,7 @@ class ExecutionCache:
             self._row_counts.clear()
             self._cached_rows = 0
             self._errors.clear()
+            self._extensions.clear()
             self._pending.clear()
             self.stats.reset()
 

@@ -5,7 +5,9 @@ the exploration environments, session replays, baselines and every served
 request extend the canonical plan of the current view by one operation,
 run that operation once against the view, and memoise its result under the
 new plan's semantic ``(base, canonical plan)`` key, so commuted or
-duplicated pipelines share one cache entry.
+duplicated pipelines share one cache entry.  The cache also memoises each
+extension, so a repeated (plan, operation) step skips canonicalising and
+hashing.
 
 The result is bit-identical to applying ``DataTable.filter`` /
 ``DataTable.groupby_agg`` one operation at a time; that per-operation
@@ -81,11 +83,18 @@ class QueryExecutor:
             return view, plan
         if not isinstance(operation, (FilterOperation, GroupAggOperation)):
             raise ExecutionError(f"cannot execute operation of kind {operation.kind!r}")
-        new_plan = canonicalize(plan.extend(node_from_operation(operation)))
-        if self.cache is not None:
-            failure = self.cache.get_error(view, operation)
+        signature = operation.signature()
+
+        def extend() -> LogicalPlan:
+            return canonicalize(plan.extend(node_from_operation(operation)))
+
+        if self.cache is None:
+            new_plan = extend()
+        else:
+            failure = self.cache.get_error(view, signature)
             if failure is not None:
                 raise ExecutionError(failure)
+            new_plan = self.cache.extension(plan, signature, extend)
             cached = self.cache.get_plan(base, new_plan)
             if cached is not None:
                 return cached, new_plan
@@ -98,7 +107,7 @@ class QueryExecutor:
             result = run(view, operation)
         except ExecutionError as exc:
             if self.cache is not None:
-                self.cache.put_error(view, operation, str(exc))
+                self.cache.put_error(view, signature, str(exc))
             raise
         if self.cache is not None:
             self.cache.put_plan(base, new_plan, result)

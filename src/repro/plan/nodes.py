@@ -122,18 +122,19 @@ class LogicalPlan:
         """Stable blake2b digest over the type-tagged node signatures.
 
         Computed once per instance (plans are immutable) through a
-        length-prefixed encoding, so the key is canonical across processes
-        — no reliance on ``repr`` or pickle memoisation.
+        length-prefixed encoding, hashed in one call, so the key is
+        canonical across processes — no reliance on ``repr`` or pickle
+        memoisation.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
-            digest = hashlib.blake2b(digest_size=20)
+            parts = []
             for signature in self.signatures():
-                digest.update(b"N" + str(len(signature)).encode() + b":")
+                parts.append(b"N%d:" % len(signature))
                 for field in signature:
                     raw = str(field).encode("utf-8")
-                    digest.update(str(len(raw)).encode() + b":" + raw)
-            cached = digest.hexdigest()
+                    parts.append(b"%d:%s" % (len(raw), raw))
+            cached = hashlib.blake2b(b"".join(parts), digest_size=20).hexdigest()
             # Frozen dataclasses only guard __setattr__; the instance dict
             # is writable and not part of equality.
             self.__dict__["_fingerprint"] = cached

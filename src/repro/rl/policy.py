@@ -199,14 +199,26 @@ class CategoricalPolicy:
     ) -> BiasRow:
         """Fold *environment*'s per-head validity masks into *biases* (in place).
 
-        Masks shorter than a head (e.g. the base action-type mask against
-        the specification-aware head with its extra snippet entry) are
-        padded with ``True``; all-true and degenerate all-false masks are
-        ignored.  The masks are laid out as one ``(T,)`` validity row and
-        folded in one pass.
+        The masked-out columns are :meth:`_masked_columns`; they take
+        :data:`MASK_LOGIT_BIAS` and the heads that own them are flagged.
         """
         if not self.mask_invalid_actions or environment is None:
             return biases
+        masked = self._masked_columns(environment)
+        biases.row[masked] += MASK_LOGIT_BIAS
+        biases.folded[self.network.layout.owner[masked]] = True
+        return biases
+
+    def _masked_columns(self, environment: "ExplorationEnvironment") -> np.ndarray:
+        """The ``(T,)`` columns *environment*'s validity masks rule out.
+
+        Masks shorter than a head (e.g. the base action-type mask against
+        the specification-aware head with its extra snippet entry) are
+        padded with ``True``; all-true and degenerate all-false masks are
+        ignored, so the heads owning a masked column are exactly the usable
+        ones.  The masks are laid out as one ``(T,)`` validity row and
+        reduced per head in one pass.
+        """
         layout = self.network.layout
         valid = np.ones(layout.total, dtype=bool)
         for name, (_, start, stop) in layout.slots.items():
@@ -217,9 +229,7 @@ class CategoricalPolicy:
         usable = np.logical_or.reduceat(valid, layout.offsets) & ~np.logical_and.reduceat(
             valid, layout.offsets
         )
-        biases.row[~valid & usable[layout.owner]] += MASK_LOGIT_BIAS
-        biases.folded[usable] = True
-        return biases
+        return np.flatnonzero(~valid & usable[layout.owner])
 
     def act(
         self,

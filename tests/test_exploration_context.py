@@ -127,13 +127,17 @@ class TestOneContextPerEngine:
         agent = LinxCdrlAgent(table, LDX, config=CdrlConfig(episodes=2))
         agent.run()
         memo = agent.policy._decision_memo
-        assert memo
+        guidance = agent.policy._guidance_memo
+        folds = agent.action_space.fold_memo
+        assert memo and guidance and folds
         agent.environment.reset()
         biases = agent.policy.decision_biases(agent.environment)
         assert any(value is biases for value in memo.values())
-        for value in memo.values():
+        for value in [*memo.values(), *guidance.values()]:
             assert not value.row.flags.writeable
             assert not value.folded.flags.writeable
+        for masked in folds.values():
+            assert not masked.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             biases.row[0] += 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -212,6 +216,33 @@ class TestEntryBudget:
         ]
         # Recomputed after the clear, the distance is unchanged.
         assert scorer._view_distance(a, b) == expected
+
+    def test_guidance_rows_and_folds_are_charged_and_cleared(self, monkeypatch):
+        """The pooled composed rows and mask folds count against the budget,
+        and a wholesale clear empties them with every other memo."""
+        shared = SharedExplorationContext()
+        table = load_dataset("netflix", num_rows=60)
+        agent = LinxCdrlAgent(table, LDX, config=CdrlConfig(episodes=1), shared=shared)
+        policy, environment = agent.policy, agent.environment
+        guidance, folds = policy._guidance_memo, agent.action_space.fold_memo
+        for memo in (guidance, folds):
+            assert any(pooled is memo for pooled in shared._memos.values())
+        environment.reset()
+        sizes = len(guidance), len(folds)
+        entries, live = shared.describe()["entries"], _live_entries(shared)
+        expected = policy.decision_biases(environment)
+        assert (len(guidance), len(folds)) == (sizes[0] + 1, sizes[1] + 1)
+        # Every new key of the miss (row, guidance row, fold, masks, shape) is charged.
+        assert shared.describe()["entries"] - entries == _live_entries(shared) - live >= 2
+        monkeypatch.setattr(context_module, "MAX_POOLED_ENTRIES", shared.describe()["entries"])
+        shared._charge()
+        assert shared.describe()["clears"] == 1
+        assert not guidance and not folds
+        # Recomputed after the clear, the row is unchanged.
+        again = policy.decision_biases(environment)
+        assert again is not expected
+        assert again.row.tobytes() == expected.row.tobytes()
+        assert again.folded.tolist() == expected.folded.tolist()
 
     def test_matcher_shapes_are_charged_and_a_mid_run_clear_stays_pure(self, monkeypatch):
         """The pooled matcher's shape entries count against the budget, and a

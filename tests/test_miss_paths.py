@@ -1,16 +1,18 @@
 """The step's miss paths against their oracles.
 
-A step that meets a new view or a new guidance state pays four misses: the
+A step that meets a new view or a new guidance state pays its misses: the
 view's distance summary, the distinct values of its (short) columns, the
-validity-mask fold of its bias row and the continuity bindings of its
-specification assignment.  Each fast path must reproduce its reference
-exactly: the DataTable-walking distance (``tests/diversity_oracle.py``), the
-``np.unique`` distinct pass, the per-head mask loop below and a recomputed
-binding.
+plan extension of its operation, and a decision row composed from a pooled
+guidance row and the view's pooled mask fold.  Each fast path must reproduce
+its reference exactly: the DataTable-walking distance
+(``tests/diversity_oracle.py``), the ``np.unique`` distinct pass, the
+filter-run normal form and streamed digest below, and the guidance and
+per-head mask loop below, recomputed from the session with no memo.
 """
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,7 +21,15 @@ from hypothesis import strategies as st
 
 from conftest import COMPARISON_LDX
 from diversity_oracle import result_distance, session_diversity
-from repro.cdrl.spec_network import SpecificationAwarePolicy, _node_signature
+from repro.bench.generator import generate_benchmark
+from repro.cdrl import CdrlConfig, LinxCdrlAgent
+from repro.cdrl.context import SharedExplorationContext
+from repro.cdrl.spec_network import (
+    BACK_ACTION_INDEX,
+    SNIPPET_ACTION_INDEX,
+    SpecificationAwarePolicy,
+    _node_signature,
+)
 from repro.dataframe import DataTable
 from repro.dataframe import column as column_module
 from repro.dataframe.column import SHORT_DISTINCT_ROWS, Column
@@ -31,6 +41,7 @@ from repro.explore import (
     ExplorationSession,
     FilterOperation,
     GenericExplorationReward,
+    ExecutionCache,
     GroupAggOperation,
     QueryExecutor,
     summarize,
@@ -38,7 +49,7 @@ from repro.explore import (
 )
 from repro.explore.action_space import AGENT_AGG_FUNCTIONS, AGENT_FILTER_OPERATORS
 from repro.ldx import parse_ldx
-from repro.plan import LogicalPlan
+from repro.plan import FilterNode, LogicalPlan, node_from_operation
 from repro.rl.network import MultiHeadPolicyNetwork
 from repro.rl.policy import MASK_LOGIT_BIAS, BiasRow, CategoricalPolicy
 
@@ -108,15 +119,17 @@ def _numpy_distinct_path():
 
 
 def _memos(column: Column) -> tuple:
+    """The four memos, values by ``repr`` (which tells -0.0 from 0.0 and
+    compares NaNs)."""
     column._unique_stats()
     unique, counts = column._memo_unique, column._memo_counts
     codes = column._memo_codes
     return (
-        unique,
+        [repr(value) for value in unique],
         [type(value) for value in unique],
-        list(counts.items()),
+        [(repr(value), count) for value, count in counts.items()],
         [type(count) for count in counts.values()],
-        column._memo_code_values,
+        [repr(value) for value in column._memo_code_values],
         [type(value) for value in column._memo_code_values],
         codes.dtype,
         codes.tolist(),
@@ -128,6 +141,10 @@ _KIND_VALUES = {
     "uint": (np.uint64, st.integers(0, 4)),
     "bool": (np.bool_, st.booleans()),
     "str": (np.str_, st.sampled_from(["", "a", "b", "ab", "B", " a"])),
+    "float": (
+        np.float64,
+        st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, np.inf, -np.inf, np.nan]),
+    ),
 }
 
 
@@ -138,7 +155,7 @@ def short_buffers(draw):
     length = draw(st.integers(0, SHORT_DISTINCT_ROWS + 1))
     data = np.array(draw(st.lists(values, min_size=length, max_size=length)), dtype=dtype)
     mask = np.array(draw(st.lists(st.booleans(), min_size=length, max_size=length)), dtype=bool)
-    return ("str" if kind == "str" else "int"), data, mask
+    return {"str": "str", "float": "float"}.get(kind, "int"), data, mask
 
 
 class TestShortDistinctKernel:
@@ -220,7 +237,7 @@ class TestMaskFoldMatchesPerHeadLoop:
         assert flat.folded.tolist() == expected.folded.tolist()
 
 
-# -- the continuity-bindings memo ----------------------------------------------------
+# -- the composed decision row -------------------------------------------------------
 def recomputed_bindings(policy: SpecificationAwarePolicy, assignment) -> dict[str, str]:
     bindings: dict[str, str] = {}
     for spec in policy.query.operational_specs():
@@ -231,6 +248,100 @@ def recomputed_bindings(policy: SpecificationAwarePolicy, assignment) -> dict[st
         if spec.operation.matches(signature, bindings):
             bindings.update(spec.operation.capture(signature, bindings))
     return bindings
+
+
+def guidance_oracle(policy: SpecificationAwarePolicy, session) -> BiasRow:
+    """The former guidance, recomputed from *session* with no key and no memo:
+    static biases, then the shift toward the pending specification node."""
+    layout = policy.network.layout
+    biases = BiasRow.empty(layout)
+    action_bias = biases.head(layout, "action_type")
+    if len(policy.library) > 0:
+        action_bias[SNIPPET_ACTION_INDEX] = policy.snippet_bias
+    for head, indices in policy.library.preferred_indices().items():
+        if not indices or head not in layout.slots:
+            continue
+        bias = biases.head(layout, head)
+        for index in indices:
+            if index < len(bias):
+                bias[index] = policy.parameter_bias
+    assignment, _, named = policy.matcher.best_partial_structural_assignment(session.root)
+    pending = [n for n in policy.query.preorder_named_nodes() if n not in assignment.nodes]
+    if named == 0 or not pending:
+        return biases
+    target = policy._target_parent_node(pending[0], assignment)
+    if target is None or target is session.current:
+        action_bias[SNIPPET_ACTION_INDEX] += policy.structure_bias
+        action_bias[BACK_ACTION_INDEX] -= policy.structure_bias
+        policy._bias_toward_spec(pending[0], recomputed_bindings(policy, assignment), biases)
+    else:
+        action_bias[BACK_ACTION_INDEX] += policy.structure_bias
+        action_bias[SNIPPET_ACTION_INDEX] -= policy.structure_bias
+    return biases
+
+
+def _continuity_specs() -> dict[str, list[str]]:
+    """Per dataset, the corpus specifications that bind continuity variables."""
+    specs: dict[str, list[str]] = {name: [] for name in DATASETS}
+    for instance in generate_benchmark().instances:
+        texts = specs[instance.dataset]
+        if "(?<" in instance.ldx_text and instance.ldx_text not in texts:
+            texts.append(instance.ldx_text)
+    return specs
+
+
+_CORPUS_SPECS = _continuity_specs()
+
+
+@st.composite
+def decision_scripts(draw):
+    """A dataset, a specification, the mask setting and seeded action scripts."""
+    dataset = draw(st.sampled_from(DATASETS))
+    ldx = draw(st.sampled_from([COMPARISON_LDX] + _CORPUS_SPECS[dataset][:6]))
+    mask = draw(st.booleans())
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3))
+    return dataset, ldx, mask, seeds
+
+
+class TestComposedDecisionRow:
+    @settings(max_examples=40, deadline=None)
+    @given(decision_scripts())
+    def test_composed_row_equals_the_full_recomputation(self, script):
+        """Two agents on one context (as two requests) play the same random
+        actions; every decision row equals the guidance oracle folded with
+        the per-head mask loop over freshly computed masks, bit for bit,
+        whichever agent filled the memos."""
+        dataset, ldx, mask, seeds = script
+        table = load_dataset(dataset, num_rows=120)
+        shared = SharedExplorationContext()
+        config = CdrlConfig(episodes=1, mask_invalid_actions=mask)
+        agents = [
+            LinxCdrlAgent(table, ldx, config=config, shared=shared) for _ in range(2)
+        ]
+        first = agents[0].policy
+        assert first._guidance_memo is agents[1].policy._guidance_memo
+        layout = first.network.layout
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            for agent in agents:
+                agent.environment.reset()
+            for _ in range(agents[0].environment.episode_length):
+                indices = {
+                    name: int(rng.integers(size)) for name, size in zip(layout.names, layout.sizes)
+                }
+                for agent in agents[:: 1 if seed % 2 else -1]:
+                    policy, environment = agent.policy, agent.environment
+                    row = policy.decision_biases(environment)
+                    # The masks memoised by view schema are the view's own.
+                    view = environment.session.current.view
+                    for name, fresh in policy.action_space._compute_valid_mask(view).items():
+                        assert np.array_equal(environment.head_mask(name), fresh)
+                    expected = guidance_oracle(policy, environment.session)
+                    if mask:
+                        expected = per_head_mask_fold(policy, expected, environment)
+                    assert row.row.tobytes() == expected.row.tobytes()
+                    assert row.folded.tolist() == expected.folded.tolist()
+                    environment.step(policy.indices_to_choice(indices))
 
 
 _SESSION_STEPS = [
@@ -246,6 +357,8 @@ class TestBindingsMemo:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(_SESSION_STEPS), max_size=8), min_size=1, max_size=4))
     def test_memoised_bindings_equal_recomputed_bindings(self, sessions):
+        """The bindings a guidance key carries (and the guidance memo is keyed
+        by) are the recomputed bindings at the target, and none elsewhere."""
         table = load_dataset("netflix", num_rows=120)
         space = ActionSpace(table)
         policy = SpecificationAwarePolicy(8, space, parse_ldx(COMPARISON_LDX))
@@ -263,6 +376,73 @@ class TestBindingsMemo:
                 assignment, _, _ = policy.matcher.best_partial_structural_assignment(
                     session.root
                 )
-                assert policy._continuity_bindings(assignment) == recomputed_bindings(
-                    policy, assignment
-                )
+                key = policy._guidance_key(session)
+                if key is None or not key[1]:
+                    assert key is None or key[2] == ()
+                    continue
+                assert key[2] == tuple(sorted(recomputed_bindings(policy, assignment).items()))
+
+
+# -- plan extension ------------------------------------------------------------------
+def canonical_oracle(nodes) -> tuple:
+    """Each maximal filter run sorted by signature, first of each signature kept."""
+    out: list = []
+    run: dict = {}
+    for node in [*nodes, None]:
+        if isinstance(node, FilterNode):
+            run.setdefault(node.signature(), node)
+            continue
+        out.extend(run[signature] for signature in sorted(run))
+        run = {}
+        if node is not None:
+            out.append(node)
+    return tuple(out)
+
+
+def fingerprint_oracle(nodes) -> str:
+    """The plan digest, streamed field by field."""
+    digest = hashlib.blake2b(digest_size=20)
+    for node in nodes:
+        signature = node.signature()
+        digest.update(b"N" + str(len(signature)).encode() + b":")
+        for field in signature:
+            raw = str(field).encode("utf-8")
+            digest.update(str(len(raw)).encode() + b":" + raw)
+    return digest.hexdigest()
+
+
+_CHAIN_STEPS = [
+    FilterOperation(attr, op, term)
+    for attr, term in (("country", "Japan"), ("type", "Movie"), ("rating", "TV-MA"))
+    for op in ("eq", "neq")
+] + [GroupAggOperation("type", "count", "type"), GroupAggOperation("country", "count", "country")]
+
+
+class TestPlanExtension:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(_CHAIN_STEPS), min_size=1, max_size=7),
+            min_size=1,
+            max_size=3,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_extension_equals_canonicalising_the_raw_chain(self, chains, random):
+        """Each chain runs as drawn and with its operations shuffled (commuted
+        filters; duplicates are drawn too) through one cached executor; every
+        returned plan is the normal form of the raw chain so far, fingerprint
+        included."""
+        table = load_dataset("netflix", num_rows=120)
+        executor = QueryExecutor(ExecutionCache())
+        for chain in chains:
+            for operations in (chain, random.sample(chain, len(chain))):
+                plan, view, raw = LogicalPlan(()), table, []
+                for operation in operations:
+                    try:
+                        view, plan = executor.execute_step(table, plan, view, operation)
+                    except ExecutionError:
+                        continue
+                    raw.append(node_from_operation(operation))
+                    assert plan.steps == canonical_oracle(raw)
+                    assert plan.fingerprint() == fingerprint_oracle(plan.steps)
