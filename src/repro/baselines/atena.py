@@ -85,7 +85,10 @@ class AtenaAgent:
             self.config.trainer, episodes=self.config.episodes, seed=self.config.seed
         )
         self.trainer = PolicyGradientTrainer(
-            environments, policy=self.policy, config=trainer_config
+            environments,
+            policy=self.policy,
+            config=trainer_config,
+            episode_streams=self.config.num_envs > 1,
         )
         self._scorer = GenericExplorationReward()
 

@@ -52,10 +52,11 @@ class CdrlConfig:
     mask_invalid_actions: bool = True
     #: Memoise query execution across episodes via a shared ExecutionCache.
     cache_execution: bool = True
-    #: Episodes rolled out in lock-step per training wave, over one shared
-    #: execution cache and view-feature memo.  At 1 episodes sample from the
-    #: policy's own generator; above 1 each samples from
-    #: ``env_rng(seed, episode_index)``.  Changing it changes how sampling
+    #: How training episodes are sampled.  At 1 (the served path) the
+    #: episodes up to each gradient update play as one lock-step wave on the
+    #: policy's own generator, with results equal to playing them one at a
+    #: time.  Above 1, waves are ``num_envs`` episodes, each sampling from
+    #: ``env_rng(seed, episode_index)``; that changes how sampling
     #: interleaves with gradient updates, so results depend on
     #: ``(seed, num_envs)``.
     num_envs: int = 1
@@ -195,12 +196,14 @@ class LinxCdrlAgent:
             self.cache = ExecutionCache()
         self.environment = self._environment(self.reward_strategy)
         # Training waves: the primary environment plus siblings sharing its
-        # action space, execution cache and feature memo.  The compliance
+        # action space, execution cache and feature memo, one per episode of
+        # the largest wave (a batch at num_envs = 1).  The compliance
         # strategy keeps a per-episode step counter, so each environment gets
         # its own instance over the shared memos.
+        episode_streams = self.config.num_envs > 1
+        wave = self.config.num_envs if episode_streams else self.config.trainer.batch_episodes
         environments = [self.environment] + [
-            self._environment(self._reward_strategy())
-            for _ in range(self.config.num_envs - 1)
+            self._environment(self._reward_strategy()) for _ in range(wave - 1)
         ]
         observation_size = self.environment.observation_size()
         if spec_aware:
@@ -235,6 +238,7 @@ class LinxCdrlAgent:
             policy=self.policy,
             config=trainer_config,
             decision_to_choice=decision_to_choice,
+            episode_streams=episode_streams,
         )
         self._best_compliant: Optional[tuple[ExplorationSession, float]] = None
 

@@ -4,14 +4,16 @@ Training a CDRL agent recomputes the same pure functions over and over — the
 guidance of a session state, the structural LDX answers for a tree shape, the
 interestingness of a view — and identical inputs recur across requests on
 the same (specification, dataset).  A :class:`SharedExplorationContext`
-pools that work: action spaces with their validity-mask and mask-fold memos
-(by view schema), generic-reward scorers, LDX matchers with their per-shape
-memos, view-feature memos, and the specification-aware policy's guidance
-memos (one read-only bias row per guidance key and mask fold) and decision
-memos (the guidance memo's row for each session state).  Pools are keyed by
-content (rendered specification, table fingerprint), and every pooled structure memoises a pure function of its
-key, so sharing changes how often things are computed, never what they
-evaluate to.
+pools that work: action spaces, their validity-mask and mask-fold memos
+(by view schema, pooled per dataset and vocabulary, so specifications that
+extend a dataset's space alike share them), generic-reward scorers, LDX
+matchers with their per-shape memos, view-feature memos, and the
+specification-aware policy's guidance memos (one read-only bias row per
+guidance key and mask fold) and decision memos (the guidance memo's row for
+each session state).  Pools are keyed by content (rendered specification,
+table fingerprint, vocabulary), and every pooled structure memoises a pure
+function of its key, so sharing changes how often things are computed,
+never what they evaluate to.
 
 :class:`~repro.engine.core.LinxEngine` owns one context and hands it to
 every request, batched or not; an agent built on its own makes a private
@@ -31,6 +33,8 @@ from repro.explore.action_space import ActionSpace
 from repro.explore.reward import GenericExplorationReward
 from repro.ldx.ast import LdxQuery
 from repro.ldx.verifier import LdxMatcher
+
+from .snippets import SnippetLibrary
 
 #: Entries (memo keys plus pools) one context holds before it clears every
 #: memo and pool.  The largest entries (bias rows, validity masks) are about
@@ -106,18 +110,32 @@ class SharedExplorationContext:
 
     # -- pools ------------------------------------------------------------------------
     def action_space(self, table: DataTable, query: Optional[LdxQuery]) -> ActionSpace:
-        """The pooled :class:`ActionSpace` for *table*, as *query* will extend it.
+        """The pooled :class:`ActionSpace` for *table*, extended for *query*.
 
         The specification-aware policy's snippet library appends its
         specification's operators, terms and group/aggregation attributes
         to the space it is given, so the rendered specification is part of
-        the key; pass ``None`` for a policy that leaves the space as built.
+        the key and the space is handed out already extended (the policy's
+        own library then adds nothing); pass ``None`` for a policy that
+        leaves the space as built.  The space's validity-mask and mask-fold
+        memos are pooled per (dataset, :meth:`ActionSpace.vocabulary`):
+        the masks read nothing else of the space.
         """
         spec = None if query is None else query.render()
         return self._pooled(
             ("action_spaces", spec, table.fingerprint()),
-            lambda: ActionSpace(table, memo=self._memo),
+            lambda: self._action_space(table, query),
         )
+
+    def _action_space(self, table: DataTable, query: Optional[LdxQuery]) -> ActionSpace:
+        space = ActionSpace(table)
+        if query is not None:
+            SnippetLibrary(query, space)  # extends the space's vocabulary
+        space.mask_memo, space.fold_memo = self._pooled(
+            ("mask_memos", table.fingerprint(), space.vocabulary()),
+            lambda: (self._memo(), self._memo()),
+        )
+        return space
 
     def scorer(self, table: DataTable) -> GenericExplorationReward:
         """The pooled generic-reward scorer for *table*'s content.
@@ -172,6 +190,7 @@ class SharedExplorationContext:
             counts = dict.fromkeys(
                 (
                     "action_spaces",
+                    "mask_memos",
                     "scorers",
                     "matchers",
                     "decision_memos",

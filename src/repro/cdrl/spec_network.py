@@ -128,7 +128,9 @@ class SpecificationAwarePolicy(CategoricalPolicy):
         self._guidance_memo: dict[tuple, BiasRow] = (
             {} if guidance_memo is None else guidance_memo
         )
-        self._head_sizes = network.layout.sizes.tobytes()
+        # The snippet head is last and never masked, so the masked columns
+        # depend on the base heads' sizes only.
+        self._base_head_sizes = network.layout.sizes[:-1].tobytes()
         super().__init__(
             network,
             rng=np.random.default_rng(seed),
@@ -184,9 +186,9 @@ class SpecificationAwarePolicy(CategoricalPolicy):
 
     def _masked_columns(self, environment: "ExplorationEnvironment") -> np.ndarray:
         """The base policy's masked columns, memoised read-only per (view
-        schema, head sizes) in the action space's fold memo."""
+        schema, base head sizes) in the action space's fold memo."""
         memo = self.action_space.fold_memo
-        key = (environment.session.current.view.schema_key(), self._head_sizes)
+        key = (environment.session.current.view.schema_key(), self._base_head_sizes)
         masked = memo.get(key)
         if masked is None:
             masked = super()._masked_columns(environment)

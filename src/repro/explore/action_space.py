@@ -18,7 +18,7 @@ The factored action is a tuple of head indices, decoded by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class ActionChoice:
 class ActionSpace:
     """Vocabulary and decoder of the factored exploration action space."""
 
-    def __init__(self, dataset: DataTable, memo: Callable[[], dict] = dict):
+    def __init__(self, dataset: DataTable):
         self.dataset = dataset
         self.attributes: list[str] = dataset.columns
         self.filter_operators: list[str] = list(AGENT_FILTER_OPERATORS)
@@ -74,13 +74,15 @@ class ActionSpace:
         self.terms: dict[str, list[Any]] = {
             attr: self._derive_terms(dataset, attr) for attr in self.attributes
         }
-        # Validity masks keyed by view schema (:meth:`DataTable.schema_key`,
-        # all they read), so every view with one schema reuses one scan.  ``memo`` builds the dict; the exploration
-        # context passes one that charges its entry budget.
-        self._mask_memo: dict[tuple, dict[str, np.ndarray]] = memo()
+        #: Validity masks keyed by view schema (:meth:`DataTable.schema_key`,
+        #: all they read besides the :meth:`vocabulary`), so every view with
+        #: one schema reuses one scan.  The exploration context replaces this
+        #: memo and :attr:`fold_memo` with ones pooled per (dataset,
+        #: vocabulary) and charged to its entry budget.
+        self.mask_memo: dict[tuple, dict[str, np.ndarray]] = {}
         #: A policy's read-only fold of those masks (the head-row columns they
-        #: rule out) by (view schema, head sizes), on the same budget.
-        self.fold_memo: dict[tuple[tuple, bytes], np.ndarray] = memo()
+        #: rule out) by (view schema, base head sizes).
+        self.fold_memo: dict[tuple[tuple, bytes], np.ndarray] = {}
 
     # -- vocabulary derivation ----------------------------------------------------------
     @staticmethod
@@ -112,6 +114,19 @@ class ActionSpace:
         counts = column.value_counts()
         ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
         return [value for value, _ in ranked[:TERMS_PER_ATTRIBUTE]] or [""]
+
+    def vocabulary(self) -> tuple[tuple[str, ...], ...]:
+        """Everything the validity masks read besides the view: the attribute,
+        operator, group-attribute, aggregation-function and
+        aggregation-attribute lists, as extended so far.  Terms are left out:
+        the ``filter_term`` mask is all-true."""
+        return (
+            tuple(self.attributes),
+            tuple(self.filter_operators),
+            tuple(self.group_attributes),
+            tuple(self.agg_functions),
+            tuple(self.agg_attributes),
+        )
 
     # -- sizes ---------------------------------------------------------------------------
     def head_sizes(self) -> dict[str, int]:
@@ -162,7 +177,7 @@ class ActionSpace:
         attribute is.
         """
         key = view.schema_key()
-        memo = self._mask_memo
+        memo = self.mask_memo
         cached = memo.get(key)
         if cached is None:
             cached = self._compute_valid_mask(view)

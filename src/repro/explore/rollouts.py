@@ -10,19 +10,26 @@ network forward and decision kernel, and steps each environment once.  It
 is the only code in the library that plays an episode: training waves,
 greedy evaluations and ``best_session`` attempts
 (:class:`~repro.rl.trainer.PolicyGradientTrainer`) and the policy
-registry's evaluation sweep all call it, with K = 1 as the common case.
+registry's evaluation sweep all call it.  Served training waves are the
+episodes up to the next gradient update; evaluations are K = 1.
 
 Callers build the list with shared plumbing, as the agents do: one action
 space, one :class:`~repro.explore.cache.ExecutionCache` (any environment's
 executed pipeline is a cache hit for all the others) and one view-feature
 memo.  Sharing never changes results, only how often work re-runs.
 
-Sampling has two sources.  With ``seed=None`` every row draws from the
-policy's own generator, in row order.  With an integer seed, episode *i*
-draws from its own stream :func:`env_rng(seed, i) <env_rng>`, and the
-policy's batched kernels are row-bit-identical to the single-observation
-ones, so K lock-step episodes reproduce K one-at-a-time episodes bit for
-bit (the sequential oracle lives in ``tests/rollout_oracle.py``).
+Sampling has two sources.  With ``seed=None`` the episodes sample from
+the policy's own generator: a sampled rollout draws all its uniforms —
+K episodes × ``episode_length`` decisions × one per head — in one call,
+episode-major, and episode *k* reads its own slice.  Every decision draws
+exactly one uniform per head and every episode takes exactly
+``episode_length`` decisions, so the slices are the draws K consecutive
+one-at-a-time episodes would take, and the generator ends in the same
+state.  With an integer seed, episode *i* draws from its own stream
+:func:`env_rng(seed, i) <env_rng>`.  Either way the policy's batched
+kernels are row-bit-identical to the single-observation ones, so K
+lock-step episodes reproduce K one-at-a-time episodes bit for bit (the
+sequential oracle lives in ``tests/rollout_oracle.py``).
 """
 
 from __future__ import annotations
@@ -59,6 +66,25 @@ def env_rng(seed: int, env_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, env_index))
     )
+
+
+class _EpisodeDraws:
+    """One episode's slice of a rollout's pre-drawn uniforms.
+
+    Stands in for the episode's generator: :meth:`random` hands out the
+    next *size* draws, in draw order.
+    """
+
+    __slots__ = ("_draws", "_next")
+
+    def __init__(self, draws: np.ndarray):
+        self._draws = draws
+        self._next = 0
+
+    def random(self, size: int) -> np.ndarray:
+        start = self._next
+        self._next += size
+        return self._draws[start : self._next]
 
 
 @dataclass
@@ -101,19 +127,25 @@ def collect_rollouts(
 ) -> RolloutBatch:
     """Play one episode in each of *environments*, in lock-step.
 
-    With ``seed=None`` rows sample from the policy's own generator;
-    otherwise episode ``episode_base + k`` (environment *k*) samples from
+    With ``seed=None`` environment *k* samples from the *k*-th episode's
+    slice of one block drawn from the policy's own generator; otherwise
+    episode ``episode_base + k`` samples from
     :func:`env_rng(seed, episode_base + k) <env_rng>`.  Greedy episodes
     draw nothing.  ``decision_to_choice`` decodes per-head indices
     (default :func:`~repro.explore.action_space.choice_from_index_map`).
     """
     _check_lock_step(environments)
     to_choice = decision_to_choice or choice_from_index_map
-    rngs = (
-        None
-        if seed is None
-        else [env_rng(seed, episode_base + k) for k in range(len(environments))]
-    )
+    if greedy:
+        rngs = None
+    elif seed is None:
+        heads = len(policy.network.layout.names)
+        block = policy.rng.random(
+            (len(environments), environments[0].episode_length * heads)
+        )
+        rngs = [_EpisodeDraws(draws) for draws in block]
+    else:
+        rngs = [env_rng(seed, episode_base + k) for k in range(len(environments))]
     buffers = [EpisodeBuffer() for _ in environments]
     observations = np.array([environment.reset() for environment in environments])
     while True:

@@ -42,6 +42,26 @@ class PlanNode:
     def describe(self) -> str:
         raise NotImplementedError
 
+    def encoded(self) -> bytes:
+        """The node's part of a plan fingerprint: its signature, length-prefixed.
+
+        Computed once per node (nodes are immutable and shared by every
+        plan extending a prefix), so a new plan's fingerprint joins cached
+        parts and hashes once.
+        """
+        cached = self.__dict__.get("_encoded")
+        if cached is None:
+            signature = self.signature()
+            parts = [b"N%d:" % len(signature)]
+            for field in signature:
+                raw = str(field).encode("utf-8")
+                parts.append(b"%d:%s" % (len(raw), raw))
+            cached = b"".join(parts)
+            # Frozen dataclasses only guard __setattr__; the instance dict
+            # is writable and not part of equality.
+            self.__dict__["_encoded"] = cached
+        return cached
+
 
 @dataclass(frozen=True)
 class FilterNode(PlanNode):
@@ -114,29 +134,18 @@ class LogicalPlan:
         """A new plan with *node* appended."""
         return LogicalPlan(self.steps + (node,))
 
-    def signatures(self) -> tuple[tuple[str, ...], ...]:
-        """The per-node signature tuples, in pipeline order (hashable)."""
-        return tuple(node.signature() for node in self.steps)
-
     def fingerprint(self) -> str:
         """Stable blake2b digest over the type-tagged node signatures.
 
-        Computed once per instance (plans are immutable) through a
-        length-prefixed encoding, hashed in one call, so the key is
-        canonical across processes — no reliance on ``repr`` or pickle
-        memoisation.
+        Computed once per instance (plans are immutable) by joining the
+        nodes' cached length-prefixed encodings (:meth:`PlanNode.encoded`)
+        and hashing them in one call, so the key is canonical across
+        processes — no reliance on ``repr`` or pickle memoisation.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
-            parts = []
-            for signature in self.signatures():
-                parts.append(b"N%d:" % len(signature))
-                for field in signature:
-                    raw = str(field).encode("utf-8")
-                    parts.append(b"%d:%s" % (len(raw), raw))
-            cached = hashlib.blake2b(b"".join(parts), digest_size=20).hexdigest()
-            # Frozen dataclasses only guard __setattr__; the instance dict
-            # is writable and not part of equality.
+            encoding = b"".join([node.encoded() for node in self.steps])
+            cached = hashlib.blake2b(encoding, digest_size=20).hexdigest()
             self.__dict__["_fingerprint"] = cached
         return cached
 

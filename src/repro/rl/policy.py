@@ -42,9 +42,10 @@ per row, in row order, and looks the choices up.
 keep revisiting states, so on the local route :meth:`~CategoricalPolicy.act_batch`
 memoises each row's distribution under its observation, bias-row and
 folded-flag bytes for as long as the network's ``weights_version`` stays the
-same: only rows not seen under the current weights are forwarded, and every
-row is still sampled.  The memo is private to the policy, because its
-weights are; the batcher route (``act_backend``) bypasses it.
+same: only rows not seen under the current weights are forwarded, each
+distinct one once per call, and every row is still sampled.  The memo is
+private to the policy, because its weights are; the batcher route
+(``act_backend``) bypasses it.
 """
 
 from __future__ import annotations
@@ -278,8 +279,9 @@ class CategoricalPolicy:
         That row independence is what the distribution memo relies on:
         rows whose (observation, bias row) pair this policy already decided
         under the current weights reuse their :class:`DecisionDistribution`,
-        and only the other rows are forwarded.  Every row is still sampled,
-        in row order.  The ``act_backend`` route bypasses the memo.
+        and only the other rows are forwarded and folded, each distinct pair
+        once.  Every row is still sampled, in row order.  The
+        ``act_backend`` route bypasses the memo.
         """
         obs = np.asarray(observations, dtype=np.float64)
         if obs.ndim != 2:
@@ -302,15 +304,26 @@ class CategoricalPolicy:
         ]
         distributions = [memo.get(key) for key in keys]
         missing = [k for k, known in enumerate(distributions) if known is None]
-        probabilities = values = None
+        probabilities = values = sources = None
+        firsts: list[int] = []
         if missing:
+            # Each distinct missing key is forwarded and folded once (the
+            # episodes of a lock-step wave all start from the root state):
+            # the j-th missing row reads forward row sources[j].
+            slots: dict[tuple[bytes, bytes, bytes], int] = {}
+            sources = []
+            for k in missing:
+                slot = slots.setdefault(keys[k], len(slots))
+                if slot == len(firsts):
+                    firsts.append(k)
+                sources.append(slot)
             probabilities, values = self.network.forward_batch(
-                obs if len(missing) == len(obs) else obs.take(missing, axis=0)
+                obs if len(firsts) == len(obs) else obs.take(firsts, axis=0)
             )
         decisions = self.decisions_from_forward(
-            obs, probabilities, values, biases_list, rngs, greedy, distributions
+            obs, probabilities, values, biases_list, rngs, greedy, distributions, sources
         )
-        for k in missing:
+        for k in firsts:
             if len(memo) >= DISTRIBUTION_MEMO_MAX:
                 memo.clear()
             memo[keys[k]] = distributions[k]
@@ -427,6 +440,7 @@ class CategoricalPolicy:
         rngs: Sequence[np.random.Generator] | None = None,
         greedy: bool = False,
         distributions: list[DecisionDistribution | None] | None = None,
+        sources: Sequence[int] | None = None,
     ) -> list[PolicyDecision]:
         """The post-forward half of :meth:`act_batch`:
         :meth:`decision_distributions`, then :meth:`sample_decisions`.
@@ -441,19 +455,27 @@ class CategoricalPolicy:
         ``distributions`` holds the rows already known (the local route's
         memo hits) and ``None`` elsewhere; the forward outputs then cover
         only the ``None`` rows, in order, and those entries are filled in
-        place.  Both routes thus run all post-forward work through this one
-        method, which is where the traced benchmark times ``rl.decide``.
+        place.  With ``sources``, the *j*-th ``None`` row instead reads
+        forward row ``sources[j]``: rows of one state share one forward row
+        and one distribution (every forward row must be read).  Both routes
+        thus run all post-forward work through this one method, which is
+        where the traced benchmark times ``rl.decide``.
         """
         _check_rows(len(obs), biases_list, rngs)
         if distributions is None:
             distributions = [None] * len(obs)
         missing = [k for k, known in enumerate(distributions) if known is None]
         if missing:
+            if sources is None:
+                sources = range(len(missing))
+            readers: dict[int, int] = {}
+            for k, source in zip(missing, sources):
+                readers.setdefault(source, k)
             fresh = self.decision_distributions(
-                probabilities, values, [biases_list[k] for k in missing]
+                probabilities, values, [biases_list[readers[row]] for row in range(len(readers))]
             )
-            for k, distribution in zip(missing, fresh):
-                distributions[k] = distribution
+            for k, source in zip(missing, sources):
+                distributions[k] = fresh[source]
         return self.sample_decisions(obs, distributions, biases_list, rngs, greedy)
 
     # -- learning ------------------------------------------------------------------------

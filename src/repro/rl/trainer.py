@@ -6,21 +6,28 @@ training loop both the goal-agnostic ATENA baseline and the LINX CDRL agent
 use; LINX differs only in its environment reward and its specification-aware
 policy (snippet head + logit biasing).
 
-The trainer holds a list of K environments, primary first.  Every episode
+The trainer holds a list of environments, primary first.  Every episode
 it plays — training episodes, greedy evaluations and ``best_session``
 attempts — is played by :func:`repro.explore.rollouts.collect_rollouts`.
-Training episodes are collected in lock-step *waves* of K by
+Training episodes are collected in lock-step *waves* by
 :meth:`PolicyGradientTrainer.collect_waves`, the only wave loop, which both
 :meth:`~PolicyGradientTrainer.train` and
 :class:`repro.train.run.TrainingRun` call; evaluations are waves of one on
-the primary environment.  At K = 1 episodes sample from the policy's own
-generator (the served path); at K > 1 episode *i* samples from
-``env_rng(seed, i)``.  Either way a run is reproducible for a given
-``(seed, K)`` and can stop at any wave boundary and continue later to the
+the primary environment.
+
+By default (``CdrlConfig.num_envs = 1``, the served path) a wave is the
+episodes up to the next gradient update, at most one per environment, cut
+at the requested stop.  All of them act under the same weights, and the
+wave samples from the policy's own generator, episode *k* from its own
+slice of one block of draws (see :mod:`repro.explore.rollouts`), so a run
+is bit-identical to playing its episodes one at a time; wave sizes change
+speed, never results.  With ``episode_streams`` (``num_envs = K > 1``)
+waves are K episodes whatever the batch, episode *i* samples from
+``env_rng(seed, i)`` and every episode of a wave acts with the wave's
+starting weights, so K changes how sampling interleaves with gradient
+updates and different K are *not* interchangeable.  Either way a run is
+reproducible and can stop at a wave boundary and continue later to the
 same weights (a checkpoint stores the policy's generator state).
-Different K are *not* interchangeable: every episode of a wave is
-collected with the wave's starting weights, so changing K changes how
-sampling interleaves with gradient updates.
 """
 
 from __future__ import annotations
@@ -175,10 +182,13 @@ class TrainingHistory:
 class PolicyGradientTrainer:
     """Trains a :class:`CategoricalPolicy` over a list of exploration environments.
 
-    ``environments`` are played in lock-step waves of ``len(environments)``
-    (K) and should share one action space, execution cache and view-feature
-    memo.  The first is the primary one: evaluations run on it and it
-    reports the cache statistics.
+    ``environments`` are played in lock-step waves and should share one
+    action space, execution cache and view-feature memo.  The first is the
+    primary one: evaluations run on it and it reports the cache
+    statistics.  Without ``episode_streams`` a wave is the episodes up to
+    the next update (at most ``len(environments)``) on the policy's own
+    generator; with it, waves are ``len(environments)`` episodes on
+    per-episode ``env_rng`` streams.
     """
 
     def __init__(
@@ -187,8 +197,10 @@ class PolicyGradientTrainer:
         policy: CategoricalPolicy,
         config: TrainerConfig | None = None,
         decision_to_choice: "DecisionToChoice | None" = None,
+        episode_streams: bool = False,
     ):
         self.environments = list(environments)
+        self.episode_streams = episode_streams
         self.policy = policy
         self.config = config or TrainerConfig()
         self.decision_to_choice = decision_to_choice
@@ -242,23 +254,35 @@ class PolicyGradientTrainer:
         total: int,
         callback: Optional[Callable[[int, float, ExplorationSession], None]] = None,
     ) -> int:
-        """Collect and record waves from episode *start* to the first wave
-        boundary at or past *stop*; returns the episode reached.
+        """Collect and record waves from episode *start* on; returns the
+        episode reached.
 
-        Wave sizes follow the schedule of an uninterrupted *total*-episode
-        run (``min(K, total - episode)``), so stopping at a wave boundary
-        and continuing later collects exactly the same waves.  At K = 1
-        episodes sample from the policy's own generator; at K > 1 episode
-        *i* samples from ``env_rng(config.seed, i)``.
+        By default waves stop exactly at *stop*: each is
+        ``min(batch_episodes - pending, stop - episode, total - episode)``
+        episodes (and at most one per environment), so it never straddles
+        a gradient update and all its episodes act under the weights they
+        would have had one at a time.  With ``episode_streams`` wave sizes
+        follow the schedule of an uninterrupted *total*-episode run
+        (``min(K, total - episode)``) and collection ends at the first wave
+        boundary at or past *stop*, so stopping there and continuing later
+        collects exactly the same waves; episode *i* samples from
+        ``env_rng(config.seed, i)``.
         """
-        num_envs = len(self.environments)
-        seed = self.config.seed if num_envs > 1 else None
+        count = len(self.environments)
         episode = start
         while episode < min(stop, total):
+            if self.episode_streams:
+                size, seed = min(count, total - episode), self.config.seed
+            else:
+                size = min(
+                    count,
+                    self.config.batch_episodes - len(self._batch),
+                    stop - episode,
+                    total - episode,
+                )
+                seed = None
             rollout = self._rollout(
-                self.environments[: min(num_envs, total - episode)],
-                seed=seed,
-                episode_base=episode,
+                self.environments[:size], seed=seed, episode_base=episode
             )
             for buffer, session in zip(rollout.buffers, rollout.sessions):
                 self.record_episode(episode, buffer, session, callback=callback)

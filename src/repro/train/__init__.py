@@ -4,9 +4,8 @@ The training loop of :mod:`repro.cdrl` runs in one process.  This package
 makes it operable:
 
 * :mod:`repro.train.run` — :class:`TrainingRun`, which collects episodes
-  with the trainer's wave loop in waves of ``config.num_envs`` and
-  checkpoints at wave boundaries, so a killed run resumes to the weights
-  of an uninterrupted one.
+  with the trainer's wave loop and checkpoints between waves, so a killed
+  run resumes to the weights of an uninterrupted one.
 * :mod:`repro.train.checkpoint` — schema-versioned, bit-identical training
   checkpoints (network weights, optimizer moments, pending gradient batch,
   elite replay set, history and the policy's generator state).

@@ -2,13 +2,13 @@
 
 Four subcommands cover the train → resume → publish → serve lifecycle::
 
-    # Train a policy in waves of 4 episodes and publish it as "flights-delay".
+    # Train a policy in waves of 4 seeded episodes and publish it as "flights-delay".
     python -m repro.train train --dataset flights --rows 300 \
         --ldx-file spec.ldx --episodes 60 --envs 4 \
         --checkpoint /tmp/linx/run.ckpt \
         --registry /tmp/linx/policies.sqlite --name flights-delay
 
-    # Continue an interrupted run (the wave size comes from the checkpoint).
+    # Continue an interrupted run (--envs comes from the checkpoint).
     python -m repro.train resume /tmp/linx/run.ckpt
 
     # Inspect and manage the registry.
@@ -40,7 +40,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--checkpoint-every",
         type=int,
         default=1,
-        help="checkpoint every N waves (default 1)",
+        help="checkpoint every N x envs episodes (default 1)",
     )
     parser.add_argument(
         "--registry", default=None, help="sqlite policy registry path"
@@ -80,7 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--envs",
         type=int,
         default=1,
-        help="episodes collected per wave, in lock-step (CdrlConfig.num_envs)",
+        help=(
+            "CdrlConfig.num_envs: at 1 (default) the episodes up to each update "
+            "play as one lock-step wave on the policy's generator; above 1, "
+            "waves of N episodes, each on its own seeded stream"
+        ),
     )
     train.add_argument(
         "--checkpoint", default=None, help="checkpoint file path (enables resume)"
@@ -138,7 +142,7 @@ def _train(run: TrainingRun, args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     print(
         f"trained {result.episodes_trained} episodes in {elapsed:.1f}s "
-        f"(waves of {len(run.trainer.environments)})"
+        f"(envs={run.spec.config.num_envs})"
     )
     print(
         f"  best session: compliant={result.fully_compliant}, "

@@ -6,10 +6,13 @@ serialized — dtype string, shape, raw bytes — the same discipline
 :mod:`repro.explore.diskcache` uses for table columns, never pickled object
 graphs), the trainer's pending gradient batch and elite replay set, the
 JSON-round-tripping :class:`~repro.rl.trainer.TrainingHistory`, the
-episode position and the state of the policy's generator.  Waves of one
-sample from that generator, so a resumed run continues its stream; waves of
-K > 1 draw from per-episode streams (``env_rng(seed, episode_index)``),
-whose position *is* the ``(seed, episodes_completed)`` pair.
+episode position and the state of the policy's generator.  At
+``num_envs = 1`` training waves draw each episode's slice from that
+generator in one block, leaving it where the same episodes played one at a
+time would, so a resumed run continues its stream whatever wave sizes it
+stopped between; at ``num_envs = K > 1`` waves draw from per-episode
+streams (``env_rng(seed, episode_index)``), whose position *is* the
+``(seed, episodes_completed)`` pair.
 
 The hard guarantee, tested in ``tests/test_train.py``: restoring a
 checkpoint taken at episode *k* and training to the end produces weights,
@@ -173,8 +176,8 @@ class TrainingCheckpoint:
     network_state: list
     optimizer_state: dict
     history: dict
-    #: Episodes collected since the last gradient update (usually empty at a
-    #: wave boundary unless batch_episodes does not divide the wave size).
+    #: Episodes collected since the last gradient update (empty unless the
+    #: run stopped mid-batch).
     pending_batch: list
     #: Elite replay set; each entry is ``("batch", index)`` (aliasing a
     #: pending-batch member) or ``("buffer", rows)``.
@@ -183,7 +186,7 @@ class TrainingCheckpoint:
     #: ``(operation signatures, utility)`` — or ``None``.
     best_compliant: Optional[tuple]
     #: ``policy.rng.bit_generator.state``: where the policy's own sampling
-    #: stream (waves of one, ``best_session``) continues.
+    #: stream (waves at ``num_envs = 1``, ``best_session``) continues.
     policy_rng_state: dict
     created_at: float = 0.0
     schema_version: int = CHECKPOINT_SCHEMA_VERSION

@@ -2,13 +2,14 @@
 
 :class:`TrainingRun` drives the agent a :class:`~repro.train.checkpoint.TrainSpec`
 builds through the trainer's own wave loop
-(:meth:`~repro.rl.trainer.PolicyGradientTrainer.collect_waves`), in waves of
-``spec.config.num_envs``, and checkpoints at wave boundaries.  Wave
-episodes use the wave-start weights and the checkpoint stores the policy's
-generator state, so resuming from any wave boundary reproduces the
-uninterrupted run weight for weight.  The wave loop, best-compliant
-tracking and the result are the agent's own, so at every ``num_envs`` a
-run equals ``spec.build_agent().run()``.
+(:meth:`~repro.rl.trainer.PolicyGradientTrainer.collect_waves`) and
+checkpoints between waves: every *checkpoint_every* episodes at
+``spec.config.num_envs = 1``, every *checkpoint_every* waves of
+``num_envs`` episodes above it.  The checkpoint stores the policy's
+generator state, so resuming reproduces the uninterrupted run weight for
+weight.  The wave loop, best-compliant tracking and the result are the
+agent's own, so at every ``num_envs`` a run equals
+``spec.build_agent().run()``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ EpisodeCallback = Callable[[int, float, object], None]
 
 class TrainingRun:
     """Trains a CDRL policy, checkpointing to *checkpoint_path* (if given)
-    every *checkpoint_every* waves; :meth:`from_checkpoint` resumes exactly."""
+    every *checkpoint_every* × ``num_envs`` episodes; :meth:`from_checkpoint`
+    resumes exactly."""
 
     def __init__(
         self,
@@ -56,7 +58,7 @@ class TrainingRun:
     ) -> "TrainingRun":
         """Rebuild a run from a checkpoint, positioned to continue exactly.
 
-        The wave size comes from the stored spec, and later checkpoints go
+        ``num_envs`` comes from the stored spec, and later checkpoints go
         to *path* unless *checkpoint_path* says otherwise.
         """
         checkpoint = TrainingCheckpoint.load(path)
@@ -100,7 +102,8 @@ class TrainingRun:
     def collect_until(
         self, episode_target: int, callback: Optional[EpisodeCallback] = None
     ) -> int:
-        """Train up to the first wave boundary at or past *episode_target*.
+        """Train up to *episode_target* (at ``num_envs > 1``, the first wave
+        boundary at or past it).
 
         Returns the episodes completed so far and saves a checkpoint there
         — the "kill" half of kill-and-resume.
@@ -108,9 +111,10 @@ class TrainingRun:
         per_episode = self.agent.episode_hook(callback)
         stop = min(episode_target, self.total_episodes)
         # Each trainer call ends at a checkpoint: every checkpoint_every
-        # waves, or once at the end when there is no checkpoint file.
+        # × num_envs episodes, or once at the end when there is no
+        # checkpoint file.
         stride = (
-            self.checkpoint_every * len(self.trainer.environments)
+            self.checkpoint_every * self.spec.config.num_envs
             if self.checkpoint_path
             else stop
         )

@@ -454,6 +454,12 @@ class TestDistributionMemo:
         Adam().step(policy.parameters())
         policy.act_batch(observation, [BiasRow.empty(network.layout)])
         assert forwards == [1, 1, 1]
+        # Under new weights, equal rows of one call share one forward row.
+        Adam().step(policy.parameters())
+        policy.act_batch(
+            np.repeat(observation, 3, axis=0), [BiasRow.empty(network.layout) for _ in range(3)]
+        )
+        assert forwards == [1, 1, 1, 1]
 
 
 class TestConcatenatedHeadStorage:

@@ -49,7 +49,7 @@ from repro.explore import (
 )
 from repro.explore.action_space import AGENT_AGG_FUNCTIONS, AGENT_FILTER_OPERATORS
 from repro.ldx import parse_ldx
-from repro.plan import FilterNode, LogicalPlan, node_from_operation
+from repro.plan import FilterNode, GroupNode, LogicalPlan, node_from_operation
 from repro.rl.network import MultiHeadPolicyNetwork
 from repro.rl.policy import MASK_LOGIT_BIAS, BiasRow, CategoricalPolicy
 
@@ -446,3 +446,41 @@ class TestPlanExtension:
                     raw.append(node_from_operation(operation))
                     assert plan.steps == canonical_oracle(raw)
                     assert plan.fingerprint() == fingerprint_oracle(plan.steps)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    FilterNode,
+                    st.text(max_size=6),
+                    st.sampled_from(AGENT_FILTER_OPERATORS),
+                    st.one_of(
+                        st.text(max_size=6),
+                        st.integers(),
+                        st.floats(allow_nan=True),
+                        st.none(),
+                    ),
+                ),
+                st.builds(
+                    GroupNode,
+                    st.text(max_size=6),
+                    st.sampled_from(AGENT_AGG_FUNCTIONS),
+                    st.text(max_size=6),
+                ),
+            ),
+            max_size=6,
+        )
+    )
+    def test_cached_node_encodings_give_the_streamed_digest(self, nodes):
+        """Every prefix of a chain, built by extension so later plans share
+        the earlier plans' node objects (and their cached encodings), has
+        the digest streamed field by field; so does a plan of fresh copies
+        of the same nodes."""
+        plan = LogicalPlan(())
+        assert plan.fingerprint() == fingerprint_oracle(())
+        for count, node in enumerate(nodes, 1):
+            plan = plan.extend(node)
+            assert plan.fingerprint() == fingerprint_oracle(nodes[:count])
+        copies = [type(node)(*node.signature()[1:]) for node in nodes]
+        assert LogicalPlan(tuple(copies)).fingerprint() == fingerprint_oracle(nodes)
