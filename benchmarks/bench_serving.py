@@ -10,7 +10,8 @@ Server-Sent-Events stream until each result lands:
   forward per environment step per request;
 * **batched** — ``inference_batching=True``: all requests attach to the
   engine's :class:`~repro.engine.batcher.InferenceBatcher`, whose wave thread
-  coalesces their observation rows into shared stacked forwards.
+  coalesces their observation rows into shared waves that forward each
+  distinct (network, row) once.
 
 Both modes pool read-only exploration state (scorers, action spaces,
 decision memos, LDX matchers) across requests through the engine's
@@ -28,7 +29,7 @@ Acceptance gates (enforced as assertions, run in CI):
 * batched mode reaches ``REPRO_BENCH_MIN_SERVING_SPEEDUP`` x the unbatched
   request throughput (default 2.0 — the design target on idle multi-row
   hardware; wall-clock ratios are load-sensitive, and on a busy single-core
-  runner the stacked forwards save Python dispatch but not FLOPs, so CI may
+  runner the shared waves save Python dispatch but not FLOPs, so CI may
   lower the gate via the environment),
 * batched payloads are bit-identical to unbatched payloads (never relaxable),
 * the batcher actually coalesces: mean rows per wave >= 2.

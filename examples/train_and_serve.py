@@ -2,7 +2,8 @@
 
 A `TrainingRun` trains a CDRL policy in one process.  The episodes up to
 each gradient update play as one lock-step wave (a batch of 8 here), and
-the run checkpoints every `checkpoint_every` episodes.  A wave samples
+the run checkpoints at every update (`checkpoint_every` defaults to the
+batch size).  A wave samples
 from the policy's own generator exactly as its episodes would one at a
 time, and the checkpoint stores that generator's state, so a run stopped
 at a checkpoint and resumed ends with exactly the weights of an
@@ -80,11 +81,9 @@ def main() -> None:
             ),
         )
         started = time.perf_counter()
-        stopped = TrainingRun(
-            spec, checkpoint_path=checkpoint_path, checkpoint_every=BATCH
-        ).collect_until(12)
+        stopped = TrainingRun(spec, checkpoint_path=checkpoint_path).collect_until(12)
         print(f"stopped at episode {stopped}; resuming from {checkpoint_path.name} ...")
-        run = TrainingRun.from_checkpoint(checkpoint_path, checkpoint_every=BATCH)
+        run = TrainingRun.from_checkpoint(checkpoint_path)
         result = run.train(
             callback=lambda episode, episode_return, _s: print(
                 f"  episode {episode + 1:>2}: return {episode_return:7.3f}"

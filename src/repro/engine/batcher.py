@@ -10,12 +10,15 @@ request-private policy *networks*:
     A wave thread that request workers submit observation rows to
     (blocking on per-row results) and that coalesces whatever is pending —
     up to a row cap, with a short linger window as the straggler fallback —
-    into **one** stacked forward per step.  Each request trains its own
+    into **one** forward per step.  Each request trains its own
     :class:`~repro.rl.network.MultiHeadPolicyNetwork`, so rows are grouped
-    by architecture signature and evaluated with the gathered-weight kernel
-    :func:`~repro.rl.network.stacked_forward`; everything downstream of the
-    forward (the fused bias fold, entropy/log-prob sums, per-row sampling
-    from each row's own RNG) runs once for the whole wave through
+    by architecture signature, and
+    :func:`~repro.rl.network.stacked_forward` runs each network's rows on
+    that network's own weights.  As on the local route, each distinct row
+    — here (network, observation, bias row, folded flags) — is forwarded
+    and folded once.  Everything downstream of the forward (the fused bias
+    fold, entropy/log-prob sums, per-row sampling from each row's own RNG)
+    runs once for the whole wave through
     :meth:`~repro.rl.policy.CategoricalPolicy.decisions_from_forward`.
     Every kernel on this path reduces along the contiguous last axis in a
     fixed order, so a row's decision is **bit-identical** to the same row
@@ -44,12 +47,14 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.rl.network import (
-    architecture_signature,
-    stack_parameters,
-    stacked_forward,
+from repro.rl.network import architecture_signature, stacked_forward
+from repro.rl.policy import (
+    BiasRow,
+    CategoricalPolicy,
+    PolicyDecision,
+    distinct_rows,
+    row_key,
 )
-from repro.rl.policy import BiasRow, CategoricalPolicy, PolicyDecision
 
 
 class BatchMember:
@@ -116,16 +121,6 @@ class InferenceBatcher:
         self._pending: list[_Submission] = []
         self._pending_since: Optional[float] = None
         self._shutdown = False
-        # Weight-stack cache for the gathered-forward kernel, keyed by each
-        # member network's ``(id, weights_version)``: consecutive waves over
-        # the same members between optimiser steps reuse one stack instead
-        # of re-copying every network's parameters per wave (which costs
-        # several times the forward einsum itself).  Only the wave thread
-        # touches this — no locking.  Entries hold strong references to
-        # their networks, so a cached id can never be recycled while its
-        # key is alive.
-        self._stack_cache: dict[tuple, tuple[list, dict]] = {}
-        self._stack_cache_max = 64
         # Occupancy telemetry.
         self.waves = 0
         self.rows_total = 0
@@ -273,56 +268,43 @@ class InferenceBatcher:
                 for submission in members:
                     submission.done.set()
 
-    def _group_stacks(self, networks: list) -> dict:
-        """The cached weight stacks for *networks* (in this exact order)."""
-        key = tuple(
-            (id(network), network.weights_version) for network in networks
-        )
-        cached = self._stack_cache.get(key)
-        if cached is not None:
-            return cached[1]
-        stacks = stack_parameters(networks)
-        if len(self._stack_cache) >= self._stack_cache_max:
-            self._stack_cache.clear()
-        self._stack_cache[key] = (list(networks), stacks)
-        return stacks
-
     def _decide_group(self, members: list[_Submission], greedy: bool) -> None:
-        """One stacked forward + one batched decision pass for a group.
+        """One forward of each distinct row + one batched decision pass for a group.
 
-        Rows are concatenated in submission order; distinct networks are
-        deduplicated by identity and gathered per row, so requests sharing
-        one policy (e.g. duplicate-seed probes) stack as cheaply as
-        distinct ones.
+        Rows are concatenated in submission order.  Networks take slots by
+        identity in first-seen order, so requests sharing one policy (e.g.
+        duplicate-seed probes) share a slot.  A row's key is its network's
+        slot plus the local route's :func:`~repro.rl.policy.row_key`; each
+        distinct key is forwarded and folded once, on its own network's
+        weights, and every row is still sampled from its own RNG.
         """
-        distinct: dict[int, Any] = {}
+        slots: dict[int, int] = {}
+        networks = []
+        keys = []
+        biases_list: list[BiasRow] = []
+        rngs: list[np.random.Generator] = []
         for submission in members:
             network = submission.policy.network
-            distinct.setdefault(id(network), network)
-        # Canonical (id-sorted) order so the same member set hits the same
-        # stack-cache entry whatever order their submissions arrived in.
-        networks = [distinct[key] for key in sorted(distinct)]
-        network_slots = {id(network): slot for slot, network in enumerate(networks)}
-        net_index: list[int] = []
-        for submission in members:
-            slot = network_slots[id(submission.policy.network)]
-            net_index.extend([slot] * len(submission.observations))
+            slot = slots.setdefault(id(network), len(networks))
+            if slot == len(networks):
+                networks.append(network)
+            keys.extend(
+                (slot, *row_key(row, biases))
+                for row, biases in zip(submission.observations, submission.biases_list)
+            )
+            biases_list.extend(submission.biases_list)
+            rngs.extend(submission.rngs)
+        firsts, sources = distinct_rows(keys)
         observations = np.concatenate(
             [submission.observations for submission in members]
         )
         probabilities, values = stacked_forward(
             networks,
-            np.asarray(net_index),
-            observations,
-            stacks=self._group_stacks(networks),
+            np.array([keys[k][0] for k in firsts]),
+            observations[firsts],
         )
-        biases_list: list[BiasRow] = []
-        rngs: list[np.random.Generator] = []
-        for submission in members:
-            biases_list.extend(submission.biases_list)
-            rngs.extend(submission.rngs)
         decisions = members[0].policy.decisions_from_forward(
-            observations, probabilities, values, biases_list, rngs, greedy=greedy
+            observations, probabilities, values, biases_list, rngs, greedy, sources
         )
         cursor = 0
         for submission in members:

@@ -19,6 +19,9 @@ different batch shapes, so row ``k`` of a ``(K, F) @ W`` product is *not*
 bit-identical to the same row computed alone, while einsum's fixed reduction
 order is.  That row-independence is what lets a K-env batched rollout
 reproduce K sequential rollouts bit-for-bit (an explicit acceptance test).
+:func:`stacked_forward` evaluates one batch whose rows belong to different
+networks of one architecture: each network forwards its own rows on its own
+weights through the same kernels, without touching its layer caches.
 
 The backward pass keeps the same discipline: every gradient reduces over
 the batch in row order, so K rows at once equal K single-row passes bit
@@ -66,11 +69,13 @@ class DenseLayer:
     _input: np.ndarray = field(default=None, repr=False)
     _output: np.ndarray = field(default=None, repr=False)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input = x
+    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+        """The layer output; with *cache* also kept, with *x*, for :meth:`backward`."""
         output = _affine(x, self.weight, self.bias)
-        self._output = np.tanh(output) if self.activation == "tanh" else output
-        return self._output
+        output = np.tanh(output) if self.activation == "tanh" else output
+        if cache:
+            self._input, self._output = x, output
+        return output
 
     def backward(self, grad_output: np.ndarray, input_gradient: bool = True):
         """Accumulate parameter gradients; return the gradient wrt the input
@@ -147,9 +152,9 @@ def architecture_signature(network: "MultiHeadPolicyNetwork") -> tuple:
 
     Networks with equal signatures have identically-shaped parameters (same
     observation size, trunk widths, and heads in the same order), so their
-    weights can be stacked along a leading axis and evaluated in one
-    gathered-weight pass.  Weight *values* are deliberately excluded — the
-    whole point is batching across networks with different weights.
+    rows share one head layout and one decision pass.  Weight *values* are
+    deliberately excluded — the whole point is batching across networks
+    with different weights.
     """
     return (
         network.observation_size,
@@ -158,18 +163,30 @@ def architecture_signature(network: "MultiHeadPolicyNetwork") -> tuple:
     )
 
 
-def stack_parameters(
+def stacked_forward(
     networks: "list[MultiHeadPolicyNetwork]",
-) -> dict[str, object]:
-    """Stack the weights of architecturally identical networks per layer.
+    net_index: np.ndarray,
+    observations: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One forward pass over rows belonging to *different* networks.
 
-    Returns the gathered-weight operands of :func:`stacked_forward`: one
-    ``(N, fan_in, fan_out)`` weight stack and ``(N, fan_out)`` bias stack
-    per trunk layer, for the concatenated head layer, and for the value
-    head.  Stacking copies every member's parameters, which at small wave
-    sizes costs several times the forward einsum itself — callers firing
-    many waves over the same member set should cache the result keyed by
-    each network's ``weights_version`` (the continuous batcher does).
+    ``net_index[r]`` names the network (an index into *networks*) whose
+    weights evaluate row ``r`` of *observations*.  The rows of each network
+    run through that network's own affine kernels, those of
+    :meth:`MultiHeadPolicyNetwork.forward_batch`, and their outputs are put
+    back in row order.  Rows are independent, so row ``r`` is bit-identical
+    to ``networks[net_index[r]]`` evaluating that observation alone (an
+    explicit acceptance test), and no weights are copied.  This is what
+    lets the continuous batcher fuse policy forwards of concurrent requests
+    that each train their *own* network.
+
+    Returns the concatenated head probabilities ``(R, T)`` (see
+    :class:`HeadLayout`) and the state values ``(R,)``.
+
+    Unlike a plain :meth:`~MultiHeadPolicyNetwork.forward_batch` this
+    touches no layer caches: the owning request threads re-run their own
+    forwards at gradient time, and the wave thread must never mutate their
+    state.
     """
     if not networks:
         raise ValueError("stacked_forward needs at least one network")
@@ -179,69 +196,22 @@ def stack_parameters(
             "stacked_forward needs architecturally identical networks; "
             f"got {len(signatures)} distinct signatures"
         )
-
-    def stack(layers: list[DenseLayer]) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.stack([layer.weight for layer in layers]),
-            np.stack([layer.bias for layer in layers]),
-        )
-
-    return {
-        "trunk": [
-            stack([network.trunk[i] for network in networks])
-            for i in range(len(networks[0].trunk))
-        ],
-        "heads": stack([network.head_layer for network in networks]),
-        "value": stack([network.value_head for network in networks]),
-    }
-
-
-def stacked_forward(
-    networks: "list[MultiHeadPolicyNetwork]",
-    net_index: np.ndarray,
-    observations: np.ndarray,
-    stacks: dict[str, object] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One forward pass over rows belonging to *different* networks.
-
-    ``net_index[r]`` names the network (an index into *networks*) whose
-    weights evaluate row ``r`` of *observations*.  Per layer the member
-    weights are stacked ``(N, fan_in, fan_out)`` and gathered per row, and
-    the affine kernel becomes ``einsum("rf,rfh->rh", x, W[net_index])`` —
-    like :func:`_affine` a sum over the contiguous ``f`` axis in fixed
-    order, so row ``r`` is bit-identical to ``networks[net_index[r]]``
-    evaluating that observation alone (an explicit acceptance test).  This
-    is what lets the continuous batcher fuse policy forwards of concurrent
-    requests that each train their *own* network.
-
-    Returns the concatenated head probabilities ``(R, T)`` (see
-    :class:`HeadLayout`) and the state values ``(R,)``.
-
-    ``stacks`` short-circuits the per-call :func:`stack_parameters` with a
-    cached copy; it MUST have been built from *networks* in this order
-    with the current weight values.
-
-    Unlike :meth:`MultiHeadPolicyNetwork.forward_batch` this touches no
-    layer caches: the owning request threads re-run their own forwards at
-    gradient time, and the wave thread must never mutate their state.
-    """
-    if stacks is None:
-        stacks = stack_parameters(networks)
     hidden = np.asarray(observations, dtype=np.float64)
     if hidden.ndim != 2:
         raise ValueError(f"expected a (R, F) batch, got shape {hidden.shape}")
     index = np.asarray(net_index, dtype=np.intp)
     if index.shape != (len(hidden),):
         raise ValueError("need one network index per observation row")
-
-    def gathered_affine(stack: tuple[np.ndarray, np.ndarray], x: np.ndarray):
-        weight, bias = stack
-        return np.einsum("rf,rfh->rh", x, weight[index]) + bias[index]
-
-    for trunk_stack in stacks["trunk"]:
-        hidden = np.tanh(gathered_affine(trunk_stack, hidden))
-    probabilities = networks[0].layout.softmax(gathered_affine(stacks["heads"], hidden))
-    values = gathered_affine(stacks["value"], hidden)[:, 0]
+    if len(index) and not 0 <= index.min() <= index.max() < len(networks):
+        raise ValueError(f"network index out of range for {len(networks)} networks")
+    probabilities = np.empty((len(hidden), networks[0].layout.total))
+    values = np.empty(len(hidden))
+    for slot, network in enumerate(networks):
+        rows = np.flatnonzero(index == slot)
+        if len(rows):
+            probabilities[rows], values[rows] = network.forward_batch(
+                hidden[rows], cache=False
+            )
     return probabilities, values
 
 
@@ -306,32 +276,27 @@ class MultiHeadPolicyNetwork:
         for prefix, layer in named_layers + [("value", self.value_head)]:
             self._named.append((f"{prefix}.weight", layer.weight, layer.grad_weight))
             self._named.append((f"{prefix}.bias", layer.bias, layer.grad_bias))
-        #: Monotonic counter identifying the current weight values; bumped
-        #: whenever the parameter buffers may have been mutated (optimiser
-        #: steps reach them through :meth:`parameters`, checkpoint restore
-        #: through :meth:`load_state`).  Reads go through :meth:`weights` or
-        #: :meth:`named_parameters` and leave it alone.  Caches of derived
-        #: weight data key on it and so never serve stale parameters: the
-        #: continuous batcher's per-wave weight stacks on
-        #: ``(id(network), weights_version)``.
-        self.weights_version = 0
 
     # -- forward --------------------------------------------------------------------------
-    def forward_batch(self, observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def forward_batch(
+        self, observations: np.ndarray, cache: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated head probabilities ``(K, T)`` and state values ``(K,)``.
 
         Row ``k`` of every output is bit-identical to :meth:`forward`
         applied to ``observations[k]`` alone (the affine kernels have
         batch-shape-independent reduction order and the segment softmax is
         row-local), so batched rollouts reproduce sequential ones exactly.
+        Without *cache* the layer caches :meth:`backward` reads are left as
+        they were.
         """
         hidden = np.asarray(observations, dtype=np.float64)
         if hidden.ndim != 2:
             raise ValueError(f"expected a (K, F) batch, got shape {hidden.shape}")
         for layer in self.trunk:
-            hidden = layer.forward(hidden)
-        probabilities = self.layout.softmax(self.head_layer.forward(hidden))
-        values = self.value_head.forward(hidden)[:, 0]
+            hidden = layer.forward(hidden, cache)
+        probabilities = self.layout.softmax(self.head_layer.forward(hidden, cache))
+        values = self.value_head.forward(hidden, cache)[:, 0]
         return probabilities, values
 
     def repeat_rows(self, observations: np.ndarray, rows: np.ndarray) -> None:
@@ -395,14 +360,10 @@ class MultiHeadPolicyNetwork:
     def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """``(weight, gradient)`` views per parameter, in :meth:`named_parameters`
         order; they tile :attr:`buffer` and :attr:`grad_buffer`."""
-        # Handing out the parameter buffers is how the optimiser mutates
-        # them in place, so conservatively assume they change.
-        self.weights_version += 1
         return [(weight, grad) for _, weight, grad in self._named]
 
     def weights(self) -> list[np.ndarray]:
-        """Every weight array in :meth:`parameters` order, for reading only
-        (unlike :meth:`parameters`, this keeps ``weights_version``)."""
+        """Every weight array in :meth:`parameters` order, without the gradients."""
         return [weight for _, weight, _ in self._named]
 
     def num_parameters(self) -> int:
@@ -461,4 +422,3 @@ class MultiHeadPolicyNetwork:
         # All-or-nothing: validate every buffer before mutating any.
         for array, loaded in staged:
             array[...] = loaded
-        self.weights_version += 1

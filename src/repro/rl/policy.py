@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,6 +122,29 @@ def _check_rows(count: int, biases_list: Sequence[BiasRow], rngs) -> None:
         raise ValueError("need one bias row per observation")
     if rngs is not None and len(rngs) != count:
         raise ValueError("need one RNG per observation")
+
+
+def row_key(observation: np.ndarray, biases: BiasRow) -> tuple[bytes, bytes, bytes]:
+    """The content of one decision row, as bytes: the observation, the bias
+    row and its folded flags.  Rows with equal keys share one forward and
+    one :class:`DecisionDistribution` (a fresh ``BiasRow`` every step means
+    identity would never match)."""
+    return (observation.tobytes(), biases.row.tobytes(), biases.folded.tobytes())
+
+
+def distinct_rows(keys: Sequence[Hashable]) -> tuple[list[int], list[int]]:
+    """``(firsts, sources)`` of a sequence of row keys: row *k* reads forward
+    row ``sources[k]``, and ``firsts[j]`` is the first row whose key owns
+    forward row *j* (forward rows in first-seen order)."""
+    slots: dict[Hashable, int] = {}
+    firsts: list[int] = []
+    sources: list[int] = []
+    for k, key in enumerate(keys):
+        slot = slots.setdefault(key, len(slots))
+        if slot == len(firsts):
+            firsts.append(k)
+        sources.append(slot)
+    return firsts, sources
 
 
 def _stack(rows: list[np.ndarray]) -> np.ndarray:
@@ -276,20 +299,9 @@ class CategoricalPolicy:
             # in row order, exactly as the local route would).
             pinned = list(rngs) if rngs is not None else [self.rng] * len(obs)
             return self.act_backend(obs, list(biases_list), pinned, greedy)
-        keys = [
-            (row.tobytes(), biases.row.tobytes(), biases.folded.tobytes())
-            for row, biases in zip(obs, biases_list)
-        ]
-        # Row k reads forward row sources[k]; firsts[j] is the first row
-        # whose key owns forward row j.
-        slots: dict[tuple[bytes, bytes, bytes], int] = {}
-        firsts: list[int] = []
-        sources = []
-        for k, key in enumerate(keys):
-            slot = slots.setdefault(key, len(slots))
-            if slot == len(firsts):
-                firsts.append(k)
-            sources.append(slot)
+        firsts, sources = distinct_rows(
+            [row_key(row, biases) for row, biases in zip(obs, biases_list)]
+        )
         probabilities, values = self.network.forward_batch(
             obs if len(firsts) == len(obs) else obs.take(firsts, axis=0)
         )
@@ -416,14 +428,14 @@ class CategoricalPolicy:
         forward pass and performs everything downstream of the network — the
         bias fold, entropy/log-prob sums and per-row sampling.  The
         continuous batcher (:mod:`repro.engine.batcher`) calls this directly
-        with the outputs of a *stacked multi-network* forward so that rows
+        with the outputs of a *multi-network* forward so that rows
         belonging to different requests still share one decision kernel.
 
         With ``sources``, row *k* reads forward row ``sources[k]``: rows of
         one state share one forward row and one distribution (every forward
-        row must be read).  Both routes thus run all post-forward work
-        through this one method, which is where the traced benchmark times
-        ``rl.decide``.
+        row must be read).  Both routes pass them, and so run all
+        post-forward work through this one method, which is where the
+        traced benchmark times ``rl.decide``.
         """
         _check_rows(len(obs), biases_list, rngs)
         if sources is None:
@@ -474,13 +486,10 @@ class CategoricalPolicy:
             [decision.observation for decision in decisions], dtype=np.float64
         )
         biases_list = [decision.biases for decision in decisions]
-        keys = [
-            (row.tobytes(), biases.row.tobytes(), biases.folded.tobytes())
-            for row, biases in zip(observations, biases_list)
-        ]
-        index: dict[tuple[bytes, bytes, bytes], int] = {}
-        rows = np.array([index.setdefault(key, len(index)) for key in keys])
-        firsts = np.unique(rows, return_index=True)[1]  # distinct rows in first-seen order
+        firsts, sources = distinct_rows(
+            [row_key(row, biases) for row, biases in zip(observations, biases_list)]
+        )
+        rows = np.array(sources)
         probabilities, values = self.network.forward_batch(observations[firsts])
         probs = self._fold_biases(probabilities, [biases_list[k] for k in firsts])
         self.network.repeat_rows(observations, rows)

@@ -39,8 +39,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint-every",
         type=int,
-        default=1,
-        help="checkpoint every N episodes (default 1)",
+        default=None,
+        help="checkpoint every N episodes (default: the run's batch_episodes)",
     )
     parser.add_argument(
         "--registry", default=None, help="sqlite policy registry path"

@@ -3,8 +3,9 @@
 :class:`TrainingRun` drives the agent a :class:`~repro.train.checkpoint.TrainSpec`
 builds through the trainer's own wave loop
 (:meth:`~repro.rl.trainer.PolicyGradientTrainer.collect_waves`) and
-checkpoints every *checkpoint_every* episodes; a wave never crosses a
-checkpoint.  The checkpoint stores the policy's generator state, so
+checkpoints every *checkpoint_every* episodes (by default the spec's
+``batch_episodes``, so checkpoints fall on gradient updates and each wave
+is a whole batch); a wave never crosses a checkpoint.  The checkpoint stores the policy's generator state, so
 resuming reproduces the uninterrupted run weight for weight.  The wave
 loop, best-compliant tracking and the result are the agent's own, so a run
 equals ``spec.build_agent().run()``.
@@ -26,17 +27,17 @@ EpisodeCallback = Callable[[int, float, object], None]
 
 class TrainingRun:
     """Trains a CDRL policy, checkpointing to *checkpoint_path* (if given)
-    every *checkpoint_every* episodes; :meth:`from_checkpoint` resumes
-    exactly."""
+    every *checkpoint_every* episodes (default: ``batch_episodes``);
+    :meth:`from_checkpoint` resumes exactly."""
 
     def __init__(
         self,
         spec: TrainSpec,
         *,
         checkpoint_path: str | os.PathLike | None = None,
-        checkpoint_every: int = 1,
+        checkpoint_every: int | None = None,
     ):
-        if checkpoint_every < 1:
+        if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self.spec = spec
         self.agent = spec.build_agent()
@@ -44,7 +45,7 @@ class TrainingRun:
         self.total_episodes = spec.config.episodes
         self.episodes_completed = 0
         self.checkpoint_path = os.fspath(checkpoint_path) if checkpoint_path else None
-        self.checkpoint_every = checkpoint_every
+        self.checkpoint_every = checkpoint_every or self.trainer.config.batch_episodes
 
     @classmethod
     def from_checkpoint(
@@ -52,7 +53,7 @@ class TrainingRun:
         path: str | os.PathLike,
         *,
         checkpoint_path: str | os.PathLike | None = None,
-        checkpoint_every: int = 1,
+        checkpoint_every: int | None = None,
     ) -> "TrainingRun":
         """Rebuild a run from a checkpoint, positioned to continue exactly.
 
@@ -107,13 +108,14 @@ class TrainingRun:
         """
         per_episode = self.agent.episode_hook(callback)
         stop = min(episode_target, self.total_episodes)
-        # Each trainer call ends at a checkpoint: every checkpoint_every
-        # episodes, or once at the end when there is no checkpoint file.
+        # Each trainer call ends at a checkpoint: at every multiple of
+        # checkpoint_every episodes (a resumed run too), or once at the end
+        # when there is no checkpoint file.
         stride = self.checkpoint_every if self.checkpoint_path else stop
         while self.episodes_completed < stop:
             self.episodes_completed = self.trainer.collect_waves(
                 self.episodes_completed,
-                min(stop, self.episodes_completed + stride),
+                min(stop, (self.episodes_completed // stride + 1) * stride),
                 self.total_episodes,
                 callback=per_episode,
             )

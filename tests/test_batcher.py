@@ -19,6 +19,7 @@ from repro.cdrl import CdrlConfig
 from repro.engine import ExploreRequest, InferenceBatcher, LinxEngine
 from repro.cdrl.context import SharedExplorationContext
 from repro.ldx.parser import parse_ldx
+from repro.rl import network as network_module
 from repro.rl.network import (
     HeadLayout,
     MultiHeadPolicyNetwork,
@@ -84,6 +85,11 @@ class TestStackedForward:
         )
         with pytest.raises(ValueError, match="architecturally"):
             stacked_forward([small, wide], np.array([0, 1]), np.zeros((2, 5)))
+
+    def test_rejects_an_index_outside_the_networks(self):
+        for net_index in ([0, 1], [-1, 0]):
+            with pytest.raises(ValueError, match="out of range"):
+                stacked_forward([_network(0)], np.array(net_index), np.zeros((2, 5)))
 
     def test_signature_distinguishes_shapes_not_weights(self):
         assert architecture_signature(_network(0)) == architecture_signature(_network(9))
@@ -175,6 +181,77 @@ class TestInferenceBatcherWaves:
         policy = CategoricalPolicy(_network(0))
         with pytest.raises(RuntimeError, match="shut down"):
             batcher.submit(None, policy, np.zeros((1, 5)), [UNBIASED], [policy.rng], False)
+
+
+class TestWaveDedupe:
+    @pytest.mark.parametrize("greedy", [False, True], ids=["sampled", "greedy"])
+    def test_each_distinct_row_is_forwarded_once_on_its_network(self, greedy, monkeypatch):
+        """A wave of two members holding 8 copies of each root state forwards
+        every distinct (network, row) once, never merges identical rows of
+        different networks, and decides exactly as each member alone."""
+        roots = np.random.default_rng(5).normal(size=(2, 5))
+        layout = HeadLayout(HEADS)
+        biased = BiasRow.empty(layout)
+        biased.head(layout, "column")[:] = [0.5, -1.0, 0.0, 2.0]
+        # Member 1's rows are byte-equal to member 0's first root.
+        submitted = {
+            0: (np.repeat(roots, 8, axis=0), [UNBIASED] * 8 + [biased] * 8),
+            1: (np.repeat(roots[:1], 8, axis=0), [UNBIASED] * 8),
+        }
+        networks = {seed: _network(seed) for seed in submitted}
+
+        def policy(seed):
+            return CategoricalPolicy(networks[seed], rng=np.random.default_rng(seed))
+
+        expected = {
+            seed: policy(seed).act_batch(obs, biases, greedy=greedy)
+            for seed, (obs, biases) in submitted.items()
+        }
+
+        first_layers = {id(network.trunk[0].weight): seed for seed, network in networks.items()}
+        forwarded = []
+        affine = network_module._affine
+
+        def counting_affine(x, weight, bias):
+            seed = first_layers.get(id(weight))
+            if seed is not None:
+                forwarded.extend((seed, row.tobytes()) for row in x)
+            return affine(x, weight, bias)
+
+        monkeypatch.setattr(network_module, "_affine", counting_affine)
+        actual = {}
+        with InferenceBatcher(linger_ms=10_000.0) as batcher:
+            members = {seed: batcher.attach() for seed in submitted}
+
+            def worker(seed):
+                acting = policy(seed)
+                acting.act_backend = lambda obs, biases, rngs, greedy: batcher.submit(
+                    members[seed], acting, obs, biases, rngs, greedy
+                )
+                obs, biases = submitted[seed]
+                try:
+                    actual[seed] = acting.act_batch(obs, biases, greedy=greedy)
+                finally:
+                    batcher.detach(members[seed])
+
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in submitted]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            occupancy = batcher.describe()
+        assert (occupancy["waves"], occupancy["rows"]) == (1, 24)
+        assert sorted(forwarded) == sorted(
+            [(0, roots[0].tobytes()), (0, roots[1].tobytes()), (1, roots[0].tobytes())]
+        )
+        for seed, decisions in expected.items():
+            assert len(actual[seed]) == len(decisions)
+            for mine, theirs in zip(actual[seed], decisions):
+                assert mine.indices == theirs.indices
+                assert mine.log_prob == theirs.log_prob
+                assert mine.value == theirs.value
+                assert mine.entropy == theirs.entropy
 
 
 class TestSharedExplorationContext:

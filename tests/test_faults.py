@@ -3,7 +3,8 @@
 One proving test per :class:`~repro.reliability.FaultPlan` kind —
 ``crash_after_claim``, ``crash_before_commit``, ``sqlite_busy``,
 ``hung_stage``, ``torn_cache_write`` — each asserting recovery without
-manual intervention and without duplicate execution, plus the primitives
+manual intervention and without duplicate execution, an SSE client that
+hangs up mid-stream (``sse_disconnect``), plus the primitives
 they are built from: the shared sqlite retry helper, deterministic fault
 plans, corrupt-database quarantine, lease coordination, and cross-process
 cancellation.
@@ -14,7 +15,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import random
+import socket
 import sqlite3
+import struct
 import threading
 import time
 from collections import Counter
@@ -34,6 +37,7 @@ from repro.engine import (
     ResultStore,
     SessionOutcome,
 )
+from repro.engine.server import ServerThread
 from repro.reliability import (
     KIND_CRASH,
     KIND_HANG,
@@ -408,6 +412,49 @@ class TestTornCacheWrite:
 
 
 # -- corrupt-database quarantine -----------------------------------------------------------
+
+class TestSseDisconnect:
+    @pytest.mark.parametrize("hang_up", ["close", "reset"])
+    def test_sse_disconnect_mid_stream_commits_once(self, tmp_path, hang_up):
+        """A client that drops its event stream while the request runs (a
+        clean close, or a reset) changes nothing: the request commits exactly
+        once and a resubmission is served from the store."""
+        release = threading.Event()
+        generator = TickingGenerator(release=release)
+        store = ResultStore(tmp_path / "results.sqlite")
+        payload = _request().to_dict()
+        try:
+            with _scheduler(generator, store) as scheduler, ServerThread(scheduler) as hosted:
+                status, submitted = call(hosted.port, "POST", "/requests", payload)
+                assert status == 202
+                ticket = submitted["ticket"]
+                with socket.create_connection(("127.0.0.1", hosted.port), timeout=30) as sock:
+                    sock.sendall(f"GET /requests/{ticket}/events HTTP/1.1\r\n\r\n".encode())
+                    received = b""
+                    while received.count(b"event: episode") < 2:
+                        chunk = sock.recv(4096)
+                        assert chunk, "stream closed before the request made progress"
+                        received += chunk
+                    if hang_up == "reset":
+                        sock.setsockopt(
+                            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                        )
+                assert scheduler.status(ticket)["state"] == "running"
+                release.set()
+                assert scheduler.wait(ticket, timeout=60)["state"] == TICKET_DONE
+                assert (generator.calls, len(store)) == (1, 1)
+                status, again = call(hosted.port, "POST", "/requests", payload)
+                assert status == 202
+                assert again["served_from_store"] is True
+                status, body = call(hosted.port, "GET", f"/requests/{again['ticket']}/result")
+                assert status == 200
+                _, first = call(hosted.port, "GET", f"/requests/{ticket}/result")
+                assert body["result"] == first["result"]
+                assert (generator.calls, len(store)) == (1, 1)
+        finally:
+            release.set()
+            store.close()
+
 
 class TestQuarantine:
     def test_corrupt_store_is_quarantined_and_rebuilt(self, tmp_path):

@@ -284,22 +284,45 @@ class TestTrainingRunEqualsAgentRun:
         assert_same_training(plain.trainer, checkpointed.trainer)
 
 
-class TestWeightsVersion:
-    def test_reads_keep_the_version_and_writes_bump_it(self):
-        """Only weight writes invalidate caches keyed on ``weights_version``."""
-        run = TrainingRun(_spec(episodes=4))
-        run.collect_until(2)
-        network = run.trainer.policy.network
-        version = network.weights_version
-        assert network.num_parameters() > 0
-        checkpoint = run.checkpoint()
-        assert training_divergence(run.trainer, run.trainer) is None
-        assert network.weights_version == version
-        run.trainer.optimizer.step(run.trainer.policy.parameters())
-        assert network.weights_version > version
-        version = network.weights_version
-        network.load_state(checkpoint.network_state)
-        assert network.weights_version > version
+class TestCheckpointCadence:
+    @staticmethod
+    def _record(run: TrainingRun, waves: list, saves: list) -> TrainingRun:
+        """Log *run*'s wave sizes and the episode of every checkpoint it saves."""
+        rollout, save = run.trainer._rollout, run.save_checkpoint
+
+        def logged_rollout(environments, greedy=False):
+            if not greedy:  # greedy evaluations are not training waves
+                waves.append(len(environments))
+            return rollout(environments, greedy=greedy)
+
+        def logged_save():
+            saves.append(run.episodes_completed)
+            save()
+
+        run.trainer._rollout, run.save_checkpoint = logged_rollout, logged_save
+        return run
+
+    def test_default_cadence_plays_whole_batches_and_resumes(self, tmp_path):
+        """By default a checkpointed run saves at every update, plays each
+        batch as one wave, and a run killed mid-batch resumes onto the same
+        update boundaries, bit-identically."""
+        spec = _spec(episodes=10, trainer=TrainerConfig(batch_episodes=4))
+        baseline = spec.build_agent()
+        expected = baseline.run()
+        path = tmp_path / "run.ckpt"
+        waves, saves = [], []
+        first = self._record(TrainingRun(spec, checkpoint_path=path), waves, saves)
+        assert first.checkpoint_every == 4
+        assert first.collect_until(6) == 6
+        resumed = self._record(TrainingRun.from_checkpoint(path), waves, saves)
+        result = resumed.train()
+        assert waves == [4, 2, 2, 2]
+        assert saves == [4, 6, 8, 10, 10]  # the last one is the completion checkpoint
+        assert_same_training(baseline.trainer, resumed.trainer, "default cadence")
+        assert _outcome(result) == _outcome(expected)
+
+    def test_cli_defaults_to_the_run_cadence(self):
+        assert cli.build_parser().parse_args(["resume", "run.ckpt"]).checkpoint_every is None
 
 
 class TestDivergenceGate:
@@ -408,7 +431,7 @@ class TestKillAndResume:
                 [
                     "train", "--dataset", "flights", "--rows", "120", "--ldx", LDX,
                     "--episodes", "8", "--episode-length", "3", "--seed", "3",
-                    "--checkpoint", str(path),
+                    "--checkpoint", str(path), "--checkpoint-every", str(half),
                 ]
             )
         assert TrainingCheckpoint.load(path).episodes_completed == half
