@@ -70,7 +70,7 @@ class DenseLayer:
     _output: np.ndarray = field(default=None, repr=False)
 
     def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        """The layer output; with *cache* also kept, with *x*, for :meth:`backward`."""
+        """The layer output; with *cache*, input and output are kept for :meth:`backward`."""
         output = _affine(x, self.weight, self.bias)
         output = np.tanh(output) if self.activation == "tanh" else output
         if cache:
