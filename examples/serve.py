@@ -7,7 +7,7 @@ framework):
 * `RequestScheduler` — bounded queue, lifecycle states, canonical-hash
   deduplication, per-request timeout and cooperative cancellation,
 * `ResultStore` — schema-versioned sqlite keyed by request hash, so an
-  identical resubmission is served from disk without re-training,
+  identical resubmission is served from the store without re-training,
 * `LinxHttpServer` — asyncio HTTP front-end with Server-Sent-Events
   progress (`python -m repro.engine.server` runs it standalone).
 

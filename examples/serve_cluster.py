@@ -69,14 +69,11 @@ def _call(port, method, path, body=None):
 
 
 def _replica_main(index, root, port_queue, fault_json):
-    """One server replica over the shared store/cache directory."""
+    """One server replica over the shared store directory."""
     if fault_json:
         install_plan(FaultPlan.from_json(fault_json))
     base = Path(root)
-    engine = LinxEngine(
-        cdrl_config=CdrlConfig(episodes=EPISODES),
-        disk_cache_path=base / "cache.sqlite",
-    )
+    engine = LinxEngine(cdrl_config=CdrlConfig(episodes=EPISODES))
     scheduler = RequestScheduler(
         engine,
         store=ResultStore(base / "results.sqlite"),

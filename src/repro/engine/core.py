@@ -11,11 +11,8 @@ The engine
 
 * validates requests up front with structured errors,
 * never rebuilds the benchmark or few-shot bank per request,
-* shares one execution cache across all requests, so related requests
-  reuse each other's query results,
-* optionally layers that cache over a persistent sqlite tier
-  (``disk_cache_path``), so results survive restarts and cross process
-  boundaries,
+* shares one in-memory execution cache across all requests, so related
+  requests reuse each other's query results,
 * emits ordered per-request progress events, and
 * returns results that round-trip through JSON for serving and storage.
 
@@ -140,13 +137,6 @@ class LinxEngine:
         *max_cache_entries* entries and *max_cached_rows* total cached rows
         (default :data:`DEFAULT_ENGINE_MAX_CACHED_ROWS`; pass ``None`` to
         disable the row budget).
-    disk_cache_path:
-        Optional sqlite file layered *under* the default cache as a
-        persistent tier (:class:`~repro.explore.diskcache.DiskCacheTier`):
-        results survive restarts, and warm-start sweeps or process-pool
-        workers reuse each other's executions.  Ignored when an explicit
-        *cache* is supplied.  One WAL file shared by every scheduler worker
-        thread and process-pool worker.
     policy_registry_path:
         Optional sqlite file of a :class:`~repro.train.registry.PolicyRegistry`.
         Every trained artifact in it self-registers as a session-generator
@@ -178,7 +168,6 @@ class LinxEngine:
         cache: ExecutionCache | None = None,
         max_cache_entries: int = DEFAULT_MAX_ENTRIES,
         max_cached_rows: int | None = DEFAULT_ENGINE_MAX_CACHED_ROWS,
-        disk_cache_path: str | os.PathLike | None = None,
         policy_registry_path: str | os.PathLike | None = None,
         inference_batching: bool = False,
         batch_linger_ms: float = 2.0,
@@ -208,20 +197,9 @@ class LinxEngine:
             self.batcher = InferenceBatcher(
                 max_batch_size=max_batch_size, linger_ms=batch_linger_ms
             )
-        self.disk_cache_path = (
-            str(disk_cache_path) if disk_cache_path is not None else None
+        self.cache = cache if cache is not None else ExecutionCache(
+            max_entries=max_cache_entries, max_cached_rows=max_cached_rows
         )
-        # A caller-supplied cache outlives the engine; one built here is
-        # flushed and closed by :meth:`close`.
-        self._owns_cache = cache is None
-        if cache is not None:
-            self.cache = cache
-        else:
-            self.cache = ExecutionCache(
-                max_entries=max_cache_entries,
-                max_cached_rows=max_cached_rows,
-                disk=self.disk_cache_path,
-            )
         self._max_cache_entries = max_cache_entries
         self._max_cached_rows = max_cached_rows
         # Process-pool workers rebuild the engine from a picklable spec, so
@@ -307,16 +285,9 @@ class LinxEngine:
         return self.cache.describe()
 
     def close(self) -> None:
-        """Release background resources: the batcher wave thread and the cache.
-
-        The execution cache is flushed and closed only when the engine built
-        it (a caller-supplied ``cache=`` stays open), so a ``disk_cache_path``
-        engine persists its write-behind buffer even after a failed request.
-        """
+        """Release background resources: the batcher's wave thread."""
         if self.batcher is not None:
             self.batcher.close()
-        if self._owns_cache:
-            self.cache.close()
 
     def config_fingerprint(self) -> str:
         """Digest of this engine's result-shaping configuration.
@@ -607,9 +578,6 @@ class LinxEngine:
             query=query,
             insights=list(insights) if insights is not None else [],
         )
-        # Land this request's write-behind buffer so concurrent processes
-        # (and the next engine start) see its results.
-        self.cache.flush()
         emit(ProgressEvent(request_id, EVENT_REQUEST_FINISHED))
         return result
 
@@ -622,7 +590,6 @@ class LinxEngine:
         """
         return {
             "cdrl_config": self.cdrl_config,
-            "disk_cache_path": self.disk_cache_path,
             "max_cache_entries": self._max_cache_entries,
             "max_cached_rows": self._max_cached_rows,
             "stages": dict(self.stage_selection),

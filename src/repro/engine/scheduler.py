@@ -50,7 +50,7 @@ over* and re-executes.  Cancellation reaches process-pool workers through
 sentinel files under a shared directory (the cross-process cancellation
 registry), and :meth:`~RequestScheduler.drain` implements graceful
 SIGTERM shutdown: stop accepting (503 upstream), finish or release
-in-flight leases, flush the write-behind cache.
+in-flight leases.
 """
 
 from __future__ import annotations
@@ -1061,9 +1061,8 @@ class RequestScheduler:
         """Stop accepting work, cancel queued tickets, stop the workers.
 
         Running requests finish (``wait=True`` blocks for them); queued
-        tickets move to ``cancelled``.  Held leases are released, the
-        heartbeat stops, and the engine's write-behind cache tier is
-        flushed — the graceful-termination endgame.
+        tickets move to ``cancelled``.  Held leases are released and the
+        heartbeat stops — the graceful-termination endgame.
         """
         with self._condition:
             if self._shutdown:
@@ -1094,12 +1093,6 @@ class RequestScheduler:
                 pass
             with self._lock:
                 self._held_leases.clear()
-        # Flush the write-behind buffer so the next replica (or the next
-        # start of this one) sees everything this one executed.
-        try:
-            self.engine.cache.flush()
-        except Exception:  # noqa: BLE001 — flush degradation is logged downstream
-            pass
         if self._pool is not None:
             self._pool.shutdown(wait=wait)
         if self._progress_queue is not None:
@@ -1152,7 +1145,6 @@ def worker_engine(spec: dict[str, Any]) -> LinxEngine:
             cdrl_config=spec["cdrl_config"],
             max_cache_entries=spec["max_cache_entries"],
             max_cached_rows=spec["max_cached_rows"],
-            disk_cache_path=spec["disk_cache_path"],
             stages=spec.get("stages") or None,
             policy_registry_path=spec.get("policy_registry_path"),
         )
@@ -1172,9 +1164,8 @@ def _process_worker(
 
     The worker materialises a :class:`LinxEngine` from the parent's
     declarative *spec* on first use (or when the spec changes) and keeps it
-    warm: the few-shot bank, the in-memory cache tier and — when a
-    ``disk_cache_path`` is configured — the shared persistent tier all
-    survive across the worker's tasks.  With a *progress_queue*, every
+    warm: the few-shot bank and the worker's own in-memory execution cache
+    survive across its tasks.  With a *progress_queue*, every
     engine event is streamed to the parent as a ``(label, event)`` pair;
     *timeout* bounds this request cooperatively (the deadline starts when
     the worker picks the request up, not when it was queued).  With a

@@ -24,7 +24,7 @@ method      path                               behaviour
 while its in-flight requests finish.  ``POST /requests`` on a draining
 replica returns 503, and running ``python -m repro.engine.server``
 handles SIGTERM as a graceful drain (stop accepting, finish or release
-in-flight leases, flush the write-behind cache) before exiting.
+in-flight leases) before exiting.
 
 The SSE stream emits each :class:`~repro.engine.events.ProgressEvent` as
 ``event: <kind>`` + ``data: <json>``, with the scheduler's synthesized
@@ -40,7 +40,7 @@ blocking waits (SSE follow) hop onto the default executor via
 Run standalone::
 
     python -m repro.engine.server --port 8765 --episodes 40 \
-        --store /tmp/linx/results.sqlite --disk-cache /tmp/linx/cache.sqlite
+        --store /tmp/linx/results.sqlite
 """
 
 from __future__ import annotations
@@ -458,9 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None, help="sqlite result store path (idempotent serving)"
     )
     parser.add_argument(
-        "--disk-cache", default=None, help="sqlite execution-cache tier path"
-    )
-    parser.add_argument(
         "--policy-registry",
         default=None,
         help="sqlite policy registry path; serves its policies as "
@@ -515,7 +512,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     engine = LinxEngine(
         cdrl_config=CdrlConfig(episodes=args.episodes),
-        disk_cache_path=args.disk_cache,
         policy_registry_path=args.policy_registry,
         inference_batching=args.batching,
         batch_linger_ms=args.batch_linger_ms,
@@ -537,9 +533,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     async def run() -> None:
         await server.start()
         # SIGTERM drains gracefully: stop accepting (503), let in-flight
-        # requests finish (committing results, releasing leases), flush the
-        # write-behind cache in scheduler.shutdown(), then exit.  SIGINT
-        # (Ctrl-C) keeps its default KeyboardInterrupt path.
+        # requests finish (committing results, releasing leases), then
+        # exit.  SIGINT (Ctrl-C) keeps its default KeyboardInterrupt path.
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
 

@@ -52,7 +52,7 @@ from repro.sqlite_file import SqliteFile
 
 #: Version of the on-disk layout (sqlite schema + result payload format).
 #: Bump on any incompatible change: a mismatching store is dropped and
-#: recreated on open, mirroring ``DiskCacheTier`` semantics.
+#: recreated on open (see :class:`~repro.sqlite_file.SqliteFile`).
 #: v2: namespace split into its own column; composite primary key
 #: ``(namespace, request_hash)``; ``created_at`` index for :meth:`prune`.
 #: v3: payloads stored as UTF-8 BLOBs (the raw-text read path never

@@ -44,26 +44,20 @@ result views, and the optional ``max_cached_rows`` caps the approximate
 filtered copies of a large dataset cannot accumulate before count-based
 eviction kicks in.
 
-For persistence across processes and restarts, pass ``disk=`` a path or a
-:class:`~repro.explore.diskcache.DiskCacheTier`: the memory LRU then reads
-through to the schema-versioned sqlite tier on a miss (promoting hits) and
-writes behind in batches of ``write_batch_size``.  Without a disk tier,
-:meth:`ExecutionCache.flush` and :meth:`ExecutionCache.close` do nothing.
+The cache lives and dies with its process: each process-pool worker of a
+:class:`~repro.engine.scheduler.RequestScheduler` keeps its own, warm across
+that worker's requests.
 """
 
 from __future__ import annotations
 
-import logging
-import sqlite3
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.dataframe.table import DataTable
 
-from .diskcache import DEFAULT_WRITE_BATCH, DISK_SCHEMA_VERSION, DiskCacheTier
 from .operations import Operation
 
 #: Default maximum number of cached result views.
@@ -75,11 +69,8 @@ DEFAULT_MAX_ERROR_ENTRIES = 1024
 #: Cache key: (view fingerprint, plan tag + fingerprint *or* operation signature).
 CacheKey = tuple[tuple, tuple[str, ...]]
 
-#: First element of the second component of a result key.  Result keys are
-#: persisted by the disk tier, so the tag is part of the on-disk key format.
+#: First element of the second component of a result key.
 PLAN_KEY_TAG = "PLAN"
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -140,19 +131,7 @@ class ExecutionCache:
         Upper bound on cached *failure* outcomes (runtime execution errors
         memoised by :meth:`put_error`); the least recently used failure is
         dropped when exceeded.  Failures are bounded separately from
-        results because an error entry is just a message string.  Failures
-        never reach the disk tier: a message is cheap to recompute.
-    disk:
-        Optional persistent tier: a :class:`DiskCacheTier` or the sqlite
-        path to open one at.  Reads are **read-through** — a memory miss
-        consults the write-behind buffer and then the disk, promoting any
-        hit back into the LRU.  Writes are **write-behind** — results land
-        in memory at once and on disk in one transaction per
-        *write_batch_size* inserts, on :meth:`flush` and on :meth:`close`.
-        ``stats`` keeps the combined outcome; the disk tier's own counters
-        appear in :meth:`describe` under ``disk_*`` keys.
-    write_batch_size:
-        Buffered inserts per write-behind flush (disk tier only).
+        results because an error entry is just a message string.
     """
 
     def __init__(
@@ -160,8 +139,6 @@ class ExecutionCache:
         max_entries: int = DEFAULT_MAX_ENTRIES,
         max_cached_rows: int | None = None,
         max_error_entries: int = DEFAULT_MAX_ERROR_ENTRIES,
-        disk: DiskCacheTier | str | Path | None = None,
-        write_batch_size: int = DEFAULT_WRITE_BATCH,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
@@ -169,12 +146,9 @@ class ExecutionCache:
             raise ValueError("max_cached_rows must be positive when given")
         if max_error_entries < 1:
             raise ValueError("max_error_entries must be positive")
-        if write_batch_size < 1:
-            raise ValueError("write_batch_size must be positive")
         self.max_entries = max_entries
         self.max_cached_rows = max_cached_rows
         self.max_error_entries = max_error_entries
-        self.write_batch_size = write_batch_size
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._entries: "OrderedDict[CacheKey, DataTable]" = OrderedDict()
@@ -184,13 +158,6 @@ class ExecutionCache:
         #: Canonical plans by (prefix plan fingerprint, operation signature),
         #: bounded by ``max_entries`` (cleared wholesale when reached).
         self._extensions: dict[tuple[str, tuple[str, ...]], Any] = {}
-        if disk is not None and not isinstance(disk, DiskCacheTier):
-            disk = DiskCacheTier(disk)
-        self.disk: Optional[DiskCacheTier] = disk
-        self._pending: "OrderedDict[CacheKey, DataTable]" = OrderedDict()
-        #: Flushes abandoned because the disk tier stayed locked through
-        #: every retry: the cache degrades to memory-only for that batch.
-        self.write_failures = 0
 
     @staticmethod
     def key_for(view: DataTable, operation: Operation) -> CacheKey:
@@ -204,7 +171,7 @@ class ExecutionCache:
         *plan* is a canonical :class:`~repro.plan.nodes.LogicalPlan`
         (duck-typed on ``fingerprint()`` to keep this module free of a plan
         dependency).  Every operation ordering that canonicalizes to the
-        same plan shares this key, across the memory and disk tiers alike.
+        same plan shares this key.
         """
         return (base.fingerprint(), (PLAN_KEY_TAG, plan.fingerprint()))
 
@@ -212,24 +179,15 @@ class ExecutionCache:
     def get_plan(self, base: DataTable, plan) -> DataTable | None:
         """The view cached under ``(base, canonical plan)``, or ``None``.
 
-        Counts a hit (and a plan hit) or a miss.  With a disk tier, a memory
-        miss falls through to the write-behind buffer and then to disk.
+        Counts a hit (and a plan hit) or a miss.
         """
         key = self.plan_key_for(base, plan)
         with self._lock:
             result = self._entries.get(key)
-            if result is not None:
-                self._entries.move_to_end(key)
-            elif self.disk is not None:
-                # Evicted from memory but not yet flushed: the buffer has it.
-                result = self._pending.get(key)
-                if result is None:
-                    result = self.disk.get(key)
-                if result is not None:
-                    self._store(key, result)
             if result is None:
                 self.stats.misses += 1
                 return None
+            self._entries.move_to_end(key)
             self.stats.hits += 1
             self.stats.plan_hits += 1
             return result
@@ -237,30 +195,23 @@ class ExecutionCache:
     def put_plan(self, base: DataTable, plan, result: DataTable) -> None:
         """Store the result of executing the canonical *plan* on *base*."""
         key = self.plan_key_for(base, plan)
-        with self._lock:
-            self._store(key, result)
-            if self.disk is not None:
-                self._pending[key] = result
-                if len(self._pending) >= self.write_batch_size:
-                    self.flush()
-
-    def _store(self, key: CacheKey, result: DataTable) -> None:
-        """Insert *result* under *key*, evicting per the entry/row budgets."""
         rows = len(result)
-        if key in self._row_counts:
-            self._cached_rows -= self._row_counts[key]
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        self._row_counts[key] = rows
-        self._cached_rows += rows
-        while len(self._entries) > self.max_entries or (
-            self.max_cached_rows is not None
-            and self._cached_rows > self.max_cached_rows
-            and len(self._entries) > 1
-        ):
-            evicted_key, _ = self._entries.popitem(last=False)
-            self._cached_rows -= self._row_counts.pop(evicted_key)
-            self.stats.evictions += 1
+        with self._lock:
+            if key in self._row_counts:
+                self._cached_rows -= self._row_counts[key]
+            self._entries[key] = result
+            self._entries.move_to_end(key)
+            self._row_counts[key] = rows
+            self._cached_rows += rows
+            # Evict least recently used entries past the entry/row budgets.
+            while len(self._entries) > self.max_entries or (
+                self.max_cached_rows is not None
+                and self._cached_rows > self.max_cached_rows
+                and len(self._entries) > 1
+            ):
+                evicted_key, _ = self._entries.popitem(last=False)
+                self._cached_rows -= self._row_counts.pop(evicted_key)
+                self.stats.evictions += 1
 
     def extension(self, plan, signature: tuple[str, ...], extend: Callable[[], Any]):
         """*plan* extended by the operation of *signature* (``extend()`` on a
@@ -301,51 +252,6 @@ class ExecutionCache:
             while len(self._errors) > self.max_error_entries:
                 self._errors.popitem(last=False)
 
-    # -- write-behind control -------------------------------------------------------
-    @property
-    def pending_writes(self) -> int:
-        """Results buffered in memory but not yet persisted."""
-        return len(self._pending)
-
-    def flush(self) -> int:
-        """Persist the write-behind buffer in one transaction; returns rows written.
-
-        A no-op without a disk tier.  A disk tier that stays locked through
-        every backoff retry must not fail the request that triggered the
-        flush: the batch is dropped (its entries remain servable from the
-        memory LRU), the degradation is logged, and later flushes try again
-        with fresh batches — a graceful memory-only fallback.
-        """
-        with self._lock:
-            if not self._pending:
-                return 0
-            try:
-                written = self.disk.put_many(self._pending.items())
-            except sqlite3.OperationalError as exc:
-                self.write_failures += 1
-                logger.warning(
-                    "disk cache flush of %d entries failed (%s); "
-                    "degrading to memory-only for this batch",
-                    len(self._pending),
-                    exc,
-                )
-                written = 0
-            self._pending.clear()
-            return written
-
-    def close(self) -> None:
-        """Flush outstanding writes and close the disk tier (if any)."""
-        with self._lock:
-            if self.disk is not None:
-                self.flush()
-                self.disk.close()
-
-    def __enter__(self) -> "ExecutionCache":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- bookkeeping ----------------------------------------------------------------
     @property
     def cached_rows(self) -> int:
@@ -361,21 +267,17 @@ class ExecutionCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every memory entry, failure and pending write; reset the stats.
-
-        Disk rows stay; use ``cache.disk.clear()`` to also wipe that tier.
-        """
+        """Drop every entry, failure and memoised extension; reset the stats."""
         with self._lock:
             self._entries.clear()
             self._row_counts.clear()
             self._cached_rows = 0
             self._errors.clear()
             self._extensions.clear()
-            self._pending.clear()
             self.stats.reset()
 
     def describe(self) -> dict[str, Any]:
-        """Hit/miss counters plus occupancy (of both tiers), for telemetry."""
+        """Hit/miss counters plus occupancy, for telemetry."""
         with self._lock:
             summary: dict[str, Any] = dict(self.stats.as_dict())
             summary["entries"] = len(self._entries)
@@ -385,17 +287,6 @@ class ExecutionCache:
             summary["max_entries"] = self.max_entries
             summary["max_cached_rows"] = self.max_cached_rows
             summary["max_error_entries"] = self.max_error_entries
-            if self.disk is not None:
-                summary["tiers"] = "memory+disk"
-                summary["pending_writes"] = len(self._pending)
-                summary["write_failures"] = self.write_failures
-                summary["disk_hits"] = self.disk.hits
-                summary["disk_misses"] = self.disk.misses
-                summary["disk_writes"] = self.disk.writes
-                summary["disk_flushes"] = self.disk.flushes
-                summary["disk_entries"] = len(self.disk)
-                summary["disk_stored_rows"] = self.disk.stored_rows()
-                summary["disk_schema_version"] = DISK_SCHEMA_VERSION
             return summary
 
     def snapshot_counters(self) -> CacheStats:

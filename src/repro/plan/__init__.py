@@ -5,8 +5,8 @@ The plan subsystem gives exploration pipelines a semantic identity.
 session node's :class:`LogicalPlan` by the node built from one filter or
 group-by operation (:func:`node_from_operation`), :func:`canonicalize`
 reduces commuted and duplicated filter orderings to one normal form, and
-the canonical plan's :meth:`~LogicalPlan.fingerprint` keys results across
-every cache tier (memory LRU, sqlite disk tier).
+the canonical plan's :meth:`~LogicalPlan.fingerprint` keys results in the
+:class:`~repro.explore.cache.ExecutionCache`.
 """
 
 from .builder import canonicalize, node_from_operation

@@ -8,7 +8,7 @@ the ordered tuple of filter and group-by nodes that
 :meth:`repro.explore.executor.QueryExecutor.execute_step` builds for one
 session node, and :func:`repro.plan.builder.canonicalize` reduces its many
 surface orderings to one normal form whose :meth:`LogicalPlan.fingerprint`
-keys every cache tier.  Back and root operations never become nodes: the
+keys the execution cache.  Back and root operations never become nodes: the
 session resolves them by moving to an existing node, whose plan is reused.
 
 Nodes are immutable value objects whose ``signature()`` matches the

@@ -1,4 +1,4 @@
-"""Fault-tolerance primitives shared by the store, cache and serving tiers.
+"""Fault-tolerance primitives shared by the store and serving tiers.
 
 Distributed-systems robustness work is only trustworthy when its failure
 modes can be *provoked on demand*: this module supplies the deterministic
@@ -9,14 +9,14 @@ seams every other layer threads through.
   crash-relevant seams with ``fault_point(SITE_...)``; with no plan
   installed the call is one global read.  Tests (among them the
   replica-cluster crash check) install a plan that fires a scripted fault —
-  an injected crash, a ``database is locked`` storm, a hung stage, a
-  torn payload — on the *N*-th arrival at a site, the same way every
-  time.  Plans serialize to JSON so subprocess replicas inherit them
-  through an environment variable (:data:`FAULT_PLAN_ENV`).
+  an injected crash, a ``database is locked`` storm, a hung stage — on
+  the *N*-th arrival at a site, the same way every time.  Plans serialize
+  to JSON so subprocess replicas inherit them through an environment
+  variable (:data:`FAULT_PLAN_ENV`).
 * :func:`retry_sqlite` — the shared bounded-exponential-backoff-with-
-  jitter retry helper wrapped around every sqlite write in
-  :class:`~repro.engine.store.ResultStore` and
-  :class:`~repro.explore.diskcache.DiskCacheTier`, so transient
+  jitter retry helper wrapped around every sqlite write of the
+  :class:`~repro.engine.store.ResultStore` (through
+  :class:`~repro.sqlite_file.SqliteFile`), so transient
   ``sqlite3.OperationalError: database is locked`` under multi-replica
   load degrades to a retry instead of failing the request.
 * :class:`FileCancelEvent` — a sentinel-file-backed stand-in for
@@ -31,7 +31,7 @@ seams every other layer threads through.
   failing construction.
 
 This module is deliberately stdlib-only and imports nothing from
-``repro``, so both :mod:`repro.engine` and :mod:`repro.explore` can
+``repro``, so :mod:`repro.engine` and :mod:`repro.sqlite_file` can
 depend on it without import cycles.  Tests import the harness from
 here::
 
@@ -46,9 +46,9 @@ import random
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -67,10 +67,6 @@ SITE_CLAIM_ACQUIRED = "store.claim.acquired"
 SITE_STORE_COMMIT = "store.put.before-commit"
 #: Inside every retry-wrapped result-store write transaction.
 SITE_STORE_WRITE = "store.sqlite.write"
-#: Inside every retry-wrapped disk-cache write transaction.
-SITE_CACHE_WRITE = "diskcache.sqlite.write"
-#: Per-entry payload encoding in the disk cache (torn-write injection).
-SITE_CACHE_PAYLOAD = "diskcache.payload"
 #: The engine's cooperative cancellation/timeout checkpoint (stage
 #: boundaries and episode ticks) — where a hung stage becomes observable.
 SITE_CHECKPOINT = "engine.checkpoint"
@@ -82,9 +78,8 @@ SITE_HEARTBEAT = "scheduler.heartbeat"
 KIND_CRASH = "crash"          # raise InjectedFaultError (or os._exit(exit_code))
 KIND_BUSY = "sqlite-busy"     # raise sqlite3.OperationalError("database is locked")
 KIND_HANG = "hang"            # sleep for `seconds` (a slow/hung stage)
-KIND_TORN = "torn-write"      # no action here; the seam truncates its payload
 
-FAULT_KINDS = (KIND_CRASH, KIND_BUSY, KIND_HANG, KIND_TORN)
+FAULT_KINDS = (KIND_CRASH, KIND_BUSY, KIND_HANG)
 
 
 class InjectedFaultError(RuntimeError):
@@ -181,10 +176,6 @@ class FaultPlan:
         return cls([FaultSpec(SITE_CHECKPOINT, KIND_HANG, after=after,
                               times=times, seconds=seconds)])
 
-    @classmethod
-    def torn_cache_write(cls, *, after: int = 0, times: int = 1) -> "FaultPlan":
-        return cls([FaultSpec(SITE_CACHE_PAYLOAD, KIND_TORN, after=after, times=times)])
-
     # -- serialization -------------------------------------------------------------
     def to_json(self) -> str:
         return json.dumps([spec.to_dict() for spec in self.specs])
@@ -194,8 +185,8 @@ class FaultPlan:
         return cls(FaultSpec.from_dict(entry) for entry in json.loads(payload))
 
     # -- firing --------------------------------------------------------------------
-    def hit(self, site: str) -> Optional[FaultSpec]:
-        """Advance *site*'s arrival counter; perform and return a due fault."""
+    def hit(self, site: str) -> None:
+        """Advance *site*'s arrival counter; perform a due fault."""
         spec: Optional[FaultSpec] = None
         with self._lock:
             count = self._site_hits.get(site, 0) + 1
@@ -208,19 +199,17 @@ class FaultPlan:
                     spec = candidate
                     break
         if spec is None:
-            return None
+            return
         # Actions run outside the lock: a hang must not serialize every
         # other fault site behind it.
         if spec.kind == KIND_HANG:
             time.sleep(spec.seconds)
-            return spec
+            return
         if spec.kind == KIND_BUSY:
             raise sqlite3.OperationalError("database is locked [injected]")
-        if spec.kind == KIND_CRASH:
-            if spec.exit_code is not None:
-                os._exit(spec.exit_code)  # the real thing: no cleanup, no unwind
-            raise InjectedFaultError(f"injected crash at {site}")
-        return spec  # KIND_TORN: the seam applies the corruption itself
+        if spec.exit_code is not None:  # KIND_CRASH
+            os._exit(spec.exit_code)  # the real thing: no cleanup, no unwind
+        raise InjectedFaultError(f"injected crash at {site}")
 
 
 _ACTIVE_PLAN: Optional[FaultPlan] = None
@@ -242,18 +231,16 @@ def active_plan() -> Optional[FaultPlan]:
     return _ACTIVE_PLAN
 
 
-def fault_point(site: str) -> Optional[FaultSpec]:
+def fault_point(site: str) -> None:
     """The seam production code threads through its crash-relevant points.
 
     With no plan installed this is one global read and a ``None`` check.
     With a plan, a due fault fires *here*: a crash raises (or hard-exits),
-    a busy storm raises ``sqlite3.OperationalError``, a hang sleeps, and a
-    torn write returns its spec so the calling seam corrupts its payload.
+    a busy storm raises ``sqlite3.OperationalError`` and a hang sleeps.
     """
     plan = _ACTIVE_PLAN
-    if plan is None:
-        return None
-    return plan.hit(site)
+    if plan is not None:
+        plan.hit(site)
 
 
 # Subprocess replicas inherit their scripted faults
@@ -429,9 +416,6 @@ __all__ = [
     "KIND_BUSY",
     "KIND_CRASH",
     "KIND_HANG",
-    "KIND_TORN",
-    "SITE_CACHE_PAYLOAD",
-    "SITE_CACHE_WRITE",
     "SITE_CHECKPOINT",
     "SITE_CLAIM_ACQUIRED",
     "SITE_HEARTBEAT",

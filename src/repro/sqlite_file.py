@@ -1,9 +1,8 @@
 """One sqlite file shared by many threads: a locked writer, pooled readers.
 
-Both persistent stores (:class:`~repro.engine.store.ResultStore` and
-:class:`~repro.explore.diskcache.DiskCacheTier`) are one WAL-journaled
-sqlite file each, built on :class:`SqliteFile`, which owns everything the
-two have in common:
+The result store (:class:`~repro.engine.store.ResultStore`) is one
+WAL-journaled sqlite file built on :class:`SqliteFile`, which owns the
+file's concurrency and recovery:
 
 * **The open.** The file is opened through
   :func:`~repro.reliability.open_sqlite_verified`, so a corrupt file is
@@ -24,8 +23,7 @@ two have in common:
   beside each other and beside the writer without taking any lock.
 
 Like :mod:`repro.reliability`, this module is stdlib-only and imports
-nothing above it, so both :mod:`repro.engine` and :mod:`repro.explore`
-can depend on it without cycles.
+nothing above it, so :mod:`repro.engine` can depend on it without cycles.
 """
 
 from __future__ import annotations

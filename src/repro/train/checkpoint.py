@@ -2,8 +2,7 @@
 
 A checkpoint captures everything the training loop needs to continue as if
 it had never stopped: network weights and optimizer moments (structurally
-serialized — dtype string, shape, raw bytes — the same discipline
-:mod:`repro.explore.diskcache` uses for table columns, never pickled object
+serialized — dtype string, shape, raw bytes — never pickled object
 graphs), the trainer's pending gradient batch and elite replay set, the
 JSON-round-tripping :class:`~repro.rl.trainer.TrainingHistory`, the
 episode position and the state of the policy's generator.  Training

@@ -9,9 +9,8 @@ session-generator factory per artifact into the serving tier's
 ``ExploreRequest`` with ``{"session_generator": "cdrl:flights-v2"}`` loads
 and serves that exact trained policy instead of training from scratch.
 
-Durability follows :class:`~repro.engine.store.ResultStore` /
-:class:`~repro.explore.diskcache.DiskCacheTier`: WAL journaling, one
-transaction per write, an in-process lock for thread sharing, and a
+Durability follows :class:`~repro.engine.store.ResultStore`: WAL
+journaling, one transaction per write, an in-process lock for thread sharing, and a
 schema-version meta row that drops the store wholesale on mismatch.
 """
 

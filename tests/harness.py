@@ -171,17 +171,14 @@ def replica_main(
     episodes: int,
     lease_ttl: float,
 ) -> None:
-    """One server replica over the store, cache, cancellation directory and
+    """One server replica over the store, cancellation directory and
     execution journal under *root*; reports ``(index, port)`` on
     *port_queue*, then serves until terminated (or until *fault_json*'s
     plan kills it)."""
     if fault_json:
         install_plan(FaultPlan.from_json(fault_json))
     base = Path(root)
-    engine = LinxEngine(
-        cdrl_config=CdrlConfig(episodes=episodes),
-        disk_cache_path=base / "cache.sqlite",
-    )
+    engine = LinxEngine(cdrl_config=CdrlConfig(episodes=episodes))
     scheduler = RequestScheduler(
         engine,
         store=ResultStore(base / "results.sqlite"),

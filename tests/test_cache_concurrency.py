@@ -2,8 +2,7 @@
 
 Eight threads drive ``execute_step`` chains and ``session_from_operations``
 replays against one small :class:`ExecutionCache` (tight entry and row budgets, so
-eviction and, with a disk tier, read-through promotion and write-behind
-flushes run concurrently).  Afterwards the cache's bounds, row accounting
+evictions run concurrently with hits and inserts).  Afterwards the cache's bounds, row accounting
 and counters must agree with what the threads actually did, and every view
 a thread got back must equal a single-threaded replay of the same call.
 
@@ -16,8 +15,6 @@ from __future__ import annotations
 import random
 import sys
 import threading
-
-import pytest
 
 from eager_oracle import same_view
 from repro.datasets import load_dataset
@@ -84,15 +81,9 @@ def _run(executor, table, task) -> list:
     return views
 
 
-@pytest.mark.parametrize("with_disk", [False, True], ids=["memory", "disk"])
-def test_threads_sharing_one_cache_keep_it_consistent(tmp_path, with_disk):
+def test_threads_sharing_one_cache_keep_it_consistent():
     table = load_dataset("flights", num_rows=200)
-    cache = ExecutionCache(
-        max_entries=MAX_ENTRIES,
-        max_cached_rows=MAX_CACHED_ROWS,
-        disk=tmp_path / "cache.sqlite" if with_disk else None,
-        write_batch_size=3,
-    )
+    cache = ExecutionCache(max_entries=MAX_ENTRIES, max_cached_rows=MAX_CACHED_ROWS)
     stats = LockCheckedStats()
     stats.owner = cache
     cache.stats = stats
@@ -141,4 +132,3 @@ def test_threads_sharing_one_cache_keep_it_consistent(tmp_path, with_disk):
             assert len(views) == len(expected)
             for got, want in zip(views, expected):
                 assert same_view(got, want), task
-    cache.close()

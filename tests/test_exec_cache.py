@@ -146,16 +146,6 @@ class TestExecutionCache:
         with pytest.raises(ValueError):
             ExecutionCache(max_entries=0)
 
-    def test_flush_and_close_are_noops_without_disk(self, small_table):
-        cache = ExecutionCache()
-        executor = QueryExecutor(cache=cache)
-        first = run_one(executor, small_table, FilterOperation("country", "eq", "US"))
-        assert cache.flush() == 0
-        cache.close()
-        assert "tiers" not in cache.describe()
-        again = run_one(executor, small_table, FilterOperation("country", "eq", "US"))
-        assert again is first  # still serving after close()
-
 
 class TestRowBudgetBounding:
     def test_cached_rows_tracked(self, small_table):

@@ -2,9 +2,10 @@
 
 One proving test per :class:`~repro.reliability.FaultPlan` kind —
 ``crash_after_claim``, ``crash_before_commit``, ``sqlite_busy``,
-``hung_stage``, ``torn_cache_write`` — each asserting recovery without
-manual intervention and without duplicate execution, an SSE client that
-hangs up mid-stream (``sse_disconnect``), plus the primitives
+``hung_stage`` — each asserting recovery without manual intervention and
+without duplicate execution, a store commit that hits a full disk
+(``sqlite_full``), an SSE client that hangs up mid-stream
+(``sse_disconnect``), plus the primitives
 they are built from: the shared sqlite retry helper, deterministic fault
 plans, corrupt-database quarantine, lease coordination, and cross-process
 cancellation.
@@ -25,7 +26,6 @@ from collections import Counter
 import pytest
 
 from repro.cdrl import CdrlConfig
-from repro.datasets import load_dataset
 from repro.engine import (
     TICKET_CANCELLED,
     TICKET_DONE,
@@ -41,7 +41,6 @@ from repro.engine.server import ServerThread
 from repro.reliability import (
     KIND_CRASH,
     KIND_HANG,
-    SITE_CACHE_WRITE,
     SITE_CHECKPOINT,
     SITE_STORE_COMMIT,
     SITE_STORE_WRITE,
@@ -56,10 +55,7 @@ from repro.reliability import (
     retry_sqlite,
 )
 from repro.explore import session_from_operations
-from repro.explore.cache import ExecutionCache
-from repro.explore.diskcache import DiskCacheTier
 from repro.explore.operations import FilterOperation, GroupAggOperation
-from eager_oracle import plan_from
 from harness import call, comparable, first_difference, replica_main
 from store_helpers import get_payload, put
 
@@ -227,7 +223,7 @@ class TestFaultPlan:
         assert fault_point(SITE_STORE_COMMIT) is None
 
 
-# -- the five scripted failure modes -------------------------------------------------------
+# -- the scripted failure modes ------------------------------------------------------------
 
 class TestCrashAfterClaim:
     def test_crash_after_claim_fails_ticket_then_recovers(self, tmp_path):
@@ -339,32 +335,21 @@ class TestSqliteBusy:
         finally:
             store.close()
 
-    def test_sqlite_busy_exhaustion_degrades_cache_to_memory(self, tmp_path):
-        """A disk tier that stays locked costs persistence, never the request."""
-        flights = load_dataset("flights", num_rows=120)
-        operation = FilterOperation("airline", "eq", "AA")
-        result = flights.filter_rows(
-            [value == "AA" for value in flights.column("airline").values]
-        )
-        plan = plan_from([operation])
-        cache = ExecutionCache(disk=tmp_path / "cache.sqlite")
+    def test_sqlite_busy_storm_on_the_served_commit_commits_once(self, tmp_path):
+        """The scheduler's commit (the write after the claim) rides out a
+        lock storm: the ticket completes and executes and commits once."""
+        generator = TickingGenerator()
+        store = ResultStore(tmp_path / "results.sqlite")
         try:
-            cache.put_plan(flights, plan, result)
-            # Storm longer than every retry attempt: the flush gives up.
-            install_plan(FaultPlan.sqlite_busy(site=SITE_CACHE_WRITE, times=100))
-            assert cache.flush() == 0
-            assert cache.write_failures == 1
-            assert cache.pending_writes == 0  # dropped, not retried forever
-            assert len(cache.disk) == 0
-            # The memory tier still serves the result.
-            assert cache.get_plan(flights, plan) == result
-            # And once the storm passes, later writes persist again.
-            clear_plan()
-            cache.put_plan(flights, plan, result)
-            assert cache.flush() == 1
-            assert len(cache.disk) == 1
+            with _scheduler(generator, store) as scheduler:
+                install_plan(FaultPlan.sqlite_busy(after=1, times=3))
+                ticket = scheduler.submit(_request())
+                assert scheduler.wait(ticket.ticket_id, timeout=60)["state"] == TICKET_DONE
+                assert store.write_retries == 3
+                assert (generator.calls, len(store)) == (1, 1)
+                assert store.lease(scheduler._store_namespace, ticket.request_hash) is None
         finally:
-            cache.close()
+            store.close()
 
 
 class TestHungStage:
@@ -392,26 +377,61 @@ class TestHungStage:
             engine.explore(_request(), timeout=0.1)
 
 
-class TestTornCacheWrite:
-    def test_torn_cache_write_repairs_as_a_miss(self, tmp_path):
-        """A half-written payload reads as a miss, is removed, and re-puts cleanly."""
-        flights = load_dataset("flights", num_rows=120)
-        key = ExecutionCache.key_for(flights, FilterOperation("airline", "eq", "AA"))
-        tier = DiskCacheTier(tmp_path / "cache.sqlite")
+class TestSqliteFull:
+    def test_sqlite_full_on_commit_fails_the_ticket_then_recovers(
+        self, tmp_path, monkeypatch
+    ):
+        """A store commit that finds the disk full fails only its ticket: no
+        row lands, the lease is free at once, and once space returns a
+        resubmission executes once and commits what ``engine.explore`` gives."""
+        request = _request(episodes=4)
+        journal = tmp_path / "executions.log"
+        store = ResultStore(tmp_path / "results.sqlite")
+        other = ResultStore(tmp_path / "results.sqlite")
+        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=4))
         try:
-            install_plan(FaultPlan.torn_cache_write())
-            tier.put(key, flights)
-            assert len(tier) == 1  # the torn row IS on disk...
-            clear_plan()
-            assert tier.get(key) is None  # ...but reads repair it as a miss
-            assert len(tier) == 0  # and the corrupt row is gone
-            tier.put(key, flights)  # recovery: a clean re-put round-trips
-            assert tier.get(key) == flights
+            with RequestScheduler(
+                engine, store=store, max_workers=1, replica_id="a",
+                execution_journal=journal,
+            ) as scheduler:
+                namespace = scheduler._store_namespace
+
+                def disk_full(*args, **kwargs):
+                    raise sqlite3.OperationalError("database or disk is full")
+
+                monkeypatch.setattr(store, "commit_result", disk_full)
+                ticket = scheduler.submit(request)
+                snapshot = scheduler.wait(ticket.ticket_id, timeout=120)
+                assert snapshot["state"] == TICKET_FAILED
+                assert "result store write failed" in snapshot["error"]
+                assert "disk is full" in snapshot["error"]
+                assert len(store) == 0
+                # Another replica claims the hash without waiting out a TTL.
+                assert other.claim(namespace, ticket.request_hash, "b", 30.0)
+                assert other.release(namespace, ticket.request_hash, "b")
+
+                monkeypatch.undo()
+                retry = scheduler.submit(request)
+                assert scheduler.wait(retry.ticket_id, timeout=120)["state"] == TICKET_DONE
+                entries = [
+                    json.loads(line) for line in journal.read_text().splitlines()
+                ]
+                assert [(e["action"], e["ticket"]) for e in entries] == [
+                    ("execute", ticket.ticket_id),
+                    ("execute", retry.ticket_id),
+                    ("commit", retry.ticket_id),
+                ]
+                assert len(store) == 1
+                stored = comparable(get_payload(store, namespace, ticket.request_hash))
+            fresh = LinxEngine(cdrl_config=CdrlConfig(episodes=4))
+            expected = comparable(fresh.explore(request).to_dict())
+            differs = first_difference(expected, stored)
+            assert differs is None, f"committed payload differs at {differs}"
         finally:
-            tier.close()
+            engine.close()
+            other.close()
+            store.close()
 
-
-# -- corrupt-database quarantine -----------------------------------------------------------
 
 class TestSseDisconnect:
     @pytest.mark.parametrize("hang_up", ["close", "reset"])
@@ -456,6 +476,8 @@ class TestSseDisconnect:
             store.close()
 
 
+# -- corrupt-database quarantine -----------------------------------------------------------
+
 class TestQuarantine:
     def test_corrupt_store_is_quarantined_and_rebuilt(self, tmp_path):
         path = tmp_path / "results.sqlite"
@@ -472,19 +494,6 @@ class TestQuarantine:
             assert store.describe()["quarantined_path"] == store.quarantined_path
         finally:
             store.close()
-
-    def test_corrupt_cache_tier_is_quarantined_and_rebuilt(self, tmp_path):
-        flights = load_dataset("flights", num_rows=60)
-        key = ExecutionCache.key_for(flights, FilterOperation("airline", "eq", "AA"))
-        path = tmp_path / "cache.sqlite"
-        path.write_bytes(b"\x00" * 4096)
-        tier = DiskCacheTier(path)
-        try:
-            assert tier.quarantined_path is not None
-            tier.put(key, flights)
-            assert tier.get(key) == flights
-        finally:
-            tier.close()
 
     def test_healthy_files_are_not_quarantined(self, tmp_path):
         path = tmp_path / "results.sqlite"
@@ -664,10 +673,7 @@ class TestReplicaCluster:
             for proc in procs:
                 proc.join(timeout=30)
 
-        engine = LinxEngine(
-            cdrl_config=CdrlConfig(episodes=self.EPISODES),
-            disk_cache_path=tmp_path / "baseline-cache.sqlite",
-        )
+        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=self.EPISODES))
         try:
             baselines = [
                 comparable(engine.explore(

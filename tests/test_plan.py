@@ -219,22 +219,6 @@ class TestPlanCacheSharing:
         assert key_a[1][0] == PLAN_KEY_TAG
         assert len(cache) == cache.describe()["plan_entries"] > 0
 
-    def test_commuted_filters_share_disk_entry(self, flights, tmp_path):
-        db_path = tmp_path / "plan_cache.sqlite"
-        forward, reversed_ = self.COMMUTED
-        cold = ExecutionCache(disk=db_path)
-        first = session_from_operations(flights, forward, cache=cold).current.view
-        cold.close()  # flushes the write-behind buffer
-
-        warm = ExecutionCache(disk=db_path)
-        second = session_from_operations(flights, reversed_, cache=warm).current.view
-        summary = warm.describe()
-        assert summary["disk_hits"] >= 1
-        assert summary["plan_hits"] >= 1
-        assert second == first
-        assert second.fingerprint() == first.fingerprint()
-        warm.close()
-
     def test_commuted_replays_share_entry_through_step_path(self, flights):
         cache = ExecutionCache()
         forward, reversed_ = self.COMMUTED

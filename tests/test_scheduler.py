@@ -30,6 +30,7 @@ from repro.engine import (
 from repro.explore import session_from_operations
 from repro.explore.operations import FilterOperation, GroupAggOperation
 from repro.llm import chatgpt_client, gpt4_client
+from harness import comparable, first_difference
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
 
@@ -456,6 +457,31 @@ class TestProcessExecution:
         made, kept = dirs
         assert made != given and not made.exists()
         assert kept == given and given.is_dir()
+
+    def test_process_pool_matches_engine_explore(self):
+        """Process workers return what ``engine.explore`` returns, on every
+        dataset, and so do the new workers of a second scheduler."""
+        config = CdrlConfig(episodes=6)
+        requests = [
+            _request(dataset=dataset, num_rows=200, episodes=6, seed=seed,
+                     request_id=f"{dataset}-{seed}")
+            for seed, dataset in enumerate(("flights", "netflix", "playstore"), start=1)
+        ]
+        engine = LinxEngine(cdrl_config=config)
+        batches = []
+        for _ in range(2):  # the second batch runs on new worker processes
+            with RequestScheduler(engine, workers="process", max_workers=2) as scheduler:
+                tickets = [scheduler.submit(request) for request in requests]
+                for ticket in tickets:
+                    assert scheduler.wait(ticket.ticket_id, timeout=300)["state"] == TICKET_DONE
+                batches.append([scheduler.result_payload(t.ticket_id) for t in tickets])
+        for request, *served in zip(requests, *batches):
+            expected = comparable(engine.explore(request).to_dict())
+            for batch, payload in enumerate(served):
+                differs = first_difference(expected, comparable(payload))
+                assert differs is None, (
+                    f"{request.request_id}, batch {batch}: process payload differs at {differs}"
+                )
 
     def test_process_scheduler_rejects_custom_stage_objects(self):
         engine = LinxEngine(session_generator=TickingGenerator())

@@ -1,7 +1,7 @@
 """Tests that pin the one-file store against the layouts of the old sharded one.
 
-The result store and the disk cache once striped keys over several sqlite
-files. They are now one pooled file each. These cases keep what the
+The result store once striped keys over several sqlite files. It is now
+one pooled file. These cases keep what the
 sharded layout promised: every key round-trips whatever the write
 concurrency, batched lease operations reach every row, a file written at
 one shard reopens with its rows, and a schema bump drops both a fresh
@@ -17,10 +17,7 @@ import time
 
 import pytest
 
-from repro.dataframe.column import Column
-from repro.dataframe.table import DataTable
 from repro.engine.store import STORE_SCHEMA_VERSION, ResultStore
-from repro.explore.diskcache import DiskCacheTier
 
 NS = "shard-test-namespace"
 
@@ -32,13 +29,6 @@ HEX_KEYS = [
 
 def _payload(key: str) -> str:
     return json.dumps({"key": key, "value": len(key)})
-
-
-def _table(rows: int, name: str) -> DataTable:
-    return DataTable(
-        [Column("n", list(range(rows))), Column("label", [name] * rows)],
-        name=name,
-    )
 
 
 def _record_shard_layout(path, num_shards: int) -> None:
@@ -94,6 +84,17 @@ class TestShardedResultStore:
             for key in HEX_KEYS:
                 assert store.get_payload_text(NS, key) == _payload(key)
 
+    def test_legacy_store_survives_at_one_shard(self, tmp_path):
+        # A file the sharded store wrote at one shard records num_shards=1:
+        # it holds the whole key space and keeps its rows.
+        path = tmp_path / "results.sqlite"
+        with ResultStore(path) as store:
+            store.commit_result(NS, HEX_KEYS[0], _payload(HEX_KEYS[0]))
+        _record_shard_layout(path, 1)
+        with ResultStore(path) as store:
+            assert not store.invalidated
+            assert store.get_payload_text(NS, HEX_KEYS[0]) == _payload(HEX_KEYS[0])
+
 
 class TestShardedLeases:
     def test_batch_expiry_sweeps_every_shard(self, tmp_path):
@@ -119,19 +120,6 @@ class TestShardedLeases:
             assert store.release_all("replica-a") == 9
             assert store.leases_held("replica-a") == []
             assert store.leases_held("replica-b") == [HEX_KEYS[9]]
-
-
-class TestShardedDiskCache:
-    def test_legacy_cache_survives_at_one_shard(self, tmp_path):
-        # A cache file the sharded tier wrote at one shard records
-        # num_shards=1: it holds the whole key space and keeps its rows.
-        path = tmp_path / "cache.sqlite"
-        with DiskCacheTier(path) as tier:
-            tier.put(("op",), _table(3, "t"))
-        _record_shard_layout(path, 1)
-        with DiskCacheTier(path) as tier:
-            assert not tier.invalidated
-            assert tier.get(("op",)) == _table(3, "t")
 
 
 class TestSchemaVersion:
