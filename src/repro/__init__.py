@@ -31,15 +31,15 @@ For many requests at once, submit them to a
 """
 
 from .engine import (
-    EngineError,
     ExploreRequest,
     ExploreResult,
     LinxEngine,
     ProgressEvent,
     RequestValidationError,
     StageFailedError,
-    StageStatus,
 )
+from .engine.errors import EngineError
+from .engine.result import StageStatus
 
 __version__ = "2.0.0"
 

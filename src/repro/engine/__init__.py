@@ -3,7 +3,9 @@
 The public entry point for programmatic and served use:
 
 * :class:`LinxEngine` — long-lived engine with pluggable stages, a shared
-  execution cache and a lazily-built few-shot bank,
+  execution cache and a lazily-built few-shot bank; what it is (CDRL
+  configuration, stage and LLM-client names, policy registry) is one frozen
+  :class:`EngineSpec`, the store namespace and the process workers' recipe,
 * :class:`ExploreRequest` / :class:`ExploreResult` — declarative,
   JSON-serializable request/response pair (schema-versioned),
 * :mod:`repro.engine.stages` — the stage-plugin protocols and the default /
@@ -36,14 +38,8 @@ Served (see ``examples/serve.py`` and ``python -m repro.engine.server``)::
 """
 
 from .batcher import InferenceBatcher
-from .core import (
-    DEFAULT_ENGINE_MAX_CACHED_ROWS,
-    PERMISSIVE_LDX,
-    STAGE_KIND_ATTRS,
-    LinxEngine,
-)
+from .core import PERMISSIVE_LDX, EngineSpec, LinxEngine
 from .errors import (
-    EngineError,
     FieldError,
     RequestCancelledError,
     RequestTimeoutError,
@@ -61,31 +57,18 @@ from .events import (
     EVENT_STAGE_FINISHED,
     EVENT_STAGE_SKIPPED,
     EVENT_STAGE_STARTED,
-    TERMINAL_EVENTS,
     ProgressEvent,
-    ProgressObserver,
-    event_from_dict,
-    event_to_dict,
 )
 from .registry import (
-    DEFAULT_STAGE_NAMES,
-    KIND_INSIGHT_EXTRACTOR,
-    KIND_NOTEBOOK_RENDERER,
     KIND_SESSION_GENERATOR,
-    KIND_SPEC_DERIVER,
     STAGE_KINDS,
     STAGE_REGISTRY,
     StageContext,
     StageRegistry,
     register_stage_factory,
 )
-from .request import (
-    REQUEST_SCHEMA_VERSION,
-    SUPPORTED_REQUEST_VERSIONS,
-    ExploreRequest,
-)
+from .request import ExploreRequest
 from .result import (
-    RESULT_SCHEMA_VERSION,
     RESULT_SEMANTICS_VERSION,
     STAGE_DERIVE,
     STAGE_GENERATE,
@@ -95,47 +78,20 @@ from .result import (
     STATUS_CANCELLED,
     STATUS_COMPLETE,
     STATUS_FAILED,
-    STATUS_PENDING,
     STATUS_SKIPPED,
-    SUPPORTED_RESULT_VERSIONS,
-    EngineArtifacts,
     ExploreResult,
-    StageStatus,
 )
 from .scheduler import (
-    ACTIVE_STATES,
-    TERMINAL_STATES,
     TICKET_CANCELLED,
     TICKET_DONE,
     TICKET_FAILED,
-    TICKET_QUEUED,
-    TICKET_RUNNING,
     RequestScheduler,
-    Ticket,
 )
-from .stages import (
-    AtenaSessionGenerator,
-    CdrlSessionGenerator,
-    ChainedSpecDeriver,
-    DefaultInsightExtractor,
-    InsightExtractor,
-    MarkdownNotebookRenderer,
-    NotebookRenderer,
-    SessionGenerator,
-    SessionOutcome,
-    SpecDerivation,
-    SpecDeriver,
-)
-from .store import STORE_SCHEMA_VERSION, ResultStore
+from .stages import AtenaSessionGenerator, SessionOutcome
+from .store import ResultStore
 
 __all__ = [
-    "ACTIVE_STATES",
     "AtenaSessionGenerator",
-    "CdrlSessionGenerator",
-    "ChainedSpecDeriver",
-    "DEFAULT_ENGINE_MAX_CACHED_ROWS",
-    "DEFAULT_STAGE_NAMES",
-    "DefaultInsightExtractor",
     "EVENT_EPISODE",
     "EVENT_REQUEST_CANCELLED",
     "EVENT_REQUEST_FAILED",
@@ -144,25 +100,15 @@ __all__ = [
     "EVENT_STAGE_FINISHED",
     "EVENT_STAGE_SKIPPED",
     "EVENT_STAGE_STARTED",
-    "EngineArtifacts",
-    "EngineError",
+    "EngineSpec",
     "ExploreRequest",
     "ExploreResult",
     "FieldError",
     "InferenceBatcher",
-    "InsightExtractor",
-    "KIND_INSIGHT_EXTRACTOR",
-    "KIND_NOTEBOOK_RENDERER",
     "KIND_SESSION_GENERATOR",
-    "KIND_SPEC_DERIVER",
     "LinxEngine",
-    "MarkdownNotebookRenderer",
-    "NotebookRenderer",
     "PERMISSIVE_LDX",
     "ProgressEvent",
-    "ProgressObserver",
-    "REQUEST_SCHEMA_VERSION",
-    "RESULT_SCHEMA_VERSION",
     "RESULT_SEMANTICS_VERSION",
     "RequestCancelledError",
     "RequestScheduler",
@@ -173,37 +119,21 @@ __all__ = [
     "STAGE_GENERATE",
     "STAGE_INSIGHTS",
     "STAGE_KINDS",
-    "STAGE_KIND_ATTRS",
     "STAGE_ORDER",
     "STAGE_REGISTRY",
     "STAGE_RENDER",
     "STATUS_CANCELLED",
     "STATUS_COMPLETE",
     "STATUS_FAILED",
-    "STATUS_PENDING",
     "STATUS_SKIPPED",
-    "STORE_SCHEMA_VERSION",
-    "SUPPORTED_REQUEST_VERSIONS",
-    "SUPPORTED_RESULT_VERSIONS",
     "SchedulerDrainingError",
     "SchedulerFullError",
-    "SessionGenerator",
     "SessionOutcome",
-    "SpecDerivation",
-    "SpecDeriver",
     "StageContext",
     "StageFailedError",
     "StageRegistry",
-    "StageStatus",
-    "TERMINAL_EVENTS",
-    "TERMINAL_STATES",
     "TICKET_CANCELLED",
     "TICKET_DONE",
     "TICKET_FAILED",
-    "TICKET_QUEUED",
-    "TICKET_RUNNING",
-    "Ticket",
-    "event_from_dict",
-    "event_to_dict",
     "register_stage_factory",
 ]

@@ -20,12 +20,19 @@ The engine
 attaches the live session, notebook and query as ``artifacts``.  For many
 requests at once, :class:`~repro.engine.scheduler.RequestScheduler` drives
 the engine from worker threads (``workers="thread"``) or from a persistent
-process pool (``workers="process"``) whose workers rebuild the engine from
-:meth:`LinxEngine.worker_spec`.
+process pool (``workers="process"``).
+
+What an engine *is* — its CDRL configuration, the name of each of its four
+stages and of its LLM client, and its policy registry — is one frozen
+:class:`EngineSpec`, built once per engine.  The spec is the only input to
+the result-store namespace (:meth:`EngineSpec.fingerprint`) and the only
+thing a process worker receives to rebuild the engine.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
 import threading
 import time
@@ -36,7 +43,7 @@ from repro.cdrl.agent import CdrlConfig
 from repro.cdrl.context import SharedExplorationContext
 from repro.dataframe.table import DataTable
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.explore.cache import DEFAULT_MAX_ENTRIES, CacheStats, ExecutionCache
+from repro.explore.cache import CacheStats, ExecutionCache
 from repro.explore.session import ExplorationSession
 from repro.ldx.parser import parse_ldx, try_parse_ldx
 from repro.llm.interface import LLMClient
@@ -62,6 +69,7 @@ from .events import (
     ProgressObserver,
 )
 from .registry import (
+    DEFAULT_STAGE_NAMES,
     KIND_INSIGHT_EXTRACTOR,
     KIND_NOTEBOOK_RENDERER,
     KIND_SESSION_GENERATOR,
@@ -85,22 +93,13 @@ from .result import (
     ExploreResult,
     insight_to_dict,
 )
-from .stages import (
-    CdrlSessionGenerator,
-    ChainedSpecDeriver,
-    DefaultInsightExtractor,
-    InsightExtractor,
-    MarkdownNotebookRenderer,
-    NotebookRenderer,
-    SessionGenerator,
-    SpecDeriver,
-)
+from .stages import InsightExtractor, NotebookRenderer, SessionGenerator, SpecDeriver
 
 #: Permissive fallback specification used when derived/explicit LDX fails to
 #: parse: the engine still produces a useful (if less targeted) session.
 PERMISSIVE_LDX = "ROOT CHILDREN <A1,A2>\nA1 LIKE [F,.*]\nA2 LIKE [G,.*]"
 
-#: Default row budget of the engine's shared cache.  The engine is long-lived
+#: Row budget of the engine's shared cache.  The engine is long-lived
 #: and serves arbitrarily many requests, so unlike per-agent caches its volume
 #: must be bounded: 2M cached rows keeps worst-case residency at a few hundred
 #: MB even on wide tables, while far exceeding a single request's working set.
@@ -117,6 +116,59 @@ STAGE_KIND_ATTRS: dict[str, str] = {
 T = TypeVar("T")
 
 
+@dataclasses.dataclass(frozen=True)
+class EngineSpec:
+    """What an engine is, in one picklable value.
+
+    ``stages`` holds ``(kind, name)`` for all four stage kinds, sorted by
+    kind.  A stage selected by name carries the name it was resolved by,
+    with an engine-level ``cdrl:<name>`` alias pinned to the version it
+    served at construction (``cdrl:<name>-v<N>``); a live stage object
+    carries its ``name`` attribute, or ``None`` without one.
+    ``llm_client`` is the client's ``name`` the same way.
+    """
+
+    cdrl_config: CdrlConfig
+    stages: tuple[tuple[str, Optional[str]], ...]
+    llm_client: Optional[str]
+    policy_registry_path: Optional[str] = None
+
+    def unnamed(self) -> list[str]:
+        """The stage kinds (and ``"llm_client"``) that carry no name: two
+        different unnamed objects are indistinguishable in :meth:`fingerprint`."""
+        missing = [kind for kind, name in self.stages if name is None]
+        if self.llm_client is None:
+            missing.append("llm_client")
+        return missing
+
+    def fingerprint(self) -> str:
+        """Digest of the result-shaping configuration: the store namespace.
+
+        Covers everything that changes *what identical requests produce*
+        under engine defaults — the code's
+        :data:`~repro.engine.result.RESULT_SEMANTICS_VERSION`, the CDRL
+        configuration (episode budget, seeds, trainer hyper-parameters), the
+        LLM client's name (it shapes the derived specification) and every
+        stage's name.  The policy registry's path is left out: artifacts
+        are told apart by their versioned stage names.  The recipe is
+        fixed (an unnamed object hashes as ``"custom"``), so namespaces
+        written by earlier code versions stay valid.
+        """
+
+        def named(name: Optional[str]) -> str:
+            return "custom" if name is None else name
+
+        payload = repr(
+            (
+                RESULT_SEMANTICS_VERSION,
+                sorted(dataclasses.asdict(self.cdrl_config).items()),
+                named(self.llm_client),
+                [(kind, named(name)) for kind, name in self.stages],
+            )
+        )
+        return hashlib.blake2b(payload.encode("utf-8"), digest_size=12).hexdigest()
+
+
 class LinxEngine:
     """Long-lived, batchable, pluggable LINX service facade.
 
@@ -131,19 +183,25 @@ class LinxEngine:
         Stage overrides (see :mod:`repro.engine.stages`); pass e.g.
         :class:`~repro.engine.stages.AtenaSessionGenerator` to swap the
         baseline in as the generation stage.
+    stages:
+        Stage selection by registered name, per kind (unselected kinds use
+        :data:`~repro.engine.registry.DEFAULT_STAGE_NAMES`).  Every named
+        stage, defaults included, resolves through one lookup: a
+        ``cdrl:<name>[-v<N>]`` name in the engine's policy registry,
+        anything else in :data:`~repro.engine.registry.STAGE_REGISTRY`.
     cache:
         Execution cache shared by every request.  Defaults to an
-        :class:`~repro.explore.cache.ExecutionCache` bounded by
-        *max_cache_entries* entries and *max_cached_rows* total cached rows
-        (default :data:`DEFAULT_ENGINE_MAX_CACHED_ROWS`; pass ``None`` to
-        disable the row budget).
+        :class:`~repro.explore.cache.ExecutionCache` with the default entry
+        bound and :data:`DEFAULT_ENGINE_MAX_CACHED_ROWS` cached rows.
     policy_registry_path:
         Optional sqlite file of a :class:`~repro.train.registry.PolicyRegistry`.
-        Every trained artifact in it self-registers as a session-generator
-        stage (``cdrl:<name>-v<N>`` plus the floating ``cdrl:<name>`` alias),
-        so requests can serve trained policies by name.  Declarative — a
-        path, not an object — so it survives the worker rebuilds of a
-        process-mode :class:`~repro.engine.scheduler.RequestScheduler`.
+        Its trained artifacts serve as session generators by name
+        (``cdrl:<name>-v<N>``, or ``cdrl:<name>`` for the promoted-or-latest
+        version), looked up when a name is first used, so versions
+        published after the engine started serve too.  Declarative — a
+        path, not an object — so it rides in the :class:`EngineSpec` to the
+        workers of a process-mode
+        :class:`~repro.engine.scheduler.RequestScheduler`.
 
     Example
     -------
@@ -154,6 +212,11 @@ class LinxEngine:
     ...     dataset="netflix", num_rows=800))          # doctest: +SKIP
     >>> result.notebook_markdown                        # doctest: +SKIP
     """
+
+    spec_deriver: SpecDeriver
+    session_generator: SessionGenerator
+    notebook_renderer: NotebookRenderer
+    insight_extractor: InsightExtractor
 
     def __init__(
         self,
@@ -166,8 +229,6 @@ class LinxEngine:
         insight_extractor: InsightExtractor | None = None,
         stages: Mapping[str, str] | None = None,
         cache: ExecutionCache | None = None,
-        max_cache_entries: int = DEFAULT_MAX_ENTRIES,
-        max_cached_rows: int | None = DEFAULT_ENGINE_MAX_CACHED_ROWS,
         policy_registry_path: str | os.PathLike | None = None,
         inference_batching: bool = False,
         batch_linger_ms: float = 2.0,
@@ -183,12 +244,11 @@ class LinxEngine:
         # Continuous cross-request batching (opt-in): concurrent requests'
         # policy forwards coalesce into shared stacked waves.  Results are
         # bit-identical to unbatched execution at equal seeds, so this knob
-        # deliberately stays OUT of ``config_fingerprint()`` — batched and
+        # deliberately stays OUT of the :class:`EngineSpec` — batched and
         # unbatched servers may share one result store.  Only stages that
         # declare ``supports_batching`` receive the context and the batcher;
         # everything else (ATENA baseline, custom stages, process-pool
-        # workers, which rebuild engines from ``worker_spec()``) runs on its
-        # own.
+        # workers, which rebuild engines from the spec) runs on its own.
         self.batcher = None
         if inference_batching:
             # Lazy import: repro.engine.batcher imports rl/explore modules.
@@ -198,73 +258,63 @@ class LinxEngine:
                 max_batch_size=max_batch_size, linger_ms=batch_linger_ms
             )
         self.cache = cache if cache is not None else ExecutionCache(
-            max_entries=max_cache_entries, max_cached_rows=max_cached_rows
+            max_cached_rows=DEFAULT_ENGINE_MAX_CACHED_ROWS
         )
-        self._max_cache_entries = max_cache_entries
-        self._max_cached_rows = max_cached_rows
-        # Process-pool workers rebuild the engine from a picklable spec, so
-        # they can only reproduce declaratively-configured engines.  Stage
-        # selection *by registered name* (``stages=...``) stays declarative
-        # — only live stage objects, caches and clients disqualify.
-        self._custom_stages = any(
-            stage is not None
-            for stage in (
-                spec_deriver,
-                session_generator,
-                notebook_renderer,
-                insight_extractor,
-            )
-        ) or cache is not None or llm_client is not None
         self._bank_lock = threading.Lock()
         self._bank: Optional[FewShotBank] = None
         self._table_memo: dict = {}
         self._table_memo_lock = threading.Lock()
-        self.registry = STAGE_REGISTRY
-        self.policy_registry_path = (
-            str(policy_registry_path) if policy_registry_path is not None else None
-        )
-        self.policy_registry = None
-        if self.policy_registry_path is not None:
-            # Lazy import: repro.train builds on this module's layer.
-            from repro.train.registry import PolicyRegistry
-
-            self.policy_registry = PolicyRegistry(self.policy_registry_path)
-            # Trained artifacts become selectable stages (before stage
-            # resolution, so ``stages=`` may name one directly).
-            self.policy_registry.attach(self.registry)
-        self.stage_selection: dict[str, str] = dict(stages or {})
-        unknown_kinds = sorted(set(self.stage_selection) - set(STAGE_KIND_ATTRS))
-        if unknown_kinds:
-            raise ValueError(
-                f"unknown stage kinds {unknown_kinds}; expected a subset of "
-                f"{sorted(STAGE_KIND_ATTRS)}"
-            )
-        named = self.registry.resolve(self.stage_selection, self._stage_context())
-        self.spec_deriver: SpecDeriver = (
-            spec_deriver
-            or named.get(KIND_SPEC_DERIVER)
-            or ChainedSpecDeriver(self.llm_client, self.fewshot_bank)
-        )
-        self.session_generator: SessionGenerator = (
-            session_generator
-            or named.get(KIND_SESSION_GENERATOR)
-            or CdrlSessionGenerator(self.cdrl_config)
-        )
-        self.notebook_renderer: NotebookRenderer = (
-            notebook_renderer
-            or named.get(KIND_NOTEBOOK_RENDERER)
-            or MarkdownNotebookRenderer()
-        )
-        self.insight_extractor: InsightExtractor = (
-            insight_extractor
-            or named.get(KIND_INSIGHT_EXTRACTOR)
-            or DefaultInsightExtractor()
-        )
         # Per-request stage instances resolved by name, memoized: stage
         # implementations are stateless per request, so one instance per
         # (kind, name) serves every request and thread.
         self._stage_instances: dict[tuple[str, str], Any] = {}
         self._stage_instances_lock = threading.Lock()
+        self.policy_registry = None
+        if policy_registry_path is not None:
+            # Lazy import: repro.train builds on this module's layer.
+            from repro.train.registry import PolicyRegistry
+
+            self.policy_registry = PolicyRegistry(policy_registry_path)
+        selection = {
+            kind: str(name).strip().lower() for kind, name in (stages or {}).items()
+        }
+        unknown_kinds = sorted(set(selection) - set(STAGE_KIND_ATTRS))
+        if unknown_kinds:
+            raise ValueError(
+                f"unknown stage kinds {unknown_kinds}; expected a subset of "
+                f"{sorted(STAGE_KIND_ATTRS)}"
+            )
+        objects = {
+            KIND_SPEC_DERIVER: spec_deriver,
+            KIND_SESSION_GENERATOR: session_generator,
+            KIND_NOTEBOOK_RENDERER: notebook_renderer,
+            KIND_INSIGHT_EXTRACTOR: insight_extractor,
+        }
+        # A process worker rebuilds the engine from its spec, so it cannot
+        # reproduce live objects (even named ones); the scheduler refuses
+        # process mode for them.
+        given = {**objects, "cache": cache, "llm_client": llm_client}
+        self._live_objects = [label for label, obj in given.items() if obj is not None]
+        names: dict[str, Optional[str]] = {}
+        for kind, attribute in STAGE_KIND_ATTRS.items():
+            stage = objects[kind]
+            if stage is None:
+                name = selection.get(kind, DEFAULT_STAGE_NAMES[kind])
+                if kind == KIND_SESSION_GENERATOR and self.policy_registry is not None:
+                    name = self.policy_registry.pin(name)
+                stage = self._stage_by_name(kind, name)
+            else:
+                name = getattr(stage, "name", None)
+            setattr(self, attribute, stage)
+            names[kind] = name
+        self.spec = EngineSpec(
+            cdrl_config=self.cdrl_config,
+            stages=tuple(sorted(names.items())),
+            llm_client=getattr(self.llm_client, "name", None),
+            policy_registry_path=(
+                None if policy_registry_path is None else str(policy_registry_path)
+            ),
+        )
 
     # -- shared state ----------------------------------------------------------------
     def fewshot_bank(self) -> FewShotBank:
@@ -290,35 +340,23 @@ class LinxEngine:
             self.batcher.close()
 
     def config_fingerprint(self) -> str:
-        """Digest of this engine's result-shaping configuration.
+        """The result-store namespace: :meth:`EngineSpec.fingerprint` of
+        :attr:`spec`.  The scheduler namespaces store keys with it, so a
+        store file shared across servers (or restarts) with different
+        configurations or code versions never serves one's results for
+        another's requests."""
+        return self.spec.fingerprint()
 
-        Covers everything that changes *what identical requests produce*
-        under engine defaults — the code's
-        :data:`~repro.engine.result.RESULT_SEMANTICS_VERSION`, the CDRL
-        configuration (episode budget, seeds, trainer hyper-parameters), the
-        LLM client's ``name`` (it shapes the derived specification) and the
-        ``name`` of every configured stage implementation (which also
-        distinguishes custom stage *objects* from the defaults, as long as
-        they carry distinct names).  The scheduler namespaces result-store
-        keys with it, so a store file shared across servers (or restarts)
-        with different configurations or code versions never serves one's
-        results for another's requests.
-        """
-        import dataclasses
-        import hashlib
-
-        payload = repr(
-            (
-                RESULT_SEMANTICS_VERSION,
-                sorted(dataclasses.asdict(self.cdrl_config).items()),
-                getattr(self.llm_client, "name", "custom"),
-                [
-                    (kind, getattr(getattr(self, attribute), "name", "custom"))
-                    for kind, attribute in sorted(STAGE_KIND_ATTRS.items())
-                ],
+    def describe_stages(self) -> dict[str, list[str]]:
+        """Every stage name this engine resolves, per kind (the server's
+        ``/stages`` payload): the registered stage code plus the trained
+        policies of the engine's policy registry."""
+        names = STAGE_REGISTRY.describe()
+        if self.policy_registry is not None:
+            names[KIND_SESSION_GENERATOR] = sorted(
+                names[KIND_SESSION_GENERATOR] + self.policy_registry.stage_names()
             )
-        )
-        return hashlib.blake2b(payload.encode("utf-8"), digest_size=12).hexdigest()
+        return names
 
     def _stage_context(self) -> StageContext:
         """The shared-state bundle handed to registry stage factories."""
@@ -329,12 +367,17 @@ class LinxEngine:
         )
 
     def _stage_by_name(self, kind: str, name: str) -> Any:
-        """The memoized stage instance registered under ``(kind, name)``."""
+        """The memoized stage instance named ``(kind, name)``: a trained
+        policy of the engine's policy registry, else the stage registered
+        in :data:`~repro.engine.registry.STAGE_REGISTRY`."""
         key = (kind, str(name).strip().lower())
         with self._stage_instances_lock:
             instance = self._stage_instances.get(key)
         if instance is None:
-            instance = self.registry.create(kind, name, self._stage_context())
+            if kind == KIND_SESSION_GENERATOR and self.policy_registry is not None:
+                instance = self.policy_registry.session_generator(key[1])
+            if instance is None:
+                instance = STAGE_REGISTRY.create(kind, key[1], self._stage_context())
             with self._stage_instances_lock:
                 instance = self._stage_instances.setdefault(key, instance)
         return instance
@@ -580,21 +623,6 @@ class LinxEngine:
         )
         emit(ProgressEvent(request_id, EVENT_REQUEST_FINISHED))
         return result
-
-    def worker_spec(self) -> dict[str, Any]:
-        """The picklable spec a worker process rebuilds this engine from.
-
-        Only meaningful for declaratively-configured engines (a process-mode
-        :class:`~repro.engine.scheduler.RequestScheduler` checks
-        ``_custom_stages`` before using it).
-        """
-        return {
-            "cdrl_config": self.cdrl_config,
-            "max_cache_entries": self._max_cache_entries,
-            "max_cached_rows": self._max_cached_rows,
-            "stages": dict(self.stage_selection),
-            "policy_registry_path": self.policy_registry_path,
-        }
 
     # -- internals -------------------------------------------------------------------
     def _run_stage(

@@ -17,13 +17,18 @@ implementations register themselves when :mod:`repro.engine.stages` is
 imported (the registry triggers that import on first use, so name lookups
 work regardless of import order); plug-in packages register theirs with the
 :func:`register_stage_factory` decorator at import time.
+
+Trained policies are not registered here: an engine opened on a
+:class:`~repro.train.registry.PolicyRegistry` looks ``cdrl:<name>[-v<N>]``
+names up in that registry itself, so this process-wide registry only ever
+holds code.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import FieldError, RequestValidationError
 
@@ -136,14 +141,6 @@ class StageRegistry:
             )
         return factory(context)
 
-    def resolve(
-        self, selection: Mapping[str, str], context: StageContext
-    ) -> dict[str, Any]:
-        """Build every stage a selection names (kind → stage instance)."""
-        return {
-            kind: self.create(kind, name, context) for kind, name in selection.items()
-        }
-
     # -- built-in loading ------------------------------------------------------------
     def _ensure_builtins(self) -> None:
         """Import the built-in stage module once, registering its factories.
@@ -157,7 +154,8 @@ class StageRegistry:
         import repro.engine.stages  # noqa: F401  (registers built-ins on import)
 
 
-#: The process-wide default registry; engines resolve stage names against it.
+#: The process-wide registry of stage code; engines resolve every stage name
+#: not held by their own policy registry against it.
 STAGE_REGISTRY = StageRegistry()
 
 

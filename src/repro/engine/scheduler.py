@@ -31,8 +31,8 @@ The scheduler is the engine's one entry point for many requests at once.
 Execution is pluggable: ``workers="thread"`` runs requests on the
 scheduler's own threads over the engine's shared cache;
 ``workers="process"`` sends each request to a persistent process pool
-whose workers (:func:`_process_worker`) rebuild the engine once from
-:meth:`~repro.engine.core.LinxEngine.worker_spec` and keep it warm, with
+whose workers (:func:`_process_worker`) rebuild the engine once from its
+:class:`~repro.engine.core.EngineSpec` and keep it warm, with
 worker events streamed back over a multiprocessing queue and routed to
 tickets by a drainer thread.  CDRL training is GIL-bound, so threads
 mostly interleave while processes use more cores; process results come
@@ -70,7 +70,7 @@ from typing import Any, Callable, Optional
 
 from repro.reliability import SITE_HEARTBEAT, FileCancelEvent, fault_point
 
-from .core import LinxEngine
+from .core import EngineSpec, LinxEngine
 from .errors import (
     RequestCancelledError,
     RequestTimeoutError,
@@ -167,7 +167,9 @@ class RequestScheduler:
         engine's :meth:`~repro.engine.core.LinxEngine.config_fingerprint`,
         so differently-configured engines sharing one store file never
         serve each other's results), and submits whose key is already
-        stored are served from disk without executing.
+        stored are served from disk without executing.  Every stage and
+        the LLM client must carry a ``name``: two unnamed objects would
+        share one namespace, so such an engine is refused.
     max_pending:
         Queue bound — the maximum number of tickets queued or running at
         once.  :meth:`submit` raises :class:`SchedulerFullError` beyond it.
@@ -177,8 +179,10 @@ class RequestScheduler:
     workers:
         ``"thread"`` (default) executes on the scheduler's threads over the
         engine's shared in-memory cache; ``"process"`` fans each request to
-        a process pool (declaratively-configured engines only) with worker
-        events streamed back to the tickets.
+        a process pool whose workers rebuild the engine from its
+        :class:`~repro.engine.core.EngineSpec` (so engines built from live
+        stage objects, a cache or an LLM client object are refused), with
+        worker events streamed back to the tickets.
     default_timeout:
         Per-request timeout (seconds) applied when :meth:`submit` gets
         none.  ``None`` means no deadline.
@@ -246,10 +250,16 @@ class RequestScheduler:
             raise ValueError("max_terminal_tickets must be positive")
         if terminal_events_keep < 0:
             raise ValueError("terminal_events_keep must be >= 0")
-        if workers == "process" and engine._custom_stages:
+        if workers == "process" and engine._live_objects:
             raise ValueError(
-                "workers='process' requires a declaratively-configured engine "
-                "(default or registry-named stages, default LLM client and cache)"
+                "workers='process' rebuilds the engine from its EngineSpec and "
+                f"cannot ship live objects ({', '.join(engine._live_objects)}); "
+                "select stages by registered name"
+            )
+        if store is not None and engine.spec.unnamed():
+            raise ValueError(
+                f"a result store needs a name on every stage and the LLM client; "
+                f"unnamed: {', '.join(engine.spec.unnamed())}"
             )
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
@@ -276,9 +286,9 @@ class RequestScheduler:
         self._journal_path = (
             Path(execution_journal) if execution_journal is not None else None
         )
-        # Store rows are namespaced by the engine's declarative config
-        # digest: a store file shared by differently-configured servers
-        # (episode budgets, engine-level stage selection) never serves one
+        # Store rows are namespaced by the digest of the engine's spec: a
+        # store file shared by differently-configured servers (episode
+        # budgets, engine-level stage selection) never serves one
         # configuration's results for another's requests.
         self._store_namespace = engine.config_fingerprint()
         self.max_pending = max_pending
@@ -831,7 +841,7 @@ class RequestScheduler:
                     future = self._pool.submit(
                         _process_worker,
                         ticket.request.to_dict(),
-                        self.engine.worker_spec(),
+                        self.engine.spec,
                         ticket.ticket_id,
                         self._progress_queue,
                         ticket.timeout,
@@ -1112,10 +1122,9 @@ class RequestScheduler:
 
 
 # -- process-pool worker ----------------------------------------------------------------
-#: The engine a worker process lazily builds and then reuses across tasks,
-#: keyed by the spec that built it (one warm engine per worker).
+#: The engine a worker process lazily builds and then reuses across tasks
+#: while its spec stays the same (one warm engine per worker).
 _worker_engine: Optional[LinxEngine] = None
-_worker_spec: Optional[dict[str, Any]] = None
 
 
 def drain_progress_queue(queue, route: Callable[[str, ProgressEvent], None]) -> None:
@@ -1137,24 +1146,29 @@ def drain_progress_queue(queue, route: Callable[[str, ProgressEvent], None]) -> 
             pass
 
 
-def worker_engine(spec: dict[str, Any]) -> LinxEngine:
-    """This worker process's warm engine for *spec* (rebuilt on spec change)."""
-    global _worker_engine, _worker_spec
-    if _worker_engine is None or spec != _worker_spec:
-        _worker_engine = LinxEngine(
-            cdrl_config=spec["cdrl_config"],
-            max_cache_entries=spec["max_cache_entries"],
-            max_cached_rows=spec["max_cached_rows"],
-            stages=spec.get("stages") or None,
-            policy_registry_path=spec.get("policy_registry_path"),
+def worker_engine(spec: EngineSpec) -> LinxEngine:
+    """This worker process's warm engine for *spec* (rebuilt on spec change).
+
+    The rebuild selects every stage by the name the spec carries, so it
+    must come out with an equal spec; anything else is refused rather
+    than served under the parent's namespace.
+    """
+    global _worker_engine
+    if _worker_engine is None or _worker_engine.spec != spec:
+        engine = LinxEngine(
+            cdrl_config=spec.cdrl_config,
+            stages=dict(spec.stages),
+            policy_registry_path=spec.policy_registry_path,
         )
-        _worker_spec = spec
+        if engine.spec != spec:
+            raise RuntimeError(f"worker rebuilt {engine.spec} from {spec}")
+        _worker_engine = engine
     return _worker_engine
 
 
 def _process_worker(
     request_payload: dict[str, Any],
-    spec: dict[str, Any],
+    spec: EngineSpec,
     label: str = "",
     progress_queue: Any = None,
     timeout: float | None = None,
@@ -1163,7 +1177,7 @@ def _process_worker(
     """Process one serialized request in a pool worker; returns the result dict.
 
     The worker materialises a :class:`LinxEngine` from the parent's
-    declarative *spec* on first use (or when the spec changes) and keeps it
+    *spec* on first use (or when the spec changes) and keeps it
     warm: the few-shot bank and the worker's own in-memory execution cache
     survive across its tasks.  With a *progress_queue*, every
     engine event is streamed to the parent as a ``(label, event)`` pair;

@@ -14,7 +14,7 @@ method      path                               behaviour
                                                202 while live, 409 failed/cancelled
 ``GET``     ``/requests/<ticket>/events``      Server-Sent Events: replay + follow
 ``POST``    ``/requests/<ticket>/cancel``      cooperative cancellation
-``GET``     ``/stages``                        the stage registry (names per kind)
+``GET``     ``/stages``                        stage names per kind, trained policies too
 ``GET``     ``/stats``                         scheduler / store / cache telemetry
 ``GET``     ``/healthz``                       liveness + readiness probe
 ==========  =================================  ========================================
@@ -209,7 +209,7 @@ class LinxHttpServer:
             handlers["GET"] = lambda: self._respond(writer, 200, self._stats())
         elif path == "/stages":
             handlers["GET"] = lambda: self._respond(
-                writer, 200, {"stages": self.scheduler.engine.registry.describe()}
+                writer, 200, {"stages": self.scheduler.engine.describe_stages()}
             )
         elif path == "/requests":
             handlers["POST"] = lambda: self._submit(body, writer)

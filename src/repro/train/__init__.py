@@ -10,8 +10,9 @@ makes it operable:
   checkpoints (network weights, optimizer moments, pending gradient batch,
   elite replay set, history and the policy's generator state).
 * :mod:`repro.train.registry` — a sqlite-backed :class:`PolicyRegistry` of
-  named, versioned policy artifacts that self-registers session-generator
-  factories (``cdrl:<name>-v<N>``) into the serving tier's stage registry.
+  named, versioned policy artifacts.  An engine opened on its file
+  (``LinxEngine(policy_registry_path=...)``) serves them as session
+  generators by name (``cdrl:<name>[-v<N>]``), looked up per engine.
 
 ``python -m repro.train`` is the operational CLI (train / resume / list /
 promote).

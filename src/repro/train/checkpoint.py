@@ -89,8 +89,8 @@ class TrainSpec:
 
     Everything is a primitive (or reduces to primitives via
     :meth:`to_payload`), so a checkpoint or registry artifact can rebuild
-    the identical training context on resume or when served — the pattern
-    ``LinxEngine.worker_spec()`` established for the process-mode
+    the identical training context on resume or when served — as the
+    engine's frozen ``EngineSpec`` rebuilds the engine in the process-mode
     ``RequestScheduler``'s workers.
     """
 

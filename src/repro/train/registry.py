@@ -2,12 +2,14 @@
 
 Training produces checkpoints; this module turns them into *operable*
 artifacts: ``publish`` stores a checkpoint under ``(name, version)`` with
-its engine config fingerprint and final metrics, ``promote`` marks the
-version the bare name should serve, and ``attach`` self-registers a
-session-generator factory per artifact into the serving tier's
-:data:`~repro.engine.registry.STAGE_REGISTRY` — after which an HTTP
+its engine config fingerprint and final metrics, and ``promote`` marks the
+version the bare name should serve.  An engine opened on the registry's
+file (``LinxEngine(policy_registry_path=...)``) looks serving names up here
+through :meth:`PolicyRegistry.session_generator`, so an HTTP
 ``ExploreRequest`` with ``{"session_generator": "cdrl:flights-v2"}`` loads
-and serves that exact trained policy instead of training from scratch.
+and serves that exact trained policy instead of training from scratch —
+also when the version was published through another handle after the
+engine started.  Nothing is registered in a process-global registry.
 
 Durability follows :class:`~repro.engine.store.ResultStore`: WAL
 journaling, one transaction per write, an in-process lock for thread sharing, and a
@@ -33,9 +35,14 @@ from .checkpoint import TrainingCheckpoint, TrainSpec
 #: Version of the on-disk layout (sqlite schema + checkpoint blob format).
 REGISTRY_SCHEMA_VERSION = 1
 
-#: Policy names are lowercase slugs; the serving alias adds the ``cdrl:``
-#: prefix and ``-v<N>`` suffix, so neither may appear in the name itself.
-_NAME_PATTERN = re.compile(r"^[a-z0-9][a-z0-9_-]*$")
+#: Policy names are lowercase slugs; the serving name adds the ``cdrl:``
+#: prefix and an optional ``-v<N>`` suffix, so neither may appear in the name
+#: itself (``alpha-v1`` would read as version 1 of ``alpha``).
+_NAME_PATTERN = re.compile(r"^(?!.*-v[0-9]+$)[a-z0-9][a-z0-9_-]*$")
+
+#: A serving name: ``cdrl:<name>`` (the promoted-or-latest version) or
+#: ``cdrl:<name>-v<N>`` (one version).
+_STAGE_PATTERN = re.compile(r"^cdrl:([a-z0-9][a-z0-9_-]*?)(?:-v([0-9]+))?$")
 
 
 def config_fingerprint(config: CdrlConfig) -> str:
@@ -50,7 +57,7 @@ def _validate_name(name: str) -> str:
     if not _NAME_PATTERN.match(key):
         raise ValueError(
             f"invalid policy name {name!r}: must be a lowercase slug "
-            "([a-z0-9_-], starting alphanumeric)"
+            "([a-z0-9_-], starting alphanumeric, not ending in -v<N>)"
         )
     return key
 
@@ -72,9 +79,6 @@ class PolicyRegistry:
         self.loads = 0
         #: True when a version mismatch dropped a pre-existing registry.
         self.invalidated = False
-        #: Stage registries :meth:`attach` has hooked into (new versions
-        #: self-register there on publish).
-        self._attached: list[Any] = []
         self._ensure_schema()
 
     # -- schema -----------------------------------------------------------------------
@@ -148,8 +152,6 @@ class PolicyRegistry:
                 ),
             )
             self.publishes += 1
-        for stage_registry in self._attached:
-            self._register_artifact(stage_registry, key, version)
         return version
 
     def promote(self, name: str, version: int) -> None:
@@ -188,21 +190,12 @@ class PolicyRegistry:
         """
         key = _validate_name(name)
         with self._lock:
-            if version is None:
-                row = self._conn.execute(
-                    "SELECT name, version, config_fingerprint, dataset, ldx_text,"
-                    " metrics, checkpoint, promoted, created_at"
-                    " FROM policies WHERE name = ?"
-                    " ORDER BY promoted DESC, version DESC LIMIT 1",
-                    (key,),
-                ).fetchone()
-            else:
-                row = self._conn.execute(
-                    "SELECT name, version, config_fingerprint, dataset, ldx_text,"
-                    " metrics, checkpoint, promoted, created_at"
-                    " FROM policies WHERE name = ? AND version = ?",
-                    (key, int(version)),
-                ).fetchone()
+            row = self._conn.execute(
+                "SELECT name, version, config_fingerprint, dataset, ldx_text,"
+                " metrics, checkpoint, promoted, created_at"
+                " FROM policies WHERE name = ? AND version = ?",
+                (key, self._stored_version(key, version)),
+            ).fetchone()
             if row is None:
                 suffix = "" if version is None else f" version {version}"
                 raise KeyError(f"no policy {key!r}{suffix} in {self.path}")
@@ -241,68 +234,65 @@ class PolicyRegistry:
             for row in rows
         ]
 
-    # -- serving integration ----------------------------------------------------------
-    def attach(self, stage_registry=None) -> list[str]:
-        """Register a session-generator factory per stored artifact.
+    def _stored_version(self, key: str, version: Optional[int]) -> Optional[int]:
+        """The stored version ``(key, version)`` names — ``None`` asks for the
+        promoted one, falling back to the latest — or ``None`` if absent.
+        The caller holds ``_lock``."""
+        if version is None:
+            row = self._conn.execute(
+                "SELECT version FROM policies WHERE name = ?"
+                " ORDER BY promoted DESC, version DESC LIMIT 1",
+                (key,),
+            ).fetchone()
+        else:
+            row = self._conn.execute(
+                "SELECT version FROM policies WHERE name = ? AND version = ?",
+                (key, int(version)),
+            ).fetchone()
+        return None if row is None else int(row[0])
 
-        Each ``(name, version)`` registers as ``cdrl:<name>-v<version>``
-        and each name additionally as the floating alias ``cdrl:<name>``
-        (promoted-or-latest, resolved when the stage instance is built).
-        Versions published after attaching self-register too.  Returns the
-        stage names registered.
+    # -- serving ----------------------------------------------------------------------
+    def stage_names(self) -> list[str]:
+        """Every serving name this registry answers, sorted:
+        ``cdrl:<name>-v<N>`` per artifact plus ``cdrl:<name>`` per policy."""
+        with self._lock:
+            rows = self._conn.execute("SELECT name, version FROM policies").fetchall()
+        names = {f"cdrl:{name}" for name, _ in rows}
+        names.update(f"cdrl:{name}-v{version}" for name, version in rows)
+        return sorted(names)
 
-        Note the serving caveat: the engine memoizes stage instances per
-        ``(kind, name)``, so only the *versioned* names are fully idempotent
-        for result-store purposes — the floating alias can start serving a
-        newer version after a promote + engine restart.
-        """
-        if stage_registry is None:
-            from repro.engine.registry import STAGE_REGISTRY
+    def _lookup(self, stage_name: str) -> Optional[tuple[str, Optional[int], int]]:
+        """``(policy, requested version, stored version)`` for a serving name
+        this registry holds, else ``None``."""
+        match = _STAGE_PATTERN.match(stage_name)
+        if match is None:
+            return None
+        name = match.group(1)
+        version = None if match.group(2) is None else int(match.group(2))
+        with self._lock:
+            stored = self._stored_version(name, version)
+        return None if stored is None else (name, version, stored)
 
-            stage_registry = STAGE_REGISTRY
-        if all(existing is not stage_registry for existing in self._attached):
-            self._attached.append(stage_registry)
-        registered: list[str] = []
-        seen_names: set[str] = set()
-        for record in self.list_policies():
-            registered.append(
-                self._register_artifact(stage_registry, record["name"], record["version"])
-            )
-            if record["name"] not in seen_names:
-                seen_names.add(record["name"])
-                registered.append(self._register_alias(stage_registry, record["name"]))
-        return registered
+    def pin(self, stage_name: str) -> str:
+        """*stage_name* with a bare ``cdrl:<name>`` replaced by the version it
+        serves now (``cdrl:alpha`` → ``cdrl:alpha-v2``); every other name
+        comes back unchanged."""
+        found = self._lookup(stage_name)
+        if found is None or found[1] is not None:
+            return stage_name
+        return f"{stage_name}-v{found[2]}"
 
-    def _register_artifact(self, stage_registry, name: str, version: int) -> str:
-        from repro.engine.registry import KIND_SESSION_GENERATOR
-
-        stage_name = f"cdrl:{name}-v{version}"
-        registry = self
-
-        def factory(_context) -> "RegisteredPolicySessionGenerator":
-            return RegisteredPolicySessionGenerator(registry, name, version=version)
-
-        stage_registry.register(
-            KIND_SESSION_GENERATOR, stage_name, factory, replace=True
-        )
-        # Publishing a new version must also refresh what the bare alias
-        # resolves to on next engine start.
-        self._register_alias(stage_registry, name)
-        return stage_name
-
-    def _register_alias(self, stage_registry, name: str) -> str:
-        from repro.engine.registry import KIND_SESSION_GENERATOR
-
-        stage_name = f"cdrl:{name}"
-        registry = self
-
-        def factory(_context) -> "RegisteredPolicySessionGenerator":
-            return RegisteredPolicySessionGenerator(registry, name, version=None)
-
-        stage_registry.register(
-            KIND_SESSION_GENERATOR, stage_name, factory, replace=True
-        )
-        return stage_name
+    def session_generator(
+        self, stage_name: str
+    ) -> Optional["RegisteredPolicySessionGenerator"]:
+        """The generator serving ``cdrl:<name>[-v<N>]``, or ``None`` when this
+        registry holds no such policy or version.  A bare name floats: it
+        serves the promoted-or-latest version when the generator first
+        loads its artifact."""
+        found = self._lookup(stage_name)
+        if found is None:
+            return None
+        return RegisteredPolicySessionGenerator(self, found[0], version=found[1])
 
     # -- maintenance ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -209,8 +209,8 @@ class TestProcessModeStageNames:
             cdrl_config=CdrlConfig(episodes=5),
             stages={"session_generator": "atena"},
         )
-        assert not engine._custom_stages
-        assert engine.worker_spec()["stages"] == {"session_generator": "atena"}
+        assert not engine._live_objects
+        assert dict(engine.spec.stages)["session_generator"] == "atena"
         request = ExploreRequest(
             goal="g", dataset="netflix", num_rows=100, ldx_text=LDX,
             episodes=5, seed=0, request_id="p0",

@@ -28,6 +28,7 @@ from repro.engine import (
     SessionOutcome,
 )
 from repro.explore import session_from_operations
+from repro.explore.cache import ExecutionCache
 from repro.explore.operations import FilterOperation, GroupAggOperation
 from repro.llm import chatgpt_client, gpt4_client
 from harness import comparable, first_difference
@@ -414,6 +415,35 @@ class TestConfigFingerprint:
         )
         assert a.config_fingerprint() != b.config_fingerprint()
 
+    def test_namespaces_are_pinned(self):
+        """Replicas sharing a store must agree on the namespace under any
+        hash seed, and a refactor must not move it (stored rows would be
+        orphaned)."""
+        assert LinxEngine().config_fingerprint() == "fb70df2eef7309b22fadc091"
+        atena = LinxEngine(
+            cdrl_config=CdrlConfig(episodes=5),
+            stages={"session_generator": "atena"},
+        )
+        assert atena.config_fingerprint() == "843188a9bb6b6a492c8e53ee"
+
+    @pytest.mark.parametrize("kind", ["session_generator", "llm_client"])
+    def test_store_refuses_unnamed_objects(self, tmp_path, kind):
+        """Two different unnamed objects would hash alike and share one
+        namespace, so a store refuses the engine and names the kind."""
+
+        class Unnamed:
+            pass
+
+        engine = LinxEngine(**{kind: Unnamed()})
+        assert engine.spec.unnamed() == [kind]
+        store = ResultStore(tmp_path / "results.sqlite")
+        try:
+            with pytest.raises(ValueError, match=kind):
+                RequestScheduler(engine, store=store)
+            RequestScheduler(engine).shutdown()  # without a store it serves
+        finally:
+            store.close()
+
 
 class TestProcessExecution:
     def test_process_scheduler_streams_episode_events(self, tmp_path):
@@ -483,9 +513,27 @@ class TestProcessExecution:
                     f"{request.request_id}, batch {batch}: process payload differs at {differs}"
                 )
 
-    def test_process_scheduler_rejects_custom_stage_objects(self):
-        engine = LinxEngine(session_generator=TickingGenerator())
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "live", ["session_generator", "notebook_renderer", "cache", "llm_client"]
+    )
+    def test_process_scheduler_rejects_custom_stage_objects(self, live):
+        """A worker rebuilds the engine from its spec, which cannot carry a
+        live object: the refusal names what was passed."""
+
+        class NullRenderer:
+            name = "null"
+
+            def render(self, session, goal):
+                raise NotImplementedError
+
+        objects = {
+            "session_generator": TickingGenerator,
+            "notebook_renderer": NullRenderer,
+            "cache": ExecutionCache,
+            "llm_client": gpt4_client,
+        }
+        engine = LinxEngine(**{live: objects[live]()})
+        with pytest.raises(ValueError, match=live):
             RequestScheduler(engine, workers="process")
 
 

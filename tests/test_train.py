@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from repro.cdrl.agent import CdrlConfig
 from repro.engine import (
+    STAGE_REGISTRY,
+    TICKET_DONE,
     ExploreRequest,
     LinxEngine,
     RequestScheduler,
     RequestValidationError,
 )
-from repro.engine.registry import KIND_SESSION_GENERATOR, STAGE_REGISTRY, StageRegistry
 from repro.engine.server import ServerThread
 from repro.explore.rollouts import collect_rollouts
 from repro.rl.trainer import TrainerConfig, TrainingHistory
@@ -34,7 +35,14 @@ from repro.train.registry import (
     config_fingerprint,
 )
 from repro.train.run import TrainingRun
-from harness import assert_same_training, call, stream_events, training_divergence
+from harness import (
+    assert_same_training,
+    call,
+    comparable,
+    first_difference,
+    stream_events,
+    training_divergence,
+)
 from rollout_oracle import collect_sequential_rollouts
 
 LDX = """
@@ -483,7 +491,9 @@ class TestPolicyRegistry:
                 registry.get("ghost")
             assert registry.versions("ghost") == []
 
-    @pytest.mark.parametrize("name", ["", "has space", "cdrl:x", "-lead", "a/b"])
+    @pytest.mark.parametrize(
+        "name", ["", "has space", "cdrl:x", "-lead", "a/b", "alpha-v1"]
+    )
     def test_invalid_names_rejected(self, tmp_path, name):
         run = self._trained_run(episodes=2)
         with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
@@ -497,19 +507,26 @@ class TestPolicyRegistry:
             assert registry.versions("ALPHA") == [1]
             assert registry.get("alpha")["name"] == "alpha"
 
-    def test_attach_registers_versioned_and_alias_stages(self, tmp_path):
+    def test_serving_names_follow_publishes_on_any_handle(self, tmp_path):
         run = self._trained_run()
-        stage_registry = StageRegistry()
-        with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
+        path = tmp_path / "pol.sqlite"
+        with PolicyRegistry(path) as registry, PolicyRegistry(path) as other:
             run.publish(registry, "alpha")
-            names = registry.attach(stage_registry)
-            assert set(names) == {"cdrl:alpha-v1", "cdrl:alpha"}
-            listed = stage_registry.describe()[KIND_SESSION_GENERATOR]
-            assert "cdrl:alpha-v1" in listed and "cdrl:alpha" in listed
-            # Publishing after attach self-registers the new version.
-            run.publish(registry, "alpha")
-            listed = stage_registry.describe()[KIND_SESSION_GENERATOR]
-            assert "cdrl:alpha-v2" in listed
+            assert registry.stage_names() == ["cdrl:alpha", "cdrl:alpha-v1"]
+            run.publish(other, "alpha")
+            assert registry.stage_names() == [
+                "cdrl:alpha", "cdrl:alpha-v1", "cdrl:alpha-v2"
+            ]
+            assert registry.session_generator("cdrl:alpha-v2").name == "cdrl:alpha-v2"
+            # The bare name floats; pinning names the version it serves now.
+            assert registry.session_generator("cdrl:alpha").name == "cdrl:alpha"
+            assert registry.pin("cdrl:alpha") == "cdrl:alpha-v1"
+            other.promote("alpha", 2)
+            assert registry.pin("cdrl:alpha") == "cdrl:alpha-v2"
+            assert registry.pin("cdrl:alpha-v1") == "cdrl:alpha-v1"
+            for unknown in ("cdrl:alpha-v3", "cdrl:ghost", "atena", "cdrl:a-v1-v2"):
+                assert registry.session_generator(unknown) is None
+                assert registry.pin(unknown) == unknown
 
     def test_schema_version_mismatch_drops_store(self, tmp_path):
         path = tmp_path / "pol.sqlite"
@@ -527,24 +544,6 @@ class TestPolicyRegistry:
             assert len(registry) == 0
 
 
-@pytest.fixture
-def restore_stage_registry():
-    """Give the process-global stage registry back as the test found it.
-
-    An engine opened on a policy registry attaches that registry's
-    ``cdrl:*`` stages to :data:`STAGE_REGISTRY`; without this they would
-    outlive the test and show up in every later registry listing.
-    """
-    STAGE_REGISTRY.describe()  # load the built-ins before the snapshot
-    saved = {kind: dict(factories) for kind, factories in STAGE_REGISTRY._factories.items()}
-    yield
-    with STAGE_REGISTRY._lock:
-        for kind, factories in STAGE_REGISTRY._factories.items():
-            factories.clear()
-            factories.update(saved[kind])
-
-
-@pytest.mark.usefixtures("restore_stage_registry")
 class TestServingRegisteredPolicies:
     def test_engine_serves_registered_policy_by_name(self, tmp_path):
         """A published policy is listed, served by name over HTTP without
@@ -554,6 +553,7 @@ class TestServingRegisteredPolicies:
         registry_path = tmp_path / "pol.sqlite"
         with PolicyRegistry(registry_path) as registry:
             assert run.publish(registry, "served") == 1
+        builtins = STAGE_REGISTRY.describe()
         engine = LinxEngine(policy_registry_path=registry_path)
         scheduler = RequestScheduler(engine, max_workers=1)
         try:
@@ -587,6 +587,70 @@ class TestServingRegisteredPolicies:
         finally:
             scheduler.shutdown()
             engine.policy_registry.close()
+        # The policies were the engine's own: the process-wide registry of
+        # stage code is as it was.
+        assert STAGE_REGISTRY.describe() == builtins
+
+    def test_engine_level_alias_is_pinned(self, tmp_path):
+        """An engine built on ``cdrl:<name>`` serves, reports and namespaces
+        the version the alias named at construction."""
+        run = TrainingRun(_spec(episodes=2))
+        run.train()
+        registry_path = tmp_path / "pol.sqlite"
+        with PolicyRegistry(registry_path) as registry:
+            run.publish(registry, "pinned")
+            engine = LinxEngine(
+                policy_registry_path=registry_path,
+                stages={"session_generator": "cdrl:pinned"},
+            )
+            run.publish(registry, "pinned")
+            registry.promote("pinned", 2)
+        try:
+            assert dict(engine.spec.stages)["session_generator"] == "cdrl:pinned-v1"
+            assert engine.config_fingerprint() != LinxEngine().config_fingerprint()
+            request = ExploreRequest(
+                goal="weather delays", dataset="flights", num_rows=120,
+                ldx_text=LDX, episodes=2, seed=3,
+            )
+            result = engine.explore(request)
+            assert result.stage_names["session_generator"] == "cdrl:pinned-v1"
+        finally:
+            engine.policy_registry.close()
+
+    def test_process_workers_serve_a_version_published_after_start(self, tmp_path):
+        """A version published through another registry handle after the
+        scheduler started serves from its warm process worker, equal to
+        ``engine.explore`` in process."""
+        registry_path = tmp_path / "pol.sqlite"
+        engine = LinxEngine(
+            cdrl_config=CdrlConfig(episodes=2), policy_registry_path=registry_path
+        )
+        builtins = STAGE_REGISTRY.describe()
+        base = dict(
+            goal="weather delays", dataset="flights", num_rows=120, ldx_text=LDX,
+            episodes=2, seed=3,
+        )
+        request = ExploreRequest(**base, stages={"session_generator": "cdrl:late-v1"})
+        try:
+            with RequestScheduler(engine, workers="process", max_workers=1) as scheduler:
+                # Warm the one worker's engine before the policy exists.
+                warm = scheduler.submit(ExploreRequest(**base))
+                assert scheduler.wait(warm.ticket_id, timeout=300)["state"] == TICKET_DONE
+                run = TrainingRun(_spec(episodes=2))
+                run.train()
+                with PolicyRegistry(registry_path) as other:
+                    assert run.publish(other, "late") == 1
+                ticket = scheduler.submit(request)
+                snapshot = scheduler.wait(ticket.ticket_id, timeout=300)
+                assert snapshot["state"] == TICKET_DONE, snapshot
+                payload = scheduler.result_payload(ticket.ticket_id)
+            expected = engine.explore(request)
+        finally:
+            engine.policy_registry.close()
+        assert payload["stage_names"]["session_generator"] == "cdrl:late-v1"
+        differs = first_difference(comparable(expected.to_dict()), comparable(payload))
+        assert differs is None, f"process payload differs at {differs}"
+        assert STAGE_REGISTRY.describe() == builtins
 
     def test_generator_rejects_mismatched_table(self, tmp_path):
         run = TrainingRun(_spec(episodes=2))
